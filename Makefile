@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-svm bench-online bench-spec bench-all bench-quality golden clean
+.PHONY: all build test race vet bench bench-svm bench-online bench-record bench-all bench-quality golden clean
 
 all: build vet test
 
@@ -37,11 +37,10 @@ bench-svm:
 bench-online:
 	$(GO) test -run xxx -bench 'BenchmarkOnlineMine|BenchmarkOnlineIngest' -benchmem -timeout 60m ./internal/core/
 
-# The speculative-emulation benchmarks behind BENCH_PR8.json: record phase
-# of the multihop chain, sequential vs conservative vs speculative sections
-# across worker counts, with rollback rates.
-bench-spec:
-	$(GO) test -run xxx -bench 'BenchmarkRecordParallelNodes|BenchmarkRecordSpeculativeNodes' -benchmem -timeout 30m ./internal/synth/
+# The record-phase benchmark of the multihop chain: sequential vs
+# conservative parallel sections across worker counts.
+bench-record:
+	$(GO) test -run xxx -bench 'BenchmarkRecordParallelNodes' -benchmem -timeout 30m ./internal/synth/
 
 # Every benchmark, including the paper-evaluation harness (slow).
 bench-all:

@@ -253,22 +253,20 @@ func TestOnlineRefitAllocBudget(t *testing.T) {
 	}
 }
 
-// Speculative-emulation allocation thresholds: one 2-second, 12-node
-// multihop record phase under optimistic sections with deep (512-quantum)
-// windows. Snapshot buffers, segment lists, and the recorder's speculation
-// buffers are pooled per sim and reused across sections, so the whole run
-// measures ~6,600 allocs/op and ~1.5 MB/op — below the conservative
-// engine's own profile at the same worker count (BENCH_PR8.json). The
-// ceilings carry ~45% headroom for runner variance.
+// Parallel-record allocation thresholds: one 2-second, 12-node multihop
+// record phase under conservative-lookahead sections at two node workers.
+// Section task lists, staged medium events, and the barrier scratch are
+// reused across sections, so the whole run measures ~12,800 allocs/op and
+// ~1.9 MB/op; the ceilings carry ~40% headroom for runner variance.
 const (
-	maxSpeculationAllocs = 10_000
-	maxSpeculationBytes  = 2_400_000
+	maxParallelRecordAllocs = 18_000
+	maxParallelRecordBytes  = 2_700_000
 )
 
-// TestSpeculationAllocBudget guards the speculative engine's allocation
-// profile: snapshots and staged-trace buffers must keep recycling through
-// the per-sim pools, not allocate per section or (worse) per rollback.
-func TestSpeculationAllocBudget(t *testing.T) {
+// TestParallelRecordAllocBudget guards the parallel engine's allocation
+// profile: sections and horizon barriers must keep recycling their
+// per-sim scratch, not allocate per section or per staged event.
+func TestParallelRecordAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard skipped in -short mode")
 	}
@@ -279,27 +277,26 @@ func TestSpeculationAllocBudget(t *testing.T) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			r, err := synth.Multihop(synth.MultihopConfig{
-				Nodes: 12, Seconds: 2, Seed: 1, NodeWorkers: 4,
-				Speculate: true, SpecDepth: 512,
+				Nodes: 12, Seconds: 2, Seed: 1, NodeWorkers: 2,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if r.Stats.SpecSections == 0 {
-				b.Fatal("speculation did not engage; the guard is not measuring the optimistic path")
+			if r.Stats.ParallelSections == 0 {
+				b.Fatal("no parallel sections ran; the guard is not measuring the parallel path")
 			}
 			r.Release()
 		}
 	})
 	allocs := res.AllocsPerOp()
 	bytes := res.AllocedBytesPerOp()
-	t.Logf("speculative multihop record (12 nodes, 2 s, depth 512): %d allocs/op, %d B/op over %d op(s)",
+	t.Logf("parallel multihop record (12 nodes, 2 s, 2 workers): %d allocs/op, %d B/op over %d op(s)",
 		allocs, bytes, res.N)
-	if allocs > maxSpeculationAllocs {
-		t.Errorf("allocs/op regressed: %d > %d (threshold; see BENCH_PR8.json)", allocs, maxSpeculationAllocs)
+	if allocs > maxParallelRecordAllocs {
+		t.Errorf("allocs/op regressed: %d > %d (threshold)", allocs, maxParallelRecordAllocs)
 	}
-	if bytes > maxSpeculationBytes {
-		t.Errorf("B/op regressed: %d > %d (threshold; see BENCH_PR8.json)", bytes, maxSpeculationBytes)
+	if bytes > maxParallelRecordBytes {
+		t.Errorf("B/op regressed: %d > %d (threshold)", bytes, maxParallelRecordBytes)
 	}
 }
 

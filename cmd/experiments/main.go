@@ -17,14 +17,8 @@ import (
 func main() {
 	nodeWorkers := flag.Int("node-workers", 0,
 		"emulator-side parallelism for every record phase (sim.Config.ParallelNodes); traces and all results are byte-identical at any setting, only the record phases speed up (<= 1 = sequential)")
-	speculate := flag.Bool("speculate", false,
-		"enable speculative (optimistic snapshot/rollback) sections on top of the parallel engine for every record phase; traces and all results stay byte-identical")
-	specDepth := flag.Int("spec-depth", 0,
-		"initial speculation window depth in quanta (0 = the engine default)")
 	flag.Parse()
 	experiments.NodeWorkers = *nodeWorkers
-	experiments.Speculate = *speculate
-	experiments.SpecDepth = *specDepth
 	stop, err := startProfiling()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

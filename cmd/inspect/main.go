@@ -74,11 +74,6 @@ func run(irq int, nodesCSV string, rank int, nu float64, path string) error {
 		fmt.Printf("record-phase scheduler: %d rounds, %d solo jumps, %d idle jumps, %d parallel sections (%d advances, %d staged events)\n",
 			st.Rounds, st.SoloJumps, st.IdleJumps,
 			st.ParallelSections, st.ParallelAdvances, st.StagedEvents)
-		if st.SpecSections > 0 {
-			fmt.Printf("record-phase speculation: %d sections, %d commits, %d rollbacks, %d truncations, %d cycles committed, %d discarded\n",
-				st.SpecSections, st.SpecCommits, st.SpecRollbacks,
-				st.SpecTruncations, st.SpecCyclesCommitted, st.SpecCyclesDiscarded)
-		}
 		fmt.Println()
 	}
 	fmt.Printf("%d intervals mined; ranking head:\n\n%s\n", len(ranking.Samples), ranking.Table(5, 0))

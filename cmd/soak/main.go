@@ -39,9 +39,6 @@ func main() {
 		onlineCheck = flag.Bool("online-check", false, "additionally run every -mine-irq problem through the online miner (refit every batch, warm starts, on-disk spill, delta replay, a second event type, and a compacted pass) and require every finalized ranking to be bit-identical to one-shot MineBatches")
 		nodeWorkers = flag.Int("node-workers", 0, "emulator-side parallelism per scenario (sim.Config.ParallelNodes); traces are byte-identical at any setting (<= 1 = sequential)")
 		parCheck    = flag.Bool("par-check", false, "record every scenario twice — sequentially and with parallel node sections — and require the serialized traces to be byte-identical (uses -node-workers, or 4 when unset)")
-		speculate   = flag.Bool("speculate", false, "enable speculative (optimistic snapshot/rollback) sections on top of the parallel engine for every scenario; traces are byte-identical at any setting")
-		specDepth   = flag.Int("spec-depth", 0, "initial speculation window depth in quanta (0 = the engine default)")
-		specCheck   = flag.Bool("spec-check", false, "record every scenario twice — sequentially and with speculative sections — and require the serialized traces to be byte-identical (uses -node-workers, or 4 when unset, and -spec-depth)")
 	)
 	flag.Parse()
 	stop, err := startProfiling()
@@ -49,7 +46,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "soak:", err)
 		os.Exit(1)
 	}
-	err = run(*runs, *seed, *nodes, *seconds, *stream, *mineIRQ, *svmCacheMB, *svmShrink, *onlineCheck, *nodeWorkers, *parCheck, *speculate, *specDepth, *specCheck)
+	err = run(*runs, *seed, *nodes, *seconds, *stream, *mineIRQ, *svmCacheMB, *svmShrink, *onlineCheck, *nodeWorkers, *parCheck)
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "soak:", err)
@@ -57,7 +54,7 @@ func main() {
 	}
 }
 
-func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ, svmCacheMB int, svmShrink, onlineCheck bool, nodeWorkers int, parCheck, speculate bool, specDepth int, specCheck bool) error {
+func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ, svmCacheMB int, svmShrink, onlineCheck bool, nodeWorkers int, parCheck bool) error {
 	if onlineCheck && mineIRQ == 0 {
 		return fmt.Errorf("-online-check needs -mine-irq to select the event type")
 	}
@@ -65,7 +62,7 @@ func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ
 	totalOnline, totalRefits := 0, 0
 	pool := &lifecycle.ScratchPool{}
 	checkWorkers := nodeWorkers
-	if (parCheck || specCheck) && checkWorkers <= 1 {
+	if parCheck && checkWorkers <= 1 {
 		checkWorkers = 4
 	}
 	var stats sim.Stats
@@ -77,15 +74,11 @@ func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ
 			ExactNodes:  nodes,
 			Seconds:     seconds,
 			NodeWorkers: nodeWorkers,
-			Speculate:   speculate,
-			SpecDepth:   specDepth,
 		}
-		if parCheck || specCheck {
+		if parCheck {
 			// The primary recording is the sequential reference; the
-			// parallel/speculative re-recordings below must match it byte
-			// for byte.
+			// parallel re-recording below must match it byte for byte.
 			cfg.NodeWorkers = 0
-			cfg.Speculate = false
 		}
 		r, err := synth.Generate(cfg)
 		if err != nil {
@@ -96,18 +89,11 @@ func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ
 		}
 		addStats(&stats, r.Stats)
 		if parCheck {
-			parStats, err := verifyParallel(cfg, r, checkWorkers, false, 0)
+			parStats, err := verifyParallel(cfg, r, checkWorkers)
 			if err != nil {
 				return fmt.Errorf("seed %d: %w", s, err)
 			}
 			addStats(&stats, parStats)
-		}
-		if specCheck {
-			specStats, err := verifyParallel(cfg, r, checkWorkers, true, specDepth)
-			if err != nil {
-				return fmt.Errorf("seed %d: %w", s, err)
-			}
-			addStats(&stats, specStats)
 		}
 		for _, nt := range r.Trace.Nodes {
 			totalMarkers += len(nt.Markers)
@@ -161,19 +147,10 @@ func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ
 		fmt.Printf("parallel cross-check: every serialized trace byte-identical at %d node workers\n",
 			checkWorkers)
 	}
-	if specCheck {
-		fmt.Printf("speculative cross-check: every serialized trace byte-identical at %d node workers\n",
-			checkWorkers)
-	}
-	if nodeWorkers > 1 || parCheck || specCheck {
+	if nodeWorkers > 1 || parCheck {
 		fmt.Printf("scheduler: %d rounds, %d solo jumps, %d idle jumps, %d parallel sections (%d advances, %d staged events)\n",
 			stats.Rounds, stats.SoloJumps, stats.IdleJumps,
 			stats.ParallelSections, stats.ParallelAdvances, stats.StagedEvents)
-	}
-	if speculate || specCheck {
-		fmt.Printf("speculation: %d sections, %d commits, %d rollbacks, %d truncations, %d cycles committed, %d discarded\n",
-			stats.SpecSections, stats.SpecCommits, stats.SpecRollbacks,
-			stats.SpecTruncations, stats.SpecCyclesCommitted, stats.SpecCyclesDiscarded)
 	}
 	return nil
 }
@@ -189,31 +166,18 @@ func addStats(total *sim.Stats, s sim.Stats) {
 	total.StagedEvents += s.StagedEvents
 	total.WorkersParked += s.WorkersParked
 	total.WorkersWoken += s.WorkersWoken
-	total.SpecSections += s.SpecSections
-	total.SpecAdvances += s.SpecAdvances
-	total.SpecCommits += s.SpecCommits
-	total.SpecRollbacks += s.SpecRollbacks
-	total.SpecTruncations += s.SpecTruncations
-	total.SpecCyclesCommitted += s.SpecCyclesCommitted
-	total.SpecCyclesDiscarded += s.SpecCyclesDiscarded
 }
 
-// verifyParallel re-records the scenario with parallel node sections —
-// speculative (optimistic snapshot/rollback) ones when spec is set — and
+// verifyParallel re-records the scenario with parallel node sections and
 // requires the serialized trace to be byte-identical to the sequential
 // reference already recorded (the trace-equivalence gate of the scheduler,
 // on live random topologies). It returns the re-recording's scheduler
 // counters.
-func verifyParallel(cfg synth.Config, ref *apps.Run, workers int, spec bool, specDepth int) (sim.Stats, error) {
+func verifyParallel(cfg synth.Config, ref *apps.Run, workers int) (sim.Stats, error) {
 	cfg.NodeWorkers = workers
-	cfg.Speculate, cfg.SpecDepth = spec, specDepth
-	kind := "parallel"
-	if spec {
-		kind = "speculative"
-	}
 	par, err := synth.Generate(cfg)
 	if err != nil {
-		return sim.Stats{}, fmt.Errorf("%s (%d workers): %w", kind, workers, err)
+		return sim.Stats{}, fmt.Errorf("parallel (%d workers): %w", workers, err)
 	}
 	var a, b bytes.Buffer
 	if err := ref.Trace.WriteBinary(&a); err != nil {
@@ -223,8 +187,8 @@ func verifyParallel(cfg synth.Config, ref *apps.Run, workers int, spec bool, spe
 		return sim.Stats{}, err
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		return sim.Stats{}, fmt.Errorf("%s (%d workers): trace diverges from sequential (%d vs %d bytes)",
-			kind, workers, b.Len(), a.Len())
+		return sim.Stats{}, fmt.Errorf("parallel (%d workers): trace diverges from sequential (%d vs %d bytes)",
+			workers, b.Len(), a.Len())
 	}
 	return par.Stats, nil
 }

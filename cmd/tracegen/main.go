@@ -25,21 +25,19 @@ func main() {
 		period   = flag.Int("period", 20, "case I: sampling period in ms")
 		asBundle = flag.Bool("bundle", false, "save a full run bundle (trace + programs) instead of a bare trace")
 		workers  = flag.Int("node-workers", 0, "emulator-side parallelism (sim.Config.ParallelNodes); the saved trace is byte-identical at any setting (<= 1 = sequential)")
-		spec     = flag.Bool("speculate", false, "enable speculative (optimistic snapshot/rollback) sections on top of the parallel engine; the saved trace is byte-identical at any setting")
-		specDep  = flag.Int("spec-depth", 0, "initial speculation window depth in quanta (0 = the engine default)")
 	)
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "tracegen: -out is required")
 		os.Exit(2)
 	}
-	if err := run(*study, *out, *seconds, *seed, *fixed, *period, *asBundle, *workers, *spec, *specDep); err != nil {
+	if err := run(*study, *out, *seconds, *seed, *fixed, *period, *asBundle, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(study, out string, seconds float64, seed uint64, fixed bool, period int, asBundle bool, workers int, spec bool, specDep int) error {
+func run(study, out string, seconds float64, seed uint64, fixed bool, period int, asBundle bool, workers int) error {
 	var (
 		r   *sentomist.Run
 		err error
@@ -54,7 +52,7 @@ func run(study, out string, seconds float64, seed uint64, fixed bool, period int
 		}
 		r, err = sentomist.RunCaseI(sentomist.CaseIConfig{
 			PeriodMS: period, Seconds: seconds, Seed: seed, Fixed: fixed,
-			NodeWorkers: workers, Speculate: spec, SpecDepth: specDep,
+			NodeWorkers: workers,
 		})
 	case "II", "2":
 		if seconds == 0 {
@@ -65,7 +63,6 @@ func run(study, out string, seconds float64, seed uint64, fixed bool, period int
 		}
 		r, err = sentomist.RunCaseII(sentomist.CaseIIConfig{
 			Seconds: seconds, Seed: seed, Fixed: fixed, NodeWorkers: workers,
-			Speculate: spec, SpecDepth: specDep,
 		})
 	case "III", "3":
 		if seconds == 0 {
@@ -76,7 +73,6 @@ func run(study, out string, seconds float64, seed uint64, fixed bool, period int
 		}
 		r, err = sentomist.RunCaseIII(sentomist.CaseIIIConfig{
 			Seconds: seconds, Seed: seed, Fixed: fixed, NodeWorkers: workers,
-			Speculate: spec, SpecDepth: specDep,
 		})
 	default:
 		return fmt.Errorf("unknown case study %q", study)
@@ -102,11 +98,6 @@ func run(study, out string, seconds float64, seed uint64, fixed bool, period int
 		fmt.Printf("scheduler: %d rounds, %d solo jumps, %d idle jumps, %d parallel sections (%d advances, %d staged events)\n",
 			st.Rounds, st.SoloJumps, st.IdleJumps,
 			st.ParallelSections, st.ParallelAdvances, st.StagedEvents)
-		if st.SpecSections > 0 {
-			fmt.Printf("speculation: %d sections, %d commits, %d rollbacks, %d truncations, %d cycles committed, %d discarded\n",
-				st.SpecSections, st.SpecCommits, st.SpecRollbacks,
-				st.SpecTruncations, st.SpecCyclesCommitted, st.SpecCyclesDiscarded)
-		}
 	}
 	return nil
 }

@@ -132,11 +132,6 @@ type builder struct {
 	// parallel bounds how many nodes advance concurrently inside the
 	// scheduler's conservative-lookahead sections; <= 1 stays sequential.
 	parallel int
-	// speculate enables optimistic sections with snapshot/rollback on top
-	// of the parallel engine; specDepth overrides the initial window depth
-	// in quanta (0 = sim.DefaultSpecDepth).
-	speculate bool
-	specDepth int
 }
 
 // RNG-split keys of the builder's derived streams. The network's stream is
@@ -241,8 +236,6 @@ func (b *builder) execute(seconds float64) (*Run, error) {
 		Seed:          b.seed,
 		Reference:     b.reference,
 		ParallelNodes: b.parallel,
-		Speculate:     b.speculate,
-		SpecDepth:     b.specDepth,
 	}, b.nodes, b.net)
 	cycles := uint64(seconds * CyclesPerSecond)
 	if err := s.Run(cycles); err != nil {

@@ -390,12 +390,6 @@ type CTPConfig struct {
 	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
 	// are byte-identical at any setting.
 	NodeWorkers int
-	// Speculate enables optimistic sections with snapshot/rollback on top
-	// of the parallel engine (see sim.Config.Speculate); SpecDepth
-	// overrides the initial window depth in quanta (0 = the default).
-	// Traces are byte-identical at any setting.
-	Speculate bool
-	SpecDepth int
 }
 
 // RunCTPHeartbeat executes one Case-III run: 9 nodes, two-level tree.
@@ -417,7 +411,6 @@ func RunCTPHeartbeat(cfg CTPConfig) (*Run, error) {
 	b := newBuilder(cfg.Seed)
 	b.reference = cfg.Reference
 	b.parallel = cfg.NodeWorkers
-	b.speculate, b.specDepth = cfg.Speculate, cfg.SpecDepth
 	if _, err := b.addNode(CTPRootID, rootProg, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[CTPRootID], discard: cfg.DiscardMarkers,

@@ -312,12 +312,6 @@ type ForwarderConfig struct {
 	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
 	// are byte-identical at any setting.
 	NodeWorkers int
-	// Speculate enables optimistic sections with snapshot/rollback on top
-	// of the parallel engine (see sim.Config.Speculate); SpecDepth
-	// overrides the initial window depth in quanta (0 = the default).
-	// Traces are byte-identical at any setting.
-	Speculate bool
-	SpecDepth int
 }
 
 // RunForwarder executes one Case-II run.
@@ -342,7 +336,6 @@ func RunForwarder(cfg ForwarderConfig) (*Run, error) {
 	b := newBuilder(cfg.Seed)
 	b.reference = cfg.Reference
 	b.parallel = cfg.NodeWorkers
-	b.speculate, b.specDepth = cfg.Speculate, cfg.SpecDepth
 	if _, err := b.addNode(FwdSinkID, sinkProg, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[FwdSinkID], discard: cfg.DiscardMarkers,

@@ -235,12 +235,6 @@ type OscConfig struct {
 	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
 	// are byte-identical at any setting.
 	NodeWorkers int
-	// Speculate enables optimistic sections with snapshot/rollback on top
-	// of the parallel engine (see sim.Config.Speculate); SpecDepth
-	// overrides the initial window depth in quanta (0 = the default).
-	// Traces are byte-identical at any setting.
-	Speculate bool
-	SpecDepth int
 }
 
 // RunOscilloscope executes one Case-I run and returns its trace.
@@ -261,7 +255,6 @@ func RunOscilloscope(cfg OscConfig) (*Run, error) {
 	b := newBuilder(cfg.Seed)
 	b.reference = cfg.Reference
 	b.parallel = cfg.NodeWorkers
-	b.speculate, b.specDepth = cfg.Speculate, cfg.SpecDepth
 	if _, err := b.addNode(OscSinkID, sinkSrc, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[OscSinkID], discard: cfg.DiscardMarkers,

@@ -96,14 +96,6 @@ func (s *Scenario) Link(a, b int, lossProb float64) {
 // are byte-identical at any setting.
 func (s *Scenario) SetParallelism(w int) { s.b.parallel = w }
 
-// SetSpeculation enables optimistic sections with snapshot/rollback on top
-// of the parallel engine (see sim.Config.Speculate); depth overrides the
-// initial window depth in quanta (0 = the default). Serialized traces are
-// byte-identical at any setting.
-func (s *Scenario) SetSpeculation(on bool, depth int) {
-	s.b.speculate, s.b.specDepth = on, depth
-}
-
 // Run executes the scenario for the given wall-clock seconds of simulated
 // time and returns the collected run. A scenario runs once.
 func (s *Scenario) Run(seconds float64) (*Run, error) {

@@ -97,15 +97,11 @@ var CaseIPeriods = []int{20, 40, 60, 80, 100}
 // several seeds so nothing below depends on this one being lucky.
 const BugSeed = 1
 
-// NodeWorkers, Speculate and SpecDepth configure every entry's record
-// phase exactly like the identically-named internal/experiments globals:
-// recorded traces are byte-identical at any setting, so no metric in a
-// Report depends on them — they only change how fast the runs execute.
-var (
-	NodeWorkers int
-	Speculate   bool
-	SpecDepth   int
-)
+// NodeWorkers configures every entry's record phase exactly like the
+// identically-named internal/experiments global: recorded traces are
+// byte-identical at any setting, so no metric in a Report depends on it —
+// it only changes how fast the runs execute.
+var NodeWorkers int
 
 // Entry is one corpus bug: a buggy/fixed scenario pair, the mining
 // configuration of its monitored event type, and its ground-truth oracle.
@@ -151,12 +147,12 @@ type Entry struct {
 func Catalog() []Entry {
 	return []Entry{
 		{
-			Name:        "case-i-pollution",
-			Class:       ClassAtomicity,
-			Description: "oscilloscope: ADC ISR pollutes the packet buffer between post and send (Figure 2)",
-			Runs:        caseIRuns,
-			IRQ:         dev.IRQADC,
-			Nodes:       []int{apps.OscSensorID},
+			Name:          "case-i-pollution",
+			Class:         ClassAtomicity,
+			Description:   "oscilloscope: ADC ISR pollutes the packet buffer between post and send (Figure 2)",
+			Runs:          caseIRuns,
+			IRQ:           dev.IRQADC,
+			Nodes:         []int{apps.OscSensorID},
 			Labels:        core.LabelRunSeq,
 			Oracle:        OracleFunc(apps.CaseISymptom),
 			ValidateFixed: caseIIntegrity,
@@ -266,7 +262,7 @@ func caseIRuns(fixed bool) ([]*apps.Run, error) {
 		var err error
 		runs[i], err = apps.RunOscilloscope(apps.OscConfig{
 			PeriodMS: d, Seconds: 10, Seed: CaseISeedBase + uint64(i), Fixed: fixed,
-			NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth,
+			NodeWorkers: NodeWorkers,
 		})
 		if err != nil {
 			return nil, err
@@ -296,7 +292,7 @@ func caseIIntegrity(runs []*apps.Run) (int, error) {
 func caseIIRuns(fixed bool) ([]*apps.Run, error) {
 	run, err := apps.RunForwarder(apps.ForwarderConfig{
 		Seconds: 20, Seed: CaseIISeed, Fixed: fixed,
-		NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth,
+		NodeWorkers: NodeWorkers,
 	})
 	if err != nil {
 		return nil, err
@@ -307,7 +303,7 @@ func caseIIRuns(fixed bool) ([]*apps.Run, error) {
 func caseIIIRuns(fixed bool) ([]*apps.Run, error) {
 	run, err := apps.RunCTPHeartbeat(apps.CTPConfig{
 		Seconds: 15, Seed: CaseIIISeed, Fixed: fixed,
-		NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth,
+		NodeWorkers: NodeWorkers,
 	})
 	if err != nil {
 		return nil, err

@@ -2,11 +2,14 @@ package bundle
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/gob"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sentomist/internal/isa"
+	"sentomist/internal/sim"
 	"sentomist/internal/trace"
 )
 
@@ -101,5 +104,95 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader("SENTBDL1corrupt")); err == nil {
 		t.Fatal("corrupt body accepted")
+	}
+}
+
+// legacyStats mirrors sim.Stats as it was when the scheduler also carried
+// speculative-section counters (the Spec* fields). Bundles written back
+// then hold these fields in their gob stream.
+type legacyStats struct {
+	Rounds, IdleJumps, SoloJumps             uint64
+	ParallelSections, HorizonBarriers        uint64
+	ParallelAdvances, StagedEvents           uint64
+	WorkersParked, WorkersWoken              uint64
+	SpecSections, SpecAdvances, SpecCommits  uint64
+	SpecRollbacks, SpecTruncations           uint64
+	SpecCyclesCommitted, SpecCyclesDiscarded uint64
+}
+
+// legacyBundle mirrors Bundle with the legacy Stats shape; gob matches
+// struct fields by name, so the type names do not matter.
+type legacyBundle struct {
+	Trace    *trace.Trace
+	Programs map[int]*isa.Program
+	Vars     map[int]map[string]uint16
+	Stats    legacyStats
+}
+
+func legacyCounters() legacyStats {
+	return legacyStats{
+		Rounds: 1, IdleJumps: 2, SoloJumps: 3,
+		ParallelSections: 4, HorizonBarriers: 5,
+		ParallelAdvances: 6, StagedEvents: 7,
+		WorkersParked: 8, WorkersWoken: 9,
+		SpecSections: 10, SpecAdvances: 11, SpecCommits: 12,
+		SpecRollbacks: 13, SpecTruncations: 14,
+		SpecCyclesCommitted: 15, SpecCyclesDiscarded: 16,
+	}
+}
+
+// TestBundleLegacyStats pins gob's tolerance of the removed speculation
+// counters in both directions: a bundle carrying them loads through Read
+// with every remaining counter intact, and a current bundle decodes into
+// the legacy shape with the shared counters intact and the extra ones zero.
+func TestBundleLegacyStats(t *testing.T) {
+	want := sim.Stats{
+		Rounds: 1, IdleJumps: 2, SoloJumps: 3,
+		ParallelSections: 4, HorizonBarriers: 5,
+		ParallelAdvances: 6, StagedEvents: 7,
+		WorkersParked: 8, WorkersWoken: 9,
+	}
+	b := sampleBundle()
+
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	zw := gzip.NewWriter(&buf)
+	legacy := legacyBundle{Trace: b.Trace, Programs: b.Programs, Vars: b.Vars, Stats: legacyCounters()}
+	if err := gob.NewEncoder(zw).Encode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("legacy bundle rejected: %v", err)
+	}
+	if got.Stats != want {
+		t.Errorf("legacy bundle stats = %+v, want %+v", got.Stats, want)
+	}
+	if got.Trace.Seed != 9 || got.Vars[1]["x"] != 0x40 {
+		t.Errorf("legacy bundle lost data: %+v", got)
+	}
+
+	buf.Reset()
+	b.Stats = want
+	if err := b.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(buf.Bytes()[len(magic):]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old legacyBundle
+	if err := gob.NewDecoder(zr).Decode(&old); err != nil {
+		t.Fatalf("current bundle unreadable in the legacy shape: %v", err)
+	}
+	wantOld := legacyCounters()
+	wantOld.SpecSections, wantOld.SpecAdvances, wantOld.SpecCommits = 0, 0, 0
+	wantOld.SpecRollbacks, wantOld.SpecTruncations = 0, 0
+	wantOld.SpecCyclesCommitted, wantOld.SpecCyclesDiscarded = 0, 0
+	if old.Stats != wantOld {
+		t.Errorf("legacy decode stats = %+v, want %+v", old.Stats, wantOld)
 	}
 }

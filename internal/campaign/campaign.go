@@ -19,6 +19,7 @@ import (
 	"sentomist/internal/core"
 	"sentomist/internal/lifecycle"
 	"sentomist/internal/outlier"
+	"sentomist/internal/sim"
 	"sentomist/internal/trace"
 )
 
@@ -33,9 +34,10 @@ type Config struct {
 	// Labels defaults to core.LabelRunSeq.
 	Labels core.LabelStyle
 	// Workers bounds the pool running scenarios concurrently; <= 0
-	// selects GOMAXPROCS (divided by NodeWorkers when set, so a campaign
-	// of parallel-emulation runs does not oversubscribe the machine). The
-	// ranking is identical at any setting.
+	// selects GOMAXPROCS, divided by NodeWorkers as the engine resolves it
+	// (sim.ResolveParallelism), so a campaign of parallel-emulation runs
+	// does not oversubscribe the machine. The ranking is identical at any
+	// setting.
 	Workers int
 	// NodeWorkers is the emulator-side parallelism each run should use
 	// (sim.Config.ParallelNodes): how many nodes advance concurrently
@@ -45,14 +47,6 @@ type Config struct {
 	// run pool. Traces, and therefore rankings, are identical at any
 	// setting.
 	NodeWorkers int
-	// Speculate and SpecDepth select speculative emulation for each run
-	// (sim.Config.Speculate / SpecDepth): optimistic sections with
-	// snapshot/rollback on top of the conservative parallel engine.
-	// RunFunc builders pass them into their scenario configs alongside
-	// NodeWorkers. Traces, and therefore rankings, are identical at any
-	// setting.
-	Speculate bool
-	SpecDepth int
 	// SVMCacheBytes bounds the default detector's kernel column cache;
 	// see core.Config.SVMCacheBytes. Rankings are bit-identical at any
 	// budget. Ignored when Detector is set explicitly.
@@ -170,9 +164,6 @@ func Mine(cfg Config, runs []RunFunc) (*core.Ranking, error) {
 		Labels:        cfg.Labels,
 		SVMCacheBytes: cfg.SVMCacheBytes,
 		SVMShrinking:  cfg.SVMShrinking,
-		NodeWorkers:   cfg.NodeWorkers,
-		Speculate:     cfg.Speculate,
-		SpecDepth:     cfg.SpecDepth,
 	})
 }
 
@@ -194,10 +185,10 @@ func poolWorkers(cfg Config, runs int) int {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-		if cfg.NodeWorkers > 1 {
+		if nw := sim.ResolveParallelism(cfg.NodeWorkers); nw > 1 {
 			// Each run brings its own node-section workers; shrink the
 			// run-level fan-out so total goroutines stay near GOMAXPROCS.
-			if workers = workers / cfg.NodeWorkers; workers < 1 {
+			if workers = workers / nw; workers < 1 {
 				workers = 1
 			}
 		}
@@ -227,9 +218,6 @@ func mineOnline(cfg Config, runs []RunFunc, workers int, pool *lifecycle.Scratch
 			Labels:        cfg.Labels,
 			SVMCacheBytes: cfg.SVMCacheBytes,
 			SVMShrinking:  cfg.SVMShrinking,
-			NodeWorkers:   cfg.NodeWorkers,
-			Speculate:     cfg.Speculate,
-			SpecDepth:     cfg.SpecDepth,
 		},
 		IRQs:         cfg.Online.IRQs,
 		RefitEvery:   cfg.Online.RefitEvery,

@@ -87,19 +87,6 @@ type Config struct {
 	// tolerance but not bitwise-reproducible against the plain path.
 	// Ignored when Detector is set explicitly.
 	SVMShrinking bool
-	// NodeWorkers records the emulator-side parallelism the runs were
-	// recorded with (sim.Config.ParallelNodes), carried here so one config
-	// describes a whole record+mine campaign (campaign.Mine forwards it).
-	// Mining itself consumes already-recorded traces and never reads it;
-	// recorded traces are byte-identical at any setting, so rankings can
-	// never depend on it.
-	NodeWorkers int
-	// Speculate and SpecDepth record the speculative-emulation settings
-	// the runs were recorded with (sim.Config.Speculate / SpecDepth),
-	// carried for the same record+mine bookkeeping as NodeWorkers. Like
-	// it, mining never reads them and rankings cannot depend on them.
-	Speculate bool
-	SpecDepth int
 }
 
 // defaultDetector builds the detector used when cfg.Detector is nil: the

@@ -23,7 +23,7 @@ func CaseICampaign(seedBase uint64) (*core.Ranking, error) {
 		runs[i] = func(attach campaign.Attach) error {
 			run, err := apps.RunOscilloscope(apps.OscConfig{
 				PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-				NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth,
+				NodeWorkers: NodeWorkers,
 				Stream: map[int]trace.StreamSink{
 					apps.OscSensorID: attach(apps.OscSensorID),
 				},
@@ -41,7 +41,7 @@ func CaseICampaign(seedBase uint64) (*core.Ranking, error) {
 	return campaign.Mine(campaign.Config{
 		IRQ:         dev.IRQADC,
 		Nodes:       []int{apps.OscSensorID},
-		NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth,
+		NodeWorkers: NodeWorkers,
 	}, runs)
 }
 
@@ -139,7 +139,7 @@ func mineCaseIOnline(seedBase uint64, workers int, online campaign.OnlineOptions
 		runs[i] = func(attach campaign.Attach) error {
 			run, err := apps.RunOscilloscope(apps.OscConfig{
 				PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-				NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth,
+				NodeWorkers: NodeWorkers,
 				Stream: map[int]trace.StreamSink{
 					apps.OscSensorID: attach(apps.OscSensorID),
 				},
@@ -158,7 +158,7 @@ func mineCaseIOnline(seedBase uint64, workers int, online campaign.OnlineOptions
 	return campaign.Mine(campaign.Config{
 		IRQ:         dev.IRQADC,
 		Nodes:       []int{apps.OscSensorID},
-		NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth,
+		NodeWorkers: NodeWorkers,
 		Workers:     workers,
 		Online:      &online,
 	}, runs)
@@ -171,7 +171,7 @@ func caseIRanking(seedBase uint64) (*core.Ranking, error) {
 	for i, d := range CaseIPeriods {
 		run, err := apps.RunOscilloscope(apps.OscConfig{
 			PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-			NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth,
+			NodeWorkers: NodeWorkers,
 		})
 		if err != nil {
 			return nil, err

@@ -38,17 +38,6 @@ const (
 // The cmd/experiments -node-workers flag sets it before the report starts.
 var NodeWorkers int
 
-// Speculate and SpecDepth select speculative emulation for every
-// experiment's record phase (sim.Config.Speculate / SpecDepth): optimistic
-// sections with snapshot/rollback on top of the conservative parallel
-// engine. Like NodeWorkers they cannot change any result — traces are
-// byte-identical at any setting — only record-phase wall clock. The
-// cmd/experiments -speculate / -spec-depth flags set them.
-var (
-	Speculate bool
-	SpecDepth int
-)
-
 // CaseResult summarizes one case-study reproduction.
 type CaseResult struct {
 	Name        string
@@ -85,7 +74,7 @@ func CaseI(seedBase uint64) (*CaseResult, error) {
 			defer wg.Done()
 			runs[i], errs[i] = apps.RunOscilloscope(apps.OscConfig{
 				PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-				NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth,
+				NodeWorkers: NodeWorkers,
 			})
 		}(i, d)
 	}
@@ -112,7 +101,7 @@ func CaseI(seedBase uint64) (*CaseResult, error) {
 
 // CaseII reproduces Figure 5(b): one 20-second forwarding run.
 func CaseII(seed uint64) (*CaseResult, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: case II: %w", err)
 	}
@@ -133,7 +122,7 @@ func CaseII(seed uint64) (*CaseResult, error) {
 
 // CaseIII reproduces Figure 5(c): one 15-second nine-node run.
 func CaseIII(seed uint64) (*CaseResult, error) {
-	run, err := apps.RunCTPHeartbeat(apps.CTPConfig{Seconds: 15, Seed: seed, NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth})
+	run, err := apps.RunCTPHeartbeat(apps.CTPConfig{Seconds: 15, Seed: seed, NodeWorkers: NodeWorkers})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: case III: %w", err)
 	}
@@ -223,7 +212,7 @@ type VolumeResult struct {
 
 // TraceVolume measures the Case-I run at D = 20 ms.
 func TraceVolume() (*VolumeResult, error) {
-	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase, NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth})
+	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase, NodeWorkers: NodeWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +238,7 @@ type EffortResult struct {
 
 // InspectionEffort measures the Case-II workload.
 func InspectionEffort(seed uint64) (*EffortResult, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +280,7 @@ type AblationRow struct {
 
 // DetectorAblation is A1 on Case II.
 func DetectorAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +317,7 @@ func DetectorAblation(seed uint64) ([]AblationRow, error) {
 
 // FeatureAblation is A2 on Case II.
 func FeatureAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +352,7 @@ func FeatureAblation(seed uint64) ([]AblationRow, error) {
 
 // KernelAblation is A3 on Case I run 1.
 func KernelAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: seed, NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth})
+	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: seed, NodeWorkers: NodeWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +391,7 @@ func KernelAblation(seed uint64) ([]AblationRow, error) {
 func DustminerBaseline() ([]AblationRow, error) {
 	var rows []AblationRow
 
-	caseIRun, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase, NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth})
+	caseIRun, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase, NodeWorkers: NodeWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +403,7 @@ func DustminerBaseline() ([]AblationRow, error) {
 	}
 	rows = append(rows, AblationRow{Name: "Case I (labels supplied)", Extra: score})
 
-	caseIIRun, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: CaseIISeed, NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth})
+	caseIIRun, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: CaseIISeed, NodeWorkers: NodeWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +446,7 @@ func dustminerScore(run *apps.Run, nodeID, irq int, oracle func(lifecycle.Interv
 // reports the rank of the first busy-drop per value — the check that the
 // default 0.05 is not a tuned constant.
 func NuSensitivity(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: NodeWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +480,7 @@ func SequentialAblation() (preemptive, sequential int, err error) {
 	count := func(seqMode bool) (int, error) {
 		run, err := apps.RunOscilloscope(apps.OscConfig{
 			PeriodMS: 20, Seconds: 10, Seed: 1, Sequential: seqMode,
-			NodeWorkers: NodeWorkers, Speculate: Speculate, SpecDepth: SpecDepth,
+			NodeWorkers: NodeWorkers,
 		})
 		if err != nil {
 			return 0, err
@@ -527,7 +516,5 @@ func SequentialAblation() (preemptive, sequential int, err error) {
 // report is what `rank -bench` gates against BENCH_QUALITY.json in CI.
 func RankingQuality() (*bench.Report, error) {
 	bench.NodeWorkers = NodeWorkers
-	bench.Speculate = Speculate
-	bench.SpecDepth = SpecDepth
 	return bench.EvaluateAll(bench.Catalog())
 }

@@ -60,16 +60,7 @@ type MAC struct {
 	// staged buffers callbacks created while the network is in a staging
 	// section (concurrent node execution); only this MAC's node writes it,
 	// and the scheduler drains it at the section barrier via CommitStaged.
-	// stagedNext is the commit cursor of CommitStagedThrough, which
-	// releases the buffer in submit-time order during speculative replay.
-	staged     []stagedEvent
-	stagedNext int
-
-	// stageLocal forces staging for this MAC alone, regardless of the
-	// network-wide flag. The speculative validator sets it while
-	// re-executing a rolled-back node, whose re-staged entries duplicate
-	// ones already committed and are discarded afterwards.
-	stageLocal bool
+	staged []stagedEvent
 
 	// Hot callbacks, bound once at registration: method values allocate a
 	// closure per binding, and these fire on every frame exchange.
@@ -139,28 +130,25 @@ func (m *MAC) Submit(now uint64, dst int, payload []byte) bool {
 // the shared queue (the delay is at least MinSubmitDelay there, so it can
 // never come due before the section's barrier).
 func (m *MAC) afterTx(now, delay uint64, fn func(now uint64)) {
-	if m.net.staging || m.stageLocal {
+	if m.net.staging {
 		m.staged = append(m.staged, stagedEvent{
-			submitAt: now, at: now + delay, guard: &m.txGen, gen: m.txGen, owner: m.id, fn: fn,
+			submitAt: now, at: now + delay, guard: &m.txGen, gen: m.txGen, fn: fn,
 		})
 		return
 	}
-	m.net.scheduleGuarded(now+delay, m.id, &m.txGen, m.txGen, fn)
+	m.net.scheduleGuarded(now+delay, &m.txGen, m.txGen, fn)
 }
 
 // afterRx schedules fn unless the receive side has moved on by then.
 func (m *MAC) afterRx(now, delay uint64, fn func(now uint64)) {
-	if m.net.staging || m.stageLocal {
+	if m.net.staging {
 		m.staged = append(m.staged, stagedEvent{
-			submitAt: now, at: now + delay, guard: &m.rxGen, gen: m.rxGen, owner: m.id, fn: fn,
+			submitAt: now, at: now + delay, guard: &m.rxGen, gen: m.rxGen, fn: fn,
 		})
 		return
 	}
-	m.net.scheduleGuarded(now+delay, m.id, &m.rxGen, m.rxGen, fn)
+	m.net.scheduleGuarded(now+delay, &m.rxGen, m.rxGen, fn)
 }
-
-// SetLocalStaging toggles per-MAC staging; see the stageLocal field.
-func (m *MAC) SetLocalStaging(on bool) { m.stageLocal = on }
 
 func (m *MAC) setTx(s txState) {
 	m.tx = s

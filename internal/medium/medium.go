@@ -125,13 +125,6 @@ type event struct {
 	guard *uint64
 	gen   uint64
 
-	// owner is the node ID whose MAC this event can observe or mutate
-	// when it fires (the callback's MAC for guarded callbacks, the
-	// receiver for deliveries), or -1. The speculative scheduler's fire
-	// hook uses it to find which optimistic node a firing event
-	// invalidates.
-	owner int
-
 	// Delivery fields, used when tx != nil (fn is nil then).
 	tx   *transmission
 	dst  *MAC
@@ -179,13 +172,6 @@ type Network struct {
 	// may execute concurrently; see BeginStaging.
 	staging       bool
 	stagedScratch []stagedEvent
-
-	// fireHook, when set, is called with an event's owner just before the
-	// event fires (including events a guard will drop: the guard check
-	// itself reads the owner MAC's generation counter). The speculative
-	// validator installs it to roll back optimistic nodes a medium event
-	// is about to touch.
-	fireHook func(at uint64, owner int)
 }
 
 // NewNetwork creates an empty network drawing randomness from rng.
@@ -223,10 +209,6 @@ func (n *Network) NewMAC(id int) *MAC {
 	return m
 }
 
-// MAC returns the registered MAC of node id, or nil. The speculative
-// scheduler uses it to snapshot per-node MAC state alongside the node.
-func (n *Network) MAC(id int) *MAC { return n.macs[id] }
-
 // Deliveries returns all data-frame deliveries so far. The slice is owned
 // by the network; callers must not modify it.
 func (n *Network) Deliveries() []Delivery { return n.deliveries }
@@ -261,9 +243,6 @@ func (n *Network) Advance(cycle uint64) {
 // per-receiver closures did; a guarded callback is dropped when its side's
 // generation moved on.
 func (n *Network) fire(e *event) {
-	if n.fireHook != nil && e.owner >= 0 {
-		n.fireHook(e.at, e.owner)
-	}
 	if e.tx != nil {
 		if e.lost {
 			return
@@ -297,7 +276,6 @@ func (n *Network) newEvent(at uint64) *event {
 	}
 	n.seq++
 	e.at, e.seq = at, n.seq
-	e.owner = -1
 	return e
 }
 
@@ -308,23 +286,17 @@ func (n *Network) schedule(at uint64, fn func(now uint64)) {
 }
 
 // scheduleGuarded schedules fn to fire only if *guard still equals gen.
-// owner is the node whose MAC the guard and callback belong to.
-func (n *Network) scheduleGuarded(at uint64, owner int, guard *uint64, gen uint64, fn func(now uint64)) {
+func (n *Network) scheduleGuarded(at uint64, guard *uint64, gen uint64, fn func(now uint64)) {
 	e := n.newEvent(at)
-	e.fn, e.guard, e.gen, e.owner = fn, guard, gen, owner
+	e.fn, e.guard, e.gen = fn, guard, gen
 	heap.Push(&n.queue, e)
 }
 
 func (n *Network) scheduleDelivery(at uint64, tx *transmission, dst *MAC, lost bool) {
 	e := n.newEvent(at)
-	e.tx, e.dst, e.lost, e.owner = tx, dst, lost, dst.id
+	e.tx, e.dst, e.lost = tx, dst, lost
 	heap.Push(&n.queue, e)
 }
-
-// SetFireHook installs (or, with nil, removes) the pre-fire callback; see
-// the fireHook field. Only the speculative validator should set it, and
-// only for the duration of one replay.
-func (n *Network) SetFireHook(fn func(at uint64, owner int)) { n.fireHook = fn }
 
 func (n *Network) pruneAir(now uint64) {
 	kept := n.onAir[:0]
@@ -365,7 +337,6 @@ type stagedEvent struct {
 	at       uint64
 	guard    *uint64
 	gen      uint64
-	owner    int
 	fn       func(now uint64)
 }
 
@@ -375,64 +346,6 @@ type stagedEvent struct {
 // driven by its own node, so concurrent node execution never touches shared
 // network state. Advance must not be called while staging.
 func (n *Network) BeginStaging() { n.staging = true }
-
-// EndStaging leaves the staging section without committing anything: the
-// buffered entries stay on their MACs. The speculative validator uses it
-// before its sequential replay, which schedules live nodes directly while
-// releasing each optimistic node's staged entries round by round through
-// CommitStagedThrough.
-func (n *Network) EndStaging() { n.staging = false }
-
-// CommitStagedThrough schedules MAC id's staged entries whose submit time
-// is at or before limit, in per-MAC submit order, drawing fresh queue
-// sequence numbers. Entries are consumed from the front (staging appends in
-// node-execution order, so submit times are nondecreasing); later calls
-// with larger limits continue where the previous call stopped. It returns
-// the number of entries scheduled.
-func (n *Network) CommitStagedThrough(id int, limit uint64) int {
-	m, ok := n.macs[id]
-	if !ok {
-		return 0
-	}
-	pushed := 0
-	for m.stagedNext < len(m.staged) && m.staged[m.stagedNext].submitAt <= limit {
-		se := &m.staged[m.stagedNext]
-		e := n.newEvent(se.at)
-		e.fn, e.guard, e.gen, e.owner = se.fn, se.guard, se.gen, se.owner
-		heap.Push(&n.queue, e)
-		*se = stagedEvent{}
-		m.stagedNext++
-		pushed++
-	}
-	if m.stagedNext == len(m.staged) {
-		m.staged = m.staged[:0]
-		m.stagedNext = 0
-	}
-	return pushed
-}
-
-// StagedPending reports how many staged entries MAC id still holds.
-func (n *Network) StagedPending(id int) int {
-	m, ok := n.macs[id]
-	if !ok {
-		return 0
-	}
-	return len(m.staged) - m.stagedNext
-}
-
-// DiscardStaged drops all of MAC id's staged entries without scheduling
-// them — the rollback path for invalidated speculation.
-func (n *Network) DiscardStaged(id int) {
-	m, ok := n.macs[id]
-	if !ok {
-		return
-	}
-	for i := m.stagedNext; i < len(m.staged); i++ {
-		m.staged[i] = stagedEvent{}
-	}
-	m.staged = m.staged[:0]
-	m.stagedNext = 0
-}
 
 // CommitStaged ends a staging section and schedules everything the listed
 // MACs buffered, reproducing the order a sequential lockstep engine would
@@ -452,9 +365,8 @@ func (n *Network) CommitStaged(ids []int, anchor, quantum uint64) int {
 		if !ok {
 			continue
 		}
-		buf = append(buf, m.staged[m.stagedNext:]...)
+		buf = append(buf, m.staged...)
 		m.staged = m.staged[:0]
-		m.stagedNext = 0
 	}
 	if len(buf) > 1 {
 		round := func(at uint64) uint64 {
@@ -469,7 +381,7 @@ func (n *Network) CommitStaged(ids []int, anchor, quantum uint64) int {
 	}
 	for i := range buf {
 		e := n.newEvent(buf[i].at)
-		e.fn, e.guard, e.gen, e.owner = buf[i].fn, buf[i].guard, buf[i].gen, buf[i].owner
+		e.fn, e.guard, e.gen = buf[i].fn, buf[i].guard, buf[i].gen
 		heap.Push(&n.queue, e)
 		buf[i] = stagedEvent{}
 	}

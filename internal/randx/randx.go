@@ -34,15 +34,6 @@ func New(seed uint64) *RNG {
 	return &r
 }
 
-// State returns the generator's internal xoshiro256** state so callers can
-// snapshot it. Restoring with SetState resumes the stream exactly where
-// State observed it.
-func (r *RNG) State() [4]uint64 { return r.s }
-
-// SetState overwrites the generator's internal state with a value captured
-// by State.
-func (r *RNG) SetState(s [4]uint64) { r.s = s }
-
 // Split derives an independent generator from r, keyed by label. The parent
 // stream advances by one draw. Use Split to give each subsystem (medium,
 // node 3's sensor, ...) its own stream so adding draws in one subsystem does

@@ -181,9 +181,7 @@ func (s *Sim) trySection(until uint64) (bool, error) {
 // `from` if it was parked or dormant (a plain advance, exactly like the
 // sequential round that would have picked it up), then run it toward h on
 // the section grid. It records where the node stopped; it never resumes past
-// an idle boundary (see the package comment on grid re-anchoring). During an
-// optimistic section (specActive) it also records the executed segment, so
-// the speculative validator can replay or roll back the node's activity.
+// an idle boundary (see the package comment on grid re-anchoring).
 func (s *Sim) advanceSection(idx int, from, c, q, h uint64) {
 	nd := s.nodes[idx]
 	if from > c {
@@ -191,12 +189,10 @@ func (s *Sim) advanceSection(idx int, from, c, q, h uint64) {
 		nd.Advance(from)
 		if nd.Halted() {
 			s.sectStop[idx], s.sectDead[idx] = from, true
-			s.recordSeg(idx, from)
 			return
 		}
 		if !nd.Runnable() {
 			s.sectStop[idx] = from
-			s.recordSeg(idx, from)
 			return
 		}
 	}
@@ -204,14 +200,16 @@ func (s *Sim) advanceSection(idx int, from, c, q, h uint64) {
 	b, st := nd.AdvanceJump(h, c, q, nil)
 	s.sectStop[idx] = b
 	s.sectDead[idx] = st == node.JumpDead
-	s.recordSeg(idx, from)
 }
 
-// sectionTask is one node advance inside a section pass.
+// sectionTask is one node advance inside a section pass. The horizon rides
+// in each task rather than in passDesc: the task list is reused across
+// passes, while a passDesc is allocated per pass and one more field would
+// push it past the 64-byte size class.
 type sectionTask struct {
 	idx  int
 	from uint64 // wake boundary; == section start for already-running nodes
-	h    uint64 // advance target (the section horizon, or the node's window)
+	h    uint64 // advance target: the section horizon
 }
 
 // passDesc is the shared state of one dispatched pass. Each dispatch gets a

@@ -68,23 +68,6 @@ type Sim struct {
 	sectStop []uint64      // scratch: per-node section stop boundary
 	sectDead []bool        // scratch: per-node section death flag
 
-	// Speculative-section state (see speculate.go). speculate == false
-	// keeps the engine purely conservative.
-	speculate  bool
-	specDepth0 int
-	specInit   bool
-	specActive bool          // optimistic phase running: advanceSection records segments
-	specOK     []bool        // per node: snapshottable and has a MAC
-	specMac    []*medium.MAC // per node: its MAC (nil if none)
-	specIdx    map[int]int   // node ID -> index, for medium fire-hook lookups
-	specDepth  []int         // adaptive per-node window depth, in quanta
-	specWin    []uint64      // per node: this section's optimistic window end
-	specPart   []bool        // per node: participates in the current section
-	specLive   []bool        // per node: validated/authoritative again (replay)
-	specCur    []int         // per node: replay cursor into specSeg
-	specSeg    [][]specSeg   // per node: optimistic execution segments
-	specSnaps  []nodeSnap    // per node: pooled snapshot buffers
-
 	stats Stats
 }
 
@@ -101,16 +84,6 @@ type Config struct {
 	// execution sequential, < 0 selects GOMAXPROCS. Traces are
 	// byte-identical at any setting.
 	ParallelNodes int
-	// Speculate enables optimistic (Time-Warp-lite) sections on top of the
-	// conservative engine: snapshotted nodes execute past the conservative
-	// horizon and a replay validator rolls back any node a late medium
-	// event invalidates. Requires ParallelNodes > 1 to have any effect.
-	// Traces remain byte-identical at any setting.
-	Speculate bool
-	// SpecDepth is the initial optimistic window depth per node, in
-	// quanta; 0 selects DefaultSpecDepth. The adaptive policy grows and
-	// shrinks each node's depth between SpecMinDepth and SpecMaxDepth.
-	SpecDepth int
 }
 
 // NewWithConfig creates a simulation with explicit scheduler knobs.
@@ -121,7 +94,6 @@ func NewWithConfig(cfg Config, nodes []*node.Node, net *medium.Network) *Sim {
 	}
 	s.SetReference(cfg.Reference)
 	s.SetParallelism(cfg.ParallelNodes)
-	s.SetSpeculation(cfg.Speculate, cfg.SpecDepth)
 	return s
 }
 
@@ -148,22 +120,17 @@ func (s *Sim) SetReference(on bool) { s.reference = on }
 // conservative-lookahead sections. w <= 1 keeps node execution sequential
 // (the default); w < 0 selects GOMAXPROCS. Serialized traces are
 // byte-identical at any setting.
-func (s *Sim) SetParallelism(w int) {
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	s.workers = w
-}
+func (s *Sim) SetParallelism(w int) { s.workers = ResolveParallelism(w) }
 
-// SetSpeculation enables or disables optimistic sections; depth is the
-// initial per-node window depth in quanta (0 selects DefaultSpecDepth).
-// Speculation only engages when parallelism is also enabled.
-func (s *Sim) SetSpeculation(on bool, depth int) {
-	s.speculate = on
-	if depth <= 0 {
-		depth = DefaultSpecDepth
+// ResolveParallelism maps a node-parallelism setting to the worker count
+// the engine uses: w < 0 selects GOMAXPROCS, anything else is taken as is
+// (<= 1 meaning sequential). Callers that budget goroutines around the
+// engine resolve through it so they agree with the engine on the sentinel.
+func ResolveParallelism(w int) int {
+	if w < 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	s.specDepth0 = depth
+	return w
 }
 
 // Clock returns the current global cycle time.
@@ -199,14 +166,7 @@ func (s *Sim) Run(until uint64) error {
 			}
 		}
 		if nRun >= 2 && s.workers > 1 {
-			var ran bool
-			var err error
-			if s.speculate {
-				ran, err = s.trySpecSection(until)
-			}
-			if err == nil && !ran {
-				ran, err = s.trySection(until)
-			}
+			ran, err := s.trySection(until)
 			if err != nil {
 				return err
 			}

@@ -31,31 +31,6 @@ type Stats struct {
 	// to ParallelSections means sections are too sparse for spin-waiting.
 	WorkersParked uint64
 	WorkersWoken  uint64
-	// SpecSections counts optimistic (speculative) sections entered:
-	// stretches where snapshotted nodes executed past the conservative
-	// horizon and a replay validator confirmed or rolled them back.
-	SpecSections uint64
-	// SpecAdvances counts node-advance tasks executed inside optimistic
-	// sections (before validation).
-	SpecAdvances uint64
-	// SpecCommits counts node windows committed wholesale — the node's
-	// optimistic execution survived replay validation untouched.
-	SpecCommits uint64
-	// SpecRollbacks counts node windows invalidated by a late medium event:
-	// the node was restored to its snapshot and re-executed under the
-	// committed schedule. A high SpecRollbacks/SpecCommits ratio means the
-	// chatter density defeats speculation (the adaptive policy then shrinks
-	// the offending nodes' windows).
-	SpecRollbacks uint64
-	// SpecTruncations counts optimistic sections cut short at a globally
-	// idle boundary, where the sequential engine would re-anchor its round
-	// grid; nodes with optimistic activity beyond the boundary roll back.
-	SpecTruncations uint64
-	// SpecCyclesCommitted and SpecCyclesDiscarded total the optimistically
-	// executed cycles that were kept versus thrown away; their ratio is the
-	// speculation efficiency.
-	SpecCyclesCommitted uint64
-	SpecCyclesDiscarded uint64
 }
 
 // Stats returns the scheduler counters accumulated so far.

@@ -22,12 +22,6 @@ type MultihopConfig struct {
 	// NodeWorkers bounds how many nodes advance concurrently inside the
 	// scheduler's conservative-lookahead sections; <= 1 stays sequential.
 	NodeWorkers int
-	// Speculate enables optimistic sections with snapshot/rollback on top
-	// of the parallel engine (see sim.Config.Speculate); SpecDepth
-	// overrides the initial window depth in quanta (0 = the default).
-	// Traces are byte-identical at any setting.
-	Speculate bool
-	SpecDepth int
 }
 
 // BuildMultihop constructs the benchmark scenario without running it.
@@ -41,7 +35,6 @@ func BuildMultihop(cfg MultihopConfig) (*apps.Scenario, error) {
 	}
 	s := apps.NewScenario(cfg.Seed)
 	s.SetParallelism(cfg.NodeWorkers)
-	s.SetSpeculation(cfg.Speculate, cfg.SpecDepth)
 	for id := 0; id < n; id++ {
 		next := id + 1
 		if next >= n {

@@ -31,12 +31,6 @@ type Config struct {
 	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
 	// are byte-identical at any setting.
 	NodeWorkers int
-	// Speculate enables optimistic sections with snapshot/rollback on top
-	// of the parallel engine (see sim.Config.Speculate); SpecDepth
-	// overrides the initial window depth in quanta (0 = the default).
-	// Traces are byte-identical at any setting.
-	Speculate bool
-	SpecDepth int
 }
 
 // Generate builds and executes a random scenario, returning the finished
@@ -59,7 +53,6 @@ func Generate(cfg Config) (*apps.Run, error) {
 
 	s := apps.NewScenario(cfg.Seed)
 	s.SetParallelism(cfg.NodeWorkers)
-	s.SetSpeculation(cfg.Speculate, cfg.SpecDepth)
 	withRadio := nNodes > 1 && rng.Bool(0.7)
 	for id := 0; id < nNodes; id++ {
 		g := &progGen{rng: rng.Split(uint64(id) + 17), radio: withRadio, nodeID: id, nNodes: nNodes}

@@ -338,11 +338,6 @@ type Recorder struct {
 	// keeps its dense counter cycle (and feeds the sink) but the trace
 	// stays empty — the memory-light mode of the streaming pipeline.
 	discard bool
-	// spec defers sink delivery into the spec buffers; see speculate.go.
-	spec       bool
-	specMarks  []specMark
-	specPCs    []uint16
-	specCounts []uint32
 }
 
 // NewRecorder creates a recorder for a node executing a program of
@@ -431,11 +426,7 @@ func (r *Recorder) Mark(kind Kind, arg int, cycle uint64, instance int) {
 		if !r.truth {
 			inst = -1
 		}
-		if r.spec {
-			r.bufferMark(kind, arg, cycle, inst)
-		} else {
-			r.sink.OnMark(kind, arg, cycle, inst, r.d.Touched, r.d.Counts)
-		}
+		r.sink.OnMark(kind, arg, cycle, inst, r.d.Touched, r.d.Counts)
 	}
 	if r.discard {
 		for _, pc := range r.d.Touched {
