@@ -23,17 +23,17 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/mcu/ ./internal/sim/ ./internal/apps/
 
 # The mining-at-scale benchmarks behind BENCH_PR4.json: blocked sparse
-# kernels, training across Gram modes, and the l=10k campaign problem
-# (dense vs cached vs cached+shrink; several minutes on one core).
+# kernels, training on the dense and cached Gram paths, and the l=10k
+# campaign problem (dense vs cached at 25% and 5% of the dense footprint;
+# several minutes on one core).
 bench-svm:
 	$(GO) test -run xxx -bench 'BenchmarkSparseOps' -benchmem ./internal/stats/
 	$(GO) test -run xxx -bench 'BenchmarkTrain|BenchmarkKernelEval' -benchmem -timeout 60m ./internal/svm/
 
 # The online-mining benchmarks behind BENCH_PR10.json (PR 7 baseline in
-# BENCH_PR7.json): warm delta refits vs cold refits at the l=10k campaign
-# size, the on-disk spill variants (indexed delta replay vs FullReplay,
-# with blocks-decoded/skipped counters), and the ingest-only spill path
-# (several minutes on one core).
+# BENCH_PR7.json): warm delta refits at the l=10k campaign size, in memory
+# and through the on-disk spill (with blocks-decoded/skipped counters),
+# and the ingest-only spill path (several minutes on one core).
 bench-online:
 	$(GO) test -run xxx -bench 'BenchmarkOnlineMine|BenchmarkOnlineIngest' -benchmem -timeout 60m ./internal/core/
 

@@ -313,7 +313,7 @@ func TestCachedTrainingAllocBudget(t *testing.T) {
 	samples := synth.LargeCampaign(synth.LargeCampaignConfig{
 		Seed: 11, Samples: cachedTrainSamples, Dim: 512, Distinct: true,
 	})
-	cfg := svm.Config{Nu: 0.05, Gram: svm.GramCached, CacheBytes: cachedTrainCacheMiB << 20}
+	cfg := svm.Config{Nu: 0.05, CacheBytes: cachedTrainCacheMiB << 20}
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -27,14 +27,10 @@ type options struct {
 	bottom        int
 	parallelism   int
 	svmCacheMB    int
-	svmShrink     bool
 	onlineRefit   int
 	onlineTopK    int
 	onlineIRQsCSV string
-	fullReplay    bool
 	spillDir      string
-	spillBlock    int
-	spillCompact  int
 	bench         bool
 	benchBaseline string
 	benchUpdate   string
@@ -50,14 +46,10 @@ func main() {
 	flag.IntVar(&opt.bottom, "bottom", 2, "rows to print from the bottom")
 	flag.IntVar(&opt.parallelism, "parallelism", 0, "worker pool for anatomize/feature and the SVM Gram build (0 = GOMAXPROCS, 1 = sequential); the ranking is identical at any setting")
 	flag.IntVar(&opt.svmCacheMB, "svm-cache-mb", 0, "train the SVM through an on-demand kernel column cache bounded to this many MiB instead of materializing the full Gram matrix (0 = materialize when it fits); the ranking is bit-identical at any budget")
-	flag.BoolVar(&opt.svmShrink, "svm-shrink", false, "enable the SMO shrinking heuristic for large campaigns (same ranking up to the solver tolerance, not bitwise)")
 	flag.IntVar(&opt.onlineRefit, "online-refit", 0, "rank as you go: refit the SVM warm every N ingested batches and print each intermediate top-K; the final ranking is bit-identical to the one-shot path (svm detector only)")
 	flag.IntVar(&opt.onlineTopK, "online-topk", 10, "intermediate rankings keep the K most suspicious intervals (with -online-refit)")
 	flag.StringVar(&opt.onlineIRQsCSV, "online-irqs", "", "comma-separated additional event types mined alongside -irq, one incremental solver each over the shared stream (with -online-refit); every refit prints one top-K per type")
-	flag.BoolVar(&opt.fullReplay, "online-full-replay", false, "re-decode the whole spill at every refit instead of only the delta since the previous one (baseline; results identical)")
 	flag.StringVar(&opt.spillDir, "spill-dir", "", "spill featured intervals to a columnar SENTCOL1 file in this directory instead of holding them in memory between refits (with -online-refit; results identical)")
-	flag.IntVar(&opt.spillBlock, "spill-block", 0, "intervals per spill block (0 = default 512; results identical at any value)")
-	flag.IntVar(&opt.spillCompact, "spill-compact", 0, "merge a trailing run of this many undersized spill blocks into one (0 = default 8, negative disables; results identical)")
 	flag.BoolVar(&opt.bench, "bench", false, "evaluate the Sentomist-bench seeded-bug corpus (precision@k and MRR per bug class) instead of ranking trace files")
 	flag.StringVar(&opt.benchBaseline, "bench-baseline", "", "with -bench: compare the report against this JSON baseline and exit nonzero on any difference")
 	flag.StringVar(&opt.benchUpdate, "bench-update", "", "with -bench: write the report to this JSON baseline file")
@@ -105,7 +97,6 @@ func run(opt options, paths []string) error {
 			Nu:          opt.nu,
 			Parallelism: opt.parallelism,
 			CacheBytes:  cacheBytes,
-			Shrinking:   opt.svmShrink,
 		}
 	case "pca":
 		det = sentomist.PCADetector(0)
@@ -177,22 +168,18 @@ func runOnline(opt options, inputs []sentomist.RunInput, nodeIDs []int, labels s
 		Labels:        labels,
 		Parallelism:   opt.parallelism,
 		SVMCacheBytes: int64(opt.svmCacheMB) << 20,
-		SVMShrinking:  opt.svmShrink,
 	}
 	batches, err := sentomist.ExtractBatchesFor(inputs, cfg, append([]int{opt.irq}, extraIRQs...)...)
 	if err != nil {
 		return err
 	}
 	miner, err := sentomist.NewOnlineMiner(sentomist.OnlineMineConfig{
-		Config:       cfg,
-		IRQs:         extraIRQs,
-		RefitEvery:   opt.onlineRefit,
-		TopK:         opt.onlineTopK,
-		SpillDir:     opt.spillDir,
-		SpillBlock:   opt.spillBlock,
-		SpillCompact: opt.spillCompact,
-		FullReplay:   opt.fullReplay,
-		OnRanking:    printOnlineRanking,
+		Config:     cfg,
+		IRQs:       extraIRQs,
+		RefitEvery: opt.onlineRefit,
+		TopK:       opt.onlineTopK,
+		SpillDir:   opt.spillDir,
+		OnRanking:  printOnlineRanking,
 	})
 	if err != nil {
 		return err

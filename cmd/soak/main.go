@@ -35,7 +35,6 @@ func main() {
 		stream      = flag.Bool("stream", false, "also cross-check the online anatomizer against the two-pass reference on every node")
 		mineIRQ     = flag.Int("mine-irq", 0, "also mine every run's intervals of this event type and cross-check the cached-kernel SVM ranking against the dense path bitwise (0 = off)")
 		svmCacheMB  = flag.Int("svm-cache-mb", 1, "kernel column cache budget (MiB) for the cached side of the -mine-irq cross-check")
-		svmShrink   = flag.Bool("svm-shrink", false, "additionally exercise the shrinking heuristic on every -mine-irq problem (checked against the dense ranking to the solver tolerance)")
 		onlineCheck = flag.Bool("online-check", false, "additionally run every -mine-irq problem through the online miner (refit every batch, warm starts, on-disk spill, delta replay, a second event type, and a compacted pass) and require every finalized ranking to be bit-identical to one-shot MineBatches")
 		nodeWorkers = flag.Int("node-workers", 0, "emulator-side parallelism per scenario (sim.Config.ParallelNodes); traces are byte-identical at any setting (<= 1 = sequential)")
 		parCheck    = flag.Bool("par-check", false, "record every scenario twice — sequentially and with parallel node sections — and require the serialized traces to be byte-identical (uses -node-workers, or 4 when unset)")
@@ -46,7 +45,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "soak:", err)
 		os.Exit(1)
 	}
-	err = run(*runs, *seed, *nodes, *seconds, *stream, *mineIRQ, *svmCacheMB, *svmShrink, *onlineCheck, *nodeWorkers, *parCheck)
+	err = run(*runs, *seed, *nodes, *seconds, *stream, *mineIRQ, *svmCacheMB, *onlineCheck, *nodeWorkers, *parCheck)
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "soak:", err)
@@ -54,7 +53,7 @@ func main() {
 	}
 }
 
-func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ, svmCacheMB int, svmShrink, onlineCheck bool, nodeWorkers int, parCheck bool) error {
+func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ, svmCacheMB int, onlineCheck bool, nodeWorkers int, parCheck bool) error {
 	if onlineCheck && mineIRQ == 0 {
 		return fmt.Errorf("-online-check needs -mine-irq to select the event type")
 	}
@@ -111,7 +110,7 @@ func run(runs int, seed uint64, nodes int, seconds float64, stream bool, mineIRQ
 			}
 		}
 		if mineIRQ != 0 {
-			n, err := verifyMine(r.Trace, mineIRQ, int64(svmCacheMB)<<20, svmShrink)
+			n, err := verifyMine(r.Trace, mineIRQ, int64(svmCacheMB)<<20)
 			if err != nil {
 				return fmt.Errorf("seed %d: %w", s, err)
 			}
@@ -195,29 +194,27 @@ func verifyParallel(cfg synth.Config, ref *apps.Run, workers int) (sim.Stats, er
 
 // verifyMine ranks one run's intervals through the dense-Gram SVM and
 // through the bounded kernel column cache, requiring bit-identical
-// rankings (same order, same scores); with shrink it additionally trains
-// the shrinking variant, which must reproduce the ranking to the solver's
-// tolerance. Runs without intervals of the event type are skipped.
-func verifyMine(t *trace.Trace, irq int, cacheBytes int64, shrink bool) (int, error) {
+// rankings (same order, same scores). Runs without intervals of the event
+// type are skipped.
+func verifyMine(t *trace.Trace, irq int, cacheBytes int64) (int, error) {
 	// Every synth node runs its own generated program, so counters from
 	// different nodes have different dimensionalities; mine node 0 (it
 	// exists in every scenario).
-	mine := func(cache int64, shrinking bool) (*core.Ranking, error) {
+	mine := func(cache int64) (*core.Ranking, error) {
 		return core.Mine([]core.RunInput{{Trace: t}}, core.Config{
 			IRQ:           irq,
 			Nodes:         []int{0},
 			SVMCacheBytes: cache,
-			SVMShrinking:  shrinking,
 		})
 	}
-	dense, err := mine(0, false)
+	dense, err := mine(0)
 	if errors.Is(err, core.ErrNoIntervals) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, err
 	}
-	cached, err := mine(cacheBytes, false)
+	cached, err := mine(cacheBytes)
 	if err != nil {
 		return 0, err
 	}
@@ -228,20 +225,6 @@ func verifyMine(t *trace.Trace, irq int, cacheBytes int64, shrink bool) (int, er
 		if cached.Samples[i] != dense.Samples[i] {
 			return 0, fmt.Errorf("mine: rank %d diverges: cached %+v, dense %+v",
 				i+1, cached.Samples[i], dense.Samples[i])
-		}
-	}
-	if shrink {
-		shrunk, err := mine(cacheBytes, true)
-		if err != nil {
-			return 0, err
-		}
-		const tol = 1e-3
-		for i := range dense.Samples {
-			d := shrunk.Samples[i].Score - dense.Samples[i].Score
-			if d < -tol || d > tol {
-				return 0, fmt.Errorf("mine: shrink rank %d score %v, dense %v",
-					i+1, shrunk.Samples[i].Score, dense.Samples[i].Score)
-			}
 		}
 	}
 	return len(dense.Samples), nil

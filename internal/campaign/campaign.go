@@ -51,9 +51,6 @@ type Config struct {
 	// see core.Config.SVMCacheBytes. Rankings are bit-identical at any
 	// budget. Ignored when Detector is set explicitly.
 	SVMCacheBytes int64
-	// SVMShrinking enables the default detector's shrinking heuristic;
-	// see core.Config.SVMShrinking. Ignored when Detector is set.
-	SVMShrinking bool
 	// Online, when set, switches Mine to the streaming path: finished
 	// runs are fed to a core.OnlineMiner as they complete (strictly in
 	// run order, whatever order the workers finish in), intermediate
@@ -74,8 +71,6 @@ type OnlineOptions struct {
 	SpillDir     string
 	SpillBlock   int
 	SpillCompact int
-	FullReplay   bool
-	ColdRefits   bool
 	OnRanking    func(*core.OnlineRanking)
 }
 
@@ -163,7 +158,6 @@ func Mine(cfg Config, runs []RunFunc) (*core.Ranking, error) {
 		Detector:      cfg.Detector,
 		Labels:        cfg.Labels,
 		SVMCacheBytes: cfg.SVMCacheBytes,
-		SVMShrinking:  cfg.SVMShrinking,
 	})
 }
 
@@ -217,7 +211,6 @@ func mineOnline(cfg Config, runs []RunFunc, workers int, pool *lifecycle.Scratch
 			Nodes:         cfg.Nodes,
 			Labels:        cfg.Labels,
 			SVMCacheBytes: cfg.SVMCacheBytes,
-			SVMShrinking:  cfg.SVMShrinking,
 		},
 		IRQs:         cfg.Online.IRQs,
 		RefitEvery:   cfg.Online.RefitEvery,
@@ -225,8 +218,6 @@ func mineOnline(cfg Config, runs []RunFunc, workers int, pool *lifecycle.Scratch
 		SpillDir:     cfg.Online.SpillDir,
 		SpillBlock:   cfg.Online.SpillBlock,
 		SpillCompact: cfg.Online.SpillCompact,
-		FullReplay:   cfg.Online.FullReplay,
-		ColdRefits:   cfg.Online.ColdRefits,
 		OnRanking:    cfg.Online.OnRanking,
 	})
 	if err != nil {

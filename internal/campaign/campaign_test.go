@@ -2,9 +2,15 @@ package campaign
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
+
+	"sentomist/internal/apps"
+	"sentomist/internal/core"
+	"sentomist/internal/dev"
+	"sentomist/internal/trace"
 )
 
 // TestPoolWorkers pins the run-pool budget: an explicit Workers wins, and
@@ -77,5 +83,104 @@ func TestMineRunError(t *testing.T) {
 				t.Errorf("error %q, want prefix %q", err, want)
 			}
 		})
+	}
+}
+
+// TestMineOnlineOutOfOrderCompletion makes every run finish after the run
+// behind it (run i waits for run i+1), so the collector receives results
+// in reverse order and must hold them until their turn. Intermediate
+// rankings must still see a nondecreasing batch count, and the final
+// ranking must be bit-identical to the one-shot campaign.
+func TestMineOnlineOutOfOrderCompletion(t *testing.T) {
+	periods := []int{20, 40, 60, 80}
+	// Each run records itself in finished before releasing the run ahead
+	// of it, so the channel chain orders the appends.
+	runs := func(done []chan struct{}, finished *[]int) []RunFunc {
+		out := make([]RunFunc, len(periods))
+		for i, d := range periods {
+			i, d := i, d
+			out[i] = func(attach Attach) error {
+				run, err := apps.RunOscilloscope(apps.OscConfig{
+					PeriodMS: d, Seconds: 1, Seed: uint64(7 + i),
+					Stream:         map[int]trace.StreamSink{apps.OscSensorID: attach(apps.OscSensorID)},
+					DiscardMarkers: true,
+				})
+				if err != nil {
+					return err
+				}
+				run.Release()
+				if done == nil {
+					return nil
+				}
+				if i+1 < len(done) {
+					<-done[i+1]
+				}
+				*finished = append(*finished, i)
+				close(done[i])
+				return nil
+			}
+		}
+		return out
+	}
+	cfg := Config{IRQ: dev.IRQADC, Nodes: []int{apps.OscSensorID}, Workers: len(periods)}
+	want, err := Mine(cfg, runs(nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make([]chan struct{}, len(periods))
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	var finished, batches, totals []int
+	cfg.Online = &OnlineOptions{
+		RefitEvery: 1,
+		TopK:       5,
+		OnRanking: func(r *core.OnlineRanking) {
+			batches = append(batches, r.Batches)
+			totals = append(totals, r.Total)
+		},
+	}
+	got, err := Mine(cfg, runs(done, &finished))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, run := range finished {
+		if run != len(periods)-1-i {
+			t.Fatalf("runs finished in order %v, want reverse order", finished)
+		}
+	}
+	if len(batches) != len(periods) {
+		t.Fatalf("%d intermediate rankings, want one per run (%d)", len(batches), len(periods))
+	}
+	for i := 1; i < len(batches); i++ {
+		if batches[i] < batches[i-1] {
+			t.Fatalf("intermediate batch counts %v decrease", batches)
+		}
+	}
+	// Refit k must have scored exactly runs 1..k: ingestion follows run
+	// order, not completion order.
+	perRun := make([]int, len(periods)+1)
+	for _, s := range want.Samples {
+		perRun[s.Run]++
+	}
+	for k, total := range totals {
+		n := 0
+		for run := 1; run <= k+1; run++ {
+			n += perRun[run]
+		}
+		if total != n {
+			t.Fatalf("refit %d scored %d intervals, want runs 1..%d's %d", k+1, total, k+1, n)
+		}
+	}
+	if got.Excluded != want.Excluded || got.Dim != want.Dim || len(got.Samples) != len(want.Samples) {
+		t.Fatalf("online ranking %d samples / %d excluded / %d dims, one-shot %d / %d / %d",
+			len(got.Samples), got.Excluded, got.Dim, len(want.Samples), want.Excluded, want.Dim)
+	}
+	for i := range want.Samples {
+		w, g := want.Samples[i], got.Samples[i]
+		if w.Run != g.Run || w.Interval != g.Interval || math.Float64bits(w.Score) != math.Float64bits(g.Score) {
+			t.Fatalf("rank %d: online %+v, one-shot %+v", i, g, w)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 
 	"sentomist/internal/feature"
 	"sentomist/internal/lifecycle"
@@ -54,14 +53,6 @@ type OnlineConfig struct {
 	// overhead at every replay. Default 8; negative disables compaction.
 	// Replay results are identical at any setting.
 	SpillCompact int
-	// FullReplay forces every refit to re-decode the spill from the
-	// start, as if the scale bounds had moved — the pre-delta baseline
-	// against which cursor-based incremental replay is benchmarked.
-	// Results are identical either way.
-	FullReplay bool
-	// ColdRefits discards the warm solver state before every refit — the
-	// benchmark baseline against which warm refits are measured.
-	ColdRefits bool
 	// OnRanking, when set, receives every intermediate ranking (one per
 	// mined event type per refit, in deterministic IRQ order).
 	OnRanking func(*OnlineRanking)
@@ -124,15 +115,14 @@ type spillStore interface {
 	// file store flushes its partial block and may compact).
 	sync() error
 	// replayFrom streams, in ingest order, every live block holding at
-	// least one sample at ordinal >= from, decoding with up to `workers`
-	// concurrent decoders but delivering strictly in order. fn receives
-	// each block's first-sample ordinal; a block may straddle `from` (the
-	// caller skips the leading samples it already holds). The yielded
-	// slices are freshly allocated by the file store and owned by the
-	// store for the in-memory one; callers may mutate counters only on a
-	// terminal replay (Finalize). Returns how many blocks were decoded
-	// and how many were skipped as entirely pre-cursor.
-	replayFrom(from, workers int, fn func(start int, meta [][]int64, counters []stats.Sparse) error) (decoded, skipped int, err error)
+	// least one sample at ordinal >= from. fn receives each block's
+	// first-sample ordinal; a block may straddle `from` (the caller skips
+	// the leading samples it already holds). The yielded slices are
+	// freshly allocated by the file store and owned by the store for the
+	// in-memory one; callers may mutate counters only on a terminal
+	// replay (Finalize). Returns how many blocks were decoded and how many
+	// were skipped as entirely pre-cursor.
+	replayFrom(from int, fn func(start int, meta [][]int64, counters []stats.Sparse) error) (decoded, skipped int, err error)
 	stats() spillStats
 	close() error
 }
@@ -164,7 +154,7 @@ func (s *memStore) append(meta [][]int64, counters []stats.Sparse) error {
 
 func (s *memStore) sync() error { return nil }
 
-func (s *memStore) replayFrom(from, workers int, fn func(int, [][]int64, []stats.Sparse) error) (decoded, skipped int, err error) {
+func (s *memStore) replayFrom(from int, fn func(int, [][]int64, []stats.Sparse) error) (decoded, skipped int, err error) {
 	for _, b := range s.blocks {
 		if b.start+len(b.cnt) <= from {
 			skipped++
@@ -196,8 +186,8 @@ type blockRef struct {
 // fileStore spills blocks to a SENTCOL1 file, buffering up to blockSize
 // intervals before each append. It keeps the writer-side block index as a
 // live-block list, which is what enables cursor-based delta replay
-// (skip blocks before the cursor without touching the disk), parallel
-// replay (ReadColBlockAt per block), and tiny-block compaction.
+// (skip blocks before the cursor without touching the disk) and tiny-block
+// compaction.
 type fileStore struct {
 	path        string
 	f           *os.File
@@ -315,69 +305,18 @@ func (s *fileStore) maybeCompact() error {
 	return nil
 }
 
-func (s *fileStore) replayFrom(from, workers int, fn func(int, [][]int64, []stats.Sparse) error) (decoded, skipped int, err error) {
-	var todo []blockRef
+func (s *fileStore) replayFrom(from int, fn func(int, [][]int64, []stats.Sparse) error) (decoded, skipped int, err error) {
 	for _, ref := range s.live {
 		if ref.start+ref.n <= from {
 			skipped++
 			continue
 		}
-		todo = append(todo, ref)
-	}
-	if len(todo) == 0 {
-		return 0, skipped, nil
-	}
-	if workers <= 1 || len(todo) == 1 {
-		for _, ref := range todo {
-			m, c, err := trace.ReadColBlockAt(s.f, ref.off)
-			if err != nil {
-				return decoded, skipped, err
-			}
-			decoded++
-			if err := fn(ref.start, m, c); err != nil {
-				return decoded, skipped, err
-			}
-		}
-		return decoded, skipped, nil
-	}
-	// Parallel decode with deterministic in-order delivery: a dispatcher
-	// launches one goroutine per block gated by a worker-sized semaphore,
-	// and the caller consumes results strictly in block order, releasing a
-	// slot only after consuming — so at most `workers` decoded blocks are
-	// resident at once and delivery order never depends on scheduling.
-	type blockRes struct {
-		meta [][]int64
-		cnt  []stats.Sparse
-		err  error
-	}
-	results := make([]chan blockRes, len(todo))
-	for i := range results {
-		results[i] = make(chan blockRes, 1)
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	sem := make(chan struct{}, workers)
-	go func() {
-		for i, ref := range todo {
-			select {
-			case sem <- struct{}{}:
-			case <-stop:
-				return
-			}
-			go func(i int, ref blockRef) {
-				m, c, err := trace.ReadColBlockAt(s.f, ref.off)
-				results[i] <- blockRes{meta: m, cnt: c, err: err}
-			}(i, ref)
-		}
-	}()
-	for i, ref := range todo {
-		r := <-results[i]
-		<-sem
-		if r.err != nil {
-			return decoded, skipped, r.err
+		m, c, err := trace.ReadColBlockAt(s.f, ref.off)
+		if err != nil {
+			return decoded, skipped, err
 		}
 		decoded++
-		if err := fn(ref.start, r.meta, r.cnt); err != nil {
+		if err := fn(ref.start, m, c); err != nil {
 			return decoded, skipped, err
 		}
 	}
@@ -490,18 +429,17 @@ func (st *irqState) effectiveScale() {
 // rankings are published along the way. Scaled samples stay resident
 // between refits, so a refit whose scale bounds are bitwise-unchanged
 // decodes only the spill blocks appended since the previous refit; when
-// bounds move, the full replay decodes blocks concurrently with
-// deterministic in-order delivery. Finalize replays every raw counter
-// through the identical scale → score → rank tail MineBatches runs, so the
-// final ranking is bit-identical to one-shot MineBatches over the same
-// batches in the same order — at any refit cadence, spill mode, compaction
-// setting, worker count, or IRQ set.
+// bounds move, every block is decoded again and the resident samples
+// rescaled. Finalize replays every raw counter through the identical
+// scale → score → rank tail MineBatches runs, so the final ranking is
+// bit-identical to one-shot MineBatches over the same batches in the same
+// order — at any refit cadence, spill mode, compaction setting, worker
+// count, or IRQ set.
 type OnlineMiner struct {
 	cfg     OnlineConfig
 	labels  LabelStyle
 	allowed map[int]bool
 	store   spillStore
-	workers int
 
 	irqs    []int // deterministic publish order; irqs[0] is the primary
 	states  map[int]*irqState
@@ -559,16 +497,9 @@ func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 		states[irq] = &irqState{
 			irq: irq,
 			inc: svm.NewIncremental(svm.Config{
-				Nu:         0.05, // adjusted per refit for the ν ≥ 1/l clamp
-				Gram:       svm.GramCached,
-				CacheBytes: cfg.SVMCacheBytes,
-				Shrinking:  cfg.SVMShrinking,
-				Parallelism: func() int {
-					if cfg.Parallelism > 0 {
-						return cfg.Parallelism
-					}
-					return 0
-				}(),
+				Nu:          0.05, // adjusted per refit for the ν ≥ 1/l clamp
+				CacheBytes:  cfg.SVMCacheBytes,
+				Parallelism: cfg.Parallelism,
 			}),
 		}
 		irqs = append(irqs, irq)
@@ -583,10 +514,6 @@ func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 		if err := addIRQ(irq); err != nil {
 			return nil, err
 		}
-	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	var store spillStore
 	if cfg.SpillDir != "" {
@@ -603,7 +530,6 @@ func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 		labels:  labels,
 		allowed: allowed,
 		store:   store,
-		workers: workers,
 		irqs:    irqs,
 		states:  states,
 	}, nil
@@ -615,22 +541,20 @@ func (m *OnlineMiner) IRQs() []int { return append([]int(nil), m.irqs...) }
 // Add ingests one batch: filter (identically to MineBatches per event
 // type), update the streaming scale statistics, spill the survivors, and —
 // every RefitEvery batches — refit every detector and publish intermediate
-// rankings. Counters are copied; the caller may reuse the batch.
+// rankings. Counters are copied; the caller may reuse the batch. A batch
+// rejected as malformed leaves the miner exactly as it was.
 func (m *OnlineMiner) Add(b Batch) error {
 	if m.closed {
 		return fmt.Errorf("core: online miner is closed")
 	}
-	if len(b.Intervals) != len(b.Counters) {
-		return fmt.Errorf("core: batch %d has %d intervals but %d counters", m.batches, len(b.Intervals), len(b.Counters))
+	if err := m.validate(b); err != nil {
+		return err
 	}
 	var meta [][]int64
 	var kept []stats.Sparse
 	for i, iv := range b.Intervals {
-		st := m.states[iv.IRQ]
+		st := m.stateFor(iv)
 		if st == nil {
-			continue
-		}
-		if len(m.allowed) > 0 && !m.allowed[iv.Node] {
 			continue
 		}
 		if !iv.Complete {
@@ -642,17 +566,11 @@ func (m *OnlineMiner) Add(b Batch) error {
 			m.dim = c.Dim
 			m.dimSet = true
 		}
-		if c.Dim != m.dim {
-			return fmt.Errorf("core: sample %d has %d dims, want %d — runs use different binaries", m.total+len(kept), c.Dim, m.dim)
-		}
 		if st.lo == nil {
 			st.initDims(m.dim)
 		}
 		for k, d := range c.Idx {
 			v := c.Val[k]
-			if v < 0 {
-				return fmt.Errorf("core: online mining requires nonnegative counter values, got %g at dim %d", v, d)
-			}
 			if v < st.lo[d] {
 				st.lo[d] = v
 			}
@@ -680,6 +598,44 @@ func (m *OnlineMiner) Add(b Batch) error {
 		if err := m.refitAll(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// stateFor returns the mining state an interval feeds, or nil when its
+// event type is not mined or its node is filtered out.
+func (m *OnlineMiner) stateFor(iv lifecycle.Interval) *irqState {
+	if len(m.allowed) > 0 && !m.allowed[iv.Node] {
+		return nil
+	}
+	return m.states[iv.IRQ]
+}
+
+// validate checks every counter Add would keep, before Add changes any
+// state.
+func (m *OnlineMiner) validate(b Batch) error {
+	if len(b.Intervals) != len(b.Counters) {
+		return fmt.Errorf("core: batch %d has %d intervals but %d counters", m.batches, len(b.Intervals), len(b.Counters))
+	}
+	dim, dimSet := m.dim, m.dimSet
+	kept := 0
+	for i, iv := range b.Intervals {
+		if m.stateFor(iv) == nil || !iv.Complete {
+			continue
+		}
+		c := b.Counters[i]
+		if !dimSet {
+			dim, dimSet = c.Dim, true
+		}
+		if c.Dim != dim {
+			return fmt.Errorf("core: sample %d has %d dims, want %d — runs use different binaries", m.total+kept, c.Dim, dim)
+		}
+		for k, v := range c.Val {
+			if v < 0 {
+				return fmt.Errorf("core: online mining requires nonnegative counter values, got %g at dim %d", v, c.Idx[k])
+			}
+		}
+		kept++
 	}
 	return nil
 }
@@ -739,10 +695,9 @@ func float64sEqual(a, b []float64) bool {
 
 // replay brings every event type's resident samples up to date with the
 // spill. When delta is true only blocks past the cursor are decoded and
-// their samples appended; otherwise the full stream is decoded (in
-// parallel when workers allow), previously resident samples are skipped
-// (stable bounds) or rescaled in place (moved bounds), and new samples
-// appended. Returns the replay counters for observability.
+// their samples appended; otherwise the full stream is decoded,
+// previously resident samples are skipped (stable bounds) or rescaled in
+// place (moved bounds), and new samples appended. Returns the replay counters for observability.
 func (m *OnlineMiner) replay(delta bool) (decoded, skipped, replayed int, err error) {
 	from := 0
 	if delta {
@@ -751,7 +706,7 @@ func (m *OnlineMiner) replay(delta bool) (decoded, skipped, replayed int, err er
 	for _, irq := range m.irqs {
 		m.states[irq].pos = 0
 	}
-	decoded, skipped, err = m.store.replayFrom(from, m.workers, func(start int, meta [][]int64, cnt []stats.Sparse) error {
+	decoded, skipped, err = m.store.replayFrom(from, func(start int, meta [][]int64, cnt []stats.Sparse) error {
 		replayed += len(cnt)
 		for i := range cnt {
 			ord := start + i
@@ -807,7 +762,7 @@ func (m *OnlineMiner) refitAll() error {
 			allStable = false
 		}
 	}
-	delta := allStable && !m.cfg.FullReplay && m.cursor > 0
+	delta := allStable && m.cursor > 0
 	decoded, skipped, replayed, err := m.replay(delta)
 	if err != nil {
 		return err
@@ -844,12 +799,7 @@ func (m *OnlineMiner) refitAll() error {
 // the previous refit (resident scaled samples are then bit-identical);
 // the warm coefficient start survives either way.
 func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
-	prefixValid := st.stable
-	if m.cfg.ColdRefits {
-		st.inc.Reset()
-		prefixValid = false
-	}
-	warm := !m.cfg.ColdRefits && st.refits > 0
+	warm := st.refits > 0
 	// The ν-feasibility clamp OneClassSVM applies, over the current l.
 	nu := 0.05
 	if lmin := 1 / float64(len(st.scaled)); nu < lmin {
@@ -857,7 +807,7 @@ func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
 	}
 	st.inc.SetNu(nu)
 	rebuildsBefore := st.inc.Rebuilds
-	model, err := st.inc.Refit(st.scaled, prefixValid)
+	model, err := st.inc.Refit(st.scaled, st.stable)
 	if err != nil {
 		return nil, fmt.Errorf("core: detector one-class-svm: %w", err)
 	}
@@ -901,7 +851,7 @@ func (m *OnlineMiner) FinalizeAll() (map[int]*Ranking, error) {
 	raw := map[int][]stats.Sparse{}
 	err := m.store.sync()
 	if err == nil {
-		_, _, err = m.store.replayFrom(0, m.workers, func(start int, meta [][]int64, cnt []stats.Sparse) error {
+		_, _, err = m.store.replayFrom(0, func(start int, meta [][]int64, cnt []stats.Sparse) error {
 			for i := range cnt {
 				irq := int(meta[i][1])
 				samples[irq] = append(samples[irq], decodeMeta(meta[i]))

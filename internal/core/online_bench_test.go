@@ -8,7 +8,7 @@ import (
 )
 
 // onlineBenchSize mirrors svm's largeCampaignSize: the full campaign-scale
-// regime (l = 10000, the acceptance bar for the warm-vs-cold claim), or a
+// regime (l = 10000, the acceptance bar for the warm-refit claim), or a
 // small problem in -short mode for CI's -benchmem smoke.
 func onlineBenchSize(short bool) (l, dim int) {
 	if short {
@@ -45,31 +45,24 @@ func onlineBenchBatches(l, dim, nb int) []Batch {
 }
 
 // BenchmarkOnlineMine measures the incremental-refit path: 16 batches
-// ingested with a refit every 4, warm-started against the cold baseline at
-// the same kernel-cache budget (25% of the dense Gram). The warm variant
-// reuses the previous optimum (fewer SMO iterations), the surviving cached
-// columns (extended lazily, norms-shortcut evaluation for new cells), and
-// the resident scaled samples; cold discards all of it before every refit,
-// which is exactly what rerunning one-shot mining per cadence tick would
-// cost. The disk variants stream the same batches through an on-disk
-// SENTCOL1 spill: disk-delta decodes only the blocks appended since the
-// previous refit (the indexed delta-replay path), disk-full re-decodes the
-// whole spill every refit (the FullReplay baseline).
+// ingested with a refit every 4 at a kernel-cache budget of 25% of the
+// dense Gram. Each refit reuses the previous optimum (fewer SMO
+// iterations), the surviving cached columns (extended lazily,
+// norms-shortcut evaluation for new cells), and the resident scaled
+// samples. The disk-delta variant streams the same batches through an
+// on-disk SENTCOL1 spill and decodes only the blocks appended since the
+// previous refit.
 func BenchmarkOnlineMine(b *testing.B) {
 	l, dim := onlineBenchSize(testing.Short())
 	const nBatches = 16
 	batches := onlineBenchBatches(l, dim, nBatches)
 	cacheBytes := int64(8) * int64(l) * int64(l) / 4
 	for _, variant := range []struct {
-		name       string
-		cold       bool
-		disk       bool
-		fullReplay bool
+		name string
+		disk bool
 	}{
 		{name: "warm"},
-		{name: "cold", cold: true},
 		{name: "disk-delta", disk: true},
-		{name: "disk-full", disk: true, fullReplay: true},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -85,9 +78,7 @@ func BenchmarkOnlineMine(b *testing.B) {
 				m, err := NewOnlineMiner(OnlineConfig{
 					Config:     Config{IRQ: 1, SVMCacheBytes: cacheBytes},
 					RefitEvery: nBatches / 4,
-					ColdRefits: variant.cold,
 					SpillDir:   spill,
-					FullReplay: variant.fullReplay,
 					OnRanking: func(r *OnlineRanking) {
 						refits++
 						iters += r.Iters

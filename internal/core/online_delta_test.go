@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"sentomist/internal/feature"
 	"sentomist/internal/randx"
 	"sentomist/internal/stats"
 )
@@ -53,6 +56,24 @@ func stableBatches(nBatches, perBatch int, irqs ...int) []Batch {
 		out = append(out, b)
 	}
 	return out
+}
+
+// widenedBatches is stableBatches with one more sample per event type in
+// batch 4 holding a new maximum in every dimension: the refit after it
+// must replay in full and rescale, and the refits after that are deltas
+// again.
+func widenedBatches(nBatches, perBatch int, irqs ...int) []Batch {
+	bs := stableBatches(nBatches, perBatch, irqs...)
+	for _, irq := range irqs {
+		wide := stats.Sparse{Dim: 6}
+		for d := 0; d < wide.Dim; d++ {
+			wide.Idx = append(wide.Idx, int32(d))
+			wide.Val = append(wide.Val, 20)
+		}
+		bs[3].Intervals = append(bs[3].Intervals, completeInterval(irq, 900+irq, 1))
+		bs[3].Counters = append(bs[3].Counters, wide)
+	}
+	return bs
 }
 
 // TestOnlineMinerDeltaReplayCounters is the delta-replay proof: with stable
@@ -133,62 +154,115 @@ func TestOnlineMinerDeltaReplayCounters(t *testing.T) {
 	}
 }
 
-// TestOnlineMinerFullReplayMatchesDelta: FullReplay re-decodes everything at
-// each refit yet must publish bitwise-identical intermediate rankings —
-// resident-sample reuse changes the work, never the numbers.
+// TestOnlineMinerFullReplayMatchesDelta: after every delta refit, each
+// event type's resident scaled samples must be bitwise equal to a fresh
+// rescale of the whole spill — resident-sample reuse changes the work,
+// never the numbers. The stream widens the scale bounds midway, so the
+// deltas after an in-place rescale are checked too, in both spill modes
+// and with blocks that straddle the cursor after compaction.
 func TestOnlineMinerFullReplayMatchesDelta(t *testing.T) {
-	const nBatches, perBatch = 6, 5
-	run := func(full bool) ([]*OnlineRanking, *Ranking) {
-		var seen []*OnlineRanking
-		m, err := NewOnlineMiner(OnlineConfig{
-			Config:     Config{IRQ: 1},
-			RefitEvery: 1,
-			TopK:       4,
-			FullReplay: full,
-			OnRanking:  func(r *OnlineRanking) { seen = append(seen, r) },
-		})
-		if err != nil {
+	build := func() []Batch { return widenedBatches(8, 5, 1, 2) }
+	for _, tc := range []struct {
+		label          string
+		spill          bool
+		block, compact int
+	}{
+		{"mem", false, 0, 0},
+		{"disk-multiblock", true, 4, -1},
+		{"disk-compacted", true, 1 << 10, 2},
+	} {
+		var m *OnlineMiner
+		var deltas, full int
+		cfg := OnlineConfig{
+			Config:       Config{IRQ: 1},
+			IRQs:         []int{2},
+			RefitEvery:   1,
+			SpillBlock:   tc.block,
+			SpillCompact: tc.compact,
+			OnRanking: func(r *OnlineRanking) {
+				if !r.Delta {
+					full++
+					return
+				}
+				deltas++
+				want := rescaledSpill(t, m, r.IRQ)
+				got := m.states[r.IRQ].scaled
+				if len(got) != len(want) {
+					t.Fatalf("%s: refit %d irq %d: %d resident samples, spill holds %d", tc.label, r.Refit, r.IRQ, len(got), len(want))
+				}
+				for i := range want {
+					if !sparseBitsEqual(got[i], want[i]) {
+						t.Fatalf("%s: refit %d irq %d: resident sample %d %+v, fresh rescale %+v", tc.label, r.Refit, r.IRQ, i, got[i], want[i])
+					}
+				}
+			},
+		}
+		if tc.spill {
+			cfg.SpillDir = t.TempDir()
+		}
+		var err error
+		if m, err = NewOnlineMiner(cfg); err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range stableBatches(nBatches, perBatch, 1) {
+		for _, b := range build() {
 			if err := m.Add(b); err != nil {
 				t.Fatal(err)
 			}
 		}
-		final, err := m.Finalize()
+		// Per event type: the first refit and the one after the widening
+		// batch replay in full; the other six are deltas.
+		if full != 4 || deltas != 12 {
+			t.Fatalf("%s: %d full and %d delta rankings, want 4 and 12", tc.label, full, deltas)
+		}
+		all, err := m.FinalizeAll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return seen, final
+		for _, irq := range []int{1, 2} {
+			want, err := MineBatches(build(), Config{IRQ: irq})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRanking(t, fmt.Sprintf("%s/irq%d", tc.label, irq), want, all[irq])
+		}
 	}
-	deltaSeen, deltaFinal := run(false)
-	fullSeen, fullFinal := run(true)
-	if len(deltaSeen) != len(fullSeen) {
-		t.Fatalf("%d vs %d refits", len(deltaSeen), len(fullSeen))
-	}
-	for i := range fullSeen {
-		fr, dr := fullSeen[i], deltaSeen[i]
-		if fr.Delta {
-			t.Fatalf("refit %d: FullReplay reported a delta refit", fr.Refit)
-		}
-		if fr.BlocksSkipped != 0 || fr.BlocksDecoded != i+1 {
-			t.Fatalf("refit %d: full replay decoded=%d skipped=%d, want %d/0",
-				fr.Refit, fr.BlocksDecoded, fr.BlocksSkipped, i+1)
-		}
-		if i > 0 && !dr.Delta {
-			t.Fatalf("refit %d: delta mode fell back to full replay", dr.Refit)
-		}
-		if len(fr.Samples) != len(dr.Samples) {
-			t.Fatalf("refit %d: %d vs %d top samples", fr.Refit, len(fr.Samples), len(dr.Samples))
-		}
-		for j := range fr.Samples {
-			if fr.Samples[j] != dr.Samples[j] {
-				t.Fatalf("refit %d rank %d: %+v (full) vs %+v (delta)",
-					fr.Refit, j, fr.Samples[j], dr.Samples[j])
+}
+
+// rescaledSpill decodes every spilled sample of one event type and scales
+// the copies with feature.Scale01Sparse over that whole set — the full
+// replay a refit would run from scratch.
+func rescaledSpill(t *testing.T, m *OnlineMiner, irq int) []stats.Sparse {
+	t.Helper()
+	var out []stats.Sparse
+	_, _, err := m.store.replayFrom(0, func(_ int, meta [][]int64, cnt []stats.Sparse) error {
+		for i, c := range cnt {
+			if int(meta[i][1]) == irq {
+				out = append(out, stats.Sparse{
+					Idx: append([]int32(nil), c.Idx...),
+					Val: append([]float64(nil), c.Val...),
+					Dim: c.Dim,
+				})
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sameRanking(t, "full-vs-delta", fullFinal, deltaFinal)
+	feature.Scale01Sparse(out)
+	return out
+}
+
+func sparseBitsEqual(a, b stats.Sparse) bool {
+	if a.Dim != b.Dim || len(a.Idx) != len(b.Idx) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for k := range a.Idx {
+		if a.Idx[k] != b.Idx[k] || math.Float64bits(a.Val[k]) != math.Float64bits(b.Val[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestOnlineMinerMovedBoundsDisableDelta: a batch that widens any scale
@@ -315,7 +389,7 @@ func TestOnlineMinerCompactionDeltaEquivalence(t *testing.T) {
 // TestOnlineMinerMultiIRQFinalizeAll: one incremental detector per event
 // type over a single shared spill, each final ranking bit-identical to
 // one-shot MineBatches with that type as Config.IRQ — in both spill modes
-// and with parallel replay.
+// and with a parallel Gram build.
 func TestOnlineMinerMultiIRQFinalizeAll(t *testing.T) {
 	build := func() []Batch {
 		bs := stableBatches(5, 6, 1, 2)
@@ -336,7 +410,7 @@ func TestOnlineMinerMultiIRQFinalizeAll(t *testing.T) {
 		label   string
 		spill   bool
 		workers int
-	}{{"mem", false, 1}, {"disk-parallel", true, 3}} {
+	}{{"mem", false, 1}, {"disk", true, 3}} {
 		var published []int
 		cfg := OnlineConfig{
 			Config:     Config{IRQ: 1, Parallelism: tc.workers},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -163,47 +164,90 @@ func TestOnlineMinerIntermediateRankings(t *testing.T) {
 	}
 }
 
-// TestOnlineMinerColdRefitsMatchWarm: ColdRefits is the benchmark baseline;
-// each refit re-solves from scratch but must surface the same ε-optimum.
+// TestOnlineMinerColdRefitsMatchWarm: a cold refit is exactly one-shot
+// MineBatches over the batches ingested so far, so every warm intermediate
+// top-K must match MineBatches over the same batch prefix to the solver
+// tolerance — per event type, in both spill modes, and across a batch
+// that moves the scale bounds.
 func TestOnlineMinerColdRefitsMatchWarm(t *testing.T) {
-	batches := onlineBatches(t)
-	run := func(cold bool) *OnlineRanking {
-		var last *OnlineRanking
-		m, err := NewOnlineMiner(OnlineConfig{
-			Config:     Config{IRQ: 1},
-			RefitEvery: 3,
-			TopK:       4,
-			ColdRefits: cold,
-			OnRanking:  func(r *OnlineRanking) { last = r },
-		})
+	const topK = 4
+	for _, tc := range []struct {
+		label string
+		irqs  []int
+		spill bool
+		build func() []Batch
+	}{
+		{"mem", []int{1}, false, func() []Batch { return stableBatches(6, 9, 1) }},
+		{"disk-multi-irq-widened", []int{1, 2}, true, func() []Batch { return widenedBatches(6, 7, 1, 2) }},
+	} {
+		var warm int
+		cfg := OnlineConfig{
+			Config:     Config{IRQ: tc.irqs[0]},
+			IRQs:       tc.irqs[1:],
+			RefitEvery: 1,
+			TopK:       topK,
+			OnRanking: func(r *OnlineRanking) {
+				if r.Warm != (r.Refit > 1) {
+					t.Fatalf("%s: refit %d reports Warm=%v", tc.label, r.Refit, r.Warm)
+				}
+				if r.Warm {
+					warm++
+				}
+				cold, err := MineBatches(tc.build()[:r.Batches], Config{IRQ: r.IRQ})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameTopKToTolerance(t, fmt.Sprintf("%s/irq%d/refit%d", tc.label, r.IRQ, r.Refit), cold, r, topK)
+			},
+		}
+		if tc.spill {
+			cfg.SpillDir = t.TempDir()
+			cfg.SpillBlock = 5
+		}
+		m, err := NewOnlineMiner(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range batches {
+		for _, b := range tc.build() {
 			if err := m.Add(b); err != nil {
 				t.Fatal(err)
 			}
 		}
 		m.Close()
-		return last
-	}
-	warm, cold := run(false), run(true)
-	if warm == nil || cold == nil {
-		t.Fatal("no refits ran")
-	}
-	if cold.Warm {
-		t.Fatal("ColdRefits reported a warm refit")
-	}
-	if len(warm.Samples) != len(cold.Samples) {
-		t.Fatalf("%d vs %d top samples", len(warm.Samples), len(cold.Samples))
-	}
-	for i := range warm.Samples {
-		if warm.Samples[i].Interval != cold.Samples[i].Interval {
-			t.Fatalf("rank %d: %+v (warm) vs %+v (cold)", i,
-				warm.Samples[i].Interval, cold.Samples[i].Interval)
+		if warm == 0 {
+			t.Fatalf("%s: no warm refit ran", tc.label)
 		}
-		if math.Abs(warm.Samples[i].Score-cold.Samples[i].Score) > 1e-3 {
-			t.Fatalf("rank %d score %v vs %v", i, warm.Samples[i].Score, cold.Samples[i].Score)
+	}
+}
+
+// sameTopKToTolerance checks an intermediate ranking against the cold
+// ranking of the same samples: equal counts, scores equal rank by rank to
+// the solver tolerance, and any interval out of place swapped only with
+// one the cold solve scores within that tolerance (a tie inside the KKT
+// band). Published scores are decisions divided by the largest positive
+// one, which magnifies the 1e-4 KKT band: boundary samples (decision ≈ 0)
+// move by up to ~2e-3 between warm and cold solves on these batches, while
+// the samples the rankings exist to surface sit 1e-1 and more apart.
+func sameTopKToTolerance(t *testing.T, label string, cold *Ranking, r *OnlineRanking, topK int) {
+	t.Helper()
+	const tol = 1e-2
+	if r.Total != len(cold.Samples) || r.Excluded != cold.Excluded {
+		t.Fatalf("%s: %d scored / %d excluded, cold %d / %d", label, r.Total, r.Excluded, len(cold.Samples), cold.Excluded)
+	}
+	if want := min(len(cold.Samples), topK); len(r.Samples) != want {
+		t.Fatalf("%s: %d top samples, want %d", label, len(r.Samples), want)
+	}
+	coldScore := map[lifecycle.Interval]float64{}
+	for _, s := range cold.Samples {
+		coldScore[s.Interval] = s.Score
+	}
+	for i, g := range r.Samples {
+		w := cold.Samples[i]
+		if math.Abs(g.Score-w.Score) > tol {
+			t.Fatalf("%s: rank %d score %v, cold %v", label, i, g.Score, w.Score)
+		}
+		if g.Interval != w.Interval && math.Abs(coldScore[g.Interval]-w.Score) > tol {
+			t.Fatalf("%s: rank %d is %+v, cold ranks %+v there", label, i, g.Interval, w.Interval)
 		}
 	}
 }
@@ -384,6 +428,59 @@ func TestOnlineMinerValidation(t *testing.T) {
 	}
 	if _, err := empty.Finalize(); !errors.Is(err, ErrNoIntervals) {
 		t.Fatalf("empty finalize: %v, want ErrNoIntervals", err)
+	}
+}
+
+// TestOnlineMinerRejectedBatchLeavesStateIntact: a batch rejected on a
+// negative counter or a dimension mismatch must not leave any trace in the
+// miner's statistics — the good batches around it still refit, and the
+// final ranking equals MineBatches over the good batches alone.
+func TestOnlineMinerRejectedBatchLeavesStateIntact(t *testing.T) {
+	good := func() []Batch { return stableBatches(2, 5, 1) }
+	wide := stats.Sparse{Idx: []int32{0}, Val: []float64{3}, Dim: 6}
+	for _, tc := range []struct {
+		label, want string
+		second      stats.Sparse
+	}{
+		{"negative", "nonnegative", stats.Sparse{Idx: []int32{1}, Val: []float64{-1}, Dim: 6}},
+		{"dims", "dims", stats.Sparse{Idx: []int32{1}, Val: []float64{1}, Dim: 7}},
+	} {
+		refits := 0
+		m, err := NewOnlineMiner(OnlineConfig{
+			Config:     Config{IRQ: 1},
+			RefitEvery: 1,
+			OnRanking:  func(*OnlineRanking) { refits++ },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := good()
+		bad := Batch{
+			Run:       9,
+			Intervals: []lifecycle.Interval{incompleteInterval(1, 900, 1), completeInterval(1, 901, 1), completeInterval(1, 902, 1)},
+			Counters:  []stats.Sparse{{}, wide, tc.second},
+		}
+		if err := m.Add(bs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Add(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: bad batch: %v", tc.label, err)
+		}
+		if err := m.Add(bs[1]); err != nil {
+			t.Fatalf("%s: good batch after a rejected one: %v", tc.label, err)
+		}
+		if refits != 2 {
+			t.Fatalf("%s: %d refits, want 2", tc.label, refits)
+		}
+		got, err := m.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MineBatches(good(), Config{IRQ: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRanking(t, tc.label, want, got)
 	}
 }
 

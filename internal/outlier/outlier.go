@@ -99,11 +99,6 @@ type OneClassSVM struct {
 	// the full l×l Gram matrix. Scores are bit-identical at any budget;
 	// oversized batches use the cache automatically even at zero.
 	CacheBytes int64
-	// Shrinking enables the SMO shrinking heuristic for large batches.
-	// The optimum meets the same ε tolerance but is not bitwise equal to
-	// the plain path, so leave it off where exact reproducibility across
-	// configurations matters.
-	Shrinking bool
 }
 
 // Name implements Detector.
@@ -123,7 +118,6 @@ func (d OneClassSVM) config(l int) svm.Config {
 		Kernel:      d.Kernel,
 		Parallelism: d.Parallelism,
 		CacheBytes:  d.CacheBytes,
-		Shrinking:   d.Shrinking,
 	}
 }
 

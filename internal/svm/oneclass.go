@@ -12,31 +12,13 @@ import (
 	"sentomist/internal/stats"
 )
 
-// GramMode selects how the solver accesses the kernel matrix.
-type GramMode uint8
-
-const (
-	// GramAuto materializes the full Gram matrix when it fits the dense
-	// budget and no cache budget was requested, and switches to the
-	// on-demand column cache otherwise. The trained model is bit-identical
-	// either way.
-	GramAuto GramMode = iota
-	// GramDense always materializes the full l×l matrix; oversized
-	// problems are rejected with an error instead of attempting the
-	// allocation.
-	GramDense
-	// GramCached never materializes the matrix: kernel columns are
-	// computed on demand and memoized in an LRU bounded by CacheBytes.
-	GramCached
-)
-
-// DefaultCacheBytes is the kernel column cache budget used when the cached
-// path is selected with CacheBytes zero.
+// DefaultCacheBytes is the kernel column cache budget used when the dense
+// Gram is oversized and CacheBytes is zero.
 const DefaultCacheBytes = 256 << 20
 
 // denseGramLimit bounds the dense path's l×l allocation (bytes). Problems
-// past it route to the cached path under GramAuto and error under
-// GramDense. A variable so tests can lower it without 50k-sample inputs.
+// past it route to the cached path. A variable so tests can lower it
+// without 50k-sample inputs.
 var denseGramLimit int64 = 1 << 30
 
 // Config parameterizes one-class training.
@@ -56,25 +38,14 @@ type Config struct {
 	// GOMAXPROCS, 1 forces sequential construction. The resulting model
 	// is identical either way — each cell is computed independently.
 	Parallelism int
-	// Gram selects dense, cached, or automatic kernel-matrix access.
-	// Training is bit-identical across modes and cache sizes: the cache
-	// memoizes the very float64 evaluations the dense build stores.
-	Gram GramMode
-	// CacheBytes bounds the cached path's column LRU (0 selects
-	// DefaultCacheBytes). Setting it under GramAuto opts into the cached
-	// path. At least two columns are always kept resident.
+	// CacheBytes > 0 selects the cached path: kernel columns are computed
+	// on demand and memoized in an LRU bounded by CacheBytes (at least two
+	// columns stay resident). At zero the full l×l Gram is materialized,
+	// unless it exceeds the dense budget, in which case the cached path
+	// runs with DefaultCacheBytes. Training is bit-identical either way:
+	// the cache memoizes the very float64 evaluations the dense build
+	// stores.
 	CacheBytes int64
-	// Shrinking enables the libsvm-style shrinking heuristic: bound
-	// samples that stopped violating the KKT conditions are periodically
-	// parked, shrinking the working-set scan and gradient updates; before
-	// termination the full gradient is reconstructed exactly and
-	// optimization resumes if any parked sample still violates. The
-	// optimum satisfies the same ε tolerance, but floating-point
-	// summation orders differ, so results are equal only up to the
-	// optimizer tolerance — use it for large l where iteration cost
-	// dominates, not where bit-reproducibility against the plain path
-	// matters.
-	Shrinking bool
 }
 
 func (cfg Config) workers() int {
@@ -101,18 +72,8 @@ func denseGramOversized(l int) bool {
 }
 
 // useCache decides the Gram access path for an l-sample problem.
-func (cfg Config) useCache(l int) (bool, error) {
-	switch cfg.Gram {
-	case GramCached:
-		return true, nil
-	case GramDense:
-		if denseGramOversized(l) {
-			return false, fmt.Errorf("svm: gram matrix (l=%d) exceeds the %d MiB dense budget; use GramCached (or GramAuto) with a CacheBytes bound", l, denseGramLimit>>20)
-		}
-		return false, nil
-	default:
-		return cfg.CacheBytes > 0 || denseGramOversized(l), nil
-	}
+func (cfg Config) useCache(l int) bool {
+	return cfg.CacheBytes > 0 || denseGramOversized(l)
 }
 
 // Model is a trained one-class SVM.
@@ -164,12 +125,8 @@ func Train(samples [][]float64, cfg Config) (*Model, error) {
 	if kernel == nil {
 		kernel = defaultKernel(dim)
 	}
-	cached, err := cfg.useCache(l)
-	if err != nil {
-		return nil, err
-	}
 	var p gramProvider
-	if cached {
+	if cfg.useCache(l) {
 		p = newColCache(&denseColSource{samples: samples, kernel: kernel, workers: cfg.workers()}, cfg.cacheBytes())
 	} else {
 		p = denseMatrix(gramDense(samples, kernel, cfg.workers()))
@@ -219,12 +176,8 @@ func TrainSparse(samples []stats.Sparse, cfg Config) (*Model, error) {
 		}
 		return Train(dense, cfg)
 	}
-	cached, err := cfg.useCache(l)
-	if err != nil {
-		return nil, err
-	}
 	var p gramProvider
-	if cached {
+	if cfg.useCache(l) {
 		p = newColCache(newSparseColSource(samples, sk, cfg.workers()), cfg.cacheBytes())
 	} else {
 		p = denseMatrix(gramSparse(samples, sk, cfg.workers()))
@@ -372,15 +325,6 @@ func buildGram(l, workers int, eval func(i, j int) float64) [][]float64 {
 	return q
 }
 
-// shrinkInterval returns how many SMO iterations run between shrinking
-// passes (libsvm's min(l, 1000) schedule).
-func shrinkInterval(l int) int {
-	if l < 1000 {
-		return l
-	}
-	return 1000
-}
-
 // solve runs the SMO optimizer over a Gram-column provider and returns a
 // partially-filled model (alpha, rho, diagnostics); the caller attaches
 // the support-vector representation.
@@ -388,10 +332,7 @@ func shrinkInterval(l int) int {
 // The solver touches the matrix only through p.col, and every sum it forms
 // accumulates in the same element order as the historical row-based code,
 // so the result is bit-identical whether p materializes the matrix or
-// memoizes columns on demand at any cache size. With cfg.Shrinking the
-// iteration order over samples changes (parked samples are skipped and
-// gradients reconstructed on unshrink), so that path guarantees the same
-// ε-optimum but not bitwise equality.
+// memoizes columns on demand at any cache size.
 func solve(p gramProvider, l int, cfg Config, kernel Kernel) (*Model, error) {
 	return solveFrom(p, l, cfg, kernel, nil)
 }
@@ -404,8 +345,7 @@ func solve(p gramProvider, l int, cfg Config, kernel Kernel) (*Model, error) {
 // iterations reaching it takes, so a warm start at the previous optimum of
 // the *same* problem converges immediately to the bit-identical solution,
 // and a warm start on a grown problem lands on the same ε-optimum a cold
-// solve finds (equal up to solver tolerance, not bitwise — the same
-// discipline as shrinking).
+// solve finds (equal up to solver tolerance, not bitwise).
 func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64) (*Model, error) {
 	if cfg.Nu <= 0 || cfg.Nu > 1 {
 		return nil, fmt.Errorf("svm: nu=%g outside (0,1]", cfg.Nu)
@@ -458,26 +398,13 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 		}
 	}
 
-	// The active set: active[:activeSize] are the sample indices the
-	// working-set scan and gradient updates visit. Without shrinking it
-	// stays the identity permutation over all l samples, so the scan
-	// order — and every tie-break — matches the plain loop exactly.
-	active := make([]int, l)
-	for k := range active {
-		active[k] = k
-	}
-	activeSize := l
-	parked := false
-	shrinkTick := shrinkInterval(l)
-
 	iters := 0
 	for ; iters < maxIter; iters++ {
 		// Working-set selection (maximal violating pair):
 		// i ∈ {α < C} minimizing Gᵢ, j ∈ {α > 0} maximizing Gⱼ.
 		i, j := -1, -1
 		gmin, gmax := math.Inf(1), math.Inf(-1)
-		for t := 0; t < activeSize; t++ {
-			k := active[t]
+		for k := 0; k < l; k++ {
 			if alpha[k] < c-1e-15 && grad[k] < gmin {
 				gmin = grad[k]
 				i = k
@@ -488,45 +415,7 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 			}
 		}
 		if i < 0 || j < 0 || gmax-gmin < eps {
-			if !parked {
-				break
-			}
-			// Converged on the shrunk problem only. Reconstruct the
-			// parked gradients exactly, reactivate everything in the
-			// original order, and keep optimizing: termination always
-			// means the FULL problem satisfies the ε tolerance.
-			reconstructGradient(p, l, alpha, grad, active, activeSize)
-			for k := range active {
-				active[k] = k
-			}
-			activeSize = l
-			parked = false
-			shrinkTick = shrinkInterval(l)
-			continue
-		}
-
-		if cfg.Shrinking {
-			shrinkTick--
-			if shrinkTick == 0 {
-				shrinkTick = shrinkInterval(l)
-				// Park bound samples that no longer violate: a zero
-				// coefficient whose gradient already exceeds the worst
-				// upper violation can't be selected as i, a bound-C
-				// coefficient below the worst lower violation can't be
-				// selected as j. A mistaken park is repaired by the
-				// reconstruction pass above.
-				for t := 0; t < activeSize; {
-					k := active[t]
-					if (alpha[k] <= 1e-15 && grad[k] > gmax) ||
-						(alpha[k] >= c-1e-15 && grad[k] < gmin) {
-						activeSize--
-						active[t], active[activeSize] = active[activeSize], active[t]
-						parked = true
-						continue
-					}
-					t++
-				}
-			}
+			break
 		}
 
 		ci, cj := p.col(i), p.col(j)
@@ -548,16 +437,9 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 		}
 		alpha[i] += delta
 		alpha[j] -= delta
-		for t := 0; t < activeSize; t++ {
-			k := active[t]
+		for k := 0; k < l; k++ {
 			grad[k] += delta * (ci[k] - cj[k])
 		}
-	}
-	if parked {
-		// MaxIter exhaustion (or a degenerate step) on the shrunk
-		// problem: the parked gradients are stale; ρ and the training
-		// decisions below need the true ones.
-		reconstructGradient(p, l, alpha, grad, active, activeSize)
 	}
 
 	// ρ: at the optimum, free SVs satisfy Gᵢ = ρ.
@@ -635,26 +517,6 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 		m.CacheCols = cache.capCols
 	}
 	return m, nil
-}
-
-// reconstructGradient recomputes grad[k] = Σⱼ αⱼ·Q[k][j] from scratch for
-// every parked sample (active[activeSize:]). Only columns carrying mass
-// contribute, and those are overwhelmingly cached — they are exactly the
-// columns the working-set updates kept touching.
-func reconstructGradient(p gramProvider, l int, alpha, grad []float64, active []int, activeSize int) {
-	for _, k := range active[activeSize:] {
-		grad[k] = 0
-	}
-	for j := 0; j < l; j++ {
-		if alpha[j] <= 0 {
-			continue
-		}
-		cj := p.col(j)
-		aj := alpha[j]
-		for _, k := range active[activeSize:] {
-			grad[k] += cj[k] * aj
-		}
-	}
 }
 
 // finish compacts alpha to the kept SVs and fills the SV count.

@@ -36,8 +36,8 @@ import (
 // the warm start (a feasible point is a feasible point).
 //
 // Equivalence discipline: a warm refit satisfies the same ε KKT tolerance
-// as a cold solve — like the shrinking heuristic, it guarantees the same
-// ε-optimum, not the same float trajectory. A warm refit whose samples did
+// as a cold solve — it guarantees the same ε-optimum, not the same float
+// trajectory. A warm refit whose samples did
 // not change at all converges in zero iterations with the previous
 // coefficients untouched.
 type Incremental struct {
@@ -67,12 +67,6 @@ func NewIncremental(cfg Config) *Incremental {
 // (0,1] is safe mid-stream.
 func (inc *Incremental) SetNu(nu float64) { inc.cfg.Nu = nu }
 
-// Reset drops all carried state; the next Refit is a cold TrainSparse.
-func (inc *Incremental) Reset() {
-	inc.src, inc.cache, inc.alpha = nil, nil, nil
-	inc.prevLen, inc.prevDim = 0, 0
-}
-
 // Refit fits the model to the full current batch. samples must contain
 // every training sample, not just new arrivals; when prefixValid is true
 // the first prevLen entries must be bitwise identical to the previous
@@ -81,8 +75,9 @@ func (inc *Incremental) Reset() {
 // earlier samples changed (e.g. a feature rescale) — the cache is rebuilt
 // but the warm start is kept.
 //
-// The first Refit is bit-identical to TrainSparse with the same config on
-// the cached Gram path.
+// Refit always takes the cached Gram path (DefaultCacheBytes when
+// CacheBytes is zero), so the first Refit is bit-identical to TrainSparse
+// with the same config.
 func (inc *Incremental) Refit(samples []stats.Sparse, prefixValid bool) (*Model, error) {
 	l := len(samples)
 	if l == 0 {

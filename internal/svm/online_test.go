@@ -14,7 +14,7 @@ import (
 func TestIncrementalFirstRefitBitIdentical(t *testing.T) {
 	rng := randx.New(41)
 	samples := sparseCluster(rng, 150, 48)
-	cfg := Config{Nu: 0.08, Gram: GramCached, CacheBytes: budgets(len(samples))["25pct"]}
+	cfg := Config{Nu: 0.08, CacheBytes: budgets(len(samples))["25pct"]}
 	want, err := TrainSparse(samples, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestIncrementalFirstRefitBitIdentical(t *testing.T) {
 func TestIncrementalWarmUnchangedConvergesImmediately(t *testing.T) {
 	rng := randx.New(42)
 	samples := sparseCluster(rng, 120, 40)
-	inc := NewIncremental(Config{Nu: 0.1, Gram: GramCached, CacheBytes: 1 << 20})
+	inc := NewIncremental(Config{Nu: 0.1, CacheBytes: 1 << 20})
 	first, err := inc.Refit(samples, false)
 	if err != nil {
 		t.Fatal(err)
@@ -64,12 +64,12 @@ func TestIncrementalWarmUnchangedConvergesImmediately(t *testing.T) {
 }
 
 // TestIncrementalGrownMatchesCold: growing the batch across warm refits
-// must land on the same ε-optimum a cold solve finds — the shrinking
-// discipline: decisions within the KKT band, no rank swaps wider than it.
+// must land on the same ε-optimum a cold solve finds: decisions within the
+// KKT band, no rank swaps wider than it.
 func TestIncrementalGrownMatchesCold(t *testing.T) {
 	rng := randx.New(43)
 	full := sparseCluster(rng, 240, 56)
-	cfg := Config{Nu: 0.07, Gram: GramCached, CacheBytes: budgets(len(full))["25pct"]}
+	cfg := Config{Nu: 0.07, CacheBytes: budgets(len(full))["25pct"]}
 	inc := NewIncremental(cfg)
 	var warm *Model
 	for _, cut := range []int{60, 120, 180, 240} {
@@ -83,37 +83,10 @@ func TestIncrementalGrownMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const epsBand = 1e-3 // 10× the default KKT tolerance, as in shrinking
-	coldDec, warmDec := cold.TrainingDecisions(), warm.TrainingDecisions()
-	for k := range coldDec {
-		if math.Abs(coldDec[k]-warmDec[k]) > epsBand {
-			t.Fatalf("sample %d decision %v (warm) vs %v (cold)", k, warmDec[k], coldDec[k])
-		}
-	}
-	wantOrder, gotOrder := rankingOrder(cold), rankingOrder(warm)
-	for i := range wantOrder {
-		if wantOrder[i] == gotOrder[i] {
-			continue
-		}
-		if gap := math.Abs(coldDec[wantOrder[i]] - coldDec[gotOrder[i]]); gap > epsBand {
-			t.Fatalf("rank %d: sample %d (warm) vs %d (cold), gap %v", i, gotOrder[i], wantOrder[i], gap)
-		}
-	}
+	sameEpsOptimum(t, "grown", cold, warm, cfg.Nu)
 	// The warm trajectory should also be cheaper than re-solving cold.
 	if warm.Iters >= cold.Iters {
 		t.Logf("note: final warm refit took %d iters vs cold %d", warm.Iters, cold.Iters)
-	}
-	// Dual feasibility of the warm solution.
-	c := 1 / (cfg.Nu * float64(len(full)))
-	var sum float64
-	for _, a := range warm.alpha {
-		if a < -1e-12 || a > c+1e-9 {
-			t.Fatalf("alpha %v outside [0, %v]", a, c)
-		}
-		sum += a
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("alpha mass %v, want 1", sum)
 	}
 }
 
@@ -123,7 +96,7 @@ func TestIncrementalGrownMatchesCold(t *testing.T) {
 func TestIncrementalInvalidPrefixRebuilds(t *testing.T) {
 	rng := randx.New(44)
 	a := sparseCluster(rng, 100, 32)
-	inc := NewIncremental(Config{Nu: 0.1, Gram: GramCached, CacheBytes: 1 << 20})
+	inc := NewIncremental(Config{Nu: 0.1, CacheBytes: 1 << 20})
 	if _, err := inc.Refit(a, false); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +116,7 @@ func TestIncrementalInvalidPrefixRebuilds(t *testing.T) {
 	if inc.Rebuilds != 2 {
 		t.Fatalf("want 2 rebuilds, got %d", inc.Rebuilds)
 	}
-	cold, err := TrainSparse(b, Config{Nu: 0.1, Gram: GramCached, CacheBytes: 1 << 20})
+	cold, err := TrainSparse(b, Config{Nu: 0.1, CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestOnlineMultiIRQMatchesOneShot(t *testing.T) {
 // arm: runs finish on a worker pool in nondeterministic order, are ingested
 // strictly in run order, and the finalized ranking still matches the
 // materialized pipeline at every worker count — with tiny-block compaction
-// and the full-replay baseline exercised along the way.
+// exercised along the way.
 func TestOnlineCampaignMatchesMine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulations")
@@ -204,13 +204,12 @@ func TestOnlineCampaignMatchesMine(t *testing.T) {
 	for _, v := range []struct {
 		workers      int
 		spillCompact int
-		fullReplay   bool
 	}{
 		{workers: 1},
 		{workers: 4, spillCompact: 2}, // tiny blocks merge every refit
-		{workers: 0, fullReplay: true},
+		{workers: 0},
 	} {
-		got, err := campaignCaseIOnline(v.workers, t.TempDir(), v.spillCompact, v.fullReplay)
+		got, err := campaignCaseIOnline(v.workers, t.TempDir(), v.spillCompact)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +219,7 @@ func TestOnlineCampaignMatchesMine(t *testing.T) {
 
 // campaignCaseIOnline is streaming_test.go's reduced Case-I campaign with
 // the online arm enabled: refit every batch, top-5, columnar disk spill.
-func campaignCaseIOnline(workers int, spillDir string, spillCompact int, fullReplay bool) (*sentomist.Ranking, error) {
+func campaignCaseIOnline(workers int, spillDir string, spillCompact int) (*sentomist.Ranking, error) {
 	periods := []int{20, 40, 60}
 	runs := make([]sentomist.CampaignRun, len(periods))
 	for i, d := range periods {
@@ -250,7 +249,6 @@ func campaignCaseIOnline(workers int, spillDir string, spillCompact int, fullRep
 			SpillDir:     spillDir,
 			SpillBlock:   16,
 			SpillCompact: spillCompact,
-			FullReplay:   fullReplay,
 		},
 	}, runs)
 }

@@ -166,7 +166,7 @@ type (
 	// MineBatches over the same batches.
 	OnlineMiner = core.OnlineMiner
 	// OnlineMineConfig parameterizes an OnlineMiner (refit cadence,
-	// top-K bound, columnar spill directory, cold-refit baseline).
+	// top-K bound, columnar spill directory).
 	OnlineMineConfig = core.OnlineConfig
 	// OnlineRanking is one intermediate refit's top-K output with its
 	// solver provenance (warm start, cache reuse, iterations).
@@ -196,15 +196,14 @@ func ExtractBatchesFor(runs []RunInput, cfg MineConfig, irqs ...int) ([]MineBatc
 }
 
 // SVMDetector is the paper's default detector with every training knob
-// exposed: ν, kernel, Gram-build parallelism, the on-demand kernel column
-// cache budget (CacheBytes — bit-identical scores at any budget), and the
-// SMO shrinking heuristic for large campaigns.
+// exposed: ν, kernel, Gram-build parallelism, and the on-demand kernel
+// column cache budget (CacheBytes — bit-identical scores at any budget).
 type SVMDetector = outlier.OneClassSVM
 
 // OneClassSVM returns the paper's default detector with the given ν
 // (fraction of samples treated as outliers; 0 selects 0.05). A nil kernel
 // selects RBF with gamma = 1/dim. Use SVMDetector directly to set the
-// campaign-scale knobs (cache budget, shrinking).
+// campaign-scale cache budget.
 func OneClassSVM(nu float64, kernel Kernel) Detector {
 	return SVMDetector{Nu: nu, Kernel: kernel}
 }
