@@ -49,9 +49,9 @@ bench-all:
 # Evaluate the Sentomist-bench seeded-bug corpus and gate precision@k /
 # MRR against the checked-in baseline (docs/BENCH.md). Regenerate the
 # baseline deliberately with:
-#   $(GO) run ./cmd/rank -bench -bench-update BENCH_QUALITY.json
+#   $(GO) run ./cmd/sentomist bench -update BENCH_QUALITY.json
 bench-quality:
-	$(GO) run ./cmd/rank -bench -bench-baseline BENCH_QUALITY.json
+	$(GO) run ./cmd/sentomist bench -baseline BENCH_QUALITY.json
 
 # Regenerate-and-diff the pinned ranking tables.
 golden:

@@ -2,7 +2,7 @@ package sentomist_test
 
 // The benchmark harness regenerates every evaluation artifact of the paper
 // (see DESIGN.md's per-experiment index) through internal/experiments — the
-// same code path behind cmd/experiments and the numbers in EXPERIMENTS.md.
+// same code path behind `sentomist experiments` and the numbers in EXPERIMENTS.md.
 // Each benchmark runs the full pipeline (simulate, anatomize, feature,
 // detect, rank) and reports the paper-relevant quantities as custom
 // metrics:

@@ -1,174 +1,211 @@
-// Command sentomist runs one of the paper's case studies end to end and
-// prints the resulting suspicion ranking (the shape of the paper's
-// Figure 5).
+// Command sentomist is the Sentomist pipeline at the command line: record
+// a lifecycle trace in the emulator, anatomize, feature and rank its
+// event-handling intervals with the one-class ν-SVM, and inspect the top
+// intervals by hand (the paper's §V–VI and Figure 5).
 //
 // Usage:
 //
-//	sentomist -case I   [-seconds 10] [-seed 1] [-fixed] [-detector svm] [-top 10]
-//	sentomist -case II  [-seconds 20] ...
-//	sentomist -case III [-seconds 15] ...
+//	sentomist case -case II -localize                  # record + rank in one go
+//	sentomist record -case II -bundle -out run.bundle  # save a run for offline analysis
+//	sentomist rank -irq 4 -nodes 1 run.bundle          # rank saved traces or bundles
+//	sentomist rank -irq 4 -nodes 1 -inspect 1 run.bundle
+//	sentomist bench -baseline BENCH_QUALITY.json       # seeded-bug corpus quality gate
+//	sentomist soak -runs 200                           # randomized cross-checks
+//	sentomist experiments                              # every evaluation artifact
+//	sentomist asm -builtin caseII -d                   # SVM-8 assembler diagnostics
+//
+// Every subcommand also takes -cpuprofile, -memprofile and -trace:
+//
+//	sentomist rank -irq 4 -cpuprofile cpu.pprof run.trace
+//	go tool pprof cpu.pprof
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
+	rtrace "runtime/trace"
+	"strconv"
 	"strings"
 
 	"sentomist"
 )
 
+// runFunc is a subcommand body: it runs on the positional arguments left
+// after flag parsing.
+type runFunc func(args []string, stdout, stderr io.Writer) error
+
+type command struct {
+	name, args, summary string
+	// setup registers the subcommand's flags and returns its body.
+	setup func(fs *flag.FlagSet) runFunc
+}
+
+var commands = []command{
+	{"case", "[-case I|II|III] [flags]", "run a case study end to end and print its ranking (Figure 5)", caseCmd},
+	{"record", "-case I|II|III -out FILE [-bundle] [flags]", "run a case study and save its trace or bundle for offline analysis", recordCmd},
+	{"rank", "-irq N [-nodes 1,2] [-inspect K] FILE [FILE...]", "rank saved traces or bundles offline; -inspect K reports one interval", rankCmd},
+	{"bench", "[-baseline FILE] [-update FILE]", "score the Sentomist-bench seeded-bug corpus (precision@k, MRR)", benchCmd},
+	{"soak", "[-runs N] [flags]", "cross-check the emulator and the analyzer on random scenarios", soakCmd},
+	{"experiments", "[-node-workers N]", "regenerate every evaluation artifact of the paper", experimentsCmd},
+	{"asm", "[-d] FILE.s | -builtin NAME", "assemble an SVM-8 program and print its statistics", asmCmd},
+}
+
 func main() {
-	var (
-		study    = flag.String("case", "I", "case study: I (data pollution), II (packet loss), III (CTP hang)")
-		seconds  = flag.Float64("seconds", 0, "run length in simulated seconds (0 = the paper's default)")
-		seed     = flag.Uint64("seed", 0, "random seed (0 = the experiment default)")
-		fixed    = flag.Bool("fixed", false, "run the bug-fixed application variant")
-		detector = flag.String("detector", "svm", "outlier detector: svm, pca, knn, mahalanobis, kernel-pca")
-		nu       = flag.Float64("nu", 0.05, "one-class SVM nu parameter")
-		top      = flag.Int("top", 7, "ranking rows to print from the top")
-		bottom   = flag.Int("bottom", 2, "ranking rows to print from the bottom")
-		save     = flag.String("save", "", "also save the trace(s) to this path prefix")
-		localize = flag.Bool("localize", false, "also print the symptom-to-source localization report")
-		htmlOut  = flag.String("html", "", "write a self-contained HTML report to this path")
-	)
-	flag.Parse()
-	if err := run(*study, *seconds, *seed, *fixed, *detector, *nu, *top, *bottom, *save, *localize, *htmlOut); err != nil {
-		fmt.Fprintln(os.Stderr, "sentomist:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(study string, seconds float64, seed uint64, fixed bool, detName string, nu float64, top, bottom int, save string, localize bool, htmlOut string) error {
-	det, err := pickDetector(detName, nu)
+// run dispatches args to a subcommand and returns the exit code: 0 on
+// success, 1 on a failed run, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	var cmd *command
+	for i := range commands {
+		if len(args) > 0 && commands[i].name == args[0] {
+			cmd = &commands[i]
+		}
+	}
+	if cmd == nil {
+		if len(args) > 0 {
+			fmt.Fprintf(stderr, "sentomist: unknown subcommand %q\n\n", args[0])
+		}
+		fmt.Fprintln(stderr, "usage: sentomist SUBCOMMAND [flags] [args]\n\nsubcommands:")
+		for _, c := range commands {
+			fmt.Fprintf(stderr, "  %-12s %s\n", c.name, c.summary)
+		}
+		fmt.Fprintln(stderr, "\nRun 'sentomist SUBCOMMAND -h' for its flags.")
+		return 2
+	}
+	fs := flag.NewFlagSet("sentomist "+cmd.name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: sentomist %s %s\n\nflags:\n", cmd.name, cmd.args)
+		fs.PrintDefaults()
+	}
+	var prof profiling
+	prof.register(fs)
+	body := cmd.setup(fs)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	stop, err := prof.start(stderr)
+	if err == nil {
+		err = body(fs.Args(), stdout, stderr)
+		stop()
+	}
 	if err != nil {
-		return err
+		fmt.Fprintf(stderr, "sentomist %s: %v\n", cmd.name, err)
+		if errors.As(err, new(usageError)) {
+			fs.Usage()
+			return 2
+		}
+		return 1
 	}
-	var (
-		inputs []sentomist.RunInput
-		cfg    sentomist.MineConfig
-		prog   *sentomist.Program
-	)
-	cfg.Detector = det
+	return 0
+}
 
-	switch strings.ToUpper(study) {
-	case "I", "1":
-		if seconds == 0 {
-			seconds = 10
-		}
-		if seed == 0 {
-			seed = 100
-		}
-		for i, d := range []int{20, 40, 60, 80, 100} {
-			run, err := sentomist.RunCaseI(sentomist.CaseIConfig{
-				PeriodMS: d, Seconds: seconds, Seed: seed + uint64(i), Fixed: fixed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("run %d: D=%dms, %d deliveries\n", i+1, d, len(run.Net.Deliveries()))
-			inputs = append(inputs, sentomist.RunInput{Trace: run.Trace, Programs: run.Programs})
-			if save != "" {
-				if err := sentomist.SaveTrace(run.Trace, fmt.Sprintf("%s-run%d.trace", save, i+1)); err != nil {
-					return err
-				}
-			}
-		}
-		cfg.IRQ = sentomist.IRQADC
-		cfg.Nodes = []int{sentomist.CaseISensorID}
-		cfg.Labels = sentomist.LabelRunSeq
-		prog = inputs[0].Programs[sentomist.CaseISensorID]
-	case "II", "2":
-		if seconds == 0 {
-			seconds = 20
-		}
-		if seed == 0 {
-			seed = 7
-		}
-		run, err := sentomist.RunCaseII(sentomist.CaseIIConfig{Seconds: seconds, Seed: seed, Fixed: fixed})
-		if err != nil {
-			return err
-		}
-		drops, _ := run.RAM(sentomist.CaseIIRelayID, "dropcnt")
-		fmt.Printf("relay forwarded with %d active drops; %d deliveries\n", drops, len(run.Net.Deliveries()))
-		inputs = append(inputs, sentomist.RunInput{Trace: run.Trace, Programs: run.Programs})
-		if save != "" {
-			if err := sentomist.SaveTrace(run.Trace, save+".trace"); err != nil {
-				return err
-			}
-		}
-		cfg.IRQ = sentomist.IRQRadioRX
-		cfg.Nodes = []int{sentomist.CaseIIRelayID}
-		cfg.Labels = sentomist.LabelSeqOnly
-		prog = run.Program(sentomist.CaseIIRelayID)
-	case "III", "3":
-		if seconds == 0 {
-			seconds = 15
-		}
-		if seed == 0 {
-			seed = 20
-		}
-		run, err := sentomist.RunCaseIII(sentomist.CaseIIIConfig{Seconds: seconds, Seed: seed, Fixed: fixed})
-		if err != nil {
-			return err
-		}
-		fails := 0
-		for id := 1; id <= 8; id++ {
-			f, _ := run.RAM(id, "failcnt")
-			fails += int(f)
-		}
-		fmt.Printf("network ran with %d unhandled send failures; %d deliveries\n", fails, len(run.Net.Deliveries()))
-		inputs = append(inputs, sentomist.RunInput{Trace: run.Trace, Programs: run.Programs})
-		if save != "" {
-			if err := sentomist.SaveTrace(run.Trace, save+".trace"); err != nil {
-				return err
-			}
-		}
-		cfg.IRQ = sentomist.IRQTimer0
-		cfg.Nodes = sentomist.CaseIIISources()
-		cfg.Labels = sentomist.LabelNodeSeq
-		prog = run.Program(sentomist.CaseIIISources()[0])
-	default:
-		return fmt.Errorf("unknown case study %q (want I, II, or III)", study)
-	}
+// usageError marks a bad invocation (exit 2 with the subcommand's usage)
+// as opposed to a failed run (exit 1).
+type usageError struct{ msg string }
 
-	ranking, err := sentomist.Mine(inputs, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\n%d intervals mined (%d-dimensional instruction counters, detector %s):\n\n",
-		len(ranking.Samples), ranking.Dim, ranking.Detector)
-	fmt.Print(ranking.Table(top, bottom))
-	if localize {
-		suspicions, err := sentomist.Localize(inputs, ranking, prog, sentomist.LocalizeConfig{MaxResults: 10})
-		if err != nil {
-			return fmt.Errorf("localize: %w", err)
+func (e usageError) Error() string { return e.msg }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Sprintf(format, a...)} }
+
+// profiling is the opt-in -cpuprofile/-memprofile/-trace block every
+// subcommand carries, for capturing emulation- or mining-phase profiles
+// without rebuilding with instrumentation.
+type profiling struct{ cpu, mem, exec string }
+
+func (p *profiling) register(fs *flag.FlagSet) {
+	fs.StringVar(&p.cpu, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&p.mem, "memprofile", "", "write an allocation profile to this file on exit")
+	fs.StringVar(&p.exec, "trace", "", "write a runtime execution trace to this file")
+}
+
+// start begins CPU profiling and execution tracing if requested and
+// returns a function that stops them and writes the heap profile.
+func (p *profiling) start(stderr io.Writer) (func(), error) {
+	var stops []func()
+	stop := func() {
+		for i := len(stops) - 1; i >= 0; i-- {
+			stops[i]()
 		}
-		fmt.Printf("\nsymptom-to-source localization:\n%s", sentomist.LocalizeReport(suspicions))
 	}
-	if htmlOut != "" {
-		f, err := os.Create(htmlOut)
+	if p.cpu != "" {
+		f, err := os.Create(p.cpu)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
-		werr := sentomist.HTMLReport(f, inputs, ranking, prog, sentomist.HTMLConfig{
-			Title: fmt.Sprintf("Sentomist report — case %s", strings.ToUpper(study)),
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		stops = append(stops, func() {
+			pprof.StopCPUProfile()
+			f.Close()
 		})
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Printf("\nwrote HTML report to %s\n", htmlOut)
 	}
-	return nil
+	if p.exec != "" {
+		f, err := os.Create(p.exec)
+		if err != nil {
+			stop()
+			return nil, fmt.Errorf("trace: %w", err)
+		}
+		if err := rtrace.Start(f); err != nil {
+			f.Close()
+			stop()
+			return nil, fmt.Errorf("trace: %w", err)
+		}
+		stops = append(stops, func() {
+			rtrace.Stop()
+			f.Close()
+		})
+	}
+	return func() {
+		stop()
+		if p.mem == "" {
+			return
+		}
+		f, err := os.Create(p.mem)
+		if err != nil {
+			fmt.Fprintln(stderr, "memprofile:", err)
+			return
+		}
+		defer f.Close()
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintln(stderr, "memprofile:", err)
+		}
+	}, nil
 }
 
-func pickDetector(name string, nu float64) (sentomist.Detector, error) {
+// rankFlags are the ranking flags case and rank share.
+type rankFlags struct {
+	detector    string
+	nu          float64
+	top, bottom int
+}
+
+func (r *rankFlags) register(fs *flag.FlagSet, top int) {
+	fs.StringVar(&r.detector, "detector", "svm", "outlier detector: svm, pca, knn, mahalanobis, kernel-pca")
+	fs.Float64Var(&r.nu, "nu", 0.05, "one-class SVM nu parameter")
+	fs.IntVar(&r.top, "top", top, "ranking rows to print from the top")
+	fs.IntVar(&r.bottom, "bottom", 2, "ranking rows to print from the bottom")
+}
+
+// pickDetector resolves -detector. parallelism and cacheBytes configure
+// the one-class SVM's Gram build; the ranking is identical at any setting.
+func pickDetector(name string, nu float64, parallelism int, cacheBytes int64) (sentomist.Detector, error) {
 	switch strings.ToLower(name) {
 	case "svm":
-		return sentomist.OneClassSVM(nu, nil), nil
+		return sentomist.SVMDetector{Nu: nu, Parallelism: parallelism, CacheBytes: cacheBytes}, nil
 	case "pca":
 		return sentomist.PCADetector(0), nil
 	case "knn":
@@ -179,4 +216,57 @@ func pickDetector(name string, nu float64) (sentomist.Detector, error) {
 		return sentomist.KernelPCADetector(nil, 0), nil
 	}
 	return nil, fmt.Errorf("unknown detector %q", name)
+}
+
+// nodeWorkersFlag registers -node-workers, the emulator-side parallelism
+// of every record phase.
+func nodeWorkersFlag(fs *flag.FlagSet, p *int) {
+	fs.IntVar(p, "node-workers", 0, "emulator-side parallelism of every record phase (sim.Config.ParallelNodes); traces and all results are byte-identical at any setting (<= 1 = sequential)")
+}
+
+// parseInts parses the comma-separated integer list of flag name; empty
+// means none.
+func parseInts(name, csv string) ([]int, error) {
+	if csv == "" {
+		return nil, nil
+	}
+	var out []int
+	for _, part := range strings.Split(csv, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("bad %s entry %q: %w", name, part, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// loadInput reads one trace or bundle file. A bundle is recognized by its
+// SENTBDL1 magic and also yields the node programs (which -inspect needs)
+// and the recording scheduler's counters; anything else loads as a
+// SENTTRC1 trace, or as JSON for a .json path.
+func loadInput(path string) (sentomist.RunInput, sentomist.SimStats, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return sentomist.RunInput{}, sentomist.SimStats{}, err
+	}
+	head := make([]byte, len("SENTBDL1"))
+	io.ReadFull(f, head) // a short file is left to the trace reader's error
+	f.Close()
+	if string(head) == "SENTBDL1" {
+		b, err := sentomist.LoadBundle(path)
+		if err != nil {
+			return sentomist.RunInput{}, sentomist.SimStats{}, err
+		}
+		return sentomist.RunInput{Trace: b.Trace, Programs: b.Programs}, b.Stats, nil
+	}
+	t, err := sentomist.LoadTrace(path)
+	return sentomist.RunInput{Trace: t}, sentomist.SimStats{}, err
+}
+
+// printSchedStats prints the recording scheduler's counters.
+func printSchedStats(w io.Writer, label string, st sentomist.SimStats) {
+	fmt.Fprintf(w, "%s: %d rounds, %d solo jumps, %d idle jumps, %d parallel sections (%d advances, %d staged events)\n",
+		label, st.Rounds, st.SoloJumps, st.IdleJumps,
+		st.ParallelSections, st.ParallelAdvances, st.StagedEvents)
 }

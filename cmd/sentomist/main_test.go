@@ -1,0 +1,102 @@
+package main
+
+import (
+	"bytes"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// runCLI runs the command line in-process and returns its exit code,
+// stdout and stderr.
+func runCLI(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// recordCaseII saves one Case-II run as a bare trace and as a bundle.
+func recordCaseII(t *testing.T) (tracePath, bundlePath string) {
+	t.Helper()
+	dir := t.TempDir()
+	tracePath, bundlePath = filepath.Join(dir, "run.trace"), filepath.Join(dir, "run.bundle")
+	for _, args := range [][]string{
+		{"record", "-case", "II", "-out", tracePath},
+		{"record", "-case", "II", "-bundle", "-out", bundlePath},
+	} {
+		if code, _, stderr := runCLI(args...); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr)
+		}
+	}
+	return tracePath, bundlePath
+}
+
+func TestRankTraceAndBundleAgree(t *testing.T) {
+	tracePath, bundlePath := recordCaseII(t)
+	jsonPath := filepath.Join(t.TempDir(), "run.json")
+	if code, _, stderr := runCLI("record", "-case", "II", "-out", jsonPath); code != 0 {
+		t.Fatalf("record json: exit %d: %s", code, stderr)
+	}
+	code, want, stderr := runCLI("rank", "-irq", "4", "-nodes", "1", tracePath)
+	if code != 0 {
+		t.Fatalf("rank trace: exit %d: %s", code, stderr)
+	}
+	if !strings.Contains(want, "254 intervals") {
+		t.Fatalf("unexpected ranking:\n%s", want)
+	}
+	for _, path := range []string{bundlePath, jsonPath} {
+		code, got, stderr := runCLI("rank", "-irq", "4", "-nodes", "1", path)
+		if code != 0 {
+			t.Fatalf("rank %s: exit %d: %s", path, code, stderr)
+		}
+		if got != want {
+			t.Fatalf("%s ranks differently from the bare trace:\n%s\nvs\n%s", path, got, want)
+		}
+	}
+}
+
+func TestRankInspect(t *testing.T) {
+	tracePath, bundlePath := recordCaseII(t)
+	code, stdout, stderr := runCLI("rank", "-irq", "4", "-nodes", "1", "-inspect", "1", bundlePath)
+	if code != 0 {
+		t.Fatalf("inspect bundle: exit %d: %s", code, stderr)
+	}
+	if !regexp.MustCompile(`(?m)^fwd_drop:11[234] \*`).MatchString(stdout) {
+		t.Fatalf("inspect report lacks the fwd_drop localization:\n%s", stdout)
+	}
+	code, _, stderr = runCLI("rank", "-irq", "4", "-nodes", "1", "-inspect", "1", tracePath)
+	if code != 1 || !strings.Contains(stderr, "programs") {
+		t.Fatalf("inspect on a bare trace: exit %d, stderr %q; want exit 1 naming the missing programs", code, stderr)
+	}
+}
+
+func TestUsageErrors(t *testing.T) {
+	tracePath, _ := recordCaseII(t)
+	for _, args := range [][]string{
+		{},
+		{"frobnicate"},
+		{"rank", tracePath},
+		{"rank", "-irq", "4", "-nodes", "1", "-online-irqs", "1", tracePath},
+		{"rank", "-irq", "4", "-nodes", "1", "-online-topk", "3", tracePath},
+		{"case", "-case", "IV"},
+	} {
+		code, stdout, stderr := runCLI(args...)
+		if code != 2 || !strings.Contains(stderr, "usage: sentomist") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 with usage", args, code, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("%v: printed %q to stdout on a usage error", args, stdout)
+		}
+	}
+}
+
+func TestAsmBuiltin(t *testing.T) {
+	code, stdout, stderr := runCLI("asm", "-builtin", "caseII")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !regexp.MustCompile(`^caseII: \d+ instructions, \d+ vectors, \d+ tasks, \d+ variables, \d+ constants\n`).MatchString(stdout) {
+		t.Fatalf("missing instruction summary:\n%s", stdout)
+	}
+}

@@ -14,9 +14,9 @@ import (
 // predecode cache this makes repeat runs of a scenario allocation-free on
 // the program side.
 //
-// Synthesized scenarios (cmd/soak) produce unbounded distinct sources, so
-// the cache is bounded: past asmCacheMax entries it is flushed wholesale,
-// the same policy the predecode cache uses.
+// Synthesized scenarios (`sentomist soak`) produce unbounded distinct
+// sources, so the cache is bounded: past asmCacheMax entries it is
+// flushed wholesale, the same policy the predecode cache uses.
 const asmCacheMax = 64
 
 var (

@@ -3,7 +3,7 @@ package apps
 import "fmt"
 
 // BuiltinSource returns the assembly source of a bundled case-study
-// program, for inspection with cmd/svm8asm. Buggy variants are returned;
+// program, for inspection with `sentomist asm`. Buggy variants are returned;
 // append "-fixed" for the repaired ones.
 func BuiltinSource(name string) (string, error) {
 	switch name {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestBuiltinSourcesAssemble: every bundled program must assemble cleanly
-// — this is what cmd/svm8asm -builtin relies on.
+// — this is what `sentomist asm -builtin` relies on.
 func TestBuiltinSourcesAssemble(t *testing.T) {
 	names := []string{
 		"caseI", "caseI-fixed", "caseI-sink",

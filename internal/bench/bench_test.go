@@ -162,7 +162,7 @@ func TestBaselineMatches(t *testing.T) {
 	}
 	want, err := LoadBaseline("../../BENCH_QUALITY.json")
 	if err != nil {
-		t.Fatalf("missing baseline (regenerate with `go run ./cmd/rank -bench -bench-update BENCH_QUALITY.json`): %v", err)
+		t.Fatalf("missing baseline (regenerate with `go run ./cmd/sentomist bench -update BENCH_QUALITY.json`): %v", err)
 	}
 	got, err := EvaluateAll(Catalog())
 	if err != nil {

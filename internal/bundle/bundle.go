@@ -102,6 +102,11 @@ func Read(r io.Reader) (*Bundle, error) {
 	if err := gob.NewDecoder(zr).Decode(&b); err != nil {
 		return nil, fmt.Errorf("bundle: decode: %w", err)
 	}
+	// Drain to EOF so the gzip footer (CRC32 + length) is verified: gob
+	// stops reading once the value is decoded.
+	if _, err := io.Copy(io.Discard, zr); err != nil {
+		return nil, fmt.Errorf("bundle: verify gzip checksum: %w", err)
+	}
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}

@@ -196,3 +196,32 @@ func TestBundleLegacyStats(t *testing.T) {
 		t.Errorf("legacy decode stats = %+v, want %+v", old.Stats, wantOld)
 	}
 }
+
+// TestReadRejectsCorruptFooter pins that Read verifies the gzip footer
+// (CRC32 + length): gob stops reading once the bundle is decoded, so a
+// truncated or bit-flipped tail must still fail the load.
+func TestReadRejectsCorruptFooter(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sampleBundle().Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	if _, err := Read(bytes.NewReader(good)); err != nil {
+		t.Fatalf("intact bundle rejected: %v", err)
+	}
+	flipCRC := append([]byte(nil), good...)
+	flipCRC[len(flipCRC)-8] ^= 0xff // first byte of the CRC32
+	cases := map[string][]byte{
+		"cut 1 byte":  good[:len(good)-1],
+		"cut 4 bytes": good[:len(good)-4],
+		"cut 8 bytes": good[:len(good)-8],
+		"flipped CRC": flipCRC,
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Read(bytes.NewReader(data)); err == nil {
+				t.Fatal("corrupt gzip footer accepted")
+			}
+		})
+	}
+}

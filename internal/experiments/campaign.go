@@ -48,7 +48,8 @@ func CaseICampaign(seedBase uint64) (*core.Ranking, error) {
 // CampaignEquivalence runs Case I both ways — materialized traces through
 // core.Mine and the streaming campaign — and reports whether the two
 // rankings are identical (order, scores, dimensions, exclusions). The
-// cmd/experiments report prints it as the streaming pipeline's E6 check.
+// `sentomist experiments` report prints it as the streaming pipeline's
+// E6 check.
 func CampaignEquivalence(seedBase uint64) (samples int, equal bool, err error) {
 	materialized, err := caseIRanking(seedBase)
 	if err != nil {
@@ -77,7 +78,7 @@ func CampaignEquivalence(seedBase uint64) (samples int, equal bool, err error) {
 // cadences — warm refits, columnar disk spill, cursor-based delta replay
 // with tiny-block compaction, and a multi-IRQ configuration mining the
 // sampling timer alongside the ADC — each finalized primary ranking
-// compared bitwise against the one-shot campaign ranking. The cmd/experiments report prints it as E7.
+// compared bitwise against the one-shot campaign ranking. The `sentomist experiments` report prints it as E7.
 func OnlineEquivalence(seedBase uint64) (samples, refits, configs int, equal bool, err error) {
 	baseline, err := CaseICampaign(seedBase)
 	if err != nil {

@@ -2,8 +2,9 @@
 // artifact in the paper (the per-experiment index of DESIGN.md): the three
 // Figure-5 rankings, the trace-volume and inspection-effort measurements,
 // and the ablations. The benchmark harness (bench_test.go) and the
-// cmd/experiments report generator both run through this package, so the
-// numbers in EXPERIMENTS.md come from exactly one code path.
+// `sentomist experiments` report generator both run through this
+// package, so the numbers in EXPERIMENTS.md come from exactly one code
+// path.
 package experiments
 
 import (
@@ -35,7 +36,7 @@ const (
 // concurrently inside each simulation's conservative-lookahead sections.
 // Recorded traces are byte-identical at any setting, so no result in this
 // package depends on it; it only changes how fast the record phases run.
-// The cmd/experiments -node-workers flag sets it before the report starts.
+// The `sentomist experiments -node-workers` flag sets it before the report starts.
 var NodeWorkers int
 
 // CaseResult summarizes one case-study reproduction.
@@ -513,7 +514,7 @@ func SequentialAblation() (preemptive, sequential int, err error) {
 // RankingQuality is E8: the Sentomist-bench corpus evaluated end to end —
 // every seeded bug recorded, mined, and scored against its ground-truth
 // oracle, with precision@k and MRR aggregated per bug class. The same
-// report is what `rank -bench` gates against BENCH_QUALITY.json in CI.
+// report is what `sentomist bench` gates against BENCH_QUALITY.json in CI.
 func RankingQuality() (*bench.Report, error) {
 	bench.NodeWorkers = NodeWorkers
 	return bench.EvaluateAll(bench.Catalog())

@@ -488,7 +488,7 @@ func (s *Streamer) Finalize() ([]Interval, []stats.Sparse, error) {
 }
 
 // Replay feeds a materialized node trace through a Streamer — the bridge
-// that lets equivalence tests and cmd/soak cross-check the online
+// that lets equivalence tests and `sentomist soak` cross-check the online
 // anatomizer against the two-pass reference on any recorded trace.
 func Replay(nt *trace.NodeTrace, pool *ScratchPool) ([]Interval, []stats.Sparse, error) {
 	st := NewStreamer(nt.NodeID, pool)
