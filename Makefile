@@ -23,12 +23,12 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/mcu/ ./internal/sim/ ./internal/apps/
 
 # The mining-at-scale benchmarks behind BENCH_PR4.json: blocked sparse
-# kernels, training on the dense and cached Gram paths, and the l=10k
+# kernels, training on the dense and cached Gram paths, the l=10k
 # campaign problem (dense vs cached at 25% and 5% of the dense footprint;
-# several minutes on one core).
+# several minutes on one core), and one planned kernel column fill.
 bench-svm:
 	$(GO) test -run xxx -bench 'BenchmarkSparseOps' -benchmem ./internal/stats/
-	$(GO) test -run xxx -bench 'BenchmarkTrain|BenchmarkKernelEval' -benchmem -timeout 60m ./internal/svm/
+	$(GO) test -run xxx -bench 'BenchmarkTrain|BenchmarkKernelEval|BenchmarkColumnFill' -benchmem -timeout 60m ./internal/svm/
 
 # The online-mining benchmarks behind BENCH_PR10.json (PR 7 baseline in
 # BENCH_PR7.json): warm delta refits at the l=10k campaign size, in memory

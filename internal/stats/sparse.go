@@ -31,15 +31,6 @@ func (s Sparse) Dense() []float64 {
 	return v
 }
 
-// SqNorm returns ‖s‖², the squared Euclidean norm.
-func (s Sparse) SqNorm() float64 {
-	var n float64
-	for _, v := range s.Val {
-		n += v * v
-	}
-	return n
-}
-
 // DenseToSparse converts v, keeping only nonzero entries.
 func DenseToSparse(v []float64) Sparse {
 	s := Sparse{Dim: len(v)}
@@ -203,19 +194,4 @@ func SparseSqDist(a, b Sparse) float64 {
 		s += b.Val[j] * b.Val[j]
 	}
 	return s
-}
-
-// SqDistViaNorms returns ‖a−b‖² as na2 + nb2 − 2⟨a,b⟩ given the
-// precomputed squared norms na2 = ‖a‖² and nb2 = ‖b‖². With norms cached
-// once per vector this needs only a sparse dot per pair, the cheapest way
-// to fill a full Gram matrix. Unlike SparseSqDist it is subject to
-// cancellation, so results agree with SqDist only to floating-point
-// accuracy (and are clamped at zero), not bit-for-bit — use SparseSqDist
-// where exact reproducibility across representations matters.
-func SqDistViaNorms(a, b Sparse, na2, nb2 float64) float64 {
-	d := na2 + nb2 - 2*SparseDot(a, b)
-	if d < 0 {
-		return 0
-	}
-	return d
 }

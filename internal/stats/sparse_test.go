@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -74,20 +73,6 @@ func TestSparseSqDistDisjointTails(t *testing.T) {
 	}
 	if got := SparseDot(a, b); got != 0 {
 		t.Fatalf("SparseDot of disjoint supports = %g, want 0", got)
-	}
-}
-
-func TestSqDistViaNorms(t *testing.T) {
-	a := sparseFromPairs(16, map[int]float64{1: 0.5, 4: 2, 9: 1})
-	b := sparseFromPairs(16, map[int]float64{1: 0.25, 7: 3})
-	got := SqDistViaNorms(a, b, a.SqNorm(), b.SqNorm())
-	want := SqDist(a.Dense(), b.Dense())
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("SqDistViaNorms = %g, want %g", got, want)
-	}
-	// Identical vectors: cancellation must clamp at 0, never go negative.
-	if got := SqDistViaNorms(a, a, a.SqNorm(), a.SqNorm()); got < 0 {
-		t.Fatalf("SqDistViaNorms(a,a) = %g, want >= 0", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"sentomist/internal/randx"
 	"sentomist/internal/stats"
+	"sentomist/internal/synth"
 )
 
 // benchCluster builds an l-sample training set in the two regimes the miner
@@ -108,3 +109,30 @@ var (
 	sinkFloat float64
 	sinkSlice []float64
 )
+
+// BenchmarkColumnFill measures one kernel column fill, the cached path's
+// miss cost, over the online benchmark's campaign counters (BlockJitter:
+// thousands of distinct counters over a dozen index lists), on one worker
+// and on two. Each op fills the column of the next distinct counter.
+func BenchmarkColumnFill(b *testing.B) {
+	l, dim := 10000, 2048
+	if testing.Short() {
+		l, dim = 1500, 512
+	}
+	samples := synth.LargeCampaign(synth.LargeCampaignConfig{
+		Seed: 11, Samples: l, Dim: dim, BlockJitter: true, AnomalyRate: -1,
+	})
+	kernel := RBF{Gamma: 1 / float64(dim)}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
+			src := newSparseColSource(samples, kernel, workers)
+			dst := make([]float64, l)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.fill(i%src.distinct(), dst)
+			}
+			b.ReportMetric(float64(src.distinct()), "distinct")
+			b.ReportMetric(float64(len(src.members)), "shapes")
+		})
+	}
+}

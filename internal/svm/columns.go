@@ -3,6 +3,7 @@ package svm
 import (
 	"encoding/binary"
 	"math"
+	"sort"
 	"sync"
 
 	"sentomist/internal/stats"
@@ -59,7 +60,7 @@ func (s *denseColSource) remapped(j int) int { return j }
 
 func (s *denseColSource) fill(j int, dst []float64) {
 	sj := s.samples[j]
-	parallelRanges(len(dst), s.workers, func(lo, hi int) {
+	parallelRanges(len(dst), len(dst)*len(sj), s.workers, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			// buildGram stores Q[a][b] (a >= b) as Eval(samples[a],
 			// samples[b]); keep that argument order per cell.
@@ -82,6 +83,12 @@ func (s *denseColSource) fill(j int, dst []float64) {
 // lets an online refit keep kernel columns cached across solves (see
 // Incremental) — old samples keep their keys, new samples join existing
 // groups or open new ones.
+//
+// Groups are further sorted into shapes: a shape is one distinct index
+// list. Intervals of one event procedure run a few code paths, so
+// thousands of distinct counters share a handful of shapes, and a column
+// fill merges index lists once per (column shape, member shape) pair
+// instead of once per cell (see evalFrom).
 type sparseColSource struct {
 	samples []stats.Sparse
 	kernel  SparseKernel
@@ -92,43 +99,66 @@ type sparseColSource struct {
 	keyBuf  []byte
 	workers int
 
-	// Fast mode (enableFastEval): evaluate new cells through the kernel's
-	// norms identity — a sparse dot over shared indices per pair instead of
-	// a merge over the union — using one cached squared norm per group
-	// representative. Values then agree with EvalSparse to floating-point
-	// accuracy rather than bit-for-bit, so only callers operating under an
-	// ε-equivalence discipline (Incremental's carried warm refits) turn it
-	// on; every cold solve keeps the exact merge.
-	normKernel NormSparseKernel
-	norms      []float64 // group -> ‖rep‖², maintained while fast is set
-	fast       bool
+	shapeOf map[string]int // index-list key -> shape
+	members [][]int        // shape -> its groups, ascending
+
+	// Planned evaluation (built-in kernels, see mergeEval): a column cell
+	// is of(squared distance) when sqDist is set, of(dot) otherwise. of is
+	// nil for any other kernel, whose cells stay per-cell EvalSparse.
+	sqDist bool
+	of     func(float64) float64
+
+	// Per-fill scratch, reused so a steady-state miss allocates nothing.
+	plans  []stats.MergePlan // shape -> plan of (column's shape, shape)
+	tasks  []fillTask
+	split  []fillTask
+	bounds []int // worker w runs tasks[bounds[w]:bounds[w+1]]
+	wg     sync.WaitGroup
+}
+
+// fillTask is a run of one shape's groups, members[shape][lo:hi], to be
+// evaluated against a column; per is the estimated cost of one group in
+// merge steps.
+type fillTask struct {
+	shape, lo, hi, per int
+	planned            bool
+}
+
+// cellSteps is the fixed cost of one cell beyond its merge — the kernel's
+// exp or pow and the store — counted in merge steps.
+const cellSteps = 16
+
+// minParallelWork is the smallest column fill, in merge steps (one per
+// index or dimension visited), that justifies fanning out across
+// goroutines; below it the spawn overhead dominates.
+const minParallelWork = 1 << 15
+
+// mergeEval says how a built-in kernel evaluates through a merge plan:
+// over the squared distance (RBF) or the dot (Linear, Poly), mapped to the
+// kernel value by the very function EvalSparse applies, so a planned cell
+// equals EvalSparse bit for bit. of is nil for any other kernel.
+func mergeEval(k SparseKernel) (sqDist bool, of func(float64) float64) {
+	switch k := k.(type) {
+	case RBF:
+		return true, k.ofSqDist
+	case Linear:
+		return false, func(d float64) float64 { return d }
+	case Poly:
+		return false, k.ofDot
+	}
+	return false, nil
 }
 
 func newSparseColSource(samples []stats.Sparse, kernel SparseKernel, workers int) *sparseColSource {
 	s := &sparseColSource{
 		kernel:  kernel,
 		seen:    make(map[string]int, len(samples)),
+		shapeOf: make(map[string]int),
 		workers: workers,
 	}
-	s.normKernel, _ = kernel.(NormSparseKernel)
+	s.sqDist, s.of = mergeEval(kernel)
 	s.extendTo(samples)
 	return s
-}
-
-// enableFastEval switches all subsequent cell evaluations to the norms
-// identity, when the kernel supports it. Already-filled cells are untouched.
-func (s *sparseColSource) enableFastEval() {
-	if s.normKernel == nil {
-		return
-	}
-	s.fast = true
-	s.ensureNorms()
-}
-
-func (s *sparseColSource) ensureNorms() {
-	for g := len(s.norms); g < len(s.reps); g++ {
-		s.norms = append(s.norms, s.samples[s.reps[g]].SqNorm())
-	}
 }
 
 // extendTo rebinds the source to the full current batch, deduplicating only
@@ -160,6 +190,7 @@ func (s *sparseColSource) extendTo(all []stats.Sparse) (oldLen, oldReps int) {
 		s.seen[string(key)] = gi
 		s.group = append(s.group, gi)
 		s.reps = append(s.reps, i)
+		s.addToShape(gi, sm.Idx)
 	}
 	if cap(s.vals) < len(s.reps) {
 		vals := make([]float64, len(s.reps))
@@ -167,10 +198,25 @@ func (s *sparseColSource) extendTo(all []stats.Sparse) (oldLen, oldReps int) {
 	} else {
 		s.vals = s.vals[:len(s.reps)]
 	}
-	if s.fast {
-		s.ensureNorms()
-	}
 	return oldLen, oldReps
+}
+
+// addToShape files new group gi under the shape of its index list idx,
+// opening a shape for a list not seen before.
+func (s *sparseColSource) addToShape(gi int, idx []int32) {
+	key := s.keyBuf[:0]
+	for _, x := range idx {
+		key = binary.LittleEndian.AppendUint32(key, uint32(x))
+	}
+	s.keyBuf = key[:0]
+	sh, ok := s.shapeOf[string(key)]
+	if !ok {
+		sh = len(s.members)
+		s.shapeOf[string(key)] = sh
+		s.members = append(s.members, nil)
+		s.plans = append(s.plans, stats.MergePlan{})
+	}
+	s.members[sh] = append(s.members[sh], gi)
 }
 
 // release drops the sample references so a caller can let a replayed batch
@@ -183,15 +229,9 @@ func (s *sparseColSource) distinct() int      { return len(s.reps) }
 func (s *sparseColSource) remapped(j int) int { return s.group[j] }
 
 // evalCell computes the kernel value between group b's representative and
-// rg (group g's representative), honoring fast mode and buildGram's
+// rg (group g's representative) with one merge, honoring buildGram's
 // argument orientation (larger group index first).
 func (s *sparseColSource) evalCell(b, g int, rg stats.Sparse) float64 {
-	if s.fast {
-		if b >= g {
-			return s.normKernel.EvalSparseNorms(s.samples[s.reps[b]], rg, s.norms[b], s.norms[g])
-		}
-		return s.normKernel.EvalSparseNorms(rg, s.samples[s.reps[b]], s.norms[g], s.norms[b])
-	}
 	if b >= g {
 		return s.kernel.EvalSparse(s.samples[s.reps[b]], rg)
 	}
@@ -199,14 +239,7 @@ func (s *sparseColSource) evalCell(b, g int, rg stats.Sparse) float64 {
 }
 
 func (s *sparseColSource) fill(g int, dst []float64) {
-	rg := s.samples[s.reps[g]]
-	parallelRanges(len(s.reps), s.workers, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			// gramSparse's representative block stores g[x][y] (x >= y) as
-			// EvalSparse(samples[reps[x]], samples[reps[y]]).
-			s.vals[b] = s.evalCell(b, g, rg)
-		}
-	})
+	s.evalFrom(g, 0)
 	for k := range dst {
 		dst[k] = s.vals[s.group[k]]
 	}
@@ -221,14 +254,7 @@ func (s *sparseColSource) fill(g int, dst []float64) {
 // pairs cost kernel evaluations. The extended column is bit-identical to
 // what a from-scratch fill would produce.
 func (s *sparseColSource) fillTail(g int, dst []float64, from, oldReps int) {
-	rg := s.samples[s.reps[g]]
-	newReps := len(s.reps) - oldReps
-	parallelRanges(newReps, s.workers, func(lo, hi int) {
-		for b := oldReps + lo; b < oldReps+hi; b++ {
-			// Same orientation rule as fill: larger group index first.
-			s.vals[b] = s.evalCell(b, g, rg)
-		}
-	})
+	s.evalFrom(g, oldReps)
 	for k := from; k < len(dst); k++ {
 		if gi := s.group[k]; gi < oldReps {
 			dst[k] = dst[s.reps[gi]]
@@ -238,15 +264,134 @@ func (s *sparseColSource) fillTail(g int, dst []float64, from, oldReps int) {
 	}
 }
 
-// minParallelFill is the smallest per-column work that justifies fanning a
-// fill across goroutines; below it the spawn overhead dominates.
-const minParallelFill = 4096
+// evalFrom sets vals[b] to the kernel value of group b against column g
+// for every group b >= from. For a built-in kernel each member shape is
+// merged with the column's shape once, into a plan, and the plan is walked
+// for four members at a time; every cell still takes exactly the additions
+// of its own merge, so it equals evalCell bit for bit (the merges are
+// symmetric bit for bit, so the plan needs no orientation rule). A shape
+// with fewer than four pending members, the members left over from the
+// fours, and every cell of a kernel outside RBF/Linear/Poly are evaluated
+// per cell, by one merge each: a plan costs about one merge to build, so
+// it pays only when walked for four members at once. The work is shared
+// across the worker pool by estimated cost; each cell is written by
+// exactly one worker, so the result is independent of scheduling.
+func (s *sparseColSource) evalFrom(g, from int) {
+	s.planFill(s.samples[s.reps[g]].Idx, from)
+	parts := len(s.bounds) - 1
+	if parts > 1 {
+		s.wg.Add(parts - 1)
+		for w := 1; w < parts; w++ {
+			go s.runShare(g, w)
+		}
+		s.runTasks(g, 0)
+		s.wg.Wait()
+		return
+	}
+	s.runTasks(g, 0)
+}
+
+// planFill builds the merge plans of a fill against a column with index
+// list ci and cuts its pending groups into tasks, one run of tasks per
+// worker, of near-equal estimated cost.
+func (s *sparseColSource) planFill(ci []int32, from int) {
+	s.tasks = s.tasks[:0]
+	total := 0
+	for sh, mem := range s.members {
+		lo := sort.SearchInts(mem, from)
+		if lo == len(mem) {
+			continue
+		}
+		im := s.samples[s.reps[mem[0]]].Idx
+		t := fillTask{shape: sh, lo: lo, hi: len(mem), per: len(ci) + len(im) + cellSteps}
+		if s.of != nil && len(mem)-lo >= 4 {
+			p := &s.plans[sh]
+			p.Reset(ci, im)
+			t.planned = true
+			if t.per = p.Union(); !s.sqDist {
+				t.per = p.Shared()
+			}
+			t.per += cellSteps
+		}
+		s.tasks = append(s.tasks, t)
+		total += (t.hi - t.lo) * t.per
+	}
+	s.bounds = append(s.bounds[:0], 0, len(s.tasks))
+	parts := s.workers
+	if parts <= 1 || total < minParallelWork {
+		return
+	}
+	share := (total + parts - 1) / parts
+	room := share
+	out := s.split[:0]
+	s.bounds = s.bounds[:1]
+	for _, t := range s.tasks {
+		for t.lo < t.hi {
+			n := t.hi - t.lo
+			if len(s.bounds) < parts && n*t.per > room {
+				// Fill the room with whole four-member blocks.
+				n = min(n, max(4, ((room+t.per-1)/t.per+3)&^3))
+			}
+			cut := t
+			cut.hi = t.lo + n
+			out = append(out, cut)
+			t.lo += n
+			if room -= n * t.per; room <= 0 && len(s.bounds) < parts {
+				s.bounds = append(s.bounds, len(out))
+				room += share
+			}
+		}
+	}
+	if s.bounds[len(s.bounds)-1] != len(out) {
+		s.bounds = append(s.bounds, len(out))
+	}
+	s.tasks, s.split = out, s.tasks
+}
+
+func (s *sparseColSource) runShare(g, w int) {
+	defer s.wg.Done()
+	s.runTasks(g, w)
+}
+
+// runTasks evaluates worker w's tasks of the current fill against column g.
+func (s *sparseColSource) runTasks(g, w int) {
+	rg := s.samples[s.reps[g]]
+	var vs [4][]float64
+	var out [4]float64
+	for _, t := range s.tasks[s.bounds[w]:s.bounds[w+1]] {
+		mem := s.members[t.shape][t.lo:t.hi]
+		if !t.planned {
+			for _, b := range mem {
+				s.vals[b] = s.evalCell(b, g, rg)
+			}
+			continue
+		}
+		p := &s.plans[t.shape]
+		for ; len(mem) >= 4; mem = mem[4:] {
+			for k := range vs {
+				vs[k] = s.samples[s.reps[mem[k]]].Val
+			}
+			if s.sqDist {
+				p.SqDist4(rg.Val, &vs, &out)
+			} else {
+				p.Dot4(rg.Val, &vs, &out)
+			}
+			for k, b := range mem[:4] {
+				s.vals[b] = s.of(out[k])
+			}
+		}
+		for _, b := range mem {
+			s.vals[b] = s.evalCell(b, g, rg)
+		}
+	}
+}
 
 // parallelRanges splits [0,n) into contiguous chunks across the bounded
-// worker pool. Cells are written to disjoint destinations, so the result
-// is independent of scheduling.
-func parallelRanges(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n < minParallelFill {
+// worker pool when the total work, in merge steps, is worth the spawn.
+// Cells are written to disjoint destinations, so the result is
+// independent of scheduling.
+func parallelRanges(n, work, workers int, fn func(lo, hi int)) {
+	if workers <= 1 || work < minParallelWork {
 		fn(0, n)
 		return
 	}

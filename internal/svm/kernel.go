@@ -32,20 +32,6 @@ type SparseKernel interface {
 	EvalSparse(a, b stats.Sparse) float64
 }
 
-// NormSparseKernel is a SparseKernel that can evaluate from precomputed
-// squared norms: with ‖a‖² and ‖b‖² cached once per vector, a distance
-// kernel needs only a sparse dot over the SHARED indices per pair instead
-// of a merge over the union. For dot-product kernels (Linear, Poly) the
-// result is bit-identical to EvalSparse; for distance kernels (RBF) it
-// agrees only to floating-point accuracy (‖a‖²+‖b‖²−2⟨a,b⟩ is subject to
-// cancellation — see stats.SqDistViaNorms), so callers may use it only
-// where ε-equivalence suffices, never on a path with a bit-exactness
-// contract.
-type NormSparseKernel interface {
-	SparseKernel
-	EvalSparseNorms(a, b stats.Sparse, na2, nb2 float64) float64
-}
-
 // RBF is the Gaussian kernel exp(-gamma ‖a-b‖²) — the paper's choice, since
 // the boundary between normal and abnormal instruction counters is
 // "nonlinear in nature" (Section V-C2).
@@ -54,21 +40,15 @@ type RBF struct {
 }
 
 // Eval implements Kernel.
-func (k RBF) Eval(a, b []float64) float64 {
-	return math.Exp(-k.Gamma * stats.SqDist(a, b))
-}
+func (k RBF) Eval(a, b []float64) float64 { return k.ofSqDist(stats.SqDist(a, b)) }
 
 // EvalSparse implements SparseKernel.
-func (k RBF) EvalSparse(a, b stats.Sparse) float64 {
-	return math.Exp(-k.Gamma * stats.SparseSqDist(a, b))
-}
+func (k RBF) EvalSparse(a, b stats.Sparse) float64 { return k.ofSqDist(stats.SparseSqDist(a, b)) }
 
-// EvalSparseNorms implements NormSparseKernel: the distance comes from the
-// norms identity, so the value matches EvalSparse to floating-point
-// accuracy, not bit-for-bit.
-func (k RBF) EvalSparseNorms(a, b stats.Sparse, na2, nb2 float64) float64 {
-	return math.Exp(-k.Gamma * stats.SqDistViaNorms(a, b, na2, nb2))
-}
+// ofSqDist maps a squared distance to the kernel value. Every evaluation
+// path (dense, sparse, planned column fills) goes through it, so equal
+// distances give equal kernel values bit for bit.
+func (k RBF) ofSqDist(d float64) float64 { return math.Exp(-k.Gamma * d) }
 
 func (k RBF) String() string { return fmt.Sprintf("rbf(gamma=%g)", k.Gamma) }
 
@@ -81,12 +61,6 @@ func (Linear) Eval(a, b []float64) float64 { return stats.Dot(a, b) }
 // EvalSparse implements SparseKernel.
 func (Linear) EvalSparse(a, b stats.Sparse) float64 { return stats.SparseDot(a, b) }
 
-// EvalSparseNorms implements NormSparseKernel; a dot-product kernel ignores
-// the norms, so it is bit-identical to EvalSparse.
-func (k Linear) EvalSparseNorms(a, b stats.Sparse, _, _ float64) float64 {
-	return k.EvalSparse(a, b)
-}
-
 func (Linear) String() string { return "linear" }
 
 // Poly is the polynomial kernel (gamma·aᵀb + coef0)^degree.
@@ -97,19 +71,15 @@ type Poly struct {
 }
 
 // Eval implements Kernel.
-func (k Poly) Eval(a, b []float64) float64 {
-	return math.Pow(k.Gamma*stats.Dot(a, b)+k.Coef0, float64(k.Degree))
-}
+func (k Poly) Eval(a, b []float64) float64 { return k.ofDot(stats.Dot(a, b)) }
 
 // EvalSparse implements SparseKernel.
-func (k Poly) EvalSparse(a, b stats.Sparse) float64 {
-	return math.Pow(k.Gamma*stats.SparseDot(a, b)+k.Coef0, float64(k.Degree))
-}
+func (k Poly) EvalSparse(a, b stats.Sparse) float64 { return k.ofDot(stats.SparseDot(a, b)) }
 
-// EvalSparseNorms implements NormSparseKernel; a dot-product kernel ignores
-// the norms, so it is bit-identical to EvalSparse.
-func (k Poly) EvalSparseNorms(a, b stats.Sparse, _, _ float64) float64 {
-	return k.EvalSparse(a, b)
+// ofDot maps an inner product to the kernel value, shared by every
+// evaluation path like RBF.ofSqDist.
+func (k Poly) ofDot(d float64) float64 {
+	return math.Pow(k.Gamma*d+k.Coef0, float64(k.Degree))
 }
 
 func (k Poly) String() string {

@@ -18,15 +18,9 @@ import (
 //     refits — a cached column is extended in place, lazily, the first time
 //     the new solve touches it, so only (new sample group × touched column)
 //     kernel evaluations are paid;
-//   - once state carries over, those evaluations take the norms shortcut:
-//     ‖a−b‖² = ‖a‖² + ‖b‖² − 2⟨a,b⟩ with one squared norm cached per
-//     distinct sample, so each cell costs a sparse dot over the SHARED
-//     indices instead of a merge over the union (stats.SqDistViaNorms).
-//     Shortcut cells agree with exact evaluation to floating-point
-//     accuracy, not bit-for-bit — within the ε discipline below — and
-//     every cold solve (first fit, rebuilds, a caller's from-scratch
-//     finalization) keeps the exact merge, so bit-exactness contracts on
-//     cold paths are untouched.
+//   - those evaluations are exact: a warm refit computes every kernel cell
+//     a cold solve would, bit for bit, through the same shape-planned
+//     column fills (see sparseColSource.evalFrom).
 //
 // The reuse is sound only while the already-seen prefix of the batch stays
 // bitwise identical between refits; the caller signals that with
@@ -110,10 +104,6 @@ func (inc *Incremental) Refit(samples []stats.Sparse, prefixValid bool) (*Model,
 		inc.cache.grow(inc.cfg.cacheBytes())
 		// Per-refit hit/miss diagnostics are more useful than cumulative.
 		inc.cache.hits, inc.cache.misses = 0, 0
-		// A carried refit is warm-started and ε-equivalent by the
-		// discipline above, so new kernel cells may take the norms
-		// shortcut; every cold solve keeps the exact merge evaluation.
-		inc.src.enableFastEval()
 	}
 	inc.prevLen, inc.prevDim = l, dim
 

@@ -340,63 +340,3 @@ func TestIncrementalValidation(t *testing.T) {
 		t.Fatal("ragged dims accepted")
 	}
 }
-
-// TestFastEvalCellsWithinTolerance: fast mode evaluates new cells through
-// the norms identity, which must agree with the exact merge to floating-
-// point accuracy — and must be bit-identical for dot-product kernels,
-// where the identity degenerates to the same sparse dot.
-func TestFastEvalCellsWithinTolerance(t *testing.T) {
-	rng := randx.New(47)
-	samples := sparseCluster(rng, 80, 32)
-	for _, kernel := range []SparseKernel{RBF{Gamma: 1.0 / 32}, Linear{}} {
-		exact := newSparseColSource(samples, kernel, 1)
-		fast := newSparseColSource(samples, kernel, 1)
-		fast.enableFastEval()
-		if !fast.fast {
-			t.Fatalf("%s: fast mode did not engage", kernel)
-		}
-		a, b := make([]float64, len(samples)), make([]float64, len(samples))
-		for g := 0; g < exact.distinct(); g++ {
-			exact.fill(g, a)
-			fast.fill(g, b)
-			for k := range a {
-				if _, isRBF := kernel.(RBF); !isRBF {
-					if a[k] != b[k] {
-						t.Fatalf("%s column %d cell %d: %v (exact) vs %v (fast), want bit-identical", kernel, g, k, a[k], b[k])
-					}
-					continue
-				}
-				if diff := math.Abs(a[k] - b[k]); diff > 1e-12 {
-					t.Fatalf("%s column %d cell %d: %v (exact) vs %v (fast), diff %v", kernel, g, k, a[k], b[k], diff)
-				}
-			}
-		}
-	}
-}
-
-// TestFastEvalNormsTrackGrowth: norms must cover every group after the
-// source grows, whether fast mode was enabled before or after the growth.
-func TestFastEvalNormsTrackGrowth(t *testing.T) {
-	rng := randx.New(48)
-	full := sparseCluster(rng, 60, 24)
-	kernel := RBF{Gamma: 1.0 / 24}
-
-	before := newSparseColSource(full[:30], kernel, 1)
-	before.enableFastEval()
-	before.extendTo(full)
-	if len(before.norms) != before.distinct() {
-		t.Fatalf("enabled-then-grown: %d norms for %d groups", len(before.norms), before.distinct())
-	}
-
-	after := newSparseColSource(full[:30], kernel, 1)
-	after.extendTo(full)
-	after.enableFastEval()
-	if len(after.norms) != after.distinct() {
-		t.Fatalf("grown-then-enabled: %d norms for %d groups", len(after.norms), after.distinct())
-	}
-	for g := range before.norms {
-		if before.norms[g] != after.norms[g] {
-			t.Fatalf("group %d: norm %v vs %v", g, before.norms[g], after.norms[g])
-		}
-	}
-}
