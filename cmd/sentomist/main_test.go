@@ -56,6 +56,29 @@ func TestRankTraceAndBundleAgree(t *testing.T) {
 	}
 }
 
+// TestRankOnlinePrintsDistinct: an online rank prints each refit's
+// interval count with the distinct counters the solver iterated over, and
+// the output is identical at miner parallelism 1 and 2.
+func TestRankOnlinePrintsDistinct(t *testing.T) {
+	tracePath, _ := recordCaseII(t)
+	var outs []string
+	for _, par := range []string{"1", "2"} {
+		code, out, stderr := runCLI("rank", "-irq", "4", "-nodes", "1", "-online-refit", "1", "-parallelism", par, tracePath)
+		if code != 0 {
+			t.Fatalf("online rank -parallelism %s: exit %d: %s", par, code, stderr)
+		}
+		outs = append(outs, out)
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("online rank differs between parallelism 1 and 2:\n%s\nvs\n%s", outs[0], outs[1])
+	}
+	// Case II's 254 intervals of the packet-receive event run 10 distinct
+	// code paths.
+	if !regexp.MustCompile(`(?m)^refit 1 irq 4 .*, 254 intervals \(10 distinct\), `).MatchString(outs[0]) {
+		t.Fatalf("no refit line reporting 254 intervals (10 distinct):\n%s", outs[0])
+	}
+}
+
 func TestRankInspect(t *testing.T) {
 	tracePath, bundlePath := recordCaseII(t)
 	code, stdout, stderr := runCLI("rank", "-irq", "4", "-nodes", "1", "-inspect", "1", bundlePath)

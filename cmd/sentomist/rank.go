@@ -180,8 +180,8 @@ func printOnlineRanking(w io.Writer, r *sentomist.OnlineRanking) {
 	if r.Delta {
 		replay = "delta"
 	}
-	fmt.Fprintf(w, "refit %d irq %d (%s, %s replay): %d batches, %d intervals, %d iters; decoded %d blocks (%d samples), skipped %d; spill %d blocks",
-		r.Refit, r.IRQ, mode, replay, r.Batches, r.Total, r.Iters,
+	fmt.Fprintf(w, "refit %d irq %d (%s, %s replay): %d batches, %d intervals (%d distinct), %d iters; decoded %d blocks (%d samples), skipped %d; spill %d blocks",
+		r.Refit, r.IRQ, mode, replay, r.Batches, r.Total, r.Groups, r.Iters,
 		r.BlocksDecoded, r.SamplesReplayed, r.BlocksSkipped, r.SpilledBlocks)
 	if r.SpilledBytes > 0 {
 		fmt.Fprintf(w, " / %d bytes", r.SpilledBytes)

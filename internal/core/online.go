@@ -77,9 +77,12 @@ type OnlineRanking struct {
 	// Warm reports whether the refit started from the previous optimum;
 	// Rebuilt whether the kernel cache had to be discarded because the
 	// effective feature scale moved. Iters/CacheHits/CacheMisses are the
-	// refit's solver diagnostics.
+	// refit's solver diagnostics; Groups is how many distinct counters the
+	// solver iterated over (at most Total), a deterministic counter like
+	// Iters.
 	Warm, Rebuilt bool
 	Iters         int
+	Groups        int
 	CacheHits     int64
 	CacheMisses   int64
 	// Delta reports whether this refit replayed only the blocks appended
@@ -832,6 +835,7 @@ func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
 		Warm:        warm,
 		Rebuilt:     st.inc.Rebuilds > rebuildsBefore,
 		Iters:       model.Iters,
+		Groups:      model.Groups,
 		CacheHits:   model.CacheHits,
 		CacheMisses: model.CacheMisses,
 	}, nil

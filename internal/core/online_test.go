@@ -164,6 +164,47 @@ func TestOnlineMinerIntermediateRankings(t *testing.T) {
 	}
 }
 
+// TestOnlineRankingGroupsDeterministic: every refit reports how many
+// distinct counters its solver iterated over; the count is deterministic —
+// equal at miner parallelism 1 and 2, like Iters — and collapses the
+// synthetic runs' repeated intervals.
+func TestOnlineRankingGroupsDeterministic(t *testing.T) {
+	var runs [2][]*OnlineRanking
+	for w, par := range []int{1, 2} {
+		m, err := NewOnlineMiner(OnlineConfig{
+			Config:     Config{IRQ: 1, Parallelism: par},
+			RefitEvery: 1,
+			TopK:       3,
+			OnRanking:  func(r *OnlineRanking) { runs[w] = append(runs[w], r) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range onlineBatches(t) {
+			if err := m.Add(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(runs[0]) == 0 || len(runs[0]) != len(runs[1]) {
+		t.Fatalf("%d and %d refits at parallelism 1 and 2", len(runs[0]), len(runs[1]))
+	}
+	collapsed := false
+	for i, r := range runs[0] {
+		if r.Groups <= 0 || r.Groups > r.Total {
+			t.Fatalf("refit %d: %d groups for %d intervals", r.Refit, r.Groups, r.Total)
+		}
+		if o := runs[1][i]; o.Groups != r.Groups || o.Iters != r.Iters {
+			t.Fatalf("refit %d: (groups %d, iters %d) at parallelism 2, (%d, %d) at 1",
+				r.Refit, o.Groups, o.Iters, r.Groups, r.Iters)
+		}
+		collapsed = collapsed || r.Groups < r.Total
+	}
+	if !collapsed {
+		t.Fatal("no refit collapsed repeated counters; the corpus does not exercise groups")
+	}
+}
+
 // TestOnlineMinerColdRefitsMatchWarm: a cold refit is exactly one-shot
 // MineBatches over the batches ingested so far, so every warm intermediate
 // top-K must match MineBatches over the same batch prefix to the solver

@@ -9,7 +9,8 @@ import (
 	"sentomist/internal/stats"
 )
 
-// The SMO solver reads the Gram matrix exclusively through full columns:
+// The SMO solver reads the Gram matrix exclusively through full columns
+// over the problem's groups of bit-identical samples (see solve):
 // gradient initialization walks the columns carrying initial mass, each
 // update step needs the two working-set columns, and Gram-reuse scoring
 // walks the support-vector columns. gramProvider is that access path. The
@@ -18,11 +19,13 @@ import (
 // demand. Both hand the solver the very same float64 cell values, so the
 // trained model is bit-identical regardless of provider or cache size.
 type gramProvider interface {
-	// col returns column j of Q, length l: col(j)[k] == Q[k][j]. The
-	// returned slice is read-only and guaranteed valid until the second
-	// following col call (the cache never evicts its two most recently
-	// returned columns), which is exactly the pinning the solver needs.
-	col(j int) []float64
+	// col returns column g of the G×G group matrix Q, length G (the
+	// number of groups): col(g)[h] == Q[h][g], the kernel value between
+	// the representatives of groups h and g. The returned slice is
+	// read-only and guaranteed valid until the second following col call
+	// (the cache never evicts its two most recently returned columns),
+	// which is exactly the pinning the solver needs.
+	col(g int) []float64
 }
 
 // denseMatrix adapts a fully materialized symmetric Gram matrix: the
@@ -32,31 +35,26 @@ type denseMatrix [][]float64
 func (q denseMatrix) col(j int) []float64 { return q[j] }
 
 // columnSource computes kernel columns from scratch — the miss path
-// behind colCache. Implementations must write Q[k][j] into dst[k] with the
-// same evaluation-argument orientation buildGram uses (larger sample index
+// behind colCache. Implementations must write Q[h][g] into dst[h] with the
+// same evaluation-argument orientation buildGram uses (larger group index
 // first), so a cached cell is the identical float64 the dense build
 // produces.
 type columnSource interface {
-	length() int
-	// distinct returns how many distinct columns exist (< length when
-	// identical samples collapse to a shared representative).
+	// distinct returns the number of groups G: the length of every column.
 	distinct() int
-	// remapped translates a sample index to its column key.
-	remapped(j int) int
-	// fill writes column key j into dst (length length()).
-	fill(j int, dst []float64)
+	// fill writes column g into dst (length distinct()).
+	fill(g int, dst []float64)
 }
 
-// denseColSource evaluates columns over dense samples.
+// denseColSource evaluates columns over dense samples, each sample its
+// own group.
 type denseColSource struct {
 	samples [][]float64
 	kernel  Kernel
 	workers int
 }
 
-func (s *denseColSource) length() int        { return len(s.samples) }
-func (s *denseColSource) distinct() int      { return len(s.samples) }
-func (s *denseColSource) remapped(j int) int { return j }
+func (s *denseColSource) distinct() int { return len(s.samples) }
 
 func (s *denseColSource) fill(j int, dst []float64) {
 	sj := s.samples[j]
@@ -73,10 +71,9 @@ func (s *denseColSource) fill(j int, dst []float64) {
 	})
 }
 
-// sparseColSource evaluates columns over sparse samples with the same
-// duplicate collapsing gramSparse applies: one kernel evaluation per
-// distinct-vector group, broadcast across the group's samples. Columns are
-// keyed by group, so identical samples share a single cached column.
+// sparseColSource evaluates columns over the distinct vectors of a sparse
+// batch: samples with bit-identical contents form one group, numbered by
+// first occurrence, and a column holds one kernel value per group.
 //
 // The source is growable: extendTo appends newly arrived samples to the
 // dedup state without disturbing existing group assignments, which is what
@@ -95,7 +92,6 @@ type sparseColSource struct {
 	reps    []int          // sample index of each group representative
 	group   []int          // sample index -> group
 	seen    map[string]int // dedup key -> group (persistent across extendTo)
-	vals    []float64
 	keyBuf  []byte
 	workers int
 
@@ -109,6 +105,7 @@ type sparseColSource struct {
 	of     func(float64) float64
 
 	// Per-fill scratch, reused so a steady-state miss allocates nothing.
+	dst    []float64         // the column being filled
 	plans  []stats.MergePlan // shape -> plan of (column's shape, shape)
 	tasks  []fillTask
 	split  []fillTask
@@ -165,14 +162,15 @@ func newSparseColSource(samples []stats.Sparse, kernel SparseKernel, workers int
 // the tail beyond what was already absorbed. The prefix of all must be
 // bitwise identical to the previous batch (same vector contents; the
 // backing slices may differ), so existing reps/group entries — and any
-// kernel values derived from them — remain exact. It returns the previous
-// sample and group counts, which callers use to extend cached columns.
+// kernel values derived from them — remain exact; new groups are numbered
+// after the old ones, so a cached column only misses its tail.
 //
-// The dedup loop is element-for-element the same key construction
-// dedupSparse performs, so a source built in one shot and one grown
-// batch-by-batch assign identical groups.
-func (s *sparseColSource) extendTo(all []stats.Sparse) (oldLen, oldReps int) {
-	oldLen, oldReps = len(s.group), len(s.reps)
+// Keys are the raw index/value bytes, so only bit-identical vectors share
+// a group — a missed match (e.g. ±0) merely costs an extra group, never
+// correctness. A source built in one shot and one grown batch by batch
+// assign identical groups.
+func (s *sparseColSource) extendTo(all []stats.Sparse) {
+	oldLen := len(s.group)
 	s.samples = all
 	for i := oldLen; i < len(all); i++ {
 		key := s.keyBuf[:0]
@@ -192,13 +190,6 @@ func (s *sparseColSource) extendTo(all []stats.Sparse) (oldLen, oldReps int) {
 		s.reps = append(s.reps, i)
 		s.addToShape(gi, sm.Idx)
 	}
-	if cap(s.vals) < len(s.reps) {
-		vals := make([]float64, len(s.reps))
-		s.vals = vals
-	} else {
-		s.vals = s.vals[:len(s.reps)]
-	}
-	return oldLen, oldReps
 }
 
 // addToShape files new group gi under the shape of its index list idx,
@@ -224,9 +215,7 @@ func (s *sparseColSource) addToShape(gi int, idx []int32) {
 // content. Dedup state, group assignments, and cached columns stay valid.
 func (s *sparseColSource) release() { s.samples = nil }
 
-func (s *sparseColSource) length() int        { return len(s.samples) }
-func (s *sparseColSource) distinct() int      { return len(s.reps) }
-func (s *sparseColSource) remapped(j int) int { return s.group[j] }
+func (s *sparseColSource) distinct() int { return len(s.reps) }
 
 // evalCell computes the kernel value between group b's representative and
 // rg (group g's representative) with one merge, honoring buildGram's
@@ -238,34 +227,12 @@ func (s *sparseColSource) evalCell(b, g int, rg stats.Sparse) float64 {
 	return s.kernel.EvalSparse(rg, s.samples[s.reps[b]])
 }
 
-func (s *sparseColSource) fill(g int, dst []float64) {
-	s.evalFrom(g, 0)
-	for k := range dst {
-		dst[k] = s.vals[s.group[k]]
-	}
-}
+func (s *sparseColSource) fill(g int, dst []float64) { s.evalFrom(g, 0, dst) }
 
-// fillTail extends a cached column in place after extendTo grew the source:
-// dst[:from] already holds the column's broadcast values over the first
-// `from` samples (and the first oldReps groups), only the tail is filled.
-// Values for old groups are recovered from the column itself — the
-// representative of an old group is an old sample, so dst[reps[g]] holds
-// that group's kernel value bit-for-bit — and only (new group, this column)
-// pairs cost kernel evaluations. The extended column is bit-identical to
-// what a from-scratch fill would produce.
-func (s *sparseColSource) fillTail(g int, dst []float64, from, oldReps int) {
-	s.evalFrom(g, oldReps)
-	for k := from; k < len(dst); k++ {
-		if gi := s.group[k]; gi < oldReps {
-			dst[k] = dst[s.reps[gi]]
-		} else {
-			dst[k] = s.vals[gi]
-		}
-	}
-}
-
-// evalFrom sets vals[b] to the kernel value of group b against column g
-// for every group b >= from. For a built-in kernel each member shape is
+// evalFrom sets dst[b] to the kernel value of group b against column g
+// for every group b >= from and leaves dst[:from] as it is, which is how a
+// cached column filled before extendTo grew the source is extended in place
+// (see colCache.col). For a built-in kernel each member shape is
 // merged with the column's shape once, into a plan, and the plan is walked
 // for four members at a time; every cell still takes exactly the additions
 // of its own merge, so it equals evalCell bit for bit (the merges are
@@ -276,8 +243,9 @@ func (s *sparseColSource) fillTail(g int, dst []float64, from, oldReps int) {
 // it pays only when walked for four members at once. The work is shared
 // across the worker pool by estimated cost; each cell is written by
 // exactly one worker, so the result is independent of scheduling.
-func (s *sparseColSource) evalFrom(g, from int) {
+func (s *sparseColSource) evalFrom(g, from int, dst []float64) {
 	s.planFill(s.samples[s.reps[g]].Idx, from)
+	s.dst = dst
 	parts := len(s.bounds) - 1
 	if parts > 1 {
 		s.wg.Add(parts - 1)
@@ -286,9 +254,10 @@ func (s *sparseColSource) evalFrom(g, from int) {
 		}
 		s.runTasks(g, 0)
 		s.wg.Wait()
-		return
+	} else {
+		s.runTasks(g, 0)
 	}
-	s.runTasks(g, 0)
+	s.dst = nil
 }
 
 // planFill builds the merge plans of a fill against a column with index
@@ -362,7 +331,7 @@ func (s *sparseColSource) runTasks(g, w int) {
 		mem := s.members[t.shape][t.lo:t.hi]
 		if !t.planned {
 			for _, b := range mem {
-				s.vals[b] = s.evalCell(b, g, rg)
+				s.dst[b] = s.evalCell(b, g, rg)
 			}
 			continue
 		}
@@ -377,11 +346,11 @@ func (s *sparseColSource) runTasks(g, w int) {
 				p.Dot4(rg.Val, &vs, &out)
 			}
 			for k, b := range mem[:4] {
-				s.vals[b] = s.of(out[k])
+				s.dst[b] = s.of(out[k])
 			}
 		}
 		for _, b := range mem {
-			s.vals[b] = s.evalCell(b, g, rg)
+			s.dst[b] = s.evalCell(b, g, rg)
 		}
 	}
 }
@@ -414,15 +383,14 @@ func parallelRanges(n, work, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// colEntry is one resident column in the LRU. filled and reps record how
-// far the column was materialized (sample count and group count at the last
-// fill): after the source grows, a resident column stays short until the
-// solver actually asks for it, and only then pays for its missing tail.
+// colEntry is one resident column in the LRU. After the source grows, a
+// resident column stays short (its length is the group count at its last
+// fill) until the solver actually asks for it, and only then pays for its
+// missing tail.
 type colEntry struct {
-	key          int
-	col          []float64
-	filled, reps int
-	prev, next   *colEntry
+	key        int
+	col        []float64
+	prev, next *colEntry
 }
 
 // colCache is the libsvm-style kernel cache: an LRU of full columns bounded
@@ -442,16 +410,15 @@ type colCache struct {
 	hits, misses int64
 }
 
-// budgetCols translates a byte budget into a column capacity for an
-// l-sample source with the given distinct-column count: at least two
-// columns (the solver pins the two working-set columns), at most one per
-// distinct column.
-func budgetCols(budgetBytes int64, l, distinct int) int {
+// budgetCols translates a byte budget into a column capacity for a source
+// with g groups, whose columns hold g cells: at least two columns (the
+// solver pins the two working-set columns), at most one per group.
+func budgetCols(budgetBytes int64, g int) int {
 	capCols := 2
-	if l > 0 {
-		if byBudget := budgetBytes / int64(8*l); byBudget > 2 {
-			if byBudget > int64(distinct) {
-				capCols = distinct
+	if g > 0 {
+		if byBudget := budgetBytes / int64(8*g); byBudget > 2 {
+			if byBudget > int64(g) {
+				capCols = g
 			} else {
 				capCols = int(byBudget)
 			}
@@ -464,7 +431,7 @@ func budgetCols(budgetBytes int64, l, distinct int) int {
 }
 
 func newColCache(src columnSource, budgetBytes int64) *colCache {
-	capCols := budgetCols(budgetBytes, src.length(), src.distinct())
+	capCols := budgetCols(budgetBytes, src.distinct())
 	return &colCache{
 		src:     src,
 		entries: make(map[int]*colEntry, capCols),
@@ -474,14 +441,13 @@ func newColCache(src columnSource, budgetBytes int64) *colCache {
 
 // grow re-budgets the cache after its sparse source absorbed new samples
 // (extendTo). Resident columns are NOT eagerly extended: each keeps its
-// recorded fill watermark and pays for its missing tail only if and when the
-// solver asks for it again (see col) — eager extension would spend
+// length and pays for its missing tail only if and when the solver asks
+// for it again (see col) — eager extension would spend
 // (new group × resident column) kernel evaluations on columns the next solve
-// may never touch, which at campaign scale costs more than the warm start
-// saves. When the per-column footprint pushes the resident set past the new
-// budget, least-recently-used columns are dropped first.
+// may never touch. When the per-column footprint pushes the resident set
+// past the new budget, least-recently-used columns are dropped first.
 func (c *colCache) grow(budgetBytes int64) {
-	c.capCols = budgetCols(budgetBytes, c.src.length(), c.src.distinct())
+	c.capCols = budgetCols(budgetBytes, c.src.distinct())
 	for len(c.entries) > c.capCols && c.tail != nil {
 		e := c.tail
 		c.detach(e)
@@ -489,32 +455,29 @@ func (c *colCache) grow(budgetBytes int64) {
 	}
 }
 
-// resize returns col with length l, reusing its backing array when it fits
+// resize returns col with length n, reusing its backing array when it fits
 // and preserving the already-filled prefix otherwise.
-func resize(col []float64, l int) []float64 {
-	if cap(col) >= l {
-		return col[:l]
+func resize(col []float64, n int) []float64 {
+	if cap(col) >= n {
+		return col[:n]
 	}
-	grown := make([]float64, l)
+	grown := make([]float64, n)
 	copy(grown, col)
 	return grown
 }
 
-func (c *colCache) col(j int) []float64 {
-	key := c.src.remapped(j)
-	l := c.src.length()
-	if e := c.entries[key]; e != nil {
+func (c *colCache) col(g int) []float64 {
+	n := c.src.distinct()
+	if e := c.entries[g]; e != nil {
 		c.hits++
-		if e.filled < l {
-			// The source grew since this column was filled: extend it in
-			// place. Old groups' values are recovered from the column
-			// itself, so only (new group, this column) pairs cost kernel
-			// evaluations, and the extended column is bit-identical to a
-			// from-scratch fill. Within one solve l is fixed, so a pinned
-			// working-set slice is never reallocated mid-solve.
-			e.col = resize(e.col, l)
-			c.src.(*sparseColSource).fillTail(key, e.col, e.filled, e.reps)
-			e.filled, e.reps = l, c.src.distinct()
+		if from := len(e.col); from < n {
+			// The source gained groups since this column was filled:
+			// extend it in place, paying only (new group, this column)
+			// kernel evaluations. Within one solve the group count is
+			// fixed, so a pinned working-set slice is never reallocated
+			// mid-solve.
+			e.col = resize(e.col, n)
+			c.src.(*sparseColSource).evalFrom(g, from, e.col)
 		}
 		c.moveToFront(e)
 		return e.col
@@ -522,17 +485,16 @@ func (c *colCache) col(j int) []float64 {
 	c.misses++
 	var e *colEntry
 	if len(c.entries) < c.capCols {
-		e = &colEntry{col: make([]float64, l)}
+		e = &colEntry{col: make([]float64, n)}
 	} else {
 		e = c.tail
 		c.detach(e)
 		delete(c.entries, e.key)
-		e.col = resize(e.col, l)
+		e.col = resize(e.col, n)
 	}
-	e.key = key
-	c.src.fill(key, e.col)
-	e.filled, e.reps = l, c.src.distinct()
-	c.entries[key] = e
+	e.key = g
+	c.src.fill(g, e.col)
+	c.entries[g] = e
 	c.pushFront(e)
 	return e.col
 }

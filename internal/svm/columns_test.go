@@ -52,14 +52,17 @@ func shapedCorpus(rng *randx.RNG, n, dim, lists, singletons int) []stats.Sparse 
 
 func sameCell(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// checkColumn asserts that dst, a filled column g of src, holds at every
-// sample exactly the per-cell merge evaluation.
+// checkColumn asserts that dst, a filled column g of src, has one cell per
+// group and holds at every group exactly the per-cell merge evaluation.
 func checkColumn(t *testing.T, label string, src *sparseColSource, g int, dst []float64) {
 	t.Helper()
+	if len(dst) != src.distinct() {
+		t.Fatalf("%s column %d has %d cells for %d groups", label, g, len(dst), src.distinct())
+	}
 	rg := src.samples[src.reps[g]]
-	for k := range dst {
-		if want := src.evalCell(src.group[k], g, rg); !sameCell(dst[k], want) {
-			t.Fatalf("%s column %d sample %d: planned %v, per-cell %v", label, g, k, dst[k], want)
+	for b := range dst {
+		if want := src.evalCell(b, g, rg); !sameCell(dst[b], want) {
+			t.Fatalf("%s column %d group %d: planned %v, per-cell %v", label, g, b, dst[b], want)
 		}
 	}
 }
@@ -80,7 +83,7 @@ func TestPlannedFillMatchesEvalCell(t *testing.T) {
 			if len(src.members) >= src.distinct()/10 {
 				t.Fatalf("%d shapes over %d groups: the corpus does not exercise plans", len(src.members), src.distinct())
 			}
-			dst := make([]float64, len(samples))
+			dst := make([]float64, src.distinct())
 			split := false
 			for g := 0; g < src.distinct(); g += 7 {
 				src.fill(g, dst)
@@ -101,7 +104,7 @@ func TestPlannedFillSingletonAndUserKernel(t *testing.T) {
 	rng := randx.New(72)
 	samples := shapedCorpus(rng, 200, 120, 2, 4)
 	src := newSparseColSource(samples, RBF{Gamma: 0.02}, 1)
-	dst := make([]float64, len(samples))
+	dst := make([]float64, src.distinct())
 	src.fill(0, dst)
 	checkColumn(t, "rbf", src, 0, dst)
 	var singles, planned int
@@ -129,8 +132,9 @@ func TestPlannedFillSingletonAndUserKernel(t *testing.T) {
 }
 
 // TestFillTailGrowsAndOpensShapes: after extendTo both adds members to old
-// shapes and opens new ones, extending a cached column equals a fresh
-// fill over the full batch bit for bit, on one worker and on two.
+// shapes and opens new ones, extending a cached column to the grown group
+// count equals a fresh fill over the full batch, and the per-cell merge,
+// bit for bit, on one worker and on two.
 func TestFillTailGrowsAndOpensShapes(t *testing.T) {
 	rng := randx.New(73)
 	prefix := shapedCorpus(rng, 200, 500, 3, 0)
@@ -147,7 +151,7 @@ func TestFillTailGrowsAndOpensShapes(t *testing.T) {
 	full := append(append([]stats.Sparse(nil), prefix...), tail...)
 	kernel := RBF{Gamma: 1.0 / 500}
 	fresh := newSparseColSource(full, kernel, 1)
-	want := make([]float64, len(full))
+	want := make([]float64, fresh.distinct())
 	for _, workers := range []int{1, 2} {
 		src := newSparseColSource(prefix, kernel, workers)
 		cache := newColCache(src, 1<<30)
@@ -157,7 +161,7 @@ func TestFillTailGrowsAndOpensShapes(t *testing.T) {
 			oldMembers[sh] = len(m)
 		}
 		for g := 0; g < src.distinct(); g++ {
-			cache.col(src.reps[g])
+			cache.col(g)
 		}
 		src.extendTo(full)
 		cache.grow(1 << 30)
@@ -174,14 +178,15 @@ func TestFillTailGrowsAndOpensShapes(t *testing.T) {
 			t.Fatal("tail grew no old shape")
 		}
 		split := false
-		for g := 0; g < len(prefix); g += 3 {
-			key := src.remapped(g)
-			got := cache.col(g)
+		for k := 0; k < len(prefix); k += 3 {
+			key := src.group[k]
+			got := cache.col(key)
 			split = split || len(src.bounds) > 2
+			checkColumn(t, "extended", src, key, got)
 			fresh.fill(key, want)
-			for k := range want {
-				if !sameCell(got[k], want[k]) {
-					t.Fatalf("workers %d column %d sample %d: extended %v, fresh %v", workers, key, k, got[k], want[k])
+			for b := range want {
+				if !sameCell(got[b], want[b]) {
+					t.Fatalf("workers %d column %d group %d: extended %v, fresh %v", workers, key, b, got[b], want[b])
 				}
 			}
 		}
@@ -211,16 +216,20 @@ func TestCarriedRefitColumnsExact(t *testing.T) {
 	}
 	inc.src.extendTo(full) // rebind the released batch; nothing new to absorb
 	fresh := newSparseColSource(full, kernel, 1)
-	want := make([]float64, len(full))
+	want := make([]float64, fresh.distinct())
 	if len(inc.cache.entries) == 0 {
 		t.Fatal("no resident columns to check")
 	}
-	for key := range inc.cache.entries {
-		got := inc.cache.col(inc.src.reps[key])
+	for key, e := range inc.cache.entries {
+		if len(e.col) > fresh.distinct() {
+			t.Fatalf("resident column %d holds %d cells for %d groups", key, len(e.col), fresh.distinct())
+		}
+		got := inc.cache.col(key)
+		checkColumn(t, "carried", inc.src, key, got)
 		fresh.fill(key, want)
-		for k := range want {
-			if !sameCell(got[k], want[k]) {
-				t.Fatalf("column %d sample %d: carried %v, fresh %v", key, k, got[k], want[k])
+		for b := range want {
+			if !sameCell(got[b], want[b]) {
+				t.Fatalf("column %d group %d: carried %v, fresh %v", key, b, got[b], want[b])
 			}
 		}
 	}
@@ -241,7 +250,7 @@ func TestColumnMissAllocatesNothing(t *testing.T) {
 		cache := newColCache(src, 0) // two resident columns: cycling three misses every time
 		next := 0
 		miss := func() {
-			cache.col(src.reps[next%3*(src.distinct()/3)])
+			cache.col(next % 3 * (src.distinct() / 3))
 			next++
 		}
 		for i := 0; i < 6; i++ {
@@ -254,6 +263,11 @@ func TestColumnMissAllocatesNothing(t *testing.T) {
 		}
 		if c.workers > 1 && len(src.bounds) < 3 {
 			t.Fatal("fills did not split across workers")
+		}
+		for key, e := range cache.entries {
+			if len(e.col) != src.distinct() {
+				t.Fatalf("resident column %d holds %d cells, want one per group (%d)", key, len(e.col), src.distinct())
+			}
 		}
 		if allocs > c.max {
 			t.Fatalf("workers %d: %v allocations per miss, want at most %v", c.workers, allocs, c.max)

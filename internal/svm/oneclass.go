@@ -1,10 +1,10 @@
 package svm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,9 +40,12 @@ type Config struct {
 	Parallelism int
 	// CacheBytes > 0 selects the cached path: kernel columns are computed
 	// on demand and memoized in an LRU bounded by CacheBytes (at least two
-	// columns stay resident). At zero the full l×l Gram is materialized,
+	// columns stay resident). At zero the full Gram over the distinct
+	// samples (TrainSparse deduplicates, Train does not) is materialized,
 	// unless it exceeds the dense budget, in which case the cached path
-	// runs with DefaultCacheBytes. Training is bit-identical either way:
+	// runs with DefaultCacheBytes. Columns hold one cell per distinct
+	// sample, so a budget holds l/G times more of them when l samples
+	// collapse to G distinct ones. Training is bit-identical either way:
 	// the cache memoizes the very float64 evaluations the dense build
 	// stores.
 	CacheBytes int64
@@ -71,9 +74,10 @@ func denseGramOversized(l int) bool {
 	return int64(l) > denseGramLimit/(8*int64(l))
 }
 
-// useCache decides the Gram access path for an l-sample problem.
-func (cfg Config) useCache(l int) bool {
-	return cfg.CacheBytes > 0 || denseGramOversized(l)
+// useCache decides the Gram access path for a problem with g distinct
+// columns: the solver works on the g×g matrix of distinct samples.
+func (cfg Config) useCache(g int) bool {
+	return cfg.CacheBytes > 0 || denseGramOversized(g)
 }
 
 // Model is a trained one-class SVM.
@@ -90,10 +94,13 @@ type Model struct {
 	// the Gram matrix at training time (see TrainingDecisions).
 	trainDec []float64
 
-	// Training diagnostics.
+	// Training diagnostics. Groups is how many distinct samples the
+	// solver iterated over (the training-set size for dense Train, which
+	// does not deduplicate).
 	Iters      int
 	NumSV      int
 	NumBoundSV int
+	Groups     int
 	// Cached-path diagnostics: column requests served from the LRU vs
 	// computed, and the cache capacity in columns. All zero on the dense
 	// path.
@@ -131,7 +138,11 @@ func Train(samples [][]float64, cfg Config) (*Model, error) {
 	} else {
 		p = denseMatrix(gramDense(samples, kernel, cfg.workers()))
 	}
-	m, err := solve(p, l, cfg, kernel)
+	group := make([]int, l)
+	for k := range group {
+		group[k] = k
+	}
+	m, err := solve(p, group, l, cfg, kernel)
 	if err != nil {
 		return nil, err
 	}
@@ -176,13 +187,14 @@ func TrainSparse(samples []stats.Sparse, cfg Config) (*Model, error) {
 		}
 		return Train(dense, cfg)
 	}
+	src := newSparseColSource(samples, sk, cfg.workers())
 	var p gramProvider
-	if cfg.useCache(l) {
-		p = newColCache(newSparseColSource(samples, sk, cfg.workers()), cfg.cacheBytes())
+	if cfg.useCache(src.distinct()) {
+		p = newColCache(src, cfg.cacheBytes())
 	} else {
-		p = denseMatrix(gramSparse(samples, sk, cfg.workers()))
+		p = denseMatrix(gramSparse(samples, src.reps, sk, cfg.workers()))
 	}
-	m, err := solve(p, l, cfg, kernel)
+	m, err := solve(p, src.group, src.distinct(), cfg, kernel)
 	if err != nil {
 		return nil, err
 	}
@@ -211,67 +223,16 @@ func gramDense(samples [][]float64, kernel Kernel, workers int) [][]float64 {
 	})
 }
 
-// gramSparse is gramDense over sparse samples, with duplicate collapsing:
-// event-handling intervals overwhelmingly repeat the same code path, so a
-// batch of l samples typically holds only a handful of distinct vectors.
-// Kernel values depend solely on vector contents, so evaluating one
-// representative pair per group and broadcasting fills the l×l matrix with
-// exactly the values a pairwise build would produce — g²/2 kernel
-// evaluations instead of l²/2, plus float copies.
-func gramSparse(samples []stats.Sparse, kernel SparseKernel, workers int) [][]float64 {
-	reps, group := dedupSparse(samples)
-	if len(reps) == len(samples) {
-		return buildGram(len(samples), workers, func(i, j int) float64 {
-			return kernel.EvalSparse(samples[i], samples[j])
-		})
-	}
-	g := buildGram(len(reps), workers, func(a, b int) float64 {
+// gramSparse is gramDense over the distinct sparse samples: event-handling
+// intervals overwhelmingly repeat the same code path, so a batch of l
+// samples typically holds only a handful of distinct vectors. reps lists the
+// first sample of each distinct vector (see sparseColSource), and the result
+// is the g×g matrix over them — g²/2 kernel evaluations instead of l²/2. The
+// solver works on this matrix directly, one gradient per distinct vector.
+func gramSparse(samples []stats.Sparse, reps []int, kernel SparseKernel, workers int) [][]float64 {
+	return buildGram(len(reps), workers, func(a, b int) float64 {
 		return kernel.EvalSparse(samples[reps[a]], samples[reps[b]])
 	})
-	// Expand one full-length row per group and alias it across that
-	// group's samples: q[i][j] = g[group[i]][group[j]] with g×l storage
-	// instead of l². The solver only reads q, so sharing rows is safe.
-	l := len(samples)
-	rows := make([][]float64, len(reps))
-	for gi := range rows {
-		row := make([]float64, l)
-		grow := g[gi]
-		for j := 0; j < l; j++ {
-			row[j] = grow[group[j]]
-		}
-		rows[gi] = row
-	}
-	q := make([][]float64, l)
-	for i, gi := range group {
-		q[i] = rows[gi]
-	}
-	return q
-}
-
-// dedupSparse groups identical sparse vectors: reps lists the first sample
-// index of each distinct vector, group maps every sample to its entry in
-// reps. Keys are the raw index/value bytes, so only bit-identical vectors
-// share a group — a missed match (e.g. ±0) merely costs an extra
-// representative, never correctness.
-func dedupSparse(samples []stats.Sparse) (reps []int, group []int) {
-	group = make([]int, len(samples))
-	seen := make(map[string]int, len(samples))
-	var key []byte
-	for i, s := range samples {
-		key = key[:0]
-		for k, idx := range s.Idx {
-			key = binary.LittleEndian.AppendUint32(key, uint32(idx))
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(s.Val[k]))
-		}
-		if gi, ok := seen[string(key)]; ok {
-			group[i] = gi
-			continue
-		}
-		seen[string(key)] = len(reps)
-		group[i] = len(reps)
-		reps = append(reps, i)
-	}
-	return reps, group
 }
 
 func buildGram(l, workers int, eval func(i, j int) float64) [][]float64 {
@@ -329,12 +290,19 @@ func buildGram(l, workers int, eval func(i, j int) float64) [][]float64 {
 // partially-filled model (alpha, rho, diagnostics); the caller attaches
 // the support-vector representation.
 //
-// The solver touches the matrix only through p.col, and every sum it forms
-// accumulates in the same element order as the historical row-based code,
-// so the result is bit-identical whether p materializes the matrix or
-// memoizes columns on demand at any cache size.
-func solve(p gramProvider, l int, cfg Config, kernel Kernel) (*Model, error) {
-	return solveFrom(p, l, cfg, kernel, nil)
+// The problem has l = len(group) samples in ng groups of bit-identical
+// samples: group[k] is sample k's group, groups are numbered by first
+// member, and p.col(g) is the length-ng column of group g against every
+// group. Members of a group have bit-identical kernel columns, so the
+// per-sample SMO gives them the same gradient and the same training
+// decision, built from the same additions in the same order. The solver
+// keeps one gradient per group and reproduces that per-sample SMO
+// iteration by iteration; α stays per sample. Every sum accumulates in the
+// same element order as the per-sample code, so the result is bit-identical
+// whether p materializes the matrix or memoizes columns at any cache size,
+// and whether samples are grouped or each is its own group.
+func solve(p gramProvider, group []int, ng int, cfg Config, kernel Kernel) (*Model, error) {
+	return solveFrom(p, group, ng, cfg, kernel, nil)
 }
 
 // solveFrom is solve with an optional warm start: when warm is non-nil it
@@ -346,10 +314,11 @@ func solve(p gramProvider, l int, cfg Config, kernel Kernel) (*Model, error) {
 // the *same* problem converges immediately to the bit-identical solution,
 // and a warm start on a grown problem lands on the same ε-optimum a cold
 // solve finds (equal up to solver tolerance, not bitwise).
-func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64) (*Model, error) {
+func solveFrom(p gramProvider, group []int, ng int, cfg Config, kernel Kernel, warm []float64) (*Model, error) {
 	if cfg.Nu <= 0 || cfg.Nu > 1 {
 		return nil, fmt.Errorf("svm: nu=%g outside (0,1]", cfg.Nu)
 	}
+	l := len(group)
 	eps := cfg.Eps
 	if eps <= 0 {
 		eps = 1e-4
@@ -381,48 +350,51 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 	}
 
 	// Gradient of ½αᵀQα is Qα: only columns carrying mass contribute.
-	// Walking them in ascending order feeds each grad[i] the same
-	// additions in the same order as the historical row-based loop (Q is
+	// Walking them in ascending sample order feeds each group's gradient
+	// the same additions in the same order as the per-sample loop (Q is
 	// symmetric cell-for-cell by construction); for the cold prefix
 	// initialization this is exactly the historical prefix walk, so cold
 	// solves stay bit-identical.
-	grad := make([]float64, l)
+	grad := make([]float64, ng)
 	for j := 0; j < l; j++ {
 		if alpha[j] <= 0 {
 			continue
 		}
-		cj := p.col(j)
+		cj := p.col(group[j])
 		aj := alpha[j]
-		for i := 0; i < l; i++ {
-			grad[i] += cj[i] * aj
+		for g := range grad {
+			grad[g] += cj[g] * aj
 		}
 	}
 
+	el := newEligibility(group, ng, alpha, c)
+	up, down := el.up[:ng], el.down[:ng]
 	iters := 0
 	for ; iters < maxIter; iters++ {
 		// Working-set selection (maximal violating pair):
-		// i ∈ {α < C} minimizing Gᵢ, j ∈ {α > 0} maximizing Gⱼ.
-		i, j := -1, -1
+		// i ∈ {α < C} minimizing Gᵢ, j ∈ {α > 0} maximizing Gⱼ. The
+		// per-sample scan keeps the first sample reaching the extremum, so
+		// exact ties between groups go to the lower eligible sample.
+		var i, j int32 = -1, -1
 		gmin, gmax := math.Inf(1), math.Inf(-1)
-		for k := 0; k < l; k++ {
-			if alpha[k] < c-1e-15 && grad[k] < gmin {
-				gmin = grad[k]
-				i = k
+		for g, gr := range grad[:ng] {
+			if k := up[g]; k >= 0 && gr <= gmin && (gr < gmin || k < i) {
+				gmin, i = gr, k
 			}
-			if alpha[k] > 1e-15 && grad[k] > gmax {
-				gmax = grad[k]
-				j = k
+			if k := down[g]; k >= 0 && gr >= gmax && (gr > gmax || k < j) {
+				gmax, j = gr, k
 			}
 		}
 		if i < 0 || j < 0 || gmax-gmin < eps {
 			break
 		}
 
-		ci, cj := p.col(i), p.col(j)
-		eta := ci[i] + cj[j] - 2*ci[j]
+		gi, gj := group[i], group[j]
+		ci, cj := p.col(gi), p.col(gj)
+		eta := ci[gi] + cj[gj] - 2*ci[gj]
 		var delta float64
 		if eta > 1e-12 {
-			delta = (grad[j] - grad[i]) / eta
+			delta = (grad[gj] - grad[gi]) / eta
 		} else {
 			delta = math.Inf(1)
 		}
@@ -437,8 +409,10 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 		}
 		alpha[i] += delta
 		alpha[j] -= delta
-		for k := 0; k < l; k++ {
-			grad[k] += delta * (ci[k] - cj[k])
+		el.update(int(i), alpha[i])
+		el.update(int(j), alpha[j])
+		for g := range grad {
+			grad[g] += delta * (ci[g] - cj[g])
 		}
 	}
 
@@ -447,18 +421,19 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 	var freeCnt, bound int
 	lo, hi := math.Inf(-1), math.Inf(1)
 	for k := 0; k < l; k++ {
+		gk := grad[group[k]]
 		switch {
 		case alpha[k] <= 1e-12:
-			if grad[k] < hi {
-				hi = grad[k]
+			if gk < hi {
+				hi = gk
 			}
 		case alpha[k] >= c-1e-12:
 			bound++
-			if grad[k] > lo {
-				lo = grad[k]
+			if gk > lo {
+				lo = gk
 			}
 		default:
-			freeSum += grad[k]
+			freeSum += gk
 			freeCnt++
 		}
 	}
@@ -487,20 +462,21 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 		}
 	}
 
-	// Score every training row from its cached Gram column. Walking the
-	// SV columns in ascending training order feeds each row's sum the
-	// same additions in the same order as fresh per-row evaluation, so
-	// the scores reproduce Decision bit-for-bit.
-	trainDec := make([]float64, l)
+	// Score every group from the cached Gram columns and broadcast to its
+	// members. Walking the SV columns in ascending training order feeds
+	// each sum the same additions in the same order as fresh per-sample
+	// evaluation, so the scores reproduce Decision bit-for-bit.
+	dec := make([]float64, ng)
 	for _, i := range svIdx {
-		ci := p.col(i)
+		ci := p.col(group[i])
 		ai := alpha[i]
-		for k := 0; k < l; k++ {
-			trainDec[k] += ai * ci[k]
+		for g := range dec {
+			dec[g] += ai * ci[g]
 		}
 	}
-	for k := 0; k < l; k++ {
-		trainDec[k] -= rho
+	trainDec := make([]float64, l)
+	for k, g := range group {
+		trainDec[k] = dec[g] - rho
 	}
 
 	m := &Model{
@@ -510,6 +486,7 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 		trainDec:   trainDec,
 		Iters:      iters,
 		NumBoundSV: bound,
+		Groups:     ng,
 	}
 	if cache, ok := p.(*colCache); ok {
 		m.CacheHits = cache.hits
@@ -517,6 +494,97 @@ func solveFrom(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64)
 		m.CacheCols = cache.capCols
 	}
 	return m, nil
+}
+
+// eligibility tracks, for every group, its lowest member sample that may
+// enter the working set on each side: up[g] is the lowest member with
+// α < C−1e-15, down[g] the lowest with α > 1e-15, −1 when there is none. These are the samples the per-sample scan would
+// meet first in the group. α changes at two samples per SMO iteration, so
+// the members are kept in ascending order per group, with one bit per
+// member and side, and a member leaving its side only costs a find-next
+// over the group's bits.
+type eligibility struct {
+	group    []int
+	c        float64
+	start    []int   // group g's members are order[start[g]:start[g+1]]
+	order    []int32 // samples grouped, ascending within a group
+	pos      []int32 // sample -> its position in order
+	upBits   []uint64
+	downBits []uint64
+	up, down []int32
+}
+
+func newEligibility(group []int, ng int, alpha []float64, c float64) *eligibility {
+	l := len(group)
+	e := &eligibility{
+		group:    group,
+		c:        c,
+		start:    make([]int, ng+1),
+		order:    make([]int32, l),
+		pos:      make([]int32, l),
+		upBits:   make([]uint64, (l+63)/64),
+		downBits: make([]uint64, (l+63)/64),
+		up:       make([]int32, ng),
+		down:     make([]int32, ng),
+	}
+	for _, g := range group {
+		e.start[g+1]++
+	}
+	for g := 0; g < ng; g++ {
+		e.start[g+1] += e.start[g]
+		e.up[g], e.down[g] = -1, -1
+	}
+	next := append([]int(nil), e.start[:ng]...)
+	for k, g := range group {
+		e.order[next[g]], e.pos[k] = int32(k), int32(next[g])
+		next[g]++
+	}
+	for k, a := range alpha {
+		e.update(k, a)
+	}
+	return e
+}
+
+// update records sample k's new coefficient a.
+func (e *eligibility) update(k int, a float64) {
+	g, p := e.group[k], int(e.pos[k])
+	e.mark(e.upBits, &e.up[g], k, p, e.start[g+1], a < e.c-1e-15)
+	e.mark(e.downBits, &e.down[g], k, p, e.start[g+1], a > 1e-15)
+}
+
+// mark sets or clears sample k's bit (position p, group ending at end) and
+// keeps first, the group's lowest eligible sample on that side, current.
+func (e *eligibility) mark(bits []uint64, first *int32, k, p, end int, on bool) {
+	w, b := p>>6, uint64(1)<<(p&63)
+	if on {
+		bits[w] |= b
+		if *first < 0 || int32(k) < *first {
+			*first = int32(k)
+		}
+		return
+	}
+	bits[w] &^= b
+	if int32(k) == *first {
+		*first = -1
+		if q := nextSet(bits, p+1, end); q >= 0 {
+			*first = e.order[q]
+		}
+	}
+}
+
+// nextSet returns the lowest set position in [from, end), or −1.
+func nextSet(bits []uint64, from, end int) int {
+	for from < end {
+		w := from >> 6
+		if x := bits[w] >> (from & 63); x != 0 {
+			if q := from + mathbits.TrailingZeros64(x); q < end {
+				return q
+			}
+			return -1
+		}
+		from = (w + 1) << 6
+	}
+	return -1
 }
 
 // finish compacts alpha to the kept SVs and fills the SV count.

@@ -15,12 +15,14 @@ import (
 //     and used to warm-start SMO, so a refit pays for the mass the new
 //     samples actually move rather than re-deriving the whole solution;
 //   - the dedup state and the LRU kernel-column cache persist across
-//     refits — a cached column is extended in place, lazily, the first time
-//     the new solve touches it, so only (new sample group × touched column)
-//     kernel evaluations are paid;
+//     refits — a cached column holds one cell per distinct sample (group),
+//     and is extended in place, lazily, the first time the new solve touches
+//     it, so only (new group × touched column) kernel evaluations are paid;
 //   - those evaluations are exact: a warm refit computes every kernel cell
 //     a cold solve would, bit for bit, through the same shape-planned
-//     column fills (see sparseColSource.evalFrom).
+//     column fills (see sparseColSource.evalFrom);
+//   - the solver iterates over the groups, not the samples (see solve), so
+//     a refit's per-iteration cost scales with the distinct samples.
 //
 // The reuse is sound only while the already-seen prefix of the batch stays
 // bitwise identical between refits; the caller signals that with
@@ -112,7 +114,7 @@ func (inc *Incremental) Refit(samples []stats.Sparse, prefixValid bool) (*Model,
 		inc.warmBuf = projectAlphaInto(inc.warmBuf, inc.alpha, l, 1/(inc.cfg.Nu*float64(l)))
 		warm = inc.warmBuf
 	}
-	m, err := solveFrom(inc.cache, l, inc.cfg, kernel, warm)
+	m, err := solveFrom(inc.cache, inc.src.group, inc.src.distinct(), inc.cfg, kernel, warm)
 	if err != nil {
 		return nil, err
 	}

@@ -209,11 +209,11 @@ func TestExtendToMatchesFreshSource(t *testing.T) {
 		t.Fatalf("distinct: grown %d vs fresh %d", grown.distinct(), fresh.distinct())
 	}
 	for i := range full {
-		if grown.remapped(i) != fresh.remapped(i) {
-			t.Fatalf("sample %d: group %d (grown) vs %d (fresh)", i, grown.remapped(i), fresh.remapped(i))
+		if grown.group[i] != fresh.group[i] {
+			t.Fatalf("sample %d: group %d (grown) vs %d (fresh)", i, grown.group[i], fresh.group[i])
 		}
 	}
-	a, b := make([]float64, len(full)), make([]float64, len(full))
+	a, b := make([]float64, fresh.distinct()), make([]float64, fresh.distinct())
 	for g := 0; g < fresh.distinct(); g++ {
 		grown.fill(g, a)
 		fresh.fill(g, b)
@@ -228,8 +228,9 @@ func TestExtendToMatchesFreshSource(t *testing.T) {
 // TestCacheGrowBitExactAndCheap: after extendTo + grow, a resident column
 // must be extended lazily — zero kernel evaluations until the column is
 // touched, then exactly (new groups) evaluations for that one column — and
-// the extended column must be bit-identical to a from-scratch fill.
-// Untouched columns never pay anything.
+// the extended column must hold one cell per group, bit-identical to a
+// from-scratch fill and to the pairwise kernel evaluation. Untouched
+// columns never pay anything.
 func TestCacheGrowBitExactAndCheap(t *testing.T) {
 	rng := randx.New(47)
 	distinct := sparseCluster(rng, 12, 20)
@@ -248,7 +249,7 @@ func TestCacheGrowBitExactAndCheap(t *testing.T) {
 	oldReps := src.distinct()
 	var resident []int
 	for g := 0; g < oldReps; g++ {
-		cache.col(src.reps[g]) // fault in by sample index of each rep
+		cache.col(g)
 		resident = append(resident, g)
 	}
 
@@ -263,26 +264,29 @@ func TestCacheGrowBitExactAndCheap(t *testing.T) {
 		t.Fatalf("grow paid %d kernel evals eagerly, want 0 (extension is lazy)", got)
 	}
 
-	want := make([]float64, len(full))
 	freshSrc := newSparseColSource(full, RBF{Gamma: 0.05}, 1)
+	want := make([]float64, freshSrc.distinct())
 	for _, g := range resident {
 		evals.Store(0)
-		got := cache.col(src.reps[g]) // first touch after growth extends
+		got := cache.col(g) // first touch after growth extends
 		if int64(newReps) != evals.Load() {
 			t.Fatalf("column %d extension paid %d kernel evals, want %d (one per new group)",
 				g, evals.Load(), newReps)
 		}
-		if len(got) != len(full) {
-			t.Fatalf("column %d length %d, want %d", g, len(got), len(full))
+		if len(got) != src.distinct() {
+			t.Fatalf("column %d length %d, want %d (one cell per group)", g, len(got), src.distinct())
 		}
 		freshSrc.fill(g, want)
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("column %d cell %d: %v (grown) vs %v (fresh)", g, k, got[k], want[k])
+		for b := range want {
+			if got[b] != want[b] {
+				t.Fatalf("column %d cell %d: %v (grown) vs %v (fresh)", g, b, got[b], want[b])
+			}
+			if pair := (RBF{Gamma: 0.05}).EvalSparse(full[src.reps[max(b, g)]], full[src.reps[min(b, g)]]); got[b] != pair {
+				t.Fatalf("column %d cell %d: %v (grown) vs %v (pairwise)", g, b, got[b], pair)
 			}
 		}
 		evals.Store(0)
-		cache.col(src.reps[g]) // second touch is a plain hit
+		cache.col(g) // second touch is a plain hit
 		if evals.Load() != 0 {
 			t.Fatalf("column %d re-touch paid %d kernel evals, want 0", g, evals.Load())
 		}
@@ -297,7 +301,7 @@ func TestCacheGrowEvictsToBudget(t *testing.T) {
 	src := newSparseColSource(samples[:48], RBF{Gamma: 0.1}, 1)
 	cache := newColCache(src, 1<<30)
 	for g := 0; g < 8; g++ {
-		cache.col(src.reps[g])
+		cache.col(g)
 	}
 	src.extendTo(samples)
 	cache.grow(8 * 64 * 3) // room for exactly 3 columns
