@@ -31,9 +31,9 @@ bench-svm:
 	$(GO) test -run xxx -bench 'BenchmarkTrain|BenchmarkKernelEval|BenchmarkColumnFill' -benchmem -timeout 60m ./internal/svm/
 
 # The online-mining benchmarks behind BENCH_PR10.json (PR 7 baseline in
-# BENCH_PR7.json): warm delta refits at the l=10k campaign size, in memory
-# and through the on-disk spill (with blocks-decoded/skipped counters),
-# and the ingest-only spill path (several minutes on one core).
+# BENCH_PR7.json): warm delta refits at the l=10k campaign size, with the
+# metadata rows in memory and in an on-disk row file, and the ingest-only
+# path (several minutes on one core).
 bench-online:
 	$(GO) test -run xxx -bench 'BenchmarkOnlineMine|BenchmarkOnlineIngest' -benchmem -timeout 60m ./internal/core/
 

@@ -65,12 +65,12 @@ const (
 )
 
 // Online-ingest allocation thresholds: 1500 block-jittered counters
-// streamed through the filter → scale-statistics → columnar-disk-spill path
+// streamed through the filter → content-addressed store → row-file path
 // with refits disabled (the between-refit resident regime). The canonical
-// measurement is ~4.15 MB/op and ~4,800 allocs/op (BENCH_PR7.json) — the
-// traffic is dominated by the per-interval counter copies the ingest
-// contract requires — and the ceilings carry ~40% headroom for runner
-// variance.
+// measurement is ~4.15 MB/op and ~4,800 allocs/op (BENCH_PR7.json; the
+// content-addressed store, which copies each distinct counter once, now
+// measures ~1.7 MB/op and ~1,200 allocs/op), and the ceilings carry ~40%
+// headroom for runner variance.
 const (
 	onlineIngestSamples   = 1500
 	onlineIngestDim       = 512
@@ -108,9 +108,9 @@ func onlineGuardBatches() []sentomist.MineBatch {
 }
 
 // TestOnlineIngestAllocBudget guards the online miner's ingest path: with
-// intervals spilling to disk, allocation traffic must stay proportional to
-// the counters ingested (copy + spill buffers), not creep toward holding the
-// scaled training set resident between refits.
+// rows spilling to disk, allocation traffic must stay proportional to the
+// distinct counters ingested (one copy each) plus the row buffer, not creep
+// toward holding the scaled training set resident between refits.
 func TestOnlineIngestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard skipped in -short mode")
@@ -154,12 +154,14 @@ func TestOnlineIngestAllocBudget(t *testing.T) {
 
 // Online-refit allocation thresholds: the ingest stream above re-mined with
 // a refit every other batch (8 warm refits per op, l growing to 1500) and
-// the scale bounds pinned so every refit after the first replays only the
-// delta. The refit path reuses the resident scaled set, the solver's warm
-// coefficient buffer, and the per-state bound scratch; what remains is the
-// solve itself plus the delta block decode. The canonical measurement is
-// ~24.3 MB/op and ~10,500 allocs/op (BENCH_PR10.json); the ceilings carry
-// ~40% headroom for runner variance.
+// the scale bounds pinned so every refit after the first scales only the
+// new distinct counters. The refit path reuses the resident scaled
+// vectors, the member view, the solver's warm coefficient buffer, and the
+// per-state bound scratch; what remains is the solve itself plus scaling
+// the new distinct counters. The canonical measurement is ~24.3 MB/op and
+// ~10,500 allocs/op (BENCH_PR10.json; the content-addressed store now
+// measures ~8.4 MB/op and ~5,700 allocs/op); the ceilings carry ~40%
+// headroom for runner variance.
 const (
 	onlineRefitEvery     = 2
 	maxOnlineRefitBytes  = 34_000_000
@@ -168,8 +170,9 @@ const (
 
 // TestOnlineRefitAllocBudget guards the warm delta-refit path: refitting
 // every other batch must not allocate per-refit copies of the whole
-// training set (resident samples, warm starts, and bound scratch are
-// reused), only the delta decode and the solver's own working set.
+// training set (resident scaled vectors, warm starts, and bound scratch
+// are reused), only the new distinct counters' scaled vectors and the
+// solver's own working set.
 func TestOnlineRefitAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard skipped in -short mode")
@@ -180,7 +183,7 @@ func TestOnlineRefitAllocBudget(t *testing.T) {
 	batches := onlineGuardBatches()
 	// Pin the scale bounds in the first batch — one sample at every
 	// dimension's global maximum plus one empty sample — so refits after the
-	// first see bitwise-stable bounds and take the delta-replay path.
+	// first see bitwise-stable bounds and take the delta path.
 	hi := make([]float64, onlineIngestDim)
 	for _, b := range batches {
 		for _, c := range b.Counters {
@@ -239,7 +242,7 @@ func TestOnlineRefitAllocBudget(t *testing.T) {
 		}
 	})
 	if refits == 0 || deltas != refits-1 {
-		t.Fatalf("%d of %d refits were delta replays, want all but the first", deltas, refits)
+		t.Fatalf("%d of %d refits were deltas, want all but the first", deltas, refits)
 	}
 	allocs := res.AllocsPerOp()
 	bytes := res.AllocedBytesPerOp()

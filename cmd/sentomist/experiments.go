@@ -136,7 +136,7 @@ func experimentsReport(w io.Writer) error {
 	fmt.Fprintln(w)
 
 	// E7: online incremental mining.
-	fmt.Fprintln(w, "E7 — online incremental mining (warm delta refits, streaming top-K, indexed columnar spill, multi-IRQ)")
+	fmt.Fprintln(w, "E7 — online incremental mining (warm delta refits, streaming top-K, content-addressed counter store, multi-IRQ)")
 	t0 = time.Now()
 	oSamples, oRefits, oConfigs, oEqual, err := experiments.OnlineEquivalence(experiments.CaseISeedBase)
 	elapsed = time.Since(t0)
@@ -147,7 +147,7 @@ func experimentsReport(w io.Writer) error {
 	if !oEqual {
 		verdict = "DIVERGED from the one-shot campaign"
 	}
-	fmt.Fprintf(w, "  Case I at %d worker/cadence/spill/replay configs in %v: %d samples, %d intermediate refits, finalized rankings %s\n",
+	fmt.Fprintf(w, "  Case I at %d worker/cadence/spill/IRQ configs in %v: %d samples, %d intermediate refits, finalized rankings %s\n",
 		oConfigs, elapsed.Round(time.Millisecond), oSamples, oRefits, verdict)
 	if !oEqual {
 		return fmt.Errorf("online mining ranking diverged")

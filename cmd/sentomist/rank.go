@@ -38,7 +38,7 @@ func rankCmd(fs *flag.FlagSet) runFunc {
 	fs.IntVar(&o.onlineRefit, "online-refit", 0, "rank as you go: refit the SVM warm every N ingested batches and print each intermediate top-K; the final ranking is bit-identical to the one-shot path (svm detector only)")
 	fs.IntVar(&o.onlineTopK, "online-topk", 10, "intermediate rankings keep the K most suspicious intervals (online mode only)")
 	fs.StringVar(&o.onlineIRQs, "online-irqs", "", "comma-separated additional event types mined alongside -irq, one incremental solver each over the shared stream (online mode only); every refit prints one top-K per type")
-	fs.StringVar(&o.spillDir, "spill-dir", "", "spill featured intervals to a columnar SENTCOL1 file in this directory instead of holding them in memory between refits (implies online mode; results identical)")
+	fs.StringVar(&o.spillDir, "spill-dir", "", "keep the intervals' metadata rows in a temporary file in this directory instead of in memory (implies online mode; results identical)")
 	fs.IntVar(&o.inspect, "inspect", 0, "print the manual-inspection report of the K-th ranked interval (1 = most suspicious) instead of the table; needs exactly one bundle")
 	return func(args []string, stdout, _ io.Writer) error {
 		set := map[string]bool{}
@@ -166,8 +166,9 @@ func runOnline(w io.Writer, o rankOptions, inputs []sentomist.RunInput, cfg sent
 }
 
 // printOnlineRanking prints one intermediate refit: solver provenance,
-// replay observability (delta vs full, blocks decoded/skipped, spill
-// shape), and the top-K table.
+// whether the scale bounds held since the previous refit (only new
+// distinct counters scaled) or moved (all rescaled), the row-file size,
+// and the top-K table.
 func printOnlineRanking(w io.Writer, r *sentomist.OnlineRanking) {
 	mode := "warm"
 	if !r.Warm {
@@ -176,18 +177,14 @@ func printOnlineRanking(w io.Writer, r *sentomist.OnlineRanking) {
 	if r.Rebuilt {
 		mode += "+rebuilt-cache"
 	}
-	replay := "full"
+	scale := "moved"
 	if r.Delta {
-		replay = "delta"
+		scale = "stable"
 	}
-	fmt.Fprintf(w, "refit %d irq %d (%s, %s replay): %d batches, %d intervals (%d distinct), %d iters; decoded %d blocks (%d samples), skipped %d; spill %d blocks",
-		r.Refit, r.IRQ, mode, replay, r.Batches, r.Total, r.Groups, r.Iters,
-		r.BlocksDecoded, r.SamplesReplayed, r.BlocksSkipped, r.SpilledBlocks)
+	fmt.Fprintf(w, "refit %d irq %d (%s, scale %s): %d batches, %d intervals (%d distinct), %d iters",
+		r.Refit, r.IRQ, mode, scale, r.Batches, r.Total, r.Groups, r.Iters)
 	if r.SpilledBytes > 0 {
-		fmt.Fprintf(w, " / %d bytes", r.SpilledBytes)
-	}
-	if r.Compactions > 0 {
-		fmt.Fprintf(w, ", %d compactions", r.Compactions)
+		fmt.Fprintf(w, "; spill %d bytes", r.SpilledBytes)
 	}
 	fmt.Fprintf(w, " — top %d:\n", len(r.Samples))
 	for i, s := range r.Samples {

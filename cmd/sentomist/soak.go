@@ -47,7 +47,7 @@ func soakCmd(fs *flag.FlagSet) runFunc {
 	fs.BoolVar(&o.stream, "stream", false, "also cross-check the online anatomizer against the two-pass reference on every node")
 	fs.IntVar(&o.mineIRQ, "mine-irq", 0, "also mine every run's intervals of this event type and cross-check the cached-kernel SVM ranking against the dense path bitwise (0 = off)")
 	fs.IntVar(&o.svmCacheMB, "svm-cache-mb", 1, "kernel column cache budget (MiB) for the cached side of the -mine-irq cross-check")
-	fs.BoolVar(&o.onlineCheck, "online-check", false, "additionally run every -mine-irq problem through the online miner (refit every batch, warm starts, on-disk spill, delta replay, a second event type, and a compacted pass) and require every finalized ranking to be bit-identical to one-shot MineBatches")
+	fs.BoolVar(&o.onlineCheck, "online-check", false, "additionally run every -mine-irq problem through the online miner (refit every batch, warm starts, delta refits, a second event type; spilled and in-memory passes) and require every finalized ranking to be bit-identical to one-shot MineBatches")
 	fs.BoolVar(&o.parCheck, "par-check", false, "record every scenario twice — sequentially and with parallel node sections — and require the serialized traces to be byte-identical (uses -node-workers, or 4 when unset)")
 	nodeWorkersFlag(fs, &o.nodeWorkers)
 	return func(_ []string, stdout, _ io.Writer) error { return soak(stdout, o) }
@@ -139,7 +139,7 @@ func soak(w io.Writer, o soakOptions) error {
 			totalMined)
 	}
 	if o.onlineCheck {
-		fmt.Fprintf(w, "online cross-check: %d intervals through %d warm refits (spilled, delta replay verified by counters, two event types, plus a compacted pass), finalized rankings bit-identical to one-shot\n",
+		fmt.Fprintf(w, "online cross-check: %d intervals through %d warm refits (two event types, spilled and in-memory passes, store counters checked), finalized rankings bit-identical to one-shot\n",
 			totalOnline, totalRefits)
 	}
 	if o.parCheck {
@@ -229,13 +229,11 @@ func verifyMine(t *trace.Trace, irq int, cacheBytes int64) (int, error) {
 }
 
 // verifyOnline streams one run's batches through the online miner — refit
-// after every batch, warm starts, an on-disk spill, delta replay, and a
-// second event type mined over the shared stream — and requires every
-// finalized ranking to be bit-identical to one-shot MineBatches for its
-// event type. Along the way the published replay counters are checked:
-// every refit accounts for all live spill blocks, and a delta refit decodes
-// only the blocks appended since the previous one. A second pass with
-// tiny-block compaction enabled must finalize identically. Runs without
+// after every batch, warm starts, delta refits, and a second event type
+// mined over the shared stream — once with the row log spilled to disk and
+// once in memory, and requires every finalized ranking to be bit-identical
+// to one-shot MineBatches for its event type. Along the way the published
+// store counters are checked (see the passes below). Runs without
 // intervals of any checked event type are skipped.
 func verifyOnline(t *trace.Trace, irq int) (intervals, refits int, err error) {
 	alt := 1
@@ -305,77 +303,47 @@ func verifyOnline(t *trace.Trace, irq int) (intervals, refits int, err error) {
 		return nil
 	}
 
-	// Pass 1: spilled, delta replay, compaction disabled — the replay
-	// counters must prove a delta refit decodes only the appended blocks.
-	var counterErr error
-	prevLive, lastBatches := 0, -1
-	miner, err := core.NewOnlineMiner(core.OnlineConfig{
-		Config:       cfg,
-		IRQs:         []int{alt},
-		RefitEvery:   1,
-		TopK:         5,
-		SpillDir:     spill,
-		SpillBlock:   3, // force multiple blocks
-		SpillCompact: -1,
-		OnRanking: func(r *core.OnlineRanking) {
-			refits++
-			if counterErr != nil {
-				return
-			}
-			if r.BlocksDecoded+r.BlocksSkipped != r.SpilledBlocks {
-				counterErr = fmt.Errorf("online: refit %d irq %d decoded %d + skipped %d != %d live blocks",
-					r.Refit, r.IRQ, r.BlocksDecoded, r.BlocksSkipped, r.SpilledBlocks)
-				return
-			}
-			if r.Batches == lastBatches {
-				return // same refit event, same replay counters
-			}
-			if r.Delta && (r.BlocksSkipped != prevLive || r.BlocksDecoded != r.SpilledBlocks-prevLive) {
-				counterErr = fmt.Errorf("online: delta refit %d decoded %d/skipped %d with %d live blocks (%d at the previous refit)",
-					r.Refit, r.BlocksDecoded, r.BlocksSkipped, r.SpilledBlocks, prevLive)
-				return
-			}
-			prevLive, lastBatches = r.SpilledBlocks, r.Batches
-		},
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, b := range batches {
-		if err := miner.Add(b); err != nil {
-			miner.Close()
-			return 0, 0, fmt.Errorf("online: %w", err)
+	// Two passes, the row log spilled to disk and held in memory. Every
+	// refit must publish consistent store counters: no more distinct
+	// counters than intervals, and a delta refit (all bounds stable) never
+	// rebuilds a kernel cache.
+	for _, pass := range []struct{ label, dir string }{{"spilled", spill}, {"in-memory", ""}} {
+		var counterErr error
+		miner, err := core.NewOnlineMiner(core.OnlineConfig{
+			Config:     cfg,
+			IRQs:       []int{alt},
+			RefitEvery: 1,
+			TopK:       5,
+			SpillDir:   pass.dir,
+			OnRanking: func(r *core.OnlineRanking) {
+				refits++
+				switch {
+				case counterErr != nil:
+				case r.Groups > r.Total:
+					counterErr = fmt.Errorf("online %s: refit %d irq %d solved %d groups for %d intervals",
+						pass.label, r.Refit, r.IRQ, r.Groups, r.Total)
+				case r.Delta && r.Rebuilt:
+					counterErr = fmt.Errorf("online %s: delta refit %d irq %d rebuilt its kernel cache",
+						pass.label, r.Refit, r.IRQ)
+				}
+			},
+		})
+		if err != nil {
+			return 0, 0, err
 		}
-	}
-	if counterErr != nil {
-		miner.Close()
-		return 0, 0, counterErr
-	}
-	if err := finalize(miner, "delta"); err != nil {
-		return 0, 0, err
-	}
-
-	// Pass 2: aggressive tiny-block compaction; results must not change.
-	miner, err = core.NewOnlineMiner(core.OnlineConfig{
-		Config:       cfg,
-		IRQs:         []int{alt},
-		RefitEvery:   1,
-		TopK:         5,
-		SpillDir:     spill,
-		SpillBlock:   3,
-		SpillCompact: 2,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, b := range batches {
-		if err := miner.Add(b); err != nil {
-			miner.Close()
-			return 0, 0, fmt.Errorf("online compacted: %w", err)
+		for _, b := range batches {
+			if err := miner.Add(b); err != nil {
+				miner.Close()
+				return 0, 0, fmt.Errorf("online %s: %w", pass.label, err)
+			}
 		}
-	}
-	if err := finalize(miner, "compacted"); err != nil {
-		return 0, 0, err
+		if counterErr != nil {
+			miner.Close()
+			return 0, 0, counterErr
+		}
+		if err := finalize(miner, pass.label); err != nil {
+			return 0, 0, err
+		}
 	}
 	return intervals, refits, nil
 }

@@ -65,13 +65,11 @@ type Config struct {
 // Config.IRQ (one incremental solver per type over the shared stream);
 // MineAll returns every type's final ranking.
 type OnlineOptions struct {
-	IRQs         []int
-	RefitEvery   int
-	TopK         int
-	SpillDir     string
-	SpillBlock   int
-	SpillCompact int
-	OnRanking    func(*core.OnlineRanking)
+	IRQs       []int
+	RefitEvery int
+	TopK       int
+	SpillDir   string
+	OnRanking  func(*core.OnlineRanking)
 }
 
 // Attach is handed to each RunFunc; calling it creates the online
@@ -162,10 +160,10 @@ func Mine(cfg Config, runs []RunFunc) (*core.Ranking, error) {
 }
 
 // MineAll is Mine for multi-IRQ online campaigns: every event type named by
-// cfg.IRQ and cfg.Online.IRQs is mined over the single shared run stream
-// and spill, and the map holds one final ranking per type that scored at
-// least one interval — each bit-identical to the one-shot path with that
-// type as Config.IRQ. Requires Online options.
+// cfg.IRQ and cfg.Online.IRQs is mined over the single shared run stream,
+// and the map holds one final ranking per type that scored at least one
+// interval — each bit-identical to the one-shot path with that type as
+// Config.IRQ. Requires Online options.
 func MineAll(cfg Config, runs []RunFunc) (map[int]*core.Ranking, error) {
 	if cfg.Online == nil {
 		return nil, fmt.Errorf("campaign: MineAll requires Online options")
@@ -196,9 +194,10 @@ func poolWorkers(cfg Config, runs int) int {
 // mineOnline is Mine's streaming arm: workers finalize each run's streamers
 // into batches as the run finishes, and a collector ingests them into a
 // core.OnlineMiner strictly in run order (a pending map holds batches from
-// runs that finished ahead of their turn). The final rankings replay the
-// spill through the identical scale → score → rank tail, so each is
-// bit-identical to the one-shot path at any worker count or refit cadence.
+// runs that finished ahead of their turn). The final rankings run the
+// distinct counters through the identical scale → score → rank tail, so
+// each is bit-identical to the one-shot path at any worker count or refit
+// cadence.
 // The first error encountered aborts the campaign, which may be a
 // later-indexed run than the one-shot path would report.
 func mineOnline(cfg Config, runs []RunFunc, workers int, pool *lifecycle.ScratchPool) (map[int]*core.Ranking, int, error) {
@@ -212,13 +211,11 @@ func mineOnline(cfg Config, runs []RunFunc, workers int, pool *lifecycle.Scratch
 			Labels:        cfg.Labels,
 			SVMCacheBytes: cfg.SVMCacheBytes,
 		},
-		IRQs:         cfg.Online.IRQs,
-		RefitEvery:   cfg.Online.RefitEvery,
-		TopK:         cfg.Online.TopK,
-		SpillDir:     cfg.Online.SpillDir,
-		SpillBlock:   cfg.Online.SpillBlock,
-		SpillCompact: cfg.Online.SpillCompact,
-		OnRanking:    cfg.Online.OnRanking,
+		IRQs:       cfg.Online.IRQs,
+		RefitEvery: cfg.Online.RefitEvery,
+		TopK:       cfg.Online.TopK,
+		SpillDir:   cfg.Online.SpillDir,
+		OnRanking:  cfg.Online.OnRanking,
 	})
 	if err != nil {
 		return nil, 0, err

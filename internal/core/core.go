@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -313,7 +314,7 @@ func Mine(runs []RunInput, cfg Config) (*Ranking, error) {
 	}
 
 	if sparse {
-		return rankSparse(samples, svectors, det, labels, excluded)
+		return rankSparse(samples, svectors, nil, det, labels, excluded)
 	}
 	if len(vectors) == 0 {
 		return nil, ErrNoIntervals
@@ -332,21 +333,34 @@ func Mine(runs []RunInput, cfg Config) (*Ranking, error) {
 	return assembleRanking(samples, scores, det, labels, excluded, dim), nil
 }
 
-// rankSparse is the shared scoring tail of the sparse pipeline — Mine and
-// MineBatches both end here: per-dimension [0,1] scaling (in place, exactly
-// Scale01's semantics on the densified matrix), detector scoring through
-// the sparse fast path when available, and the ascending ranking.
-func rankSparse(samples []Sample, svectors []stats.Sparse, det outlier.Detector, labels LabelStyle, excluded int) (*Ranking, error) {
-	if len(svectors) == 0 {
+// rankSparse is the shared scoring tail of the sparse pipeline — Mine,
+// MineBatches and OnlineMiner.FinalizeAll all end here. It takes the
+// distinct counters and each sample's group (nil: every sample is its own
+// group, distinct holds one counter per sample), scales the distinct
+// counters per dimension into [0,1] in place (exactly Scale01's semantics
+// on the densified matrix), hands every sample its group's scaled vector,
+// scores through the sparse fast path when the detector has one, and
+// ranks ascending. Scaling the distinct counters equals scaling every
+// sample bit for bit: the per-dimension min, max and "some sample lacks
+// the dimension" are the same over both sets.
+func rankSparse(samples []Sample, distinct []stats.Sparse, group []int32, det outlier.Detector, labels LabelStyle, excluded int) (*Ranking, error) {
+	if len(distinct) == 0 {
 		return nil, ErrNoIntervals
 	}
-	dim := svectors[0].Dim
-	for i, v := range svectors {
+	dim := distinct[0].Dim
+	for i, v := range distinct {
 		if v.Dim != dim {
 			return nil, fmt.Errorf("core: sample %d has %d dims, want %d — runs use different binaries", i, v.Dim, dim)
 		}
 	}
-	feature.Scale01Sparse(svectors)
+	feature.Scale01Sparse(distinct)
+	svectors := distinct
+	if group != nil {
+		svectors = make([]stats.Sparse, len(group))
+		for i, g := range group {
+			svectors[i] = distinct[g]
+		}
+	}
 	var scores []float64
 	var err error
 	if sd, ok := det.(outlier.SparseDetector); ok {
@@ -364,6 +378,25 @@ func rankSparse(samples []Sample, svectors []stats.Sparse, det outlier.Detector,
 		return nil, fmt.Errorf("core: detector %s: %w", det.Name(), err)
 	}
 	return assembleRanking(samples, scores, det, labels, excluded, dim), nil
+}
+
+// checkCounter rejects a counter no instruction count can produce: a
+// value that is negative, NaN or infinite, index and value lists of
+// different lengths, or indices outside [0, Dim) or not strictly
+// ascending. sample is the kept-sample ordinal the error names.
+func checkCounter(sample int, c stats.Sparse) error {
+	if len(c.Idx) != len(c.Val) {
+		return fmt.Errorf("core: sample %d has %d indices but %d values", sample, len(c.Idx), len(c.Val))
+	}
+	for k, d := range c.Idx {
+		if d < 0 || int(d) >= c.Dim || (k > 0 && d <= c.Idx[k-1]) {
+			return fmt.Errorf("core: sample %d has index %d at entry %d, want ascending indices in [0, %d)", sample, d, k, c.Dim)
+		}
+		if v := c.Val[k]; v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: sample %d holds %g at dim %d; counters must be finite and nonnegative", sample, v, d)
+		}
+	}
+	return nil
 }
 
 func assembleRanking(samples []Sample, scores []float64, det outlier.Detector, labels LabelStyle, excluded, dim int) *Ranking {
@@ -448,11 +481,14 @@ func MineBatches(batches []Batch, cfg Config) (*Ranking, error) {
 				excluded++
 				continue
 			}
+			if err := checkCounter(len(svectors), b.Counters[i]); err != nil {
+				return nil, err
+			}
 			samples = append(samples, Sample{Run: b.Run, Interval: iv})
 			svectors = append(svectors, b.Counters[i])
 		}
 	}
-	return rankSparse(samples, svectors, det, labels, excluded)
+	return rankSparse(samples, svectors, nil, det, labels, excluded)
 }
 
 func extractFeature(ext *feature.Extractor, run RunInput, feat FeatureKind, iv lifecycle.Interval) ([]float64, error) {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bufio"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -11,7 +11,6 @@ import (
 	"sentomist/internal/outlier"
 	"sentomist/internal/stats"
 	"sentomist/internal/svm"
-	"sentomist/internal/trace"
 )
 
 // OnlineConfig parameterizes an OnlineMiner. The embedded Config supplies
@@ -23,10 +22,10 @@ type OnlineConfig struct {
 
 	// IRQs names additional event types to mine alongside Config.IRQ: the
 	// miner runs one incremental solver per event type over the single
-	// shared arrival stream and spill, and every refit publishes one
-	// ranking per type. Config.IRQ (when nonzero) is the primary — the
-	// type Finalize returns — and is mined whether or not it is listed
-	// here. With an empty IRQs the miner behaves exactly as single-IRQ.
+	// shared arrival stream, and every refit publishes one ranking per
+	// type. Config.IRQ (when nonzero) is the primary — the type Finalize
+	// returns — and is mined whether or not it is listed here. With an
+	// empty IRQs the miner behaves exactly as single-IRQ.
 	IRQs []int
 	// RefitEvery refits the detectors after every N ingested batches and
 	// publishes intermediate rankings; 0 disables intermediate refits
@@ -35,31 +34,20 @@ type OnlineConfig struct {
 	// TopK bounds intermediate rankings to the K most suspicious
 	// intervals (default 100). Finalize always returns the full ranking.
 	TopK int
-	// SpillDir, when set, spills featured intervals to a columnar
-	// SENTCOL1 file in that directory (created if missing) instead of
-	// keeping them in memory; refits and Finalize replay the file.
-	// Between refits the resident footprint is then O(dim + topK +
-	// intervals·(8B warm coefficients + scaled nonzeros)) rather than the
-	// raw counters.
+	// SpillDir, when set, keeps the intervals' metadata rows in a private
+	// temporary file in that directory (created if missing; the file is
+	// removed on Close) instead of in memory. Counters never spill: each
+	// event type holds every distinct raw counter once, and intervals of
+	// one event procedure repeat a few code paths, so a row is the only
+	// per-interval payload. Results are identical either way.
 	SpillDir string
-	// SpillBlock is how many intervals are buffered before a spill block
-	// is written (default 512). Format framing only; results are
-	// identical at any value.
-	SpillBlock int
-	// SpillCompact, for the on-disk store, merges a trailing run of
-	// undersized blocks (each holding fewer than SpillBlock samples —
-	// refits flush partial blocks) once the run reaches this many blocks,
-	// so long campaigns with frequent refits don't accumulate per-block
-	// overhead at every replay. Default 8; negative disables compaction.
-	// Replay results are identical at any setting.
-	SpillCompact int
 	// OnRanking, when set, receives every intermediate ranking (one per
 	// mined event type per refit, in deterministic IRQ order).
 	OnRanking func(*OnlineRanking)
 }
 
 // OnlineRanking is one intermediate refit's output for one event type: the
-// top-K most suspicious intervals so far, with refit provenance and replay
+// top-K most suspicious intervals so far, with refit provenance and store
 // observability.
 type OnlineRanking struct {
 	// IRQ is the event type this ranking covers.
@@ -85,313 +73,226 @@ type OnlineRanking struct {
 	Groups        int
 	CacheHits     int64
 	CacheMisses   int64
-	// Delta reports whether this refit replayed only the blocks appended
-	// since the previous refit (all event types' scale bounds were
-	// bitwise-stable, so resident scaled samples stayed valid).
+	// Delta reports whether every mined event type's scale bounds were
+	// bitwise-stable since the previous refit: only the distinct counters
+	// that arrived since were scaled, and the kernel caches were kept.
 	Delta bool
-	// BlocksDecoded and BlocksSkipped count the refit's replay work:
-	// skipped blocks lie entirely before the delta cursor and were served
-	// from resident samples. SamplesReplayed is how many samples the
-	// decoded blocks held (across all event types).
-	BlocksDecoded, BlocksSkipped, SamplesReplayed int
-	// SpilledBlocks/SpilledBytes describe the store at refit time (bytes
-	// are 0 for the in-memory store); Compactions counts tiny-block
-	// merges performed so far.
-	SpilledBlocks int
-	SpilledBytes  int64
-	Compactions   int
+	// SpilledBytes is the size of the row file (0 without SpillDir).
+	SpilledBytes int64
+	// Deprecated: always zero since the counter store became
+	// content-addressed (there are no blocks to decode, replay or
+	// compact). The next benchmark change drops these fields.
+	SpilledBlocks, BlocksDecoded, BlocksSkipped, SamplesReplayed, Compactions int
 }
 
-// spillStats is a snapshot of a spill store's physical shape.
-type spillStats struct {
-	bytes       int64 // file size, superseded blocks included; 0 in memory
-	blocks      int   // live (replayable) blocks
-	compactions int
-}
+// rowFields is the width of a metadata row in int64s: the sample's run
+// index plus every lifecycle.Interval field, so a ranking read back from
+// rows labels and sorts exactly like one mined from live batches.
+const (
+	rowFields = 13
+	rowBytes  = 8 * rowFields
+)
 
-// spillStore holds featured intervals between ingest and replay. Both
-// implementations preserve ingest order and return counters bit-identical
-// to what was appended.
-type spillStore interface {
-	append(meta [][]int64, counters []stats.Sparse) error
-	// sync makes everything appended so far visible to replayFrom (the
-	// file store flushes its partial block and may compact).
-	sync() error
-	// replayFrom streams, in ingest order, every live block holding at
-	// least one sample at ordinal >= from. fn receives each block's
-	// first-sample ordinal; a block may straddle `from` (the caller skips
-	// the leading samples it already holds). The yielded slices are
-	// freshly allocated by the file store and owned by the store for the
-	// in-memory one; callers may mutate counters only on a terminal
-	// replay (Finalize). Returns how many blocks were decoded and how many
-	// were skipped as entirely pre-cursor.
-	replayFrom(from int, fn func(start int, meta [][]int64, counters []stats.Sparse) error) (decoded, skipped int, err error)
-	stats() spillStats
-	close() error
-}
-
-// memStore keeps spilled blocks in memory — the SpillDir=="" mode. Each
-// non-empty append is one logical block, so the decoded/skipped counters
-// behave like the file store's.
-type memStore struct {
-	blocks []memBlock
-}
-
-type memBlock struct {
-	start int
-	meta  [][]int64
-	cnt   []stats.Sparse
-}
-
-func (s *memStore) append(meta [][]int64, counters []stats.Sparse) error {
-	if len(counters) == 0 {
-		return nil
-	}
-	start := 0
-	if n := len(s.blocks); n > 0 {
-		start = s.blocks[n-1].start + len(s.blocks[n-1].cnt)
-	}
-	s.blocks = append(s.blocks, memBlock{start: start, meta: meta, cnt: counters})
-	return nil
-}
-
-func (s *memStore) sync() error { return nil }
-
-func (s *memStore) replayFrom(from int, fn func(int, [][]int64, []stats.Sparse) error) (decoded, skipped int, err error) {
-	for _, b := range s.blocks {
-		if b.start+len(b.cnt) <= from {
-			skipped++
-			continue
-		}
-		decoded++
-		if err := fn(b.start, b.meta, b.cnt); err != nil {
-			return decoded, skipped, err
-		}
-	}
-	return decoded, skipped, nil
-}
-
-func (s *memStore) stats() spillStats {
-	return spillStats{blocks: len(s.blocks)}
-}
-
-func (s *memStore) close() error { return nil }
-
-// blockRef is one live block of the on-disk store: its byte position and
-// the ordinal range of samples it holds. Compaction replaces a run of refs
-// with one ref to a freshly appended merged block; superseded byte ranges
-// simply stop being referenced.
-type blockRef struct {
-	off, length int64
-	start, n    int
-}
-
-// fileStore spills blocks to a SENTCOL1 file, buffering up to blockSize
-// intervals before each append. It keeps the writer-side block index as a
-// live-block list, which is what enables cursor-based delta replay
-// (skip blocks before the cursor without touching the disk) and tiny-block
-// compaction.
-type fileStore struct {
-	path        string
-	f           *os.File
-	bw          *bufio.Writer
-	w           *trace.ColWriter
-	blockMeta   [][]int64
-	blockCnt    []stats.Sparse
-	blockSize   int
-	compactMin  int
-	live        []blockRef
-	appended    int // samples flushed into blocks
-	compactions int
-}
-
-func newFileStore(dir string, metaWidth, blockSize, compactMin int) (*fileStore, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("core: create spill dir: %w", err)
-		}
-	}
-	f, err := os.CreateTemp(dir, "sentomist-spill-*.col")
-	if err != nil {
-		return nil, fmt.Errorf("core: create spill: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	w, err := trace.NewColWriter(bw, metaWidth)
-	if err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, err
-	}
-	return &fileStore{path: f.Name(), f: f, bw: bw, w: w, blockSize: blockSize, compactMin: compactMin}, nil
-}
-
-func (s *fileStore) append(meta [][]int64, counters []stats.Sparse) error {
-	s.blockMeta = append(s.blockMeta, meta...)
-	s.blockCnt = append(s.blockCnt, counters...)
-	if len(s.blockCnt) >= s.blockSize {
-		return s.flushBlock()
-	}
-	return nil
-}
-
-func (s *fileStore) flushBlock() error {
-	if len(s.blockCnt) == 0 {
-		return nil
-	}
-	if err := s.w.Append(s.blockMeta, s.blockCnt); err != nil {
-		return err
-	}
-	idx := s.w.Index()
-	st := idx[len(idx)-1]
-	s.live = append(s.live, blockRef{off: st.Offset, length: st.Length, start: s.appended, n: st.Samples})
-	s.appended += st.Samples
-	s.blockMeta, s.blockCnt = s.blockMeta[:0], s.blockCnt[:0]
-	return nil
-}
-
-// sync flushes the partial block and both buffer layers so every appended
-// sample is on disk and replayable, then compacts trailing tiny blocks.
-func (s *fileStore) sync() error {
-	if err := s.flushBlock(); err != nil {
-		return err
-	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("core: flush spill: %w", err)
-	}
-	return s.maybeCompact()
-}
-
-// maybeCompact merges the trailing run of undersized live blocks (partial
-// flushes from refit syncs) into one appended block once the run reaches
-// compactMin. A merged block that reaches blockSize samples graduates —
-// it won't be merged again — so rewrite work stays amortized-bounded.
-// Superseded bytes remain in the file unreferenced.
-func (s *fileStore) maybeCompact() error {
-	if s.compactMin <= 0 {
-		return nil
-	}
-	run := 0
-	for run < len(s.live) && s.live[len(s.live)-1-run].n < s.blockSize {
-		run++
-	}
-	if run < s.compactMin {
-		return nil
-	}
-	tail := s.live[len(s.live)-run:]
-	var meta [][]int64
-	var cnt []stats.Sparse
-	for _, ref := range tail {
-		m, c, err := trace.ReadColBlockAt(s.f, ref.off)
-		if err != nil {
-			return fmt.Errorf("core: compact spill: %w", err)
-		}
-		meta = append(meta, m...)
-		cnt = append(cnt, c...)
-	}
-	if err := s.w.Append(meta, cnt); err != nil {
-		return fmt.Errorf("core: compact spill: %w", err)
-	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("core: flush spill: %w", err)
-	}
-	idx := s.w.Index()
-	st := idx[len(idx)-1]
-	merged := blockRef{off: st.Offset, length: st.Length, start: tail[0].start, n: len(cnt)}
-	s.live = append(s.live[:len(s.live)-run], merged)
-	s.compactions++
-	return nil
-}
-
-func (s *fileStore) replayFrom(from int, fn func(int, [][]int64, []stats.Sparse) error) (decoded, skipped int, err error) {
-	for _, ref := range s.live {
-		if ref.start+ref.n <= from {
-			skipped++
-			continue
-		}
-		m, c, err := trace.ReadColBlockAt(s.f, ref.off)
-		if err != nil {
-			return decoded, skipped, err
-		}
-		decoded++
-		if err := fn(ref.start, m, c); err != nil {
-			return decoded, skipped, err
-		}
-	}
-	return decoded, skipped, nil
-}
-
-func (s *fileStore) stats() spillStats {
-	return spillStats{bytes: s.w.Offset(), blocks: len(s.live), compactions: s.compactions}
-}
-
-func (s *fileStore) close() error {
-	err := s.f.Close()
-	if rmErr := os.Remove(s.path); err == nil {
-		err = rmErr
-	}
-	return err
-}
-
-// metaFields is the spill row width: the sample's run index plus every
-// lifecycle.Interval field, so a replayed ranking labels and sorts exactly
-// like one mined from live batches.
-const metaFields = 13
-
-func encodeMeta(run int, iv lifecycle.Interval) []int64 {
+func appendRow(dst []byte, run int, iv lifecycle.Interval) []byte {
 	b2i := func(b bool) int64 {
 		if b {
 			return 1
 		}
 		return 0
 	}
-	return []int64{
+	for _, v := range [rowFields]int64{
 		int64(run), int64(iv.IRQ), int64(iv.Seq), int64(iv.Node),
 		int64(iv.StartItem), int64(iv.EndItem),
 		int64(iv.StartMarker), int64(iv.EndMarker),
 		int64(iv.StartCycle), int64(iv.EndCycle),
 		b2i(iv.EndsWithTask), b2i(iv.Complete), int64(iv.Truth),
+	} {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
+	return dst
 }
 
-func decodeMeta(row []int64) Sample {
+func decodeRow(b []byte) Sample {
+	var f [rowFields]int64
+	for i := range f {
+		f[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
 	return Sample{
-		Run: int(row[0]),
+		Run: int(f[0]),
 		Interval: lifecycle.Interval{
-			IRQ: int(row[1]), Seq: int(row[2]), Node: int(row[3]),
-			StartItem: int(row[4]), EndItem: int(row[5]),
-			StartMarker: int(row[6]), EndMarker: int(row[7]),
-			StartCycle: uint64(row[8]), EndCycle: uint64(row[9]),
-			EndsWithTask: row[10] != 0, Complete: row[11] != 0,
-			Truth: int(row[12]),
+			IRQ: int(f[1]), Seq: int(f[2]), Node: int(f[3]),
+			StartItem: int(f[4]), EndItem: int(f[5]),
+			StartMarker: int(f[6]), EndMarker: int(f[7]),
+			StartCycle: uint64(f[8]), EndCycle: uint64(f[9]),
+			EndsWithTask: f[10] != 0, Complete: f[11] != 0,
+			Truth: int(f[12]),
 		},
 	}
 }
 
-// irqState is one event type's mining state: streaming scale statistics,
-// the resident scaled samples (kept between refits so stable-bound refits
-// touch only the delta), and the warm incremental solver.
+// rowFlushBytes is how many buffered row bytes the row log writes out at
+// once when it has a file.
+const rowFlushBytes = 64 << 10
+
+// rowLog is the append-only log of every kept interval's metadata row, in
+// ingest order and fixed width, so row k sits at byte k·rowBytes. Rows
+// [0, written/rowBytes) are in the file and the rest in buf; without a
+// file nothing is ever written out and buf holds every row. Either way a
+// row is read by the same decode, from whichever side holds it.
+type rowLog struct {
+	f       *os.File
+	buf     []byte
+	written int64
+	n       int
+}
+
+func newRowLog(dir string) (*rowLog, error) {
+	if dir == "" {
+		return &rowLog{}, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("core: create spill dir: %w", err)
+	}
+	f, err := os.CreateTemp(dir, "sentomist-rows-*")
+	if err != nil {
+		return nil, fmt.Errorf("core: create spill: %w", err)
+	}
+	return &rowLog{f: f}, nil
+}
+
+func (r *rowLog) append(run int, iv lifecycle.Interval) {
+	r.buf = appendRow(r.buf, run, iv)
+	r.n++
+}
+
+// flush writes the buffered rows to the file once they reach
+// rowFlushBytes.
+func (r *rowLog) flush() error {
+	if r.f == nil || len(r.buf) < rowFlushBytes {
+		return nil
+	}
+	if _, err := r.f.Write(r.buf); err != nil {
+		return fmt.Errorf("core: write spill: %w", err)
+	}
+	r.written += int64(len(r.buf))
+	r.buf = r.buf[:0]
+	return nil
+}
+
+// read decodes row ord, reading it from the file with ReadAt when it was
+// written out.
+func (r *rowLog) read(ord int) (Sample, error) {
+	off := int64(ord) * rowBytes
+	if off >= r.written {
+		return decodeRow(r.buf[off-r.written:]), nil
+	}
+	var row [rowBytes]byte
+	if _, err := r.f.ReadAt(row[:], off); err != nil {
+		return Sample{}, fmt.Errorf("core: read spill: %w", err)
+	}
+	return decodeRow(row[:]), nil
+}
+
+// scan decodes every row in order.
+func (r *rowLog) scan(fn func(Sample)) error {
+	chunk := make([]byte, min(r.written, rowFlushBytes/rowBytes*rowBytes))
+	for off := int64(0); off < r.written; off += int64(len(chunk)) {
+		part := chunk[:min(int64(len(chunk)), r.written-off)]
+		if _, err := r.f.ReadAt(part, off); err != nil {
+			return fmt.Errorf("core: read spill: %w", err)
+		}
+		for p := 0; p < len(part); p += rowBytes {
+			fn(decodeRow(part[p:]))
+		}
+	}
+	for p := 0; p < len(r.buf); p += rowBytes {
+		fn(decodeRow(r.buf[p:]))
+	}
+	return nil
+}
+
+// bytes is the size of the row file: every row once it is written out, 0
+// without a file.
+func (r *rowLog) bytes() int64 {
+	if r.f == nil {
+		return 0
+	}
+	return int64(r.n) * rowBytes
+}
+
+func (r *rowLog) close() error {
+	if r.f == nil {
+		return nil
+	}
+	err := r.f.Close()
+	if rmErr := os.Remove(r.f.Name()); err == nil {
+		err = rmErr
+	}
+	return err
+}
+
+// irqState is one event type's mining state: a content-addressed store of
+// its counters, streaming scale statistics over them, the scaled vectors
+// the solver trains on, and the warm incremental solver.
+//
+// The store keeps each distinct raw counter once, as its stats.AppendKey
+// bytes, with groups numbered in first-appearance order; the kept
+// intervals (members) hold only a group id and their row ordinal. That is
+// exact for scaling: per dimension, the min, the max and "some sample
+// lacks it" over the distinct counters equal those over all members, and
+// a repeated counter can never update a running min or max, so the bounds
+// match Scale01Sparse over every member bit for bit.
 type irqState struct {
-	irq             int
-	lo, hi          []float64
-	present         []int
-	total, excluded int
-	samples         []Sample
-	scaled          []stats.Sparse
-	prevLo, prevHi  []float64
-	inc             *svm.Incremental
-	refits          int
-	// Per-refit scratch: the effective bounds for this refit, whether
-	// they match the previous refit's bitwise, and the replay walk
-	// position over the resident prefix.
+	irq      int
+	excluded int
+	groupOf  map[string]int32 // raw counter key -> group
+	raw      []string         // group -> raw counter key
+	group    []int32          // member -> group
+	row      []int32          // member -> ordinal in the shared row log
+	// Per-dimension min/max of the distinct counters' stored values, and
+	// how many distinct counters store the dimension.
+	lo, hi  []float64
+	present []int
+	// scaled holds one scaled vector per group under the bounds of the
+	// last refit; view is the member-length header slice the solver trains
+	// on, view[i] == scaled[group[i]].
+	scaled         []stats.Sparse
+	view           []stats.Sparse
+	prevLo, prevHi []float64
+	inc            *svm.Incremental
+	refits         int
+	// Per-refit scratch: the effective bounds for this refit and whether
+	// they match the previous refit's bitwise.
 	curLo, curHi []float64
 	stable       bool
-	pos          int
+}
+
+// add files one kept counter under its group, opening a group (and
+// folding the counter into the scale statistics) the first time its
+// content appears. key is the counter's stats.AppendKey.
+func (st *irqState) add(c stats.Sparse, key []byte, dim, row int) {
+	g, ok := st.groupOf[string(key)]
+	if !ok {
+		if st.lo == nil {
+			st.initDims(dim)
+		}
+		g = int32(len(st.raw))
+		k := string(key)
+		st.groupOf[k] = g
+		st.raw = append(st.raw, k)
+		for i, d := range c.Idx {
+			v := c.Val[i]
+			if v < st.lo[d] {
+				st.lo[d] = v
+			}
+			if v > st.hi[d] {
+				st.hi[d] = v
+			}
+			st.present[d]++
+		}
+	}
+	st.group = append(st.group, g)
+	st.row = append(st.row, int32(row))
 }
 
 // initDims allocates the state's streaming statistics at its first sample.
@@ -413,7 +314,7 @@ func (st *irqState) effectiveScale() {
 	st.curLo = append(st.curLo[:0], st.lo...)
 	st.curHi = append(st.curHi[:0], st.hi...)
 	for d := range st.curLo {
-		if st.present[d] < st.total {
+		if st.present[d] < len(st.raw) {
 			// Some sample holds an implicit zero here.
 			if st.curLo[d] > 0 || st.present[d] == 0 {
 				st.curLo[d] = 0
@@ -426,38 +327,59 @@ func (st *irqState) effectiveScale() {
 	st.stable = st.prevLo != nil && float64sEqual(st.curLo, st.prevLo) && float64sEqual(st.curHi, st.prevHi)
 }
 
+// rescale brings scaled and view up to date with curLo/curHi. With stable
+// bounds only the groups and members that arrived since the previous
+// refit are scaled and appended; otherwise every group is rescaled in
+// place and the view rebuilt. raw is scratch for decoding keys.
+func (st *irqState) rescale(raw *stats.Sparse, dim int) {
+	if !st.stable {
+		for g := range st.scaled {
+			raw.SetKey(st.raw[g], dim)
+			scaleInto(&st.scaled[g], *raw, st.curLo, st.curHi)
+		}
+		st.view = st.view[:0]
+	}
+	for g := len(st.scaled); g < len(st.raw); g++ {
+		raw.SetKey(st.raw[g], dim)
+		st.scaled = append(st.scaled, scaleWith(*raw, st.curLo, st.curHi))
+	}
+	for _, g := range st.group[len(st.view):] {
+		st.view = append(st.view, st.scaled[g])
+	}
+}
+
 // OnlineMiner is the streaming counterpart of MineBatches: batches are
 // ingested as their runs finish, one detector per event type is refit
 // periodically with warm starts (svm.Incremental), and intermediate top-K
-// rankings are published along the way. Scaled samples stay resident
-// between refits, so a refit whose scale bounds are bitwise-unchanged
-// decodes only the spill blocks appended since the previous refit; when
-// bounds move, every block is decoded again and the resident samples
-// rescaled. Finalize replays every raw counter through the identical
-// scale → score → rank tail MineBatches runs, so the final ranking is
-// bit-identical to one-shot MineBatches over the same batches in the same
-// order — at any refit cadence, spill mode, compaction setting, worker
+// rankings are published along the way. Each event type stores every
+// distinct raw counter once and scales it once per refit at most: a refit
+// whose scale bounds are bitwise-unchanged scales only the counters that
+// arrived since the previous one. Finalize runs the distinct raw counters
+// through the identical scale → score → rank tail MineBatches runs, so the
+// final ranking is bit-identical to one-shot MineBatches over the same
+// batches in the same order — at any refit cadence, spill mode, worker
 // count, or IRQ set.
 type OnlineMiner struct {
 	cfg     OnlineConfig
 	labels  LabelStyle
 	allowed map[int]bool
-	store   spillStore
+	rows    *rowLog
 
 	irqs    []int // deterministic publish order; irqs[0] is the primary
 	states  map[int]*irqState
 	dim     int
 	dimSet  bool
-	total   int // intervals kept for scoring, across all event types
 	batches int
 	pending int // batches since the last refit
-	cursor  int // kept-interval ordinal up to which samples are resident
+
+	keyBuf []byte       // scratch for counter keys
+	rawBuf stats.Sparse // scratch for decoded raw counters
 
 	last   *OnlineRanking // primary event type's latest ranking
 	closed bool
 }
 
-// NewOnlineMiner validates the config and opens the spill store.
+// NewOnlineMiner validates the config and opens the row log.
 func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 	if cfg.IRQ == 0 && len(cfg.IRQs) == 0 {
 		return nil, fmt.Errorf("core: config must name the IRQ to mine")
@@ -473,12 +395,6 @@ func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 	}
 	if cfg.TopK <= 0 {
 		cfg.TopK = 100
-	}
-	if cfg.SpillBlock <= 0 {
-		cfg.SpillBlock = 512
-	}
-	if cfg.SpillCompact == 0 {
-		cfg.SpillCompact = 8
 	}
 	labels := cfg.Labels
 	if labels == 0 {
@@ -498,7 +414,8 @@ func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 			return nil
 		}
 		states[irq] = &irqState{
-			irq: irq,
+			irq:     irq,
+			groupOf: map[string]int32{},
 			inc: svm.NewIncremental(svm.Config{
 				Nu:          0.05, // adjusted per refit for the ν ≥ 1/l clamp
 				CacheBytes:  cfg.SVMCacheBytes,
@@ -518,21 +435,15 @@ func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 			return nil, err
 		}
 	}
-	var store spillStore
-	if cfg.SpillDir != "" {
-		fs, err := newFileStore(cfg.SpillDir, metaFields, cfg.SpillBlock, cfg.SpillCompact)
-		if err != nil {
-			return nil, err
-		}
-		store = fs
-	} else {
-		store = &memStore{}
+	rows, err := newRowLog(cfg.SpillDir)
+	if err != nil {
+		return nil, err
 	}
 	return &OnlineMiner{
 		cfg:     cfg,
 		labels:  labels,
 		allowed: allowed,
-		store:   store,
+		rows:    rows,
 		irqs:    irqs,
 		states:  states,
 	}, nil
@@ -542,10 +453,10 @@ func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 func (m *OnlineMiner) IRQs() []int { return append([]int(nil), m.irqs...) }
 
 // Add ingests one batch: filter (identically to MineBatches per event
-// type), update the streaming scale statistics, spill the survivors, and —
-// every RefitEvery batches — refit every detector and publish intermediate
-// rankings. Counters are copied; the caller may reuse the batch. A batch
-// rejected as malformed leaves the miner exactly as it was.
+// type), file each kept counter in its event type's store, log its row,
+// and — every RefitEvery batches — refit every detector and publish
+// intermediate rankings. Counters are copied; the caller may reuse the
+// batch. A batch rejected as malformed leaves the miner exactly as it was.
 func (m *OnlineMiner) Add(b Batch) error {
 	if m.closed {
 		return fmt.Errorf("core: online miner is closed")
@@ -553,8 +464,6 @@ func (m *OnlineMiner) Add(b Batch) error {
 	if err := m.validate(b); err != nil {
 		return err
 	}
-	var meta [][]int64
-	var kept []stats.Sparse
 	for i, iv := range b.Intervals {
 		st := m.stateFor(iv)
 		if st == nil {
@@ -569,34 +478,16 @@ func (m *OnlineMiner) Add(b Batch) error {
 			m.dim = c.Dim
 			m.dimSet = true
 		}
-		if st.lo == nil {
-			st.initDims(m.dim)
-		}
-		for k, d := range c.Idx {
-			v := c.Val[k]
-			if v < st.lo[d] {
-				st.lo[d] = v
-			}
-			if v > st.hi[d] {
-				st.hi[d] = v
-			}
-			st.present[d]++
-		}
-		st.total++
-		meta = append(meta, encodeMeta(b.Run, iv))
-		kept = append(kept, stats.Sparse{
-			Idx: append([]int32(nil), c.Idx...),
-			Val: append([]float64(nil), c.Val...),
-			Dim: c.Dim,
-		})
+		m.keyBuf = stats.AppendKey(m.keyBuf[:0], c)
+		st.add(c, m.keyBuf, m.dim, m.rows.n)
+		m.rows.append(b.Run, iv)
 	}
-	if err := m.store.append(meta, kept); err != nil {
+	if err := m.rows.flush(); err != nil {
 		return err
 	}
-	m.total += len(kept)
 	m.batches++
 	m.pending++
-	if m.cfg.RefitEvery > 0 && m.pending >= m.cfg.RefitEvery && m.total > 0 {
+	if m.cfg.RefitEvery > 0 && m.pending >= m.cfg.RefitEvery && m.rows.n > 0 {
 		m.pending = 0
 		if err := m.refitAll(); err != nil {
 			return err
@@ -621,7 +512,7 @@ func (m *OnlineMiner) validate(b Batch) error {
 		return fmt.Errorf("core: batch %d has %d intervals but %d counters", m.batches, len(b.Intervals), len(b.Counters))
 	}
 	dim, dimSet := m.dim, m.dimSet
-	kept := 0
+	kept := m.rows.n
 	for i, iv := range b.Intervals {
 		if m.stateFor(iv) == nil || !iv.Complete {
 			continue
@@ -631,12 +522,10 @@ func (m *OnlineMiner) validate(b Batch) error {
 			dim, dimSet = c.Dim, true
 		}
 		if c.Dim != dim {
-			return fmt.Errorf("core: sample %d has %d dims, want %d — runs use different binaries", m.total+kept, c.Dim, dim)
+			return fmt.Errorf("core: sample %d has %d dims, want %d — runs use different binaries", kept, c.Dim, dim)
 		}
-		for k, v := range c.Val {
-			if v < 0 {
-				return fmt.Errorf("core: online mining requires nonnegative counter values, got %g at dim %d", v, c.Idx[k])
-			}
+		if err := checkCounter(kept, c); err != nil {
+			return err
 		}
 		kept++
 	}
@@ -696,97 +585,31 @@ func float64sEqual(a, b []float64) bool {
 	return true
 }
 
-// replay brings every event type's resident samples up to date with the
-// spill. When delta is true only blocks past the cursor are decoded and
-// their samples appended; otherwise the full stream is decoded,
-// previously resident samples are skipped (stable bounds) or rescaled in
-// place (moved bounds), and new samples appended. Returns the replay counters for observability.
-func (m *OnlineMiner) replay(delta bool) (decoded, skipped, replayed int, err error) {
-	from := 0
-	if delta {
-		from = m.cursor
-	}
-	for _, irq := range m.irqs {
-		m.states[irq].pos = 0
-	}
-	decoded, skipped, err = m.store.replayFrom(from, func(start int, meta [][]int64, cnt []stats.Sparse) error {
-		replayed += len(cnt)
-		for i := range cnt {
-			ord := start + i
-			st := m.states[int(meta[i][1])]
-			if st == nil {
-				return fmt.Errorf("core: spilled sample %d has unknown event type %d", ord, meta[i][1])
-			}
-			if ord < m.cursor {
-				if delta {
-					// A compacted block straddling the cursor: the leading
-					// samples are already resident.
-					continue
-				}
-				if !st.stable {
-					scaleInto(&st.scaled[st.pos], cnt[i], st.curLo, st.curHi)
-				}
-				st.pos++
-				continue
-			}
-			st.samples = append(st.samples, decodeMeta(meta[i]))
-			st.scaled = append(st.scaled, scaleWith(cnt[i], st.curLo, st.curHi))
-		}
-		return nil
-	})
-	if err != nil {
-		return decoded, skipped, replayed, err
-	}
-	for _, irq := range m.irqs {
-		st := m.states[irq]
-		if len(st.scaled) != st.total {
-			return decoded, skipped, replayed, fmt.Errorf("core: event type %d has %d resident samples after replay, ingested %d", irq, len(st.scaled), st.total)
-		}
-	}
-	m.cursor = m.total
-	return decoded, skipped, replayed, nil
-}
-
-// refitAll syncs the spill, replays the delta (or everything, when any
-// event type's bounds moved), and refits every event type's detector,
+// refitAll rescales every event type's store (only the new distinct
+// counters when all bounds are stable) and refits its detector,
 // publishing one ranking per type in deterministic IRQ order.
 func (m *OnlineMiner) refitAll() error {
-	if err := m.store.sync(); err != nil {
-		return err
-	}
-	allStable := true
+	delta := true
 	for _, irq := range m.irqs {
 		st := m.states[irq]
-		if st.total == 0 {
+		if len(st.group) == 0 {
 			continue
 		}
 		st.effectiveScale()
-		if !st.stable {
-			allStable = false
-		}
+		delta = delta && st.stable
 	}
-	delta := allStable && m.cursor > 0
-	decoded, skipped, replayed, err := m.replay(delta)
-	if err != nil {
-		return err
-	}
-	sst := m.store.stats()
 	for _, irq := range m.irqs {
 		st := m.states[irq]
-		if st.total == 0 {
+		if len(st.group) == 0 {
 			continue
 		}
+		st.rescale(&m.rawBuf, m.dim)
 		r, err := m.refitState(st)
 		if err != nil {
 			return err
 		}
 		r.Delta = delta
-		r.BlocksDecoded = decoded
-		r.BlocksSkipped = skipped
-		r.SamplesReplayed = replayed
-		r.SpilledBlocks = sst.blocks
-		r.SpilledBytes = sst.bytes
-		r.Compactions = sst.compactions
+		r.SpilledBytes = m.rows.bytes()
 		if irq == m.irqs[0] {
 			m.last = r
 		}
@@ -797,20 +620,21 @@ func (m *OnlineMiner) refitAll() error {
 	return nil
 }
 
-// refitState solves one event type warm over its resident scaled samples.
-// Cached kernel columns survive iff the bounds are bitwise unchanged since
-// the previous refit (resident scaled samples are then bit-identical);
-// the warm coefficient start survives either way.
+// refitState solves one event type warm over its scaled view. Cached
+// kernel columns survive iff the bounds are bitwise unchanged since the
+// previous refit (the view's prefix is then bit-identical); the warm
+// coefficient start survives either way. The top-K rows are read back by
+// ordinal.
 func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
 	warm := st.refits > 0
 	// The ν-feasibility clamp OneClassSVM applies, over the current l.
 	nu := 0.05
-	if lmin := 1 / float64(len(st.scaled)); nu < lmin {
+	if lmin := 1 / float64(len(st.view)); nu < lmin {
 		nu = lmin
 	}
 	st.inc.SetNu(nu)
 	rebuildsBefore := st.inc.Rebuilds
-	model, err := st.inc.Refit(st.scaled, st.stable)
+	model, err := st.inc.Refit(st.view, st.stable)
 	if err != nil {
 		return nil, fmt.Errorf("core: detector one-class-svm: %w", err)
 	}
@@ -821,7 +645,10 @@ func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
 	top := topKIndices(scores, m.cfg.TopK)
 	ranked := make([]Sample, len(top))
 	for pos, idx := range top {
-		s := st.samples[idx]
+		s, err := m.rows.read(int(st.row[idx]))
+		if err != nil {
+			return nil, err
+		}
 		s.Score = scores[idx]
 		ranked[pos] = s
 	}
@@ -829,7 +656,7 @@ func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
 		IRQ:         st.irq,
 		Refit:       st.refits,
 		Batches:     m.batches,
-		Total:       st.total,
+		Total:       len(st.group),
 		Excluded:    st.excluded,
 		Samples:     ranked,
 		Warm:        warm,
@@ -841,29 +668,21 @@ func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
 	}, nil
 }
 
-// FinalizeAll replays every raw spilled counter through the identical
-// scale → score → rank tail MineBatches runs (an exact cold solve per
-// event type), closes the spill, and returns one full ranking per event
-// type that scored at least one interval — each bit-identical to one-shot
-// MineBatches over the same batches with Config.IRQ set to that type. The
-// miner cannot be used afterwards.
+// FinalizeAll runs each event type's distinct raw counters through the
+// identical scale → score → rank tail MineBatches runs (an exact cold
+// solve per event type), reading every row once in order, closes the
+// miner, and returns one full ranking per event type that scored at least
+// one interval — each bit-identical to one-shot MineBatches over the same
+// batches with Config.IRQ set to that type. The miner cannot be used
+// afterwards.
 func (m *OnlineMiner) FinalizeAll() (map[int]*Ranking, error) {
 	if m.closed {
 		return nil, fmt.Errorf("core: online miner is closed")
 	}
 	samples := map[int][]Sample{}
-	raw := map[int][]stats.Sparse{}
-	err := m.store.sync()
-	if err == nil {
-		_, _, err = m.store.replayFrom(0, func(start int, meta [][]int64, cnt []stats.Sparse) error {
-			for i := range cnt {
-				irq := int(meta[i][1])
-				samples[irq] = append(samples[irq], decodeMeta(meta[i]))
-				raw[irq] = append(raw[irq], cnt[i])
-			}
-			return nil
-		})
-	}
+	err := m.rows.scan(func(s Sample) {
+		samples[s.Interval.IRQ] = append(samples[s.Interval.IRQ], s)
+	})
 	if cerr := m.Close(); err == nil {
 		err = cerr
 	}
@@ -872,11 +691,18 @@ func (m *OnlineMiner) FinalizeAll() (map[int]*Ranking, error) {
 	}
 	out := map[int]*Ranking{}
 	for _, irq := range m.irqs {
-		if len(raw[irq]) == 0 {
+		st := m.states[irq]
+		if len(st.group) == 0 {
 			continue
 		}
-		st := m.states[irq]
-		r, err := rankSparse(samples[irq], raw[irq], m.cfg.Config.defaultDetector(), m.labels, st.excluded)
+		if len(samples[irq]) != len(st.group) {
+			return nil, fmt.Errorf("core: spill holds %d rows of event type %d, ingested %d", len(samples[irq]), irq, len(st.group))
+		}
+		distinct := make([]stats.Sparse, len(st.raw))
+		for g, key := range st.raw {
+			distinct[g].SetKey(key, m.dim)
+		}
+		r, err := rankSparse(samples[irq], distinct, st.group, m.cfg.Config.defaultDetector(), m.labels, st.excluded)
 		if err != nil {
 			return nil, err
 		}
@@ -902,13 +728,13 @@ func (m *OnlineMiner) Finalize() (*Ranking, error) {
 	return r, nil
 }
 
-// Close releases the spill store without scoring. Idempotent.
+// Close releases the row log without scoring. Idempotent.
 func (m *OnlineMiner) Close() error {
 	if m.closed {
 		return nil
 	}
 	m.closed = true
-	return m.store.close()
+	return m.rows.close()
 }
 
 // ExtractBatches converts recorded runs into the Batch stream Add and

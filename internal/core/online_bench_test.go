@@ -47,11 +47,10 @@ func onlineBenchBatches(l, dim, nb int) []Batch {
 // BenchmarkOnlineMine measures the incremental-refit path: 16 batches
 // ingested with a refit every 4 at a kernel-cache budget of 25% of the
 // dense Gram. Each refit reuses the previous optimum (fewer SMO
-// iterations), the surviving cached columns (extended lazily,
-// norms-shortcut evaluation for new cells), and the resident scaled
-// samples. The disk-delta variant streams the same batches through an
-// on-disk SENTCOL1 spill and decodes only the blocks appended since the
-// previous refit.
+// iterations), the surviving cached columns (extended lazily with exact
+// shape-planned fills for the new groups), and the resident scaled
+// distinct counters. The disk-rows variant keeps the intervals' metadata
+// rows in an on-disk row file and reads back only each refit's top-K rows.
 func BenchmarkOnlineMine(b *testing.B) {
 	l, dim := onlineBenchSize(testing.Short())
 	const nBatches = 16
@@ -62,13 +61,12 @@ func BenchmarkOnlineMine(b *testing.B) {
 		disk bool
 	}{
 		{name: "warm"},
-		{name: "disk-delta", disk: true},
+		{name: "disk-rows", disk: true},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var iters, refits, rebuilds int
 			var hits, misses int64
-			var decoded, skipped int64
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				spill := ""
@@ -84,8 +82,6 @@ func BenchmarkOnlineMine(b *testing.B) {
 						iters += r.Iters
 						hits += r.CacheHits
 						misses += r.CacheMisses
-						decoded += int64(r.BlocksDecoded)
-						skipped += int64(r.BlocksSkipped)
 						if r.Rebuilt {
 							rebuilds++
 						}
@@ -110,17 +106,14 @@ func BenchmarkOnlineMine(b *testing.B) {
 				if hits+misses > 0 {
 					b.ReportMetric(float64(hits)/float64(hits+misses), "hit-rate")
 				}
-				if variant.disk {
-					b.ReportMetric(float64(decoded)/float64(refits), "blocks-decoded/refit")
-					b.ReportMetric(float64(skipped)/float64(refits), "blocks-skipped/refit")
-				}
 			}
 		})
 	}
 }
 
-// BenchmarkOnlineIngest isolates the streaming ingest path — filter, scale
-// statistics, columnar spill to disk — with refits disabled. This is the
+// BenchmarkOnlineIngest isolates the streaming ingest path — filter,
+// content-addressed counter store, scale statistics, row file on disk —
+// with refits disabled. This is the
 // between-refit resident footprint the allocation guard bounds.
 func BenchmarkOnlineIngest(b *testing.B) {
 	l, dim := onlineBenchSize(testing.Short())

@@ -15,7 +15,7 @@ import (
 // holds every dimension at the global maximum and one sample is empty (so
 // every dimension carries an implicit zero), and every later sample stays
 // strictly inside those bounds. Every refit after the first therefore sees
-// bitwise-stable bounds for every event type — the delta-replay regime.
+// bitwise-stable bounds for every event type — the delta regime.
 func stableBatches(nBatches, perBatch int, irqs ...int) []Batch {
 	const dim = 6
 	rng := randx.New(23)
@@ -60,8 +60,8 @@ func stableBatches(nBatches, perBatch int, irqs ...int) []Batch {
 
 // widenedBatches is stableBatches with one more sample per event type in
 // batch 4 holding a new maximum in every dimension: the refit after it
-// must replay in full and rescale, and the refits after that are deltas
-// again.
+// must rescale every distinct counter, and the refits after that are
+// deltas again.
 func widenedBatches(nBatches, perBatch int, irqs ...int) []Batch {
 	bs := stableBatches(nBatches, perBatch, irqs...)
 	for _, irq := range irqs {
@@ -76,128 +76,49 @@ func widenedBatches(nBatches, perBatch int, irqs ...int) []Batch {
 	return bs
 }
 
-// TestOnlineMinerDeltaReplayCounters is the delta-replay proof: with stable
-// bounds, refit k decodes only the blocks appended since refit k-1 and
-// serves everything earlier from the resident scaled samples — asserted via
-// the replay counters, in both spill modes, with the final ranking still
-// bit-identical to one-shot MineBatches.
-func TestOnlineMinerDeltaReplayCounters(t *testing.T) {
-	const nBatches, perBatch = 6, 5
-	for _, tc := range []struct {
-		label string
-		spill bool
-	}{{"mem", false}, {"disk", true}} {
-		var seen []*OnlineRanking
-		cfg := OnlineConfig{
-			Config:       Config{IRQ: 1},
-			RefitEvery:   1,
-			TopK:         3,
-			SpillBlock:   1 << 10, // larger than any batch: one flushed block per refit
-			SpillCompact: -1,
-			OnRanking:    func(r *OnlineRanking) { seen = append(seen, r) },
-		}
-		if tc.spill {
-			cfg.SpillDir = t.TempDir()
-		}
-		m, err := NewOnlineMiner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batches := stableBatches(nBatches, perBatch, 1)
-		first := len(batches[0].Intervals)
-		for _, b := range batches {
-			if err := m.Add(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(seen) != nBatches {
-			t.Fatalf("%s: %d refits, want %d", tc.label, len(seen), nBatches)
-		}
-		for i, r := range seen {
-			if r.SpilledBlocks != i+1 {
-				t.Fatalf("%s: refit %d sees %d spilled blocks, want %d", tc.label, r.Refit, r.SpilledBlocks, i+1)
-			}
-			if tc.spill == (r.SpilledBytes == 0) {
-				t.Fatalf("%s: refit %d spilled bytes %d", tc.label, r.Refit, r.SpilledBytes)
-			}
-			if i == 0 {
-				if r.Delta {
-					t.Fatalf("%s: first refit claims delta replay", tc.label)
-				}
-				if r.BlocksDecoded != 1 || r.BlocksSkipped != 0 || r.SamplesReplayed != first {
-					t.Fatalf("%s: first refit decoded=%d skipped=%d replayed=%d",
-						tc.label, r.BlocksDecoded, r.BlocksSkipped, r.SamplesReplayed)
-				}
-				continue
-			}
-			if !r.Delta {
-				t.Fatalf("%s: refit %d not delta despite stable bounds", tc.label, r.Refit)
-			}
-			if r.BlocksSkipped != i || r.BlocksDecoded != 1 {
-				t.Fatalf("%s: refit %d decoded=%d skipped=%d, want 1/%d",
-					tc.label, r.Refit, r.BlocksDecoded, r.BlocksSkipped, i)
-			}
-			if r.SamplesReplayed != perBatch {
-				t.Fatalf("%s: refit %d replayed %d samples, want only the appended %d",
-					tc.label, r.Refit, r.SamplesReplayed, perBatch)
-			}
-		}
-		got, err := m.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := MineBatches(stableBatches(nBatches, perBatch, 1), Config{IRQ: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRanking(t, tc.label+"/delta", want, got)
-	}
-}
-
-// TestOnlineMinerFullReplayMatchesDelta: after every delta refit, each
-// event type's resident scaled samples must be bitwise equal to a fresh
-// rescale of the whole spill — resident-sample reuse changes the work,
-// never the numbers. The stream widens the scale bounds midway, so the
-// deltas after an in-place rescale are checked too, in both spill modes
-// and with blocks that straddle the cursor after compaction.
-func TestOnlineMinerFullReplayMatchesDelta(t *testing.T) {
+// TestOnlineMinerResidentScaledMatchesFresh: after every refit, each
+// event type's scaled view — one header per member, pointing at its
+// group's resident scaled vector — must be bitwise equal to a fresh
+// Scale01Sparse over a copy of every raw counter that event type ingested
+// so far. Scaling only the new distinct counters on stable bounds, and
+// rescaling all of them in place when a bound moves, changes the work,
+// never the numbers. The stream widens the bounds midway, so the deltas
+// after an in-place rescale are checked too, in both spill modes.
+func TestOnlineMinerResidentScaledMatchesFresh(t *testing.T) {
 	build := func() []Batch { return widenedBatches(8, 5, 1, 2) }
-	for _, tc := range []struct {
-		label          string
-		spill          bool
-		block, compact int
-	}{
-		{"mem", false, 0, 0},
-		{"disk-multiblock", true, 4, -1},
-		{"disk-compacted", true, 1 << 10, 2},
-	} {
+	for _, spill := range []bool{false, true} {
+		label := map[bool]string{false: "mem", true: "disk"}[spill]
 		var m *OnlineMiner
 		var deltas, full int
 		cfg := OnlineConfig{
-			Config:       Config{IRQ: 1},
-			IRQs:         []int{2},
-			RefitEvery:   1,
-			SpillBlock:   tc.block,
-			SpillCompact: tc.compact,
+			Config:     Config{IRQ: 1},
+			IRQs:       []int{2},
+			RefitEvery: 1,
 			OnRanking: func(r *OnlineRanking) {
-				if !r.Delta {
+				if r.Delta {
+					deltas++
+					if r.Rebuilt {
+						t.Fatalf("%s: delta refit %d irq %d rebuilt its kernel cache", label, r.Refit, r.IRQ)
+					}
+				} else {
 					full++
-					return
 				}
-				deltas++
-				want := rescaledSpill(t, m, r.IRQ)
-				got := m.states[r.IRQ].scaled
-				if len(got) != len(want) {
-					t.Fatalf("%s: refit %d irq %d: %d resident samples, spill holds %d", tc.label, r.Refit, r.IRQ, len(got), len(want))
+				want := freshScaled(build()[:r.Batches], r.IRQ)
+				st := m.states[r.IRQ]
+				if len(st.scaled) != len(st.raw) {
+					t.Fatalf("%s: refit %d irq %d: %d scaled vectors for %d distinct counters", label, r.Refit, r.IRQ, len(st.scaled), len(st.raw))
+				}
+				if len(st.view) != len(want) {
+					t.Fatalf("%s: refit %d irq %d: %d members in the view, ingested %d", label, r.Refit, r.IRQ, len(st.view), len(want))
 				}
 				for i := range want {
-					if !sparseBitsEqual(got[i], want[i]) {
-						t.Fatalf("%s: refit %d irq %d: resident sample %d %+v, fresh rescale %+v", tc.label, r.Refit, r.IRQ, i, got[i], want[i])
+					if !sparseBitsEqual(st.view[i], want[i]) || !sparseBitsEqual(st.scaled[st.group[i]], want[i]) {
+						t.Fatalf("%s: refit %d irq %d: member %d scaled %+v, fresh scale %+v", label, r.Refit, r.IRQ, i, st.view[i], want[i])
 					}
 				}
 			},
 		}
-		if tc.spill {
+		if spill {
 			cfg.SpillDir = t.TempDir()
 		}
 		var err error
@@ -210,9 +131,9 @@ func TestOnlineMinerFullReplayMatchesDelta(t *testing.T) {
 			}
 		}
 		// Per event type: the first refit and the one after the widening
-		// batch replay in full; the other six are deltas.
+		// batch rescale everything; the other six are deltas.
 		if full != 4 || deltas != 12 {
-			t.Fatalf("%s: %d full and %d delta rankings, want 4 and 12", tc.label, full, deltas)
+			t.Fatalf("%s: %d full and %d delta rankings, want 4 and 12", label, full, deltas)
 		}
 		all, err := m.FinalizeAll()
 		if err != nil {
@@ -223,34 +144,113 @@ func TestOnlineMinerFullReplayMatchesDelta(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameRanking(t, fmt.Sprintf("%s/irq%d", tc.label, irq), want, all[irq])
+			sameRanking(t, fmt.Sprintf("%s/irq%d", label, irq), want, all[irq])
 		}
 	}
 }
 
-// rescaledSpill decodes every spilled sample of one event type and scales
-// the copies with feature.Scale01Sparse over that whole set — the full
-// replay a refit would run from scratch.
-func rescaledSpill(t *testing.T, m *OnlineMiner, irq int) []stats.Sparse {
-	t.Helper()
+// freshScaled copies every complete counter of one event type out of the
+// batches, in order, and scales the copies with feature.Scale01Sparse over
+// that whole set — what a refit would train on if it rescaled everything
+// from scratch.
+func freshScaled(batches []Batch, irq int) []stats.Sparse {
 	var out []stats.Sparse
-	_, _, err := m.store.replayFrom(0, func(_ int, meta [][]int64, cnt []stats.Sparse) error {
-		for i, c := range cnt {
-			if int(meta[i][1]) == irq {
-				out = append(out, stats.Sparse{
-					Idx: append([]int32(nil), c.Idx...),
-					Val: append([]float64(nil), c.Val...),
-					Dim: c.Dim,
-				})
+	for _, b := range batches {
+		for i, iv := range b.Intervals {
+			if iv.IRQ != irq || !iv.Complete {
+				continue
 			}
+			c := b.Counters[i]
+			out = append(out, stats.Sparse{
+				Idx: append([]int32(nil), c.Idx...),
+				Val: append([]float64(nil), c.Val...),
+				Dim: c.Dim,
+			})
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	feature.Scale01Sparse(out)
 	return out
+}
+
+// TestOnlineMinerStoresEachDistinctCounterOnce: a stream of many intervals
+// over a few distinct counters — ±0 and an empty counter among them — must
+// leave exactly one raw and one scaled vector per distinct counter
+// (bitwise, so +0 and -0 count apart), one group id per interval, and a
+// final ranking bit-identical to MineBatches.
+func TestOnlineMinerStoresEachDistinctCounterOnce(t *testing.T) {
+	const dim, l = 8, 300
+	negZero := math.Copysign(0, -1)
+	distinct := []stats.Sparse{
+		{Idx: []int32{0, 3}, Val: []float64{4, 1}, Dim: dim},
+		{Idx: []int32{0, 3}, Val: []float64{4, 2}, Dim: dim},
+		{Idx: []int32{1, 2, 7}, Val: []float64{1, 1, 9}, Dim: dim},
+		{Idx: []int32{5}, Val: []float64{0}, Dim: dim},
+		{Idx: []int32{5}, Val: []float64{negZero}, Dim: dim},
+		{Dim: dim},
+		{Idx: []int32{0, 1, 2, 3, 4, 5, 6, 7}, Val: []float64{1, 2, 3, 4, 5, 6, 7, 8}, Dim: dim},
+	}
+	build := func() []Batch {
+		rng := randx.New(5)
+		var out []Batch
+		for i := 0; i < l; i++ {
+			if i%25 == 0 {
+				out = append(out, Batch{Run: len(out) + 1})
+			}
+			b := &out[len(out)-1]
+			c := distinct[rng.Intn(len(distinct))]
+			if i < len(distinct) {
+				c = distinct[i] // every counter appears at least once
+			}
+			b.Intervals = append(b.Intervals, completeInterval(1, i, 1))
+			b.Counters = append(b.Counters, stats.Sparse{
+				Idx: append([]int32(nil), c.Idx...),
+				Val: append([]float64(nil), c.Val...),
+				Dim: c.Dim,
+			})
+		}
+		return out
+	}
+	for _, refitEvery := range []int{0, 3} {
+		m, err := NewOnlineMiner(OnlineConfig{Config: Config{IRQ: 1}, RefitEvery: refitEvery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range build() {
+			if err := m.Add(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := m.states[1]
+		if refitEvery == 0 {
+			st.effectiveScale()
+			st.rescale(&m.rawBuf, m.dim)
+		}
+		g := len(distinct)
+		if len(st.raw) != g || len(st.groupOf) != g || len(st.scaled) != g {
+			t.Fatalf("refit every %d: %d raw, %d keyed and %d scaled vectors, want %d each",
+				refitEvery, len(st.raw), len(st.groupOf), len(st.scaled), g)
+		}
+		if len(st.group) != l || len(st.row) != l || len(st.view) != l {
+			t.Fatalf("refit every %d: %d group ids, %d rows, %d view entries, want %d each",
+				refitEvery, len(st.group), len(st.row), len(st.view), l)
+		}
+		for gi, key := range st.raw {
+			var raw stats.Sparse
+			raw.SetKey(key, dim)
+			if !sparseBitsEqual(raw, distinct[gi]) {
+				t.Fatalf("refit every %d: group %d holds %+v, want first appearance %+v", refitEvery, gi, raw, distinct[gi])
+			}
+		}
+		got, err := m.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MineBatches(build(), Config{IRQ: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRanking(t, fmt.Sprintf("refit-every-%d", refitEvery), want, got)
+	}
 }
 
 func sparseBitsEqual(a, b stats.Sparse) bool {
@@ -266,8 +266,8 @@ func sparseBitsEqual(a, b stats.Sparse) bool {
 }
 
 // TestOnlineMinerMovedBoundsDisableDelta: a batch that widens any scale
-// bound invalidates every resident scaled sample, so the refit must fall
-// back to a full replay — no block may be skipped.
+// bound invalidates every resident scaled vector, so the refit must
+// rescale everything and rebuild the kernel cache.
 func TestOnlineMinerMovedBoundsDisableDelta(t *testing.T) {
 	const dim = 4
 	mkBatch := func(run int, peak float64) Batch {
@@ -306,11 +306,10 @@ func TestOnlineMinerMovedBoundsDisableDelta(t *testing.T) {
 	}
 	for _, r := range seen {
 		if r.Delta {
-			t.Fatalf("refit %d claims delta replay despite moved bounds", r.Refit)
+			t.Fatalf("refit %d claims stable bounds despite moved bounds", r.Refit)
 		}
-		if r.BlocksSkipped != 0 || r.BlocksDecoded != r.SpilledBlocks {
-			t.Fatalf("refit %d decoded=%d skipped=%d of %d blocks",
-				r.Refit, r.BlocksDecoded, r.BlocksSkipped, r.SpilledBlocks)
+		if !r.Rebuilt {
+			t.Fatalf("refit %d kept its kernel cache despite moved bounds", r.Refit)
 		}
 	}
 	got, err := m.Finalize()
@@ -324,70 +323,8 @@ func TestOnlineMinerMovedBoundsDisableDelta(t *testing.T) {
 	sameRanking(t, "moved-bounds", want, got)
 }
 
-// TestOnlineMinerCompactionDeltaEquivalence: aggressive tiny-block
-// compaction keeps merging the trailing run into one block, so delta refits
-// decode a block that straddles the cursor — the resident prefix inside it
-// must be skipped sample-by-sample, and the final ranking must not move.
-func TestOnlineMinerCompactionDeltaEquivalence(t *testing.T) {
-	const nBatches, perBatch = 8, 4
-	var seen []*OnlineRanking
-	m, err := NewOnlineMiner(OnlineConfig{
-		Config:       Config{IRQ: 1},
-		RefitEvery:   1,
-		TopK:         3,
-		SpillDir:     t.TempDir(),
-		SpillBlock:   1 << 10, // every refit flush is undersized
-		SpillCompact: 2,
-		OnRanking:    func(r *OnlineRanking) { seen = append(seen, r) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := stableBatches(nBatches, perBatch, 1)
-	first := len(batches[0].Intervals)
-	for _, b := range batches {
-		if err := m.Add(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(seen) != nBatches {
-		t.Fatalf("%d refits, want %d", len(seen), nBatches)
-	}
-	for i, r := range seen {
-		if r.Compactions != i {
-			t.Fatalf("refit %d: %d compactions, want %d", r.Refit, r.Compactions, i)
-		}
-		if r.SpilledBlocks != 1 {
-			t.Fatalf("refit %d: %d live blocks, want the merged 1", r.Refit, r.SpilledBlocks)
-		}
-		if i == 0 {
-			continue
-		}
-		if !r.Delta {
-			t.Fatalf("refit %d not delta despite stable bounds", r.Refit)
-		}
-		// The merged block straddles the cursor: decoded, never skipped, and
-		// it carries every sample so far.
-		if r.BlocksDecoded != 1 || r.BlocksSkipped != 0 {
-			t.Fatalf("refit %d decoded=%d skipped=%d", r.Refit, r.BlocksDecoded, r.BlocksSkipped)
-		}
-		if want := first + i*perBatch; r.SamplesReplayed != want {
-			t.Fatalf("refit %d replayed %d samples, want %d", r.Refit, r.SamplesReplayed, want)
-		}
-	}
-	got, err := m.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := MineBatches(stableBatches(nBatches, perBatch, 1), Config{IRQ: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRanking(t, "compacted", want, got)
-}
-
 // TestOnlineMinerMultiIRQFinalizeAll: one incremental detector per event
-// type over a single shared spill, each final ranking bit-identical to
+// type over a single shared row log, each final ranking bit-identical to
 // one-shot MineBatches with that type as Config.IRQ — in both spill modes
 // and with a parallel Gram build.
 func TestOnlineMinerMultiIRQFinalizeAll(t *testing.T) {
@@ -421,7 +358,6 @@ func TestOnlineMinerMultiIRQFinalizeAll(t *testing.T) {
 		}
 		if tc.spill {
 			cfg.SpillDir = t.TempDir()
-			cfg.SpillBlock = 5
 		}
 		m, err := NewOnlineMiner(cfg)
 		if err != nil {

@@ -87,7 +87,6 @@ func TestOnlineMinerBitIdenticalToMineBatches(t *testing.T) {
 				RefitEvery: cadence,
 				TopK:       5,
 				SpillDir:   spill,
-				SpillBlock: 7, // force multiple blocks
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -243,7 +242,6 @@ func TestOnlineMinerColdRefitsMatchWarm(t *testing.T) {
 		}
 		if tc.spill {
 			cfg.SpillDir = t.TempDir()
-			cfg.SpillBlock = 5
 		}
 		m, err := NewOnlineMiner(cfg)
 		if err != nil {
@@ -522,6 +520,51 @@ func TestOnlineMinerRejectedBatchLeavesStateIntact(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRanking(t, tc.label, want, got)
+	}
+}
+
+// TestMalformedCountersRejected: a NaN or infinite value is no
+// instruction count, and neither is a counter whose indices fall outside
+// its dimension, descend, or outnumber its values. MineBatches and
+// OnlineMiner.Add must both reject each with an error naming the sample
+// (and, for a bad value, the dimension) rather than rank the batch — a
+// NaN poisons the scale bounds into an all-zero-score ranking, and a bad
+// index panics.
+func TestMalformedCountersRejected(t *testing.T) {
+	for _, tc := range []struct {
+		label, want string
+		bad         stats.Sparse
+	}{
+		{"nan", "holds NaN at dim 4", stats.Sparse{Idx: []int32{1, 4}, Val: []float64{2, math.NaN()}, Dim: 6}},
+		{"+inf", "holds +Inf at dim 4", stats.Sparse{Idx: []int32{1, 4}, Val: []float64{2, math.Inf(1)}, Dim: 6}},
+		{"-inf", "holds -Inf at dim 4", stats.Sparse{Idx: []int32{1, 4}, Val: []float64{2, math.Inf(-1)}, Dim: 6}},
+		{"index-out-of-range", "has index 6 at entry 1", stats.Sparse{Idx: []int32{1, 6}, Val: []float64{2, 1}, Dim: 6}},
+		{"descending", "has index 1 at entry 1", stats.Sparse{Idx: []int32{4, 1}, Val: []float64{2, 1}, Dim: 6}},
+		{"ragged", "has 2 indices but 1 values", stats.Sparse{Idx: []int32{1, 4}, Val: []float64{2}, Dim: 6}},
+	} {
+		build := func() []Batch {
+			bs := stableBatches(2, 5, 1)
+			bs[1].Counters[2] = tc.bad
+			return bs
+		}
+		// Batch 0 keeps two pinning samples plus five; the bad counter is
+		// the third of batch 1.
+		want := "sample 9 " + tc.want
+		if _, err := MineBatches(build(), Config{IRQ: 1}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: MineBatches: %v, want %q", tc.label, err, want)
+		}
+		m, err := NewOnlineMiner(OnlineConfig{Config: Config{IRQ: 1}, RefitEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := build()
+		if err := m.Add(bs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Add(bs[1]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: OnlineMiner.Add: %v, want %q", tc.label, err, want)
+		}
+		m.Close()
 	}
 }
 

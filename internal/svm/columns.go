@@ -2,7 +2,6 @@ package svm
 
 import (
 	"encoding/binary"
-	"math"
 	"sort"
 	"sync"
 
@@ -165,20 +164,16 @@ func newSparseColSource(samples []stats.Sparse, kernel SparseKernel, workers int
 // kernel values derived from them — remain exact; new groups are numbered
 // after the old ones, so a cached column only misses its tail.
 //
-// Keys are the raw index/value bytes, so only bit-identical vectors share
-// a group — a missed match (e.g. ±0) merely costs an extra group, never
+// Keys are stats.AppendKey's, so only bit-identical vectors share a group
+// — a missed match (e.g. ±0) merely costs an extra group, never
 // correctness. A source built in one shot and one grown batch by batch
 // assign identical groups.
 func (s *sparseColSource) extendTo(all []stats.Sparse) {
 	oldLen := len(s.group)
 	s.samples = all
 	for i := oldLen; i < len(all); i++ {
-		key := s.keyBuf[:0]
 		sm := all[i]
-		for k, idx := range sm.Idx {
-			key = binary.LittleEndian.AppendUint32(key, uint32(idx))
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(sm.Val[k]))
-		}
+		key := stats.AppendKey(s.keyBuf[:0], sm)
 		s.keyBuf = key[:0]
 		if gi, ok := s.seen[string(key)]; ok {
 			s.group = append(s.group, gi)

@@ -29,7 +29,6 @@ func mineOnline(t *testing.T, inputs []sentomist.RunInput, cfg sentomist.MineCon
 		RefitEvery: refitEvery,
 		TopK:       5,
 		SpillDir:   spillDir,
-		SpillBlock: 64,
 		OnRanking:  func(*sentomist.OnlineRanking) { refits++ },
 	})
 	if err != nil {
@@ -154,7 +153,6 @@ func TestOnlineMultiIRQMatchesOneShot(t *testing.T) {
 			RefitEvery: 2,
 			TopK:       5,
 			SpillDir:   spill,
-			SpillBlock: 32,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -181,8 +179,8 @@ func TestOnlineMultiIRQMatchesOneShot(t *testing.T) {
 // TestOnlineCampaignMatchesMine pins the campaign engine's streaming-ingest
 // arm: runs finish on a worker pool in nondeterministic order, are ingested
 // strictly in run order, and the finalized ranking still matches the
-// materialized pipeline at every worker count — with tiny-block compaction
-// exercised along the way.
+// materialized pipeline at every worker count, with the row log spilled to
+// disk and held in memory.
 func TestOnlineCampaignMatchesMine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulations")
@@ -202,14 +200,18 @@ func TestOnlineCampaignMatchesMine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []struct {
-		workers      int
-		spillCompact int
+		workers int
+		spill   bool
 	}{
-		{workers: 1},
-		{workers: 4, spillCompact: 2}, // tiny blocks merge every refit
-		{workers: 0},
+		{workers: 1, spill: true},
+		{workers: 4, spill: false},
+		{workers: 0, spill: true},
 	} {
-		got, err := campaignCaseIOnline(v.workers, t.TempDir(), v.spillCompact)
+		spillDir := ""
+		if v.spill {
+			spillDir = t.TempDir()
+		}
+		got, err := campaignCaseIOnline(v.workers, spillDir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,8 +220,9 @@ func TestOnlineCampaignMatchesMine(t *testing.T) {
 }
 
 // campaignCaseIOnline is streaming_test.go's reduced Case-I campaign with
-// the online arm enabled: refit every batch, top-5, columnar disk spill.
-func campaignCaseIOnline(workers int, spillDir string, spillCompact int) (*sentomist.Ranking, error) {
+// the online arm enabled: refit every batch, top-5, rows spilled to
+// spillDir (in memory when empty).
+func campaignCaseIOnline(workers int, spillDir string) (*sentomist.Ranking, error) {
 	periods := []int{20, 40, 60}
 	runs := make([]sentomist.CampaignRun, len(periods))
 	for i, d := range periods {
@@ -244,11 +247,9 @@ func campaignCaseIOnline(workers int, spillDir string, spillCompact int) (*sento
 		Nodes:   []int{sentomist.CaseISensorID},
 		Workers: workers,
 		Online: &sentomist.CampaignOnline{
-			RefitEvery:   1,
-			TopK:         5,
-			SpillDir:     spillDir,
-			SpillBlock:   16,
-			SpillCompact: spillCompact,
+			RefitEvery: 1,
+			TopK:       5,
+			SpillDir:   spillDir,
 		},
 	}, runs)
 }

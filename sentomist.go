@@ -166,7 +166,7 @@ type (
 	// MineBatches over the same batches.
 	OnlineMiner = core.OnlineMiner
 	// OnlineMineConfig parameterizes an OnlineMiner (refit cadence,
-	// top-K bound, columnar spill directory).
+	// top-K bound, row spill directory).
 	OnlineMineConfig = core.OnlineConfig
 	// OnlineRanking is one intermediate refit's top-K output with its
 	// solver provenance (warm start, cache reuse, iterations).
@@ -176,7 +176,7 @@ type (
 	CampaignOnline = campaign.OnlineOptions
 )
 
-// NewOnlineMiner opens an online miner (and its spill store, when
+// NewOnlineMiner opens an online miner (and its row spill file, when
 // configured).
 func NewOnlineMiner(cfg OnlineMineConfig) (*OnlineMiner, error) {
 	return core.NewOnlineMiner(cfg)
