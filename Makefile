@@ -18,7 +18,7 @@ vet:
 
 # The engine benchmarks behind docs/PERFORMANCE.md and docs/EMULATOR.md.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkMine|BenchmarkSVMTrain|BenchmarkCounterSparse|BenchmarkSimulateCaseI|BenchmarkPipelineCaseI' -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkMine|BenchmarkSVMTrain|BenchmarkCounterSparse|BenchmarkPipelineCaseI' -benchmem .
 	$(GO) test -run xxx -bench . -benchmem ./internal/svm/ ./internal/feature/
 	$(GO) test -run xxx -bench . -benchmem ./internal/mcu/ ./internal/sim/ ./internal/apps/
 

@@ -215,44 +215,6 @@ func BenchmarkNuSensitivity(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateCaseI measures the record phase alone: the five pooled
-// Case-I simulations (D = 20..100 ms, 10 s each) exactly as
-// experiments.CaseI launches them, with the mining pipeline excluded. The
-// batched/reference sub-benchmarks are the speedup measurement of the fast
-// emulation front-end (predecoded dispatch, block batching, loop folding,
-// event-horizon scheduling) against the single-step fixed-quantum engine;
-// both produce byte-identical traces (TestEngineDifferential).
-func BenchmarkSimulateCaseI(b *testing.B) {
-	simulate := func(b *testing.B, reference bool) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			errs := make([]error, len(experiments.CaseIPeriods))
-			var wg sync.WaitGroup
-			for j, d := range experiments.CaseIPeriods {
-				wg.Add(1)
-				go func(j, d int) {
-					defer wg.Done()
-					_, errs[j] = sentomist.RunCaseI(sentomist.CaseIConfig{
-						PeriodMS: d, Seconds: 10,
-						Seed:      experiments.CaseISeedBase + uint64(j),
-						Reference: reference,
-					})
-				}(j, d)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		simSeconds := 10.0 * float64(len(experiments.CaseIPeriods))
-		b.ReportMetric(simSeconds*float64(b.N)/b.Elapsed().Seconds(), "sim_s/host_s")
-	}
-	b.Run("batched", func(b *testing.B) { simulate(b, false) })
-	b.Run("reference", func(b *testing.B) { simulate(b, true) })
-}
-
 // BenchmarkSubstrate measures the simulator itself: simulated-vs-host time
 // for the heaviest scenario (nine nodes, 15 s of CSMA traffic).
 func BenchmarkSubstrate(b *testing.B) {
@@ -374,37 +336,29 @@ func caseIPooledInputs(b *testing.B) []sentomist.RunInput {
 }
 
 // BenchmarkMine compares the mining engine's configurations on the pooled
-// Case-I workload (simulation excluded): the dense sequential baseline
-// against the sparse/parallel default. Rankings are identical across all
-// variants (see TestMineSparseParallelEquivalence); only the cost differs.
+// Case-I workload (simulation excluded): the dense baseline (denseMine, at
+// sequential and parallel Gram construction) against the sparse Mine
+// pipeline. Rankings are identical across all variants (see
+// TestMineSparseParallelEquivalence); only the cost differs.
 func BenchmarkMine(b *testing.B) {
 	inputs := caseIPooledInputs(b)
-	variants := []struct {
-		name string
-		cfg  sentomist.MineConfig
-	}{
-		{"dense_sequential", sentomist.MineConfig{
-			DenseFeatures: true, Parallelism: 1,
-			Detector: outlier.OneClassSVM{Parallelism: 1},
-		}},
-		{"dense_parallel", sentomist.MineConfig{
-			DenseFeatures: true,
-			Detector:      outlier.OneClassSVM{},
-		}},
-		{"sparse_sequential", sentomist.MineConfig{
-			Parallelism: 1,
-			Detector:    outlier.OneClassSVM{Parallelism: 1},
-		}},
-		{"sparse_parallel", sentomist.MineConfig{}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			cfg := v.cfg
-			cfg.IRQ = sentomist.IRQADC
-			cfg.Nodes = []int{sentomist.CaseISensorID}
+	cfg := sentomist.MineConfig{IRQ: sentomist.IRQADC, Nodes: []int{sentomist.CaseISensorID}}
+	dense := func(svmParallelism int) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := sentomist.Mine(inputs, cfg)
+				denseMine(b, inputs, cfg, svmParallelism)
+			}
+		}
+	}
+	sparse := func(parallelism int, det sentomist.Detector) func(b *testing.B) {
+		return func(b *testing.B) {
+			c := cfg
+			c.Parallelism = parallelism
+			c.Detector = det
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := sentomist.Mine(inputs, c)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -412,8 +366,12 @@ func BenchmarkMine(b *testing.B) {
 					b.Fatal("empty ranking")
 				}
 			}
-		})
+		}
 	}
+	b.Run("dense_sequential", dense(1))
+	b.Run("dense_parallel", dense(0))
+	b.Run("sparse_sequential", sparse(1, outlier.OneClassSVM{Parallelism: 1}))
+	b.Run("sparse_parallel", sparse(0, nil))
 }
 
 // pooledCounters extracts the scaled Case-I feature matrix in both

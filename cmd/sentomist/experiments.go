@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"sentomist/internal/bench"
 	"sentomist/internal/experiments"
 )
 
@@ -13,7 +14,7 @@ import (
 // run and prints a paper-vs-measured report — the executable counterpart
 // of EXPERIMENTS.md.
 func experimentsCmd(fs *flag.FlagSet) runFunc {
-	nodeWorkersFlag(fs, &experiments.NodeWorkers)
+	nodeWorkersFlag(fs, &bench.NodeWorkers)
 	return func(_ []string, stdout, _ io.Writer) error { return experimentsReport(stdout) }
 }
 

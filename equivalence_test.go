@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"sentomist"
+	"sentomist/internal/feature"
+	"sentomist/internal/lifecycle"
 	"sentomist/internal/outlier"
 )
 
@@ -89,25 +91,73 @@ func sameRanking(t *testing.T, label string, want, got *sentomist.Ranking) {
 	}
 }
 
-// TestMineSparseParallelEquivalence checks every engine configuration
-// against the dense sequential baseline on all three case fixtures.
+// denseMine is the dense counter baseline, built only from exported
+// pieces: every monitored node anatomized by lifecycle.Sequence, every
+// complete interval of cfg.IRQ featured as a ProgramLen-dimensional
+// Definition-4 counter (feature.Extractor.Counter), Scale01 over the pooled
+// matrix, then the one-class SVM at the given Gram parallelism.
+func denseMine(tb testing.TB, inputs []sentomist.RunInput, cfg sentomist.MineConfig, svmParallelism int) *sentomist.Ranking {
+	tb.Helper()
+	allowed := map[int]bool{}
+	for _, id := range cfg.Nodes {
+		allowed[id] = true
+	}
+	var samples []sentomist.Sample
+	var vectors [][]float64
+	excluded := 0
+	for ri, in := range inputs {
+		ext := feature.NewExtractor(in.Trace)
+		for _, nt := range in.Trace.Nodes {
+			if len(allowed) > 0 && !allowed[nt.NodeID] {
+				continue
+			}
+			ivs, err := lifecycle.NewSequence(nt).Extract()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for _, iv := range ivs {
+				if iv.IRQ != cfg.IRQ {
+					continue
+				}
+				if !iv.Complete {
+					excluded++
+					continue
+				}
+				v, err := ext.Counter(iv)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				samples = append(samples, sentomist.Sample{Run: ri + 1, Interval: iv})
+				vectors = append(vectors, v)
+			}
+		}
+	}
+	feature.Scale01(vectors)
+	scores, err := outlier.OneClassSVM{Parallelism: svmParallelism}.Score(vectors)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := &sentomist.Ranking{Excluded: excluded, Dim: len(vectors[0])}
+	for _, i := range outlier.Rank(scores) {
+		s := samples[i]
+		s.Score = scores[i]
+		r.Samples = append(r.Samples, s)
+	}
+	return r
+}
+
+// TestMineSparseParallelEquivalence checks every sparse Mine configuration
+// against the dense sequential baseline on all three case fixtures: the
+// same dimensionality and exclusions, and every rank and score bit for bit.
 func TestMineSparseParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulations")
 	}
 	for name, fx := range caseFixtures(t) {
 		t.Run(name, func(t *testing.T) {
-			baseCfg := fx.cfg
-			baseCfg.DenseFeatures = true
-			baseCfg.Parallelism = 1
-			baseCfg.Detector = outlier.OneClassSVM{Parallelism: 1}
-			want, err := sentomist.Mine(fx.inputs, baseCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := denseMine(t, fx.inputs, fx.cfg, 1)
 			variants := map[string]sentomist.MineConfig{
 				"sparse-seq":   {Parallelism: 1},
-				"dense-par":    {DenseFeatures: true, Parallelism: 8},
 				"sparse-par":   {Parallelism: 8},
 				"sparse-auto":  {},
 				"gram-par":     {Parallelism: 1, Detector: outlier.OneClassSVM{Parallelism: 8}},
@@ -115,14 +165,17 @@ func TestMineSparseParallelEquivalence(t *testing.T) {
 			}
 			for vname, v := range variants {
 				cfg := fx.cfg
-				cfg.DenseFeatures = v.DenseFeatures
 				cfg.Parallelism = v.Parallelism
 				cfg.Detector = v.Detector
 				got, err := sentomist.Mine(fx.inputs, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameRanking(t, name+"/"+vname, want, got)
+				if got.Dim != want.Dim || got.Excluded != want.Excluded {
+					t.Fatalf("%s/%s: dim/excluded (%d,%d), want (%d,%d)",
+						name, vname, got.Dim, got.Excluded, want.Dim, want.Excluded)
+				}
+				sameRankingExact(t, name+"/"+vname, want, got)
 			}
 		})
 	}

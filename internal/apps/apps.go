@@ -126,8 +126,8 @@ type builder struct {
 	nodes []*node.Node
 	run   *Run
 	// reference runs the scenario on the single-step reference engine
-	// (node SingleStep + sim reference scheduler) instead of the batched
-	// event-horizon engine; used by differential tests.
+	// (sim.NewReference) instead of the batched event-horizon engine; used
+	// by differential tests.
 	reference bool
 	// parallel bounds how many nodes advance concurrently inside the
 	// scheduler's conservative-lookahead sections; <= 1 stays sequential.
@@ -143,12 +143,14 @@ const (
 	sensorSplitKey = 0x5e45
 )
 
-func newBuilder(seed uint64) *builder {
+func newBuilder(seed uint64, parallel int, reference bool) *builder {
 	rng := randx.New(seed)
 	return &builder{
-		seed: seed,
-		rng:  rng,
-		net:  medium.NewNetwork(rng.Split(netSplitKey)),
+		seed:      seed,
+		rng:       rng,
+		net:       medium.NewNetwork(rng.Split(netSplitKey)),
+		parallel:  parallel,
+		reference: reference,
 		run: &Run{
 			Programs: make(map[int]*isa.Program),
 			Vars:     make(map[int]map[string]uint16),
@@ -187,7 +189,6 @@ func (b *builder) addNode(id int, prog *asm.Result, o nodeOpts) (*node.Node, err
 		RAMInit:        o.ramInit,
 		Truth:          true,
 		Sequential:     o.sequential,
-		SingleStep:     b.reference,
 		Sink:           o.sink,
 		DiscardMarkers: o.discard,
 	})
@@ -213,14 +214,7 @@ func (b *builder) addNode(id int, prog *asm.Result, o nodeOpts) (*node.Node, err
 		n.Attach(radio)
 	}
 	if len(o.fuzzIRQs) > 0 {
-		minGap, maxGap := o.fuzzMin, o.fuzzMax
-		if minGap == 0 {
-			minGap = 200
-		}
-		if maxGap < minGap {
-			maxGap = minGap * 20
-		}
-		n.Attach(dev.NewFuzzer(n, b.rng.Split(uint64(id)+0xf022), o.fuzzIRQs, minGap, maxGap))
+		n.Attach(dev.NewFuzzer(n, b.rng.Split(uint64(id)+0xf022), o.fuzzIRQs, o.fuzzMin, o.fuzzMax))
 	}
 	b.nodes = append(b.nodes, n)
 	b.run.Nodes[id] = n
@@ -232,11 +226,12 @@ func (b *builder) addNode(id int, prog *asm.Result, o nodeOpts) (*node.Node, err
 // execute runs the scenario for the given number of seconds and collects
 // the trace.
 func (b *builder) execute(seconds float64) (*Run, error) {
-	s := sim.NewWithConfig(sim.Config{
-		Seed:          b.seed,
-		Reference:     b.reference,
-		ParallelNodes: b.parallel,
-	}, b.nodes, b.net)
+	var s *sim.Sim
+	if b.reference {
+		s = sim.NewReference(b.seed, b.nodes, b.net)
+	} else {
+		s = sim.New(sim.Config{Seed: b.seed, ParallelNodes: b.parallel}, b.nodes, b.net)
+	}
 	cycles := uint64(seconds * CyclesPerSecond)
 	if err := s.Run(cycles); err != nil {
 		return nil, err

@@ -378,9 +378,9 @@ type CTPConfig struct {
 	Seed uint64
 	// Fixed selects the FAIL-handling variant.
 	Fixed bool
-	// Reference runs the whole scenario on the single-step reference
+	// reference runs the whole scenario on the single-step reference
 	// engine, for differential testing against the batched engine.
-	Reference bool
+	reference bool
 	// Stream installs per-node streaming sinks; DiscardMarkers drops
 	// markers from the materialized trace (see OscConfig).
 	Stream         map[int]trace.StreamSink
@@ -408,9 +408,7 @@ func RunCTPHeartbeat(cfg CTPConfig) (*Run, error) {
 		isSource[id] = true
 	}
 
-	b := newBuilder(cfg.Seed)
-	b.reference = cfg.Reference
-	b.parallel = cfg.NodeWorkers
+	b := newBuilder(cfg.Seed, cfg.NodeWorkers, cfg.reference)
 	if _, err := b.addNode(CTPRootID, rootProg, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[CTPRootID], discard: cfg.DiscardMarkers,

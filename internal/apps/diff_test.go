@@ -3,7 +3,7 @@ package apps
 // Differential testing of the emulation engines: every application scenario
 // is executed twice — once on the batched event-horizon engine (the
 // default) and once on the single-step fixed-quantum reference engine
-// (Reference: true) — and the two traces must be byte-identical after
+// (reference: true) — and the two traces must be byte-identical after
 // serialization. This is the hard equivalence bar of the fast front-end:
 // predecoded dispatch, basic-block batching, loop folding, and event-horizon
 // scheduling are all pure optimizations with no observable effect.
@@ -41,7 +41,7 @@ func diffScenarios(short bool) []diffScenario {
 			name: fmt.Sprintf("oscilloscope/D=%dms", d),
 			run: func(ref bool) (*Run, error) {
 				return RunOscilloscope(OscConfig{
-					PeriodMS: d, Seconds: oscSeconds, Seed: seed, Reference: ref,
+					PeriodMS: d, Seconds: oscSeconds, Seed: seed, reference: ref,
 				})
 			},
 		})
@@ -49,25 +49,25 @@ func diffScenarios(short bool) []diffScenario {
 	scs = append(scs,
 		diffScenario{"oscilloscope/fixed", func(ref bool) (*Run, error) {
 			return RunOscilloscope(OscConfig{
-				PeriodMS: 20, Seconds: oscSeconds, Seed: 100, Fixed: true, Reference: ref,
+				PeriodMS: 20, Seconds: oscSeconds, Seed: 100, Fixed: true, reference: ref,
 			})
 		}},
 		diffScenario{"oscilloscope/sequential", func(ref bool) (*Run, error) {
 			return RunOscilloscope(OscConfig{
-				PeriodMS: 20, Seconds: oscSeconds, Seed: 1, Sequential: true, Reference: ref,
+				PeriodMS: 20, Seconds: oscSeconds, Seed: 1, Sequential: true, reference: ref,
 			})
 		}},
 		diffScenario{"forwarder", func(ref bool) (*Run, error) {
-			return RunForwarder(ForwarderConfig{Seconds: fwdSeconds, Seed: 7, Reference: ref})
+			return RunForwarder(ForwarderConfig{Seconds: fwdSeconds, Seed: 7, reference: ref})
 		}},
 		diffScenario{"forwarder/fixed", func(ref bool) (*Run, error) {
-			return RunForwarder(ForwarderConfig{Seconds: fwdSeconds, Seed: 7, Fixed: true, Reference: ref})
+			return RunForwarder(ForwarderConfig{Seconds: fwdSeconds, Seed: 7, Fixed: true, reference: ref})
 		}},
 		diffScenario{"ctpheartbeat", func(ref bool) (*Run, error) {
-			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, Reference: ref})
+			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, reference: ref})
 		}},
 		diffScenario{"ctpheartbeat/fixed", func(ref bool) (*Run, error) {
-			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, Fixed: true, Reference: ref})
+			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, Fixed: true, reference: ref})
 		}},
 	)
 	return scs

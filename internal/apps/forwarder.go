@@ -300,9 +300,9 @@ type ForwarderConfig struct {
 	// (lfsr & BurstMask) == 0. Zero selects the default of 0x1f
 	// (roughly 1 burst per 32 packets).
 	BurstMask uint8
-	// Reference runs the whole scenario on the single-step reference
+	// reference runs the whole scenario on the single-step reference
 	// engine, for differential testing against the batched engine.
-	Reference bool
+	reference bool
 	// Stream installs per-node streaming sinks; DiscardMarkers drops
 	// markers from the materialized trace (see OscConfig).
 	Stream         map[int]trace.StreamSink
@@ -333,9 +333,7 @@ func RunForwarder(cfg ForwarderConfig) (*Run, error) {
 		return nil, fmt.Errorf("apps: forwarder sink: %w", err)
 	}
 
-	b := newBuilder(cfg.Seed)
-	b.reference = cfg.Reference
-	b.parallel = cfg.NodeWorkers
+	b := newBuilder(cfg.Seed, cfg.NodeWorkers, cfg.reference)
 	if _, err := b.addNode(FwdSinkID, sinkProg, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[FwdSinkID], discard: cfg.DiscardMarkers,

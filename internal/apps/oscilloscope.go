@@ -219,9 +219,9 @@ type OscConfig struct {
 	// semantics (no preemption): the paper's Section VI-E argues such a
 	// simulator cannot capture the interleavings that trigger this bug.
 	Sequential bool
-	// Reference runs the whole scenario on the single-step reference
+	// reference runs the whole scenario on the single-step reference
 	// engine, for differential testing against the batched engine.
-	Reference bool
+	reference bool
 	// Stream installs per-node streaming sinks: markers (with their
 	// instruction-count deltas) are delivered online as each node
 	// records them — the hook for the streaming featuring pipeline.
@@ -252,9 +252,7 @@ func RunOscilloscope(cfg OscConfig) (*Run, error) {
 		return nil, fmt.Errorf("apps: sink: %w", err)
 	}
 
-	b := newBuilder(cfg.Seed)
-	b.reference = cfg.Reference
-	b.parallel = cfg.NodeWorkers
+	b := newBuilder(cfg.Seed, cfg.NodeWorkers, cfg.reference)
 	if _, err := b.addNode(OscSinkID, sinkSrc, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[OscSinkID], discard: cfg.DiscardMarkers,

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 
 	"sentomist/internal/asm"
 	"sentomist/internal/trace"
@@ -27,8 +28,9 @@ type NodeSpec struct {
 	// configuration for shared binaries).
 	RAMInit map[string]uint8
 	// FuzzIRQs, when non-empty, attaches a random-interrupt test driver
-	// (Regehr-style) raising these IRQs at random times with gaps in
-	// [FuzzMinGap, FuzzMaxGap] cycles (defaults: 200 and 4000).
+	// (Regehr-style) raising these IRQs (each in 0..63) at random times
+	// with gaps in [FuzzMinGap, FuzzMaxGap] cycles. A zero FuzzMinGap
+	// selects 200 and a zero FuzzMaxGap selects 20×FuzzMinGap.
 	FuzzIRQs   []int
 	FuzzMinGap uint64
 	FuzzMaxGap uint64
@@ -45,7 +47,7 @@ type NodeSpec struct {
 
 // NewScenario creates an empty scenario whose randomness derives from seed.
 func NewScenario(seed uint64) *Scenario {
-	return &Scenario{b: newBuilder(seed)}
+	return &Scenario{b: newBuilder(seed, 0, false)}
 }
 
 // AddNode assembles the node's source and attaches the requested devices.
@@ -55,6 +57,28 @@ func (s *Scenario) AddNode(spec NodeSpec) error {
 	}
 	if _, dup := s.b.run.Nodes[spec.ID]; dup {
 		return fmt.Errorf("apps: duplicate node %d", spec.ID)
+	}
+	minGap, maxGap := spec.FuzzMinGap, spec.FuzzMaxGap
+	if len(spec.FuzzIRQs) > 0 {
+		// AddNode is the boundary that validates the fuzz spec: node.Raise
+		// and dev.NewFuzzer panic on these values as invariants.
+		for _, irq := range spec.FuzzIRQs {
+			if irq < 0 || irq > 63 {
+				return fmt.Errorf("apps: node %d: FuzzIRQs holds IRQ %d, want 0..63", spec.ID, irq)
+			}
+		}
+		if minGap == 0 {
+			minGap = 200
+		}
+		if maxGap == 0 {
+			if minGap > math.MaxUint64/20 {
+				return fmt.Errorf("apps: node %d: FuzzMinGap %d overflows the default FuzzMaxGap (20×FuzzMinGap)", spec.ID, minGap)
+			}
+			maxGap = minGap * 20
+		}
+		if maxGap < minGap || maxGap-minGap >= math.MaxInt64 {
+			return fmt.Errorf("apps: node %d: FuzzMaxGap %d is outside [FuzzMinGap, FuzzMinGap+2^63-2] for FuzzMinGap %d", spec.ID, maxGap, minGap)
+		}
 	}
 	prog, err := assembleWithPrelude(spec.Source)
 	if err != nil {
@@ -75,8 +99,8 @@ func (s *Scenario) AddNode(spec NodeSpec) error {
 		radio:      spec.Radio,
 		ramInit:    ram,
 		fuzzIRQs:   spec.FuzzIRQs,
-		fuzzMin:    spec.FuzzMinGap,
-		fuzzMax:    spec.FuzzMaxGap,
+		fuzzMin:    minGap,
+		fuzzMax:    maxGap,
 		sequential: spec.Sequential,
 		sink:       spec.Stream,
 		discard:    spec.DiscardMarkers,

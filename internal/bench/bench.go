@@ -97,10 +97,10 @@ var CaseIPeriods = []int{20, 40, 60, 80, 100}
 // several seeds so nothing below depends on this one being lucky.
 const BugSeed = 1
 
-// NodeWorkers configures every entry's record phase exactly like the
-// identically-named internal/experiments global: recorded traces are
-// byte-identical at any setting, so no metric in a Report depends on it —
-// it only changes how fast the runs execute.
+// NodeWorkers is the emulator-side parallelism (sim.Config.ParallelNodes)
+// of every record phase run by this package and internal/experiments.
+// Recorded traces are byte-identical at any setting, so no result depends
+// on it; it only changes how fast the runs execute.
 var NodeWorkers int
 
 // Entry is one corpus bug: a buggy/fixed scenario pair, the mining

@@ -71,12 +71,6 @@ type Config struct {
 	// (run, node, interval) order, so the ranking is identical at any
 	// setting.
 	Parallelism int
-	// DenseFeatures forces dense feature extraction. By default
-	// FeatureCounter uses the sparse path — (pc, count) pairs instead of
-	// ProgramLen-dimensional vectors — which produces bit-identical
-	// rankings; this switch exists for benchmarking the dense baseline
-	// and for equivalence tests.
-	DenseFeatures bool
 	// SVMCacheBytes, when positive, makes the default one-class-SVM
 	// detector train through the on-demand kernel column cache bounded
 	// to this many bytes instead of materializing the full Gram matrix.
@@ -85,9 +79,12 @@ type Config struct {
 	SVMCacheBytes int64
 }
 
-// defaultDetector builds the detector used when cfg.Detector is nil: the
-// paper's one-class SVM, carrying the config's training knobs.
-func (cfg Config) defaultDetector() outlier.Detector {
+// detector returns cfg.Detector, defaulting to the paper's one-class SVM
+// carrying the config's training knobs.
+func (cfg Config) detector() outlier.Detector {
+	if cfg.Detector != nil {
+		return cfg.Detector
+	}
 	return outlier.OneClassSVM{CacheBytes: cfg.SVMCacheBytes}
 }
 
@@ -175,146 +172,61 @@ func (r *Ranking) Table(top, bottom int) string {
 // event type exists in the input runs.
 var ErrNoIntervals = errors.New("core: no complete intervals of the requested event type")
 
-// Mine runs the full pipeline over the given testing runs.
+// Mine runs the full pipeline over the given testing runs. Instruction
+// counters (the default feature) take the streamed path, ExtractBatches
+// then MineBatches; the ablation feature kinds are extracted dense.
 func Mine(runs []RunInput, cfg Config) (*Ranking, error) {
 	if cfg.IRQ == 0 {
 		return nil, fmt.Errorf("core: config must name the IRQ to mine")
 	}
-	det := cfg.Detector
-	if det == nil {
-		det = cfg.defaultDetector()
-	}
 	feat := cfg.Feature
-	if feat == 0 {
-		feat = FeatureCounter
+	if feat == 0 || feat == FeatureCounter {
+		batches, err := ExtractBatches(runs, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return MineBatches(batches, cfg)
 	}
+	det := cfg.detector()
 	labels := cfg.Labels
 	if labels == 0 {
 		labels = LabelRunSeq
 	}
 
-	allowed := map[int]bool{}
-	for _, id := range cfg.Nodes {
-		allowed[id] = true
-	}
-
-	// Sparse extraction is the default for instruction counters; every
-	// other feature kind is low-dimensional already.
-	sparse := feat == FeatureCounter && !cfg.DenseFeatures
-
-	// One job per (run, node), in the exact order the sequential loops
-	// visited them; results are stitched back in job order so the sample
-	// sequence — and therefore the ranking — is identical at any
-	// parallelism.
-	type job struct {
-		runIdx int
-		run    RunInput
-		ext    *feature.Extractor
-		nt     *trace.NodeTrace
-	}
-	var jobs []job
-	for ri, run := range runs {
-		if run.Trace == nil {
-			return nil, fmt.Errorf("core: run %d has no trace", ri+1)
-		}
-		ext := feature.NewExtractor(run.Trace)
-		for _, nt := range run.Trace.Nodes {
-			if len(allowed) > 0 && !allowed[nt.NodeID] {
-				continue
-			}
-			jobs = append(jobs, job{runIdx: ri, run: run, ext: ext, nt: nt})
-		}
-	}
-
-	type result struct {
+	type part struct {
 		samples  []Sample
-		dense    [][]float64
-		sparse   []stats.Sparse
+		vectors  [][]float64
 		excluded int
-		err      error
 	}
-	results := make([]result, len(jobs))
-	mine := func(jb job, res *result) {
-		seq := lifecycle.NewSequence(jb.nt)
-		ivs, err := seq.Extract()
-		if err != nil {
-			res.err = fmt.Errorf("core: run %d node %d: %w", jb.runIdx+1, jb.nt.NodeID, err)
-			return
-		}
+	parts, err := mapNodes(runs, cfg, func(run int, ext *feature.Extractor, ivs []lifecycle.Interval) (part, error) {
+		var p part
 		for _, iv := range ivs {
 			if iv.IRQ != cfg.IRQ {
 				continue
 			}
 			if !iv.Complete {
-				res.excluded++
+				p.excluded++
 				continue
 			}
-			if sparse {
-				v, err := jb.ext.CounterSparse(iv)
-				if err != nil {
-					res.err = fmt.Errorf("core: run %d node %d: %w", jb.runIdx+1, jb.nt.NodeID, err)
-					return
-				}
-				res.sparse = append(res.sparse, v)
-			} else {
-				v, err := extractFeature(jb.ext, jb.run, feat, iv)
-				if err != nil {
-					res.err = fmt.Errorf("core: run %d node %d: %w", jb.runIdx+1, jb.nt.NodeID, err)
-					return
-				}
-				res.dense = append(res.dense, v)
+			v, err := extractFeature(ext, runs[run], feat, iv)
+			if err != nil {
+				return part{}, err
 			}
-			res.samples = append(res.samples, Sample{Run: jb.runIdx + 1, Interval: iv})
+			p.samples = append(p.samples, Sample{Run: run + 1, Interval: iv})
+			p.vectors = append(p.vectors, v)
 		}
+		return p, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i, jb := range jobs {
-			mine(jb, &results[i])
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					mine(jobs[i], &results[i])
-				}
-			}()
-		}
-		for i := range jobs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-
 	var samples []Sample
 	var vectors [][]float64
-	var svectors []stats.Sparse
 	excluded := 0
-	for i := range results {
-		res := &results[i]
-		if res.err != nil {
-			return nil, res.err
-		}
-		excluded += res.excluded
-		samples = append(samples, res.samples...)
-		vectors = append(vectors, res.dense...)
-		svectors = append(svectors, res.sparse...)
-	}
-
-	if sparse {
-		return rankSparse(samples, svectors, nil, det, labels, excluded)
+	for _, p := range parts {
+		excluded += p.excluded
+		samples = append(samples, p.samples...)
+		vectors = append(vectors, p.vectors...)
 	}
 	if len(vectors) == 0 {
 		return nil, ErrNoIntervals
@@ -333,8 +245,82 @@ func Mine(runs []RunInput, cfg Config) (*Ranking, error) {
 	return assembleRanking(samples, scores, det, labels, excluded, dim), nil
 }
 
-// rankSparse is the shared scoring tail of the sparse pipeline — Mine,
-// MineBatches and OnlineMiner.FinalizeAll all end here. It takes the
+// mapNodes anatomizes every monitored node of every run and hands the
+// intervals to fn, one job per (run, node) on up to cfg.Parallelism
+// workers. Nodes outside cfg.Nodes are skipped before anatomizing. run is
+// the 0-based index into runs and ext is that run's extractor, shared by
+// its jobs. Results come back in (run, node) order, so whatever the caller
+// stitches from them is identical at any parallelism; the first failing
+// job in that order names the error.
+func mapNodes[T any](runs []RunInput, cfg Config, fn func(run int, ext *feature.Extractor, ivs []lifecycle.Interval) (T, error)) ([]T, error) {
+	allowed := map[int]bool{}
+	for _, id := range cfg.Nodes {
+		allowed[id] = true
+	}
+	type job struct {
+		run int
+		ext *feature.Extractor
+		nt  *trace.NodeTrace
+	}
+	var jobs []job
+	for ri, run := range runs {
+		if run.Trace == nil {
+			return nil, fmt.Errorf("core: run %d has no trace", ri+1)
+		}
+		ext := feature.NewExtractor(run.Trace)
+		for _, nt := range run.Trace.Nodes {
+			if len(allowed) > 0 && !allowed[nt.NodeID] {
+				continue
+			}
+			jobs = append(jobs, job{run: ri, ext: ext, nt: nt})
+		}
+	}
+
+	out := make([]T, len(jobs))
+	errs := make([]error, len(jobs))
+	do := func(i int) {
+		jb := jobs[i]
+		ivs, err := lifecycle.NewSequence(jb.nt).Extract()
+		if err == nil {
+			out[i], err = fn(jb.run, jb.ext, ivs)
+		}
+		if err != nil {
+			errs[i] = fmt.Errorf("core: run %d node %d: %w", jb.run+1, jb.nt.NodeID, err)
+		}
+	}
+	workers := cfg.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(jobs) {
+		workers = len(jobs)
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				do(i)
+			}
+		}()
+	}
+	for i := range jobs {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// rankSparse is the shared scoring tail of the sparse pipeline —
+// MineBatches (and so Mine) and OnlineMiner.FinalizeAll end here. It takes the
 // distinct counters and each sample's group (nil: every sample is its own
 // group, distinct holds one counter per sample), scales the distinct
 // counters per dimension into [0,1] in place (exactly Scale01's semantics
@@ -438,9 +424,8 @@ type Batch struct {
 // to Mine over the equivalent traces.
 //
 // Only FeatureCounter batches exist (streaming accumulates instruction
-// counters); cfg.Feature must be zero or FeatureCounter, and
-// cfg.DenseFeatures is not supported. Scaling mutates the batch counters
-// in place, exactly as Mine mutates its freshly extracted vectors.
+// counters); cfg.Feature must be zero or FeatureCounter. Scaling mutates
+// the batch counters in place.
 func MineBatches(batches []Batch, cfg Config) (*Ranking, error) {
 	if cfg.IRQ == 0 {
 		return nil, fmt.Errorf("core: config must name the IRQ to mine")
@@ -448,13 +433,7 @@ func MineBatches(batches []Batch, cfg Config) (*Ranking, error) {
 	if cfg.Feature != 0 && cfg.Feature != FeatureCounter {
 		return nil, fmt.Errorf("core: streamed batches carry instruction counters; feature kind %d needs the materialized pipeline", cfg.Feature)
 	}
-	if cfg.DenseFeatures {
-		return nil, fmt.Errorf("core: streamed batches are sparse; DenseFeatures needs the materialized pipeline")
-	}
-	det := cfg.Detector
-	if det == nil {
-		det = cfg.defaultDetector()
-	}
+	det := cfg.detector()
 	labels := cfg.Labels
 	if labels == 0 {
 		labels = LabelRunSeq
@@ -493,8 +472,6 @@ func MineBatches(batches []Batch, cfg Config) (*Ranking, error) {
 
 func extractFeature(ext *feature.Extractor, run RunInput, feat FeatureKind, iv lifecycle.Interval) ([]float64, error) {
 	switch feat {
-	case FeatureCounter:
-		return ext.Counter(iv)
 	case FeatureFuncCount:
 		prog := run.Programs[iv.Node]
 		if prog == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -106,6 +107,59 @@ func TestMineNodeFilter(t *testing.T) {
 		if s.Interval.Node != 2 {
 			t.Fatalf("sample from node %d leaked through the filter", s.Interval.Node)
 		}
+	}
+}
+
+// TestExtractBatchesParallelAndNodes: the batch stream is identical at any
+// parallelism, and cfg.Nodes limits it to the monitored nodes, which are
+// the only ones anatomized (an unmonitored malformed node is never read).
+func TestExtractBatchesParallelAndNodes(t *testing.T) {
+	malformed := &trace.NodeTrace{NodeID: 9, ProgramLen: 8, Markers: []trace.Marker{
+		{Kind: trace.Int, Arg: 1, Cycle: 10},
+		{Kind: trace.RunTask, Arg: 0, Cycle: 15},
+		{Kind: trace.Reti, Cycle: 20},
+	}}
+	var runs []RunInput
+	for r := 0; r < 3; r++ {
+		tr := syntheticTrace(1, 5+r)
+		for id := 2; id <= 4; id++ {
+			tr.Nodes = append(tr.Nodes, syntheticTrace(id, 3*id+r).Nodes...)
+		}
+		runs = append(runs, RunInput{Trace: tr})
+	}
+	seq, err := ExtractBatches(runs, Config{IRQ: 1, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq) != 3*4 {
+		t.Fatalf("%d batches, want one per (run, node) = 12", len(seq))
+	}
+	par, err := ExtractBatches(runs, Config{IRQ: 1, Parallelism: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatal("batches differ between Parallelism 1 and 8")
+	}
+
+	for _, run := range runs {
+		run.Trace.Nodes = append(run.Trace.Nodes, malformed)
+	}
+	if _, err := ExtractBatches(runs, Config{IRQ: 1}); !errors.Is(err, lifecycle.ErrMalformed) {
+		t.Fatalf("malformed monitored node: err = %v, want ErrMalformed", err)
+	}
+	only, err := ExtractBatches(runs, Config{IRQ: 1, Nodes: []int{3, 1}, Parallelism: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Batch
+	for _, b := range seq {
+		if n := b.Intervals[0].Node; n == 1 || n == 3 {
+			want = append(want, b)
+		}
+	}
+	if !reflect.DeepEqual(only, want) {
+		t.Fatalf("Nodes {3, 1}: %d batches, want the %d batches of nodes 1 and 3 in run order", len(only), len(want))
 	}
 }
 

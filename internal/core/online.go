@@ -387,9 +387,6 @@ func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 	if cfg.Feature != 0 && cfg.Feature != FeatureCounter {
 		return nil, fmt.Errorf("core: streamed batches carry instruction counters; feature kind %d needs the materialized pipeline", cfg.Feature)
 	}
-	if cfg.DenseFeatures {
-		return nil, fmt.Errorf("core: streamed batches are sparse; DenseFeatures needs the materialized pipeline")
-	}
 	if cfg.Detector != nil {
 		return nil, fmt.Errorf("core: online mining drives the incremental one-class SVM; Detector must be nil")
 	}
@@ -702,7 +699,7 @@ func (m *OnlineMiner) FinalizeAll() (map[int]*Ranking, error) {
 		for g, key := range st.raw {
 			distinct[g].SetKey(key, m.dim)
 		}
-		r, err := rankSparse(samples[irq], distinct, st.group, m.cfg.Config.defaultDetector(), m.labels, st.excluded)
+		r, err := rankSparse(samples[irq], distinct, st.group, m.cfg.Config.detector(), m.labels, st.excluded)
 		if err != nil {
 			return nil, err
 		}
@@ -739,7 +736,9 @@ func (m *OnlineMiner) Close() error {
 
 // ExtractBatches converts recorded runs into the Batch stream Add and
 // MineBatches consume — the bridge from materialized traces to the online
-// path, visiting (run, node, interval) in exactly the order Mine does.
+// path, and Mine's own front end. It emits one batch per (run, node) in
+// (run, node, interval) order. Nodes outside cfg.Nodes are skipped before
+// anatomizing, and cfg.Parallelism bounds the workers exactly as in Mine.
 func ExtractBatches(runs []RunInput, cfg Config) ([]Batch, error) {
 	return ExtractBatchesFor(runs, cfg, cfg.IRQ)
 }
@@ -753,34 +752,22 @@ func ExtractBatchesFor(runs []RunInput, cfg Config, irqs ...int) ([]Batch, error
 	for _, irq := range irqs {
 		want[irq] = true
 	}
-	var out []Batch
-	for ri, run := range runs {
-		if run.Trace == nil {
-			return nil, fmt.Errorf("core: run %d has no trace", ri+1)
-		}
-		ext := feature.NewExtractor(run.Trace)
-		for _, nt := range run.Trace.Nodes {
-			seq := lifecycle.NewSequence(nt)
-			ivs, err := seq.Extract()
-			if err != nil {
-				return nil, fmt.Errorf("core: run %d node %d: %w", ri+1, nt.NodeID, err)
+	return mapNodes(runs, cfg, func(run int, ext *feature.Extractor, ivs []lifecycle.Interval) (Batch, error) {
+		b := Batch{Run: run + 1}
+		for _, iv := range ivs {
+			if !want[iv.IRQ] {
+				continue
 			}
-			b := Batch{Run: ri + 1}
-			for _, iv := range ivs {
-				if !want[iv.IRQ] {
-					continue
+			var c stats.Sparse
+			if iv.Complete {
+				var err error
+				if c, err = ext.CounterSparse(iv); err != nil {
+					return Batch{}, err
 				}
-				var c stats.Sparse
-				if iv.Complete {
-					if c, err = ext.CounterSparse(iv); err != nil {
-						return nil, fmt.Errorf("core: run %d node %d: %w", ri+1, nt.NodeID, err)
-					}
-				}
-				b.Intervals = append(b.Intervals, iv)
-				b.Counters = append(b.Counters, c)
 			}
-			out = append(out, b)
+			b.Intervals = append(b.Intervals, iv)
+			b.Counters = append(b.Counters, c)
 		}
-	}
-	return out, nil
+		return b, nil
+	})
 }

@@ -396,9 +396,6 @@ func TestOnlineMinerValidation(t *testing.T) {
 	if _, err := NewOnlineMiner(OnlineConfig{Config: Config{IRQ: 1, Feature: FeatureDuration}}); err == nil {
 		t.Fatal("non-counter feature accepted")
 	}
-	if _, err := NewOnlineMiner(OnlineConfig{Config: Config{IRQ: 1, DenseFeatures: true}}); err == nil {
-		t.Fatal("DenseFeatures accepted")
-	}
 	if _, err := NewOnlineMiner(OnlineConfig{Config: Config{IRQ: 1, Detector: outlier.KNN{}}}); err == nil {
 		t.Fatal("explicit detector accepted")
 	}
@@ -581,9 +578,6 @@ func TestMineBatchesValidation(t *testing.T) {
 	}
 	if _, err := MineBatches(nil, Config{IRQ: 1, Feature: FeatureStackDepth}); err == nil {
 		t.Fatal("non-counter feature accepted")
-	}
-	if _, err := MineBatches(nil, Config{IRQ: 1, DenseFeatures: true}); err == nil {
-		t.Fatal("DenseFeatures accepted")
 	}
 	if _, err := MineBatches(nil, Config{IRQ: 1}); !errors.Is(err, ErrNoIntervals) {
 		t.Fatalf("empty batches: %v, want ErrNoIntervals", err)

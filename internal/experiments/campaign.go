@@ -4,6 +4,7 @@ import (
 	"os"
 
 	"sentomist/internal/apps"
+	"sentomist/internal/bench"
 	"sentomist/internal/campaign"
 	"sentomist/internal/core"
 	"sentomist/internal/dev"
@@ -23,7 +24,7 @@ func CaseICampaign(seedBase uint64) (*core.Ranking, error) {
 		runs[i] = func(attach campaign.Attach) error {
 			run, err := apps.RunOscilloscope(apps.OscConfig{
 				PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-				NodeWorkers: NodeWorkers,
+				NodeWorkers: bench.NodeWorkers,
 				Stream: map[int]trace.StreamSink{
 					apps.OscSensorID: attach(apps.OscSensorID),
 				},
@@ -41,7 +42,7 @@ func CaseICampaign(seedBase uint64) (*core.Ranking, error) {
 	return campaign.Mine(campaign.Config{
 		IRQ:         dev.IRQADC,
 		Nodes:       []int{apps.OscSensorID},
-		NodeWorkers: NodeWorkers,
+		NodeWorkers: bench.NodeWorkers,
 	}, runs)
 }
 
@@ -138,7 +139,7 @@ func mineCaseIOnline(seedBase uint64, workers int, online campaign.OnlineOptions
 		runs[i] = func(attach campaign.Attach) error {
 			run, err := apps.RunOscilloscope(apps.OscConfig{
 				PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-				NodeWorkers: NodeWorkers,
+				NodeWorkers: bench.NodeWorkers,
 				Stream: map[int]trace.StreamSink{
 					apps.OscSensorID: attach(apps.OscSensorID),
 				},
@@ -157,7 +158,7 @@ func mineCaseIOnline(seedBase uint64, workers int, online campaign.OnlineOptions
 	return campaign.Mine(campaign.Config{
 		IRQ:         dev.IRQADC,
 		Nodes:       []int{apps.OscSensorID},
-		NodeWorkers: NodeWorkers,
+		NodeWorkers: bench.NodeWorkers,
 		Workers:     workers,
 		Online:      &online,
 	}, runs)
@@ -170,7 +171,7 @@ func caseIRanking(seedBase uint64) (*core.Ranking, error) {
 	for i, d := range CaseIPeriods {
 		run, err := apps.RunOscilloscope(apps.OscConfig{
 			PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-			NodeWorkers: NodeWorkers,
+			NodeWorkers: bench.NodeWorkers,
 		})
 		if err != nil {
 			return nil, err

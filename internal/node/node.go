@@ -55,7 +55,6 @@ type Node struct {
 
 	queue      []taskEntry
 	sequential bool
-	singleStep bool
 	onRaise    func()
 
 	instanceSeq   int
@@ -86,12 +85,6 @@ type Config struct {
 	// interleaving executions of event procedures" — the mode exists to
 	// demonstrate exactly that (experiment A5).
 	Sequential bool
-	// SingleStep selects the reference execution engine: one mcu.Step per
-	// loop iteration with device and dispatch checks before every
-	// instruction. It is the semantic baseline the batched block engine
-	// is differentially tested against, and is slower by an order of
-	// magnitude; leave it off outside equivalence harnesses.
-	SingleStep bool
 	// Sink, when set, streams every lifecycle marker (with its
 	// instruction-count delta) to an online consumer as it is recorded —
 	// the hook the streaming featuring pipeline uses.
@@ -113,7 +106,6 @@ func New(cfg Config) (*Node, error) {
 		devices:    cfg.Devices,
 		ph:         phaseBoot,
 		sequential: cfg.Sequential,
-		singleStep: cfg.SingleStep,
 		rec:        trace.NewRecorder(cfg.ID, len(cfg.Program.Code), cfg.Truth),
 	}
 	if cfg.Sink != nil || cfg.DiscardMarkers {
@@ -272,14 +264,10 @@ const (
 
 // Advance runs the node until the clock reaches target. Device events due
 // along the way fire; the CPU executes while it has work; idle gaps are
-// fast-forwarded to the next device event. The default engine executes
-// basic blocks between device-event horizons; Config.SingleStep selects the
-// instruction-at-a-time reference engine with identical semantics.
+// fast-forwarded to the next device event. It executes basic blocks between
+// device-event horizons; AdvanceReference is the instruction-at-a-time
+// engine with identical semantics.
 func (n *Node) Advance(target uint64) {
-	if n.singleStep {
-		n.advanceReference(target)
-		return
-	}
 	n.advanceBatched(target, 0, 0, nil)
 }
 
@@ -349,10 +337,12 @@ func (n *Node) startTask() bool {
 	return true
 }
 
-// advanceReference is the single-step engine: device and dispatch checks
+// AdvanceReference is the single-step engine: device and dispatch checks
 // before every instruction. It is the executable specification of node
-// semantics; advanceBatched must be observationally identical to it.
-func (n *Node) advanceReference(target uint64) {
+// semantics; Advance must be observationally identical to it. Only the
+// reference scheduler (sim.NewReference) drives it, and it is slower by an
+// order of magnitude.
+func (n *Node) AdvanceReference(target uint64) {
 	for n.clock < target && !n.Halted() {
 		for _, d := range n.devices {
 			d.Advance(n.clock)
@@ -398,7 +388,7 @@ func (n *Node) advanceReference(target uint64) {
 
 // advanceBatched is the block engine behind Advance and AdvanceJump.
 //
-// Equivalence to advanceReference rests on one invariant: nothing the
+// Equivalence to AdvanceReference rests on one invariant: nothing the
 // per-instruction checks observe can change mid-block. Device raises happen
 // only when devices advance (at block horizons == the next device event),
 // network raises only between node advances, and the I flag and scheduler

@@ -60,13 +60,15 @@ func benchSim(b *testing.B, reference bool, cycles uint64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		n, err := node.New(node.Config{ID: 1, Program: r.Program, SingleStep: reference})
+		n, err := node.New(node.Config{ID: 1, Program: r.Program})
 		if err != nil {
 			b.Fatal(err)
 		}
 		n.Attach(dev.NewFuzzer(n, randx.New(42), []int{1, 2}, 40, 2500))
-		s := sim.New(42, []*node.Node{n}, nil)
-		s.SetReference(reference)
+		s := sim.New(sim.Config{Seed: 42}, []*node.Node{n}, nil)
+		if reference {
+			s = sim.NewReference(42, []*node.Node{n}, nil)
+		}
 		if err := s.Run(cycles); err != nil {
 			b.Fatal(err)
 		}

@@ -49,7 +49,7 @@ import (
 // (a due network event, or fewer than two quanta of guaranteed
 // independence); the caller then falls back to the sequential paths.
 func (s *Sim) trySection(until uint64) (bool, error) {
-	c, q := s.clock, s.quantum
+	c, q := s.clock, DefaultQuantum
 	h := until
 	if s.net != nil {
 		if at, ok := s.net.NextEvent(); ok {

@@ -19,7 +19,7 @@
 // to the previous round boundary (reproducing the reference engine's
 // dispatch quantization) and then advanced with this round.
 //
-// The fixed-quantum reference engine is retained behind SetReference; the
+// The fixed-quantum reference engine is retained behind NewReference; the
 // event-horizon engine is required to produce byte-identical traces and is
 // differentially tested against it.
 package sim
@@ -37,16 +37,15 @@ import (
 // DefaultQuantum is the lockstep quantum in cycles. Cross-node causality
 // (carrier sense, frame delivery handoff) is bounded by one quantum, far
 // below MAC timescales (hundreds to thousands of cycles).
-const DefaultQuantum = 32
+const DefaultQuantum uint64 = 32
 
 // Sim is one simulation run.
 type Sim struct {
-	nodes   []*node.Node
-	net     *medium.Network // may be nil for single-node runs
-	clock   uint64
-	prev    uint64 // previous realized round boundary
-	quantum uint64
-	seed    uint64
+	nodes []*node.Node
+	net   *medium.Network // may be nil for single-node runs
+	clock uint64
+	prev  uint64 // previous realized round boundary
+	seed  uint64
 
 	reference bool
 	inited    bool
@@ -71,14 +70,10 @@ type Sim struct {
 	stats Stats
 }
 
-// Config bundles the scheduler knobs New leaves at their defaults.
+// Config holds the scheduler knobs.
 type Config struct {
 	// Seed is recorded in the resulting trace for reproducibility.
 	Seed uint64
-	// Quantum overrides the lockstep quantum; 0 selects DefaultQuantum.
-	Quantum uint64
-	// Reference selects the fixed-quantum reference scheduler.
-	Reference bool
 	// ParallelNodes bounds how many nodes advance concurrently inside
 	// conservative-lookahead sections; <= 1 (the default) keeps node
 	// execution sequential, < 0 selects GOMAXPROCS. Traces are
@@ -86,41 +81,20 @@ type Config struct {
 	ParallelNodes int
 }
 
-// NewWithConfig creates a simulation with explicit scheduler knobs.
-func NewWithConfig(cfg Config, nodes []*node.Node, net *medium.Network) *Sim {
-	s := New(cfg.Seed, nodes, net)
-	if cfg.Quantum != 0 {
-		s.SetQuantum(cfg.Quantum)
-	}
-	s.SetReference(cfg.Reference)
-	s.SetParallelism(cfg.ParallelNodes)
-	return s
-}
-
 // New creates a simulation over the given nodes and (optionally nil)
-// network. seed is recorded in the resulting trace for reproducibility.
-func New(seed uint64, nodes []*node.Node, net *medium.Network) *Sim {
-	return &Sim{nodes: nodes, net: net, quantum: DefaultQuantum, seed: seed}
+// network on the event-horizon engine.
+func New(cfg Config, nodes []*node.Node, net *medium.Network) *Sim {
+	return &Sim{nodes: nodes, net: net, seed: cfg.Seed, workers: ResolveParallelism(cfg.ParallelNodes)}
 }
 
-// SetQuantum overrides the lockstep quantum (cycles).
-func (s *Sim) SetQuantum(q uint64) {
-	if q == 0 {
-		q = 1
-	}
-	s.quantum = q
+// NewReference creates a simulation on the fixed-quantum reference
+// scheduler: every node is advanced every round through
+// node.AdvanceReference, one instruction at a time. It is the
+// differential-testing baseline for New's engine, which must serialize a
+// byte-identical trace, and is an order of magnitude slower.
+func NewReference(seed uint64, nodes []*node.Node, net *medium.Network) *Sim {
+	return &Sim{nodes: nodes, net: net, seed: seed, reference: true}
 }
-
-// SetReference selects the fixed-quantum reference scheduler (every node
-// advanced every round). It exists as the differential-testing baseline for
-// the event-horizon engine and is substantially slower.
-func (s *Sim) SetReference(on bool) { s.reference = on }
-
-// SetParallelism bounds how many nodes advance concurrently inside
-// conservative-lookahead sections. w <= 1 keeps node execution sequential
-// (the default); w < 0 selects GOMAXPROCS. Serialized traces are
-// byte-identical at any setting.
-func (s *Sim) SetParallelism(w int) { s.workers = ResolveParallelism(w) }
 
 // ResolveParallelism maps a node-parallelism setting to the worker count
 // the engine uses: w < 0 selects GOMAXPROCS, anything else is taken as is
@@ -157,7 +131,7 @@ func (s *Sim) Run(until uint64) error {
 			break
 		}
 		if nRun == 1 {
-			if x := s.jumpTarget(until, rIdx); x > s.clock+s.quantum {
+			if x := s.jumpTarget(until, rIdx); x > s.clock+DefaultQuantum {
 				s.stats.SoloJumps++
 				if err := s.jump(rIdx, x); err != nil {
 					return err
@@ -183,7 +157,7 @@ func (s *Sim) Run(until uint64) error {
 			}
 			s.stats.IdleJumps++
 		} else {
-			t = s.clock + s.quantum
+			t = s.clock + DefaultQuantum
 			if t > until {
 				t = until
 			}
@@ -211,7 +185,7 @@ func (s *Sim) runReference(until uint64) error {
 			}
 			s.clock = next
 		} else {
-			qEnd := s.clock + s.quantum
+			qEnd := s.clock + DefaultQuantum
 			if qEnd > until {
 				qEnd = until
 			}
@@ -221,7 +195,7 @@ func (s *Sim) runReference(until uint64) error {
 			s.net.Advance(s.clock)
 		}
 		for _, nd := range s.nodes {
-			nd.Advance(s.clock)
+			nd.AdvanceReference(s.clock)
 			if err := nd.Err(); err != nil {
 				return fmt.Errorf("sim: %w", err)
 			}
@@ -350,7 +324,7 @@ func gridUp(c, q, t uint64) uint64 {
 // to `until`, the round of the earliest dormant wake, or one round short of
 // the earliest network event (that round must start with net.Advance).
 func (s *Sim) jumpTarget(until uint64, r int) uint64 {
-	c, q := s.clock, s.quantum
+	c, q := s.clock, DefaultQuantum
 	x := until
 	if i, ok := s.heap.min(); ok {
 		if b := gridUp(c, q, s.wake[i]); b < x {
@@ -377,7 +351,7 @@ func (s *Sim) jump(r int, x uint64) error {
 	nd := s.nodes[r]
 	s.prev = s.clock
 	s.lastTarget[r] = x
-	stop, _ := nd.AdvanceJump(x, s.clock, s.quantum, s.netDirty)
+	stop, _ := nd.AdvanceJump(x, s.clock, DefaultQuantum, s.netDirty)
 	s.lastTarget[r] = stop
 	s.mustAdvance[r] = false
 	s.refresh(r)

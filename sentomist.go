@@ -183,8 +183,11 @@ func NewOnlineMiner(cfg OnlineMineConfig) (*OnlineMiner, error) {
 }
 
 // ExtractBatches converts recorded runs into the batch stream OnlineMiner
-// and MineBatches consume, visiting (run, node, interval) in exactly the
-// order Mine does.
+// and MineBatches consume, one batch per (run, node) in (run, node,
+// interval) order; Mine with instruction counters is ExtractBatches then
+// MineBatches. Nodes outside cfg.Nodes are skipped before anatomizing, so
+// they yield no batch (MineBatches and OnlineMiner drop their intervals
+// anyway), and cfg.Parallelism bounds the anatomizing workers.
 func ExtractBatches(runs []RunInput, cfg MineConfig) ([]MineBatch, error) {
 	return core.ExtractBatches(runs, cfg)
 }

@@ -1,6 +1,7 @@
 package sentomist_test
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -217,6 +218,38 @@ func TestScenarioErrors(t *testing.T) {
 	}
 	if err := s.AddNode(sentomist.NodeSpec{ID: 3, Source: minimal}); err == nil {
 		t.Fatal("AddNode after Run accepted")
+	}
+}
+
+// TestScenarioRejectsBadFuzzSpec: AddNode turns every fuzz spec the
+// fuzzer or the node would panic on into an error naming the node and the
+// field, and still accepts the defaults.
+func TestScenarioRejectsBadFuzzSpec(t *testing.T) {
+	src := ".entry e\n.vector 1, isr\ne:\n\tsei\n\tosrun\nisr:\n\treti"
+	for _, tc := range []struct {
+		name  string
+		spec  sentomist.NodeSpec
+		field string
+	}{
+		{"irq 64", sentomist.NodeSpec{FuzzIRQs: []int{64}}, "FuzzIRQs"},
+		{"irq -1", sentomist.NodeSpec{FuzzIRQs: []int{1, -1}}, "FuzzIRQs"},
+		{"max gap span", sentomist.NodeSpec{FuzzIRQs: []int{1}, FuzzMaxGap: math.MaxUint64}, "FuzzMaxGap"},
+		{"default max overflows", sentomist.NodeSpec{FuzzIRQs: []int{1}, FuzzMinGap: math.MaxUint64 / 4}, "FuzzMinGap"},
+		{"max below min", sentomist.NodeSpec{FuzzIRQs: []int{1}, FuzzMinGap: 500, FuzzMaxGap: 100}, "FuzzMaxGap"},
+	} {
+		spec := tc.spec
+		spec.ID, spec.Source = 7, src
+		err := sentomist.NewScenario(1).AddNode(spec)
+		if err == nil || !strings.Contains(err.Error(), "node 7") || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: AddNode = %v, want an error naming node 7 and %s", tc.name, err, tc.field)
+		}
+	}
+	s := sentomist.NewScenario(1)
+	if err := s.AddNode(sentomist.NodeSpec{ID: 7, Source: src, FuzzIRQs: []int{1}, FuzzMinGap: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(0.01); err != nil {
+		t.Fatal(err)
 	}
 }
 
