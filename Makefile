@@ -23,9 +23,9 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/mcu/ ./internal/sim/ ./internal/apps/
 
 # The mining-at-scale benchmarks behind BENCH_PR4.json: blocked sparse
-# kernels, training on the dense and cached Gram paths, the l=10k
-# campaign problem (dense vs cached at 25% and 5% of the dense footprint;
-# several minutes on one core), and one planned kernel column fill.
+# kernels, training through the kernel column cache, the l=10k campaign
+# problem (the default budget vs 25% and 5% of the l×l footprint; several
+# minutes on one core), and one planned kernel column fill.
 bench-svm:
 	$(GO) test -run xxx -bench 'BenchmarkSparseOps' -benchmem ./internal/stats/
 	$(GO) test -run xxx -bench 'BenchmarkTrain|BenchmarkKernelEval|BenchmarkColumnFill' -benchmem -timeout 60m ./internal/svm/

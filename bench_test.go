@@ -347,7 +347,7 @@ func BenchmarkMine(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				denseMine(b, inputs, cfg, svmParallelism)
+				denseMine(b, inputs, cfg, outlier.OneClassSVM{Parallelism: svmParallelism})
 			}
 		}
 	}
@@ -374,11 +374,9 @@ func BenchmarkMine(b *testing.B) {
 	b.Run("sparse_parallel", sparse(0, nil))
 }
 
-// pooledCounters extracts the scaled Case-I feature matrix in both
-// representations.
-func pooledCounters(b *testing.B, inputs []sentomist.RunInput) ([][]float64, []stats.Sparse) {
+// pooledCounters extracts the scaled Case-I sparse counters.
+func pooledCounters(b *testing.B, inputs []sentomist.RunInput) []stats.Sparse {
 	b.Helper()
-	var dense [][]float64
 	var sparse []stats.Sparse
 	for _, in := range inputs {
 		ext := feature.NewExtractor(in.Trace)
@@ -391,49 +389,25 @@ func pooledCounters(b *testing.B, inputs []sentomist.RunInput) ([][]float64, []s
 			if iv.IRQ != sentomist.IRQADC || !iv.Complete {
 				continue
 			}
-			dv, err := ext.Counter(iv)
-			if err != nil {
-				b.Fatal(err)
-			}
 			sv, err := ext.CounterSparse(iv)
 			if err != nil {
 				b.Fatal(err)
 			}
-			dense = append(dense, dv)
 			sparse = append(sparse, sv)
 		}
 	}
-	feature.Scale01(dense)
 	feature.Scale01Sparse(sparse)
-	return dense, sparse
+	return sparse
 }
 
 // BenchmarkSVMTrain isolates detector training on the pooled Case-I
-// feature matrix: dense vs sparse kernel evaluation, sequential vs
-// parallel Gram construction. Training includes the Gram-reuse scoring of
-// every training row (Model.TrainingDecisions).
+// counters, with sequential and parallel kernel column fills. Training
+// includes the Gram-reuse scoring of every training row
+// (Model.TrainingDecisions).
 func BenchmarkSVMTrain(b *testing.B) {
-	dense, sparse := pooledCounters(b, caseIPooledInputs(b))
+	sparse := pooledCounters(b, caseIPooledInputs(b))
 	cfg := svm.Config{Nu: 0.05}
-	b.Logf("l=%d dim=%d mean_nnz=%.1f", len(dense), len(dense[0]), meanNNZ(sparse))
-	b.Run("dense_sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := cfg
-			c.Parallelism = 1
-			if _, err := svm.Train(dense, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dense_parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := svm.Train(dense, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Logf("l=%d dim=%d mean_nnz=%.1f", len(sparse), sparse[0].Dim, meanNNZ(sparse))
 	b.Run("sparse_sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

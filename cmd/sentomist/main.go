@@ -201,7 +201,8 @@ func (r *rankFlags) register(fs *flag.FlagSet, top int) {
 }
 
 // pickDetector resolves -detector. parallelism and cacheBytes configure
-// the one-class SVM's Gram build; the ranking is identical at any setting.
+// the one-class SVM's kernel column cache; the ranking is identical at any
+// setting.
 func pickDetector(name string, nu float64, parallelism int, cacheBytes int64) (sentomist.Detector, error) {
 	switch strings.ToLower(name) {
 	case "svm":

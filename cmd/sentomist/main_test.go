@@ -79,6 +79,21 @@ func TestRankOnlinePrintsDistinct(t *testing.T) {
 	}
 }
 
+// TestRankNegativeTop: -top -1 prints no rows from the top, only the
+// ellipsis and the -bottom rows, instead of panicking.
+func TestRankNegativeTop(t *testing.T) {
+	_, bundlePath := recordCaseII(t)
+	code, stdout, stderr := runCLI("rank", "-irq", "4", "-nodes", "1", "-top", "-1", bundlePath)
+	if code != 0 {
+		t.Fatalf("rank -top -1: exit %d: %s", code, stderr)
+	}
+	_, table, _ := strings.Cut(stdout, "\n\n")
+	lines := strings.Split(strings.TrimSpace(table), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(lines[0], "Instance") || !strings.HasPrefix(lines[1], "...") {
+		t.Fatalf("want the header, an ellipsis and the two bottom rows:\n%s", stdout)
+	}
+}
+
 func TestRankInspect(t *testing.T) {
 	tracePath, bundlePath := recordCaseII(t)
 	code, stdout, stderr := runCLI("rank", "-irq", "4", "-nodes", "1", "-inspect", "1", bundlePath)

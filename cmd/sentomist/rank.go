@@ -33,8 +33,8 @@ func rankCmd(fs *flag.FlagSet) runFunc {
 	o.register(fs, 10)
 	fs.IntVar(&o.irq, "irq", 0, "event type (interrupt number) to mine: 1=timer0, 2=timer1, 3=adc, 4=radio-rx, 5=txdone")
 	fs.StringVar(&o.nodes, "nodes", "", "comma-separated node IDs to mine (empty = all nodes)")
-	fs.IntVar(&o.parallelism, "parallelism", 0, "worker pool for anatomize/feature and the SVM Gram build (0 = GOMAXPROCS, 1 = sequential); the ranking is identical at any setting")
-	fs.IntVar(&o.svmCacheMB, "svm-cache-mb", 0, "train the SVM through an on-demand kernel column cache bounded to this many MiB instead of materializing the full Gram matrix (0 = materialize when it fits); the ranking is bit-identical at any budget")
+	fs.IntVar(&o.parallelism, "parallelism", 0, "worker pool for anatomize/feature and the SVM's kernel column fills (0 = GOMAXPROCS, 1 = sequential); the ranking is identical at any setting")
+	fs.IntVar(&o.svmCacheMB, "svm-cache-mb", 0, "bound the SVM's kernel column cache to this many MiB (0 = the 256 MiB default); the ranking is bit-identical at any budget")
 	fs.IntVar(&o.onlineRefit, "online-refit", 0, "rank as you go: refit the SVM warm every N ingested batches and print each intermediate top-K; the final ranking is bit-identical to the one-shot path (svm detector only)")
 	fs.IntVar(&o.onlineTopK, "online-topk", 10, "intermediate rankings keep the K most suspicious intervals (online mode only)")
 	fs.StringVar(&o.onlineIRQs, "online-irqs", "", "comma-separated additional event types mined alongside -irq, one incremental solver each over the shared stream (online mode only); every refit prints one top-K per type")

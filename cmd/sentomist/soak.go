@@ -45,8 +45,8 @@ func soakCmd(fs *flag.FlagSet) runFunc {
 	fs.IntVar(&o.nodes, "nodes", 0, "exact node count (0 = random 1..6)")
 	fs.Float64Var(&o.seconds, "seconds", 0.5, "simulated seconds per scenario")
 	fs.BoolVar(&o.stream, "stream", false, "also cross-check the online anatomizer against the two-pass reference on every node")
-	fs.IntVar(&o.mineIRQ, "mine-irq", 0, "also mine every run's intervals of this event type and cross-check the cached-kernel SVM ranking against the dense path bitwise (0 = off)")
-	fs.IntVar(&o.svmCacheMB, "svm-cache-mb", 1, "kernel column cache budget (MiB) for the cached side of the -mine-irq cross-check")
+	fs.IntVar(&o.mineIRQ, "mine-irq", 0, "also mine every run's intervals of this event type and cross-check the SVM ranking at the -svm-cache-mb kernel column budget against the default budget, which keeps every column resident, bitwise (0 = off)")
+	fs.IntVar(&o.svmCacheMB, "svm-cache-mb", 1, "kernel column cache budget (MiB) for the small-budget side of the -mine-irq cross-check; columns are evicted once the distinct counters outgrow it")
 	fs.BoolVar(&o.onlineCheck, "online-check", false, "additionally run every -mine-irq problem through the online miner (refit every batch, warm starts, delta refits, a second event type; spilled and in-memory passes) and require every finalized ranking to be bit-identical to one-shot MineBatches")
 	fs.BoolVar(&o.parCheck, "par-check", false, "record every scenario twice — sequentially and with parallel node sections — and require the serialized traces to be byte-identical (uses -node-workers, or 4 when unset)")
 	nodeWorkersFlag(fs, &o.nodeWorkers)
@@ -135,8 +135,8 @@ func soak(w io.Writer, o soakOptions) error {
 			totalStreamed)
 	}
 	if o.mineIRQ != 0 {
-		fmt.Fprintf(w, "mining cross-check: %d intervals ranked, cached kernel bit-identical to dense\n",
-			totalMined)
+		fmt.Fprintf(w, "mining cross-check: %d intervals ranked, %d MiB kernel column budget bit-identical to the default budget\n",
+			totalMined, o.svmCacheMB)
 	}
 	if o.onlineCheck {
 		fmt.Fprintf(w, "online cross-check: %d intervals through %d warm refits (two event types, spilled and in-memory passes, store counters checked), finalized rankings bit-identical to one-shot\n",
@@ -190,10 +190,11 @@ func verifyParallel(cfg synth.Config, ref *apps.Run, workers int) (sim.Stats, er
 	return par.Stats, nil
 }
 
-// verifyMine ranks one run's intervals through the dense-Gram SVM and
-// through the bounded kernel column cache, requiring bit-identical
-// rankings (same order, same scores). Runs without intervals of the event
-// type are skipped.
+// verifyMine ranks one run's intervals with the SVM at the default kernel
+// column budget (every column resident on runs this size) and at the
+// given budget, which evicts columns once the distinct counters outgrow
+// it, requiring bit-identical rankings (same order, same scores). Runs
+// without intervals of the event type are skipped.
 func verifyMine(t *trace.Trace, irq int, cacheBytes int64) (int, error) {
 	// Every synth node runs its own generated program, so counters from
 	// different nodes have different dimensionalities; mine node 0 (it
@@ -205,7 +206,7 @@ func verifyMine(t *trace.Trace, irq int, cacheBytes int64) (int, error) {
 			SVMCacheBytes: cache,
 		})
 	}
-	dense, err := mine(0)
+	resident, err := mine(0)
 	if errors.Is(err, core.ErrNoIntervals) {
 		return 0, nil
 	}
@@ -216,16 +217,16 @@ func verifyMine(t *trace.Trace, irq int, cacheBytes int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(cached.Samples) != len(dense.Samples) {
-		return 0, fmt.Errorf("mine: cached ranking has %d samples, dense %d", len(cached.Samples), len(dense.Samples))
+	if len(cached.Samples) != len(resident.Samples) {
+		return 0, fmt.Errorf("mine: %d-byte budget ranks %d samples, default budget %d", cacheBytes, len(cached.Samples), len(resident.Samples))
 	}
-	for i := range dense.Samples {
-		if cached.Samples[i] != dense.Samples[i] {
-			return 0, fmt.Errorf("mine: rank %d diverges: cached %+v, dense %+v",
-				i+1, cached.Samples[i], dense.Samples[i])
+	for i := range resident.Samples {
+		if cached.Samples[i] != resident.Samples[i] {
+			return 0, fmt.Errorf("mine: rank %d diverges: %d-byte budget %+v, default budget %+v",
+				i+1, cacheBytes, cached.Samples[i], resident.Samples[i])
 		}
 	}
-	return len(dense.Samples), nil
+	return len(resident.Samples), nil
 }
 
 // verifyOnline streams one run's batches through the online miner — refit

@@ -1,15 +1,19 @@
 package sentomist_test
 
 // The sparse/parallel mining engine claims more than a tolerance: the
-// default pipeline (sparse instruction counters, concurrent anatomize +
-// feature workers, parallel Gram construction, Gram-reuse scoring) must
-// produce rankings identical to the dense, fully sequential baseline.
-// These tests pin that equivalence on the three paper case studies.
+// default pipeline (sparse features through ExtractBatches → MineBatches,
+// concurrent anatomize + feature workers, parallel kernel column fills,
+// Gram-reuse scoring) must produce rankings identical to the dense
+// baseline: dense features, Scale01 and the detector's dense Score. These
+// tests pin that equivalence on the three paper case studies, for every
+// feature kind, and at every kernel cache budget.
 
 import (
+	"math"
 	"testing"
 
 	"sentomist"
+	"sentomist/internal/core"
 	"sentomist/internal/feature"
 	"sentomist/internal/lifecycle"
 	"sentomist/internal/outlier"
@@ -91,12 +95,11 @@ func sameRanking(t *testing.T, label string, want, got *sentomist.Ranking) {
 	}
 }
 
-// denseMine is the dense counter baseline, built only from exported
-// pieces: every monitored node anatomized by lifecycle.Sequence, every
-// complete interval of cfg.IRQ featured as a ProgramLen-dimensional
-// Definition-4 counter (feature.Extractor.Counter), Scale01 over the pooled
-// matrix, then the one-class SVM at the given Gram parallelism.
-func denseMine(tb testing.TB, inputs []sentomist.RunInput, cfg sentomist.MineConfig, svmParallelism int) *sentomist.Ranking {
+// denseMine is the dense baseline, built only from exported pieces: every
+// monitored node anatomized by lifecycle.Sequence, every complete interval
+// of cfg.IRQ featured as a dense vector by denseFeature, Scale01 over the
+// pooled matrix, then det.Score on the dense batch.
+func denseMine(tb testing.TB, inputs []sentomist.RunInput, cfg sentomist.MineConfig, det sentomist.Detector) *sentomist.Ranking {
 	tb.Helper()
 	allowed := map[int]bool{}
 	for _, id := range cfg.Nodes {
@@ -123,7 +126,7 @@ func denseMine(tb testing.TB, inputs []sentomist.RunInput, cfg sentomist.MineCon
 					excluded++
 					continue
 				}
-				v, err := ext.Counter(iv)
+				v, err := denseFeature(ext, in, cfg.Feature, iv)
 				if err != nil {
 					tb.Fatal(err)
 				}
@@ -133,7 +136,7 @@ func denseMine(tb testing.TB, inputs []sentomist.RunInput, cfg sentomist.MineCon
 		}
 	}
 	feature.Scale01(vectors)
-	scores, err := outlier.OneClassSVM{Parallelism: svmParallelism}.Score(vectors)
+	scores, err := det.Score(vectors)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -146,6 +149,23 @@ func denseMine(tb testing.TB, inputs []sentomist.RunInput, cfg sentomist.MineCon
 	return r
 }
 
+// denseFeature is the dense feature vector of one complete interval: the
+// ProgramLen-dimensional Definition-4 counter (feature.Extractor.Counter)
+// by default, or the per-function counter, duration or stack depth of
+// the ablation kinds.
+func denseFeature(ext *feature.Extractor, in sentomist.RunInput, kind core.FeatureKind, iv lifecycle.Interval) ([]float64, error) {
+	switch kind {
+	case sentomist.FeatureFuncCount:
+		return ext.FuncCounter(in.Programs[iv.Node], iv)
+	case sentomist.FeatureDuration:
+		return ext.Duration(iv), nil
+	case sentomist.FeatureStackDepth:
+		return ext.StackDepth(iv)
+	default:
+		return ext.Counter(iv)
+	}
+}
+
 // TestMineSparseParallelEquivalence checks every sparse Mine configuration
 // against the dense sequential baseline on all three case fixtures: the
 // same dimensionality and exclusions, and every rank and score bit for bit.
@@ -155,7 +175,7 @@ func TestMineSparseParallelEquivalence(t *testing.T) {
 	}
 	for name, fx := range caseFixtures(t) {
 		t.Run(name, func(t *testing.T) {
-			want := denseMine(t, fx.inputs, fx.cfg, 1)
+			want := denseMine(t, fx.inputs, fx.cfg, outlier.OneClassSVM{Parallelism: 1})
 			variants := map[string]sentomist.MineConfig{
 				"sparse-seq":   {Parallelism: 1},
 				"sparse-par":   {Parallelism: 8},
@@ -178,6 +198,54 @@ func TestMineSparseParallelEquivalence(t *testing.T) {
 				sameRankingExact(t, name+"/"+vname, want, got)
 			}
 		})
+	}
+}
+
+// TestMineAblationMatchesDenseBaseline pins the ablation feature kinds on
+// the batch path: Mine ranks the sparse form of every dense feature
+// vector through MineBatches, and must equal the dense baseline (Scale01,
+// then the detector's dense Score) in every rank, score bit, Dim and
+// Excluded, for the one-class SVM and for PCA, which has no sparse path,
+// so rankSparse densifies the scaled batch for it.
+func TestMineAblationMatchesDenseBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end simulation")
+	}
+	run, err := sentomist.RunCaseII(sentomist.CaseIIConfig{Seconds: 8, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []sentomist.RunInput{{Trace: run.Trace, Programs: run.Programs}}
+	kinds := map[string]core.FeatureKind{
+		"func-count":  sentomist.FeatureFuncCount,
+		"duration":    sentomist.FeatureDuration,
+		"stack-depth": sentomist.FeatureStackDepth,
+	}
+	for kname, kind := range kinds {
+		for _, det := range []sentomist.Detector{sentomist.SVMDetector{}, sentomist.PCADetector(0)} {
+			label := kname + "/" + det.Name()
+			cfg := sentomist.MineConfig{
+				IRQ:      sentomist.IRQRadioRX,
+				Nodes:    []int{sentomist.CaseIIRelayID},
+				Labels:   sentomist.LabelSeqOnly,
+				Feature:  kind,
+				Detector: det,
+			}
+			want := denseMine(t, inputs, cfg, det)
+			got, err := sentomist.Mine(inputs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Dim != want.Dim || got.Excluded != want.Excluded {
+				t.Fatalf("%s: dim/excluded (%d,%d), want (%d,%d)", label, got.Dim, got.Excluded, want.Dim, want.Excluded)
+			}
+			sameRankingExact(t, label, want, got)
+			for i := range want.Samples {
+				if math.Float64bits(want.Samples[i].Score) != math.Float64bits(got.Samples[i].Score) {
+					t.Fatalf("%s: rank %d score bits differ: %v vs %v", label, i+1, want.Samples[i].Score, got.Samples[i].Score)
+				}
+			}
+		}
 	}
 }
 

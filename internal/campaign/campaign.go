@@ -47,9 +47,10 @@ type Config struct {
 	// run pool. Traces, and therefore rankings, are identical at any
 	// setting.
 	NodeWorkers int
-	// SVMCacheBytes bounds the default detector's kernel column cache;
-	// see core.Config.SVMCacheBytes. Rankings are bit-identical at any
-	// budget. Ignored when Detector is set explicitly.
+	// SVMCacheBytes bounds the default detector's kernel column cache
+	// (0 = svm.DefaultCacheBytes); see core.Config.SVMCacheBytes.
+	// Rankings are bit-identical at any budget. Ignored when Detector is
+	// set explicitly.
 	SVMCacheBytes int64
 	// Online, when set, switches Mine to the streaming path: finished
 	// runs are fed to a core.OnlineMiner as they complete (strictly in

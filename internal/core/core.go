@@ -71,11 +71,10 @@ type Config struct {
 	// (run, node, interval) order, so the ranking is identical at any
 	// setting.
 	Parallelism int
-	// SVMCacheBytes, when positive, makes the default one-class-SVM
-	// detector train through the on-demand kernel column cache bounded
-	// to this many bytes instead of materializing the full Gram matrix.
-	// Rankings are bit-identical at any budget. Ignored when Detector is
-	// set explicitly.
+	// SVMCacheBytes bounds the kernel column cache the default
+	// one-class-SVM detector trains through; 0 selects
+	// svm.DefaultCacheBytes. Rankings are bit-identical at any budget.
+	// Ignored when Detector is set explicitly.
 	SVMCacheBytes int64
 }
 
@@ -124,12 +123,9 @@ type Ranking struct {
 }
 
 // Top returns the k most suspicious samples (fewer if the ranking is
-// shorter).
+// shorter, none if k is negative).
 func (r *Ranking) Top(k int) []Sample {
-	if k > len(r.Samples) {
-		k = len(r.Samples)
-	}
-	return r.Samples[:k]
+	return r.Samples[:max(0, min(k, len(r.Samples)))]
 }
 
 // RankOf returns the 1-based rank of the first sample satisfying pred, or
@@ -144,14 +140,12 @@ func (r *Ranking) RankOf(pred func(Sample) bool) int {
 }
 
 // Table renders the top and bottom of the ranking the way the paper's
-// Figure 5 prints it.
+// Figure 5 prints it. A negative count prints no rows on that side.
 func (r *Ranking) Table(top, bottom int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %10s\n", "Instance", "Score")
 	n := len(r.Samples)
-	if top > n {
-		top = n
-	}
+	top = max(0, min(top, n))
 	for _, s := range r.Samples[:top] {
 		fmt.Fprintf(&b, "%-14s %10.4f\n", s.Label(r.Labels), s.Score)
 	}
@@ -172,77 +166,18 @@ func (r *Ranking) Table(top, bottom int) string {
 // event type exists in the input runs.
 var ErrNoIntervals = errors.New("core: no complete intervals of the requested event type")
 
-// Mine runs the full pipeline over the given testing runs. Instruction
-// counters (the default feature) take the streamed path, ExtractBatches
-// then MineBatches; the ablation feature kinds are extracted dense.
+// Mine runs the full pipeline over the given testing runs: ExtractBatches
+// features every complete interval by cfg.Feature, and MineBatches scales,
+// scores and ranks them.
 func Mine(runs []RunInput, cfg Config) (*Ranking, error) {
 	if cfg.IRQ == 0 {
 		return nil, fmt.Errorf("core: config must name the IRQ to mine")
 	}
-	feat := cfg.Feature
-	if feat == 0 || feat == FeatureCounter {
-		batches, err := ExtractBatches(runs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return MineBatches(batches, cfg)
-	}
-	det := cfg.detector()
-	labels := cfg.Labels
-	if labels == 0 {
-		labels = LabelRunSeq
-	}
-
-	type part struct {
-		samples  []Sample
-		vectors  [][]float64
-		excluded int
-	}
-	parts, err := mapNodes(runs, cfg, func(run int, ext *feature.Extractor, ivs []lifecycle.Interval) (part, error) {
-		var p part
-		for _, iv := range ivs {
-			if iv.IRQ != cfg.IRQ {
-				continue
-			}
-			if !iv.Complete {
-				p.excluded++
-				continue
-			}
-			v, err := extractFeature(ext, runs[run], feat, iv)
-			if err != nil {
-				return part{}, err
-			}
-			p.samples = append(p.samples, Sample{Run: run + 1, Interval: iv})
-			p.vectors = append(p.vectors, v)
-		}
-		return p, nil
-	})
+	batches, err := ExtractBatches(runs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var samples []Sample
-	var vectors [][]float64
-	excluded := 0
-	for _, p := range parts {
-		excluded += p.excluded
-		samples = append(samples, p.samples...)
-		vectors = append(vectors, p.vectors...)
-	}
-	if len(vectors) == 0 {
-		return nil, ErrNoIntervals
-	}
-	dim := len(vectors[0])
-	for i, v := range vectors {
-		if len(v) != dim {
-			return nil, fmt.Errorf("core: sample %d has %d dims, want %d — runs use different binaries", i, len(v), dim)
-		}
-	}
-	feature.Scale01(vectors)
-	scores, err := det.Score(vectors)
-	if err != nil {
-		return nil, fmt.Errorf("core: detector %s: %w", det.Name(), err)
-	}
-	return assembleRanking(samples, scores, det, labels, excluded, dim), nil
+	return MineBatches(batches, cfg)
 }
 
 // mapNodes anatomizes every monitored node of every run and hands the
@@ -410,8 +345,9 @@ type Batch struct {
 	// Run is the 1-based index of the testing run (the sample label's
 	// "r"). Several batches may share a run (one per monitored node).
 	Run int
-	// Intervals and Counters are parallel: Counters[i] is the
-	// Definition-4 counter of Intervals[i].
+	// Intervals and Counters are parallel: Counters[i] is the feature
+	// vector of Intervals[i] — its Definition-4 counter unless
+	// ExtractBatches ran with an ablation feature kind.
 	Intervals []lifecycle.Interval
 	Counters  []stats.Sparse
 }
@@ -423,15 +359,12 @@ type Batch struct {
 // materialized pipeline would visit, which makes the ranking bit-identical
 // to Mine over the equivalent traces.
 //
-// Only FeatureCounter batches exist (streaming accumulates instruction
-// counters); cfg.Feature must be zero or FeatureCounter. Scaling mutates
-// the batch counters in place.
+// The batches carry whatever feature ExtractBatches extracted;
+// cfg.Feature is not consulted here. Scaling mutates the batch counters
+// in place.
 func MineBatches(batches []Batch, cfg Config) (*Ranking, error) {
 	if cfg.IRQ == 0 {
 		return nil, fmt.Errorf("core: config must name the IRQ to mine")
-	}
-	if cfg.Feature != 0 && cfg.Feature != FeatureCounter {
-		return nil, fmt.Errorf("core: streamed batches carry instruction counters; feature kind %d needs the materialized pipeline", cfg.Feature)
 	}
 	det := cfg.detector()
 	labels := cfg.Labels
@@ -470,19 +403,31 @@ func MineBatches(batches []Batch, cfg Config) (*Ranking, error) {
 	return rankSparse(samples, svectors, nil, det, labels, excluded)
 }
 
-func extractFeature(ext *feature.Extractor, run RunInput, feat FeatureKind, iv lifecycle.Interval) ([]float64, error) {
+// extractFeature features one complete interval by feat. The ablation
+// features are finite and nonnegative (cycles, counts, bytes below the
+// stack top), so their sparse form passes checkCounter, and scaling it
+// equals Scale01 on the dense vectors.
+func extractFeature(ext *feature.Extractor, run RunInput, feat FeatureKind, iv lifecycle.Interval) (stats.Sparse, error) {
+	var v []float64
+	var err error
 	switch feat {
+	case 0, FeatureCounter:
+		return ext.CounterSparse(iv)
 	case FeatureFuncCount:
 		prog := run.Programs[iv.Node]
 		if prog == nil {
-			return nil, fmt.Errorf("no program for node %d (FeatureFuncCount needs Programs)", iv.Node)
+			return stats.Sparse{}, fmt.Errorf("no program for node %d (FeatureFuncCount needs Programs)", iv.Node)
 		}
-		return ext.FuncCounter(prog, iv)
+		v, err = ext.FuncCounter(prog, iv)
 	case FeatureDuration:
-		return ext.Duration(iv), nil
+		v = ext.Duration(iv)
 	case FeatureStackDepth:
-		return ext.StackDepth(iv)
+		v, err = ext.StackDepth(iv)
 	default:
-		return nil, fmt.Errorf("unknown feature kind %d", feat)
+		return stats.Sparse{}, fmt.Errorf("unknown feature kind %d", feat)
 	}
+	if err != nil {
+		return stats.Sparse{}, err
+	}
+	return stats.DenseToSparse(v), nil
 }

@@ -336,3 +336,25 @@ func TestSymbolCountsAggregation(t *testing.T) {
 		t.Fatalf("not sorted by count: %v", counts)
 	}
 }
+
+// TestRankingNegativeCounts: a negative row count selects no rows rather
+// than slicing out of range.
+func TestRankingNegativeCounts(t *testing.T) {
+	r, err := Mine([]RunInput{{Trace: syntheticTrace(1, 10)}}, Config{IRQ: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top := r.Top(-1); len(top) != 0 {
+		t.Fatalf("Top(-1) = %d samples, want none", len(top))
+	}
+	if got := r.Table(-1, -1); strings.Count(got, "\n") != 1 {
+		t.Fatalf("Table(-1, -1) printed rows:\n%s", got)
+	}
+	n := len(r.Samples)
+	lines := strings.Split(strings.TrimSpace(r.Table(-1, 2)), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(lines[1], "...") ||
+		!strings.HasPrefix(lines[2], r.Samples[n-2].Label(r.Labels)) ||
+		!strings.HasPrefix(lines[3], r.Samples[n-1].Label(r.Labels)) {
+		t.Fatalf("Table(-1, 2) is not the header, an ellipsis and the last two rows:\n%s", r.Table(-1, 2))
+	}
+}

@@ -384,9 +384,6 @@ func NewOnlineMiner(cfg OnlineConfig) (*OnlineMiner, error) {
 	if cfg.IRQ == 0 && len(cfg.IRQs) == 0 {
 		return nil, fmt.Errorf("core: config must name the IRQ to mine")
 	}
-	if cfg.Feature != 0 && cfg.Feature != FeatureCounter {
-		return nil, fmt.Errorf("core: streamed batches carry instruction counters; feature kind %d needs the materialized pipeline", cfg.Feature)
-	}
 	if cfg.Detector != nil {
 		return nil, fmt.Errorf("core: online mining drives the incremental one-class SVM; Detector must be nil")
 	}
@@ -738,7 +735,8 @@ func (m *OnlineMiner) Close() error {
 // MineBatches consume — the bridge from materialized traces to the online
 // path, and Mine's own front end. It emits one batch per (run, node) in
 // (run, node, interval) order. Nodes outside cfg.Nodes are skipped before
-// anatomizing, and cfg.Parallelism bounds the workers exactly as in Mine.
+// anatomizing, cfg.Parallelism bounds the workers, and every complete
+// interval is featured by cfg.Feature (instruction counters by default).
 func ExtractBatches(runs []RunInput, cfg Config) ([]Batch, error) {
 	return ExtractBatchesFor(runs, cfg, cfg.IRQ)
 }
@@ -761,7 +759,7 @@ func ExtractBatchesFor(runs []RunInput, cfg Config, irqs ...int) ([]Batch, error
 			var c stats.Sparse
 			if iv.Complete {
 				var err error
-				if c, err = ext.CounterSparse(iv); err != nil {
+				if c, err = extractFeature(ext, runs[run], cfg.Feature, iv); err != nil {
 					return Batch{}, err
 				}
 			}

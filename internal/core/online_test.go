@@ -393,9 +393,31 @@ func TestOnlineMinerValidation(t *testing.T) {
 	if _, err := NewOnlineMiner(OnlineConfig{}); err == nil {
 		t.Fatal("missing IRQ accepted")
 	}
-	if _, err := NewOnlineMiner(OnlineConfig{Config: Config{IRQ: 1, Feature: FeatureDuration}}); err == nil {
-		t.Fatal("non-counter feature accepted")
+	// An ablation feature kind streams like counters do.
+	runs := []RunInput{{Trace: syntheticTrace(1, 20)}}
+	duration := Config{IRQ: 1, Feature: FeatureDuration}
+	want, err := Mine(runs, duration)
+	if err != nil {
+		t.Fatal(err)
 	}
+	batches, err := ExtractBatches(runs, duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm, err := NewOnlineMiner(OnlineConfig{Config: duration, RefitEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if err := dm.Add(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := dm.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRanking(t, "duration stream", want, got)
 	if _, err := NewOnlineMiner(OnlineConfig{Config: Config{IRQ: 1, Detector: outlier.KNN{}}}); err == nil {
 		t.Fatal("explicit detector accepted")
 	}
@@ -566,7 +588,7 @@ func TestMalformedCountersRejected(t *testing.T) {
 }
 
 // TestMineBatchesValidation pins MineBatches' own input checking: length
-// mismatches, rejected feature modes, node filtering, and exclusion
+// mismatches, ablation-feature batches, node filtering, and exclusion
 // counting.
 func TestMineBatchesValidation(t *testing.T) {
 	if _, err := MineBatches(nil, Config{}); err == nil {
@@ -576,9 +598,22 @@ func TestMineBatchesValidation(t *testing.T) {
 	if _, err := MineBatches(bad, Config{IRQ: 1}); err == nil || !strings.Contains(err.Error(), "intervals but") {
 		t.Fatalf("length mismatch: %v", err)
 	}
-	if _, err := MineBatches(nil, Config{IRQ: 1, Feature: FeatureStackDepth}); err == nil {
-		t.Fatal("non-counter feature accepted")
+	// An ablation feature kind rides the batch path too.
+	runs := []RunInput{{Trace: syntheticTrace(1, 20)}}
+	depth := Config{IRQ: 1, Feature: FeatureStackDepth}
+	want, err := Mine(runs, depth)
+	if err != nil {
+		t.Fatal(err)
 	}
+	batches, err := ExtractBatches(runs, depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MineBatches(batches, depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRanking(t, "stack-depth batches", want, got)
 	if _, err := MineBatches(nil, Config{IRQ: 1}); !errors.Is(err, ErrNoIntervals) {
 		t.Fatalf("empty batches: %v, want ErrNoIntervals", err)
 	}

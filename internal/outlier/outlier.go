@@ -90,14 +90,13 @@ type OneClassSVM struct {
 	Nu float64
 	// Kernel defaults to RBF with gamma = 1/dim.
 	Kernel svm.Kernel
-	// Parallelism bounds the goroutines building the training Gram
-	// matrix: 0 = GOMAXPROCS, 1 = sequential. Scores are identical
+	// Parallelism bounds the goroutines filling a kernel column on a
+	// cache miss: 0 = GOMAXPROCS, 1 = sequential. Scores are identical
 	// either way.
 	Parallelism int
-	// CacheBytes, when positive, trains through the on-demand kernel
-	// column cache bounded to this many bytes instead of materializing
-	// the full l×l Gram matrix. Scores are bit-identical at any budget;
-	// oversized batches use the cache automatically even at zero.
+	// CacheBytes bounds the kernel column cache training memoizes
+	// columns in; 0 selects svm.DefaultCacheBytes. Scores are
+	// bit-identical at any budget.
 	CacheBytes int64
 }
 
@@ -121,22 +120,20 @@ func (d OneClassSVM) config(l int) svm.Config {
 	}
 }
 
-// Score implements Detector. Every sample is a training point, so the
-// scores come straight from the Gram matrix built during training
-// (Model.TrainingDecisions) — no kernel re-evaluation.
+// Score implements Detector: ScoreSparse over the sparse form of each
+// sample, which scores bit-identically.
 func (d OneClassSVM) Score(samples [][]float64) ([]float64, error) {
-	if len(samples) == 0 {
-		return nil, ErrNoSamples
+	sparse := make([]stats.Sparse, len(samples))
+	for i, v := range samples {
+		sparse[i] = stats.DenseToSparse(v)
 	}
-	model, err := svm.Train(samples, d.config(len(samples)))
-	if err != nil {
-		return nil, fmt.Errorf("outlier: %w", err)
-	}
-	return Normalize(model.TrainingDecisions()), nil
+	return d.ScoreSparse(sparse)
 }
 
 // ScoreSparse implements SparseDetector: kernel evaluations cost O(nnz)
-// per pair, and scores are bit-identical to Score on the densified batch.
+// per pair. Every sample is a training point, so the scores come straight
+// from the kernel columns computed during training
+// (Model.TrainingDecisions) — no kernel re-evaluation.
 func (d OneClassSVM) ScoreSparse(samples []stats.Sparse) ([]float64, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoSamples

@@ -8,9 +8,11 @@ import (
 	"sentomist/internal/svm"
 )
 
-// TestOneClassSVMScoreSparseMatchesScore: the sparse scoring path must
-// reproduce the dense one bit-for-bit — it is what lets core.Mine default
-// to sparse counters without perturbing rankings.
+// TestOneClassSVMScoreSparseMatchesScore: scoring dense samples must
+// equal scoring their sparse form bit-for-bit — it is what lets core.Mine
+// rank sparse features without perturbing rankings. (Training on sparse
+// samples equals per-sample dense training; the svm package's
+// trainReference oracle pins that.)
 func TestOneClassSVMScoreSparseMatchesScore(t *testing.T) {
 	rng := randx.New(77)
 	n, dim := 90, 60

@@ -20,10 +20,9 @@ func largeCampaignSize(short bool) (l, dim int) {
 
 // BenchmarkTrainLargeCampaign measures one-class training at campaign
 // scale over distinct counters (duplicate collapsing disabled, so the
-// kernel matrix truly is l×l): the materialized dense Gram baseline
-// against the on-demand column cache at 25% and 5% of the dense footprint.
-// The cached variants train to the bit-identical model; B/op shows the
-// footprint gap.
+// kernel matrix truly is l×l): the column cache at the default budget
+// (DefaultCacheBytes) and at 25% and 5% of the l×l footprint. Every
+// variant trains the bit-identical model; B/op shows the footprint gap.
 func BenchmarkTrainLargeCampaign(b *testing.B) {
 	l, dim := largeCampaignSize(testing.Short())
 	samples := synth.LargeCampaign(synth.LargeCampaignConfig{
@@ -34,7 +33,7 @@ func BenchmarkTrainLargeCampaign(b *testing.B) {
 		name string
 		cfg  svm.Config
 	}{
-		{"dense", svm.Config{Nu: 0.05}},
+		{"default", svm.Config{Nu: 0.05}},
 		{"cached_25pct", svm.Config{Nu: 0.05, CacheBytes: gramBytes / 4}},
 		{"cached_5pct", svm.Config{Nu: 0.05, CacheBytes: gramBytes / 20}},
 	} {

@@ -23,10 +23,9 @@ func benchCluster(l, dim, reps int) []stats.Sparse {
 	return out
 }
 
-// BenchmarkTrain compares dense vs sparse training on both regimes.
-// TrainSparse deduplicates identical vectors before building the Gram
-// matrix, so the "repeated" regime trains over a reps×reps kernel block
-// instead of l×l evaluations.
+// BenchmarkTrain measures training on both regimes. TrainSparse
+// deduplicates identical vectors, so the "repeated" regime trains over
+// reps×reps kernel cells instead of l×l evaluations.
 func BenchmarkTrain(b *testing.B) {
 	const l, dim = 512, 128
 	for _, regime := range []struct {
@@ -37,17 +36,8 @@ func BenchmarkTrain(b *testing.B) {
 		{"repeated_16", 16},
 	} {
 		sparse := benchCluster(l, dim, regime.reps)
-		dense := densify(sparse)
 		cfg := Config{Nu: 0.05, Parallelism: 1}
-		b.Run(regime.name+"/dense", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Train(dense, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(regime.name+"/sparse", func(b *testing.B) {
+		b.Run(regime.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := TrainSparse(sparse, cfg); err != nil {
@@ -84,8 +74,7 @@ func BenchmarkKernelEval(b *testing.B) {
 // before Model cached its training decisions).
 func BenchmarkTrainingDecisions(b *testing.B) {
 	sparse := benchCluster(512, 128, 512)
-	dense := densify(sparse)
-	model, err := Train(dense, Config{Nu: 0.05, Parallelism: 1})
+	model, err := TrainSparse(sparse, Config{Nu: 0.05, Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,10 +84,10 @@ func BenchmarkTrainingDecisions(b *testing.B) {
 		}
 	})
 	b.Run("fresh_eval", func(b *testing.B) {
-		out := make([]float64, len(dense))
+		out := make([]float64, len(sparse))
 		for i := 0; i < b.N; i++ {
-			for j, s := range dense {
-				out[j] = model.Decision(s)
+			for j, s := range sparse {
+				out[j] = model.DecisionSparse(s)
 			}
 			sinkSlice = out
 		}

@@ -54,6 +54,10 @@ func cacheCorpus() []cacheProblem {
 		shifted[i] = stats.Sparse{Idx: s.Idx, Val: vals, Dim: s.Dim}
 	}
 	add("two-cluster", append(two, shifted...), Config{Nu: 0.2})
+
+	// A kernel without EvalSparse, over duplicated samples.
+	fake, fakeSamples := fakeProblem(rng, 16, 96)
+	add("dense-only-kernel", fakeSamples, Config{Nu: 0.1, Kernel: fake})
 	return out
 }
 
@@ -94,67 +98,55 @@ func sameModelBits(t *testing.T, label string, want, got *Model) {
 	}
 }
 
-// TestCachedTrainingBitIdentical is the tentpole claim: at ANY cache
-// budget, sparse and dense sample representations alike, the cached path
-// reproduces the materialized-Gram model bit-for-bit — α, ρ, iteration
-// count, and every training decision.
+// TestCachedTrainingBitIdentical is the column cache's claim: at ANY
+// cache budget TrainSparse reproduces the per-sample dense oracle
+// bit-for-bit — α, ρ, iteration count, and every training decision.
 func TestCachedTrainingBitIdentical(t *testing.T) {
 	for _, prob := range cacheCorpus() {
 		t.Run(prob.name, func(t *testing.T) {
-			dense := densify(prob.sparse)
-			wantDense, err := Train(dense, prob.cfg)
+			want, err := trainReference(densify(prob.sparse), prob.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSparse, err := TrainSparse(prob.sparse, prob.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The references must come from the materialized Gram, or
-			// the comparison below is cached against cached.
-			if wantDense.CacheCols != 0 || wantSparse.CacheCols != 0 {
-				t.Fatalf("reference models took the cached path (%d, %d cache columns)", wantDense.CacheCols, wantSparse.CacheCols)
-			}
-			for bname, budget := range budgets(len(dense)) {
+			all := budgets(len(prob.sparse))
+			all["default"] = 0
+			for bname, budget := range all {
 				cfg := prob.cfg
 				cfg.CacheBytes = budget
-				mc, err := Train(dense, cfg)
+				got, err := TrainSparse(prob.sparse, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameModelBits(t, prob.name+"/dense/"+bname, wantDense, mc)
-				if mc.CacheMisses == 0 {
-					t.Fatalf("%s/%s: cached path reports no misses", prob.name, bname)
+				sameModelBits(t, prob.name+"/"+bname, want, got)
+				if got.CacheMisses == 0 {
+					t.Fatalf("%s/%s: cache reports no misses", prob.name, bname)
 				}
-				ms, err := TrainSparse(prob.sparse, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameModelBits(t, prob.name+"/sparse/"+bname, wantSparse, ms)
 			}
 		})
 	}
 }
 
-// TestCacheBytesOptsIntoCachedPath: setting a cache budget selects the cached path (diagnostics populated), with the same model.
-func TestCacheBytesOptsIntoCachedPath(t *testing.T) {
+// TestCacheBytesSetsBudget: CacheBytes only sizes the column cache. Zero
+// selects DefaultCacheBytes, which holds every column of a small problem;
+// a small budget keeps fewer resident and trains the same model.
+func TestCacheBytesSetsBudget(t *testing.T) {
 	rng := randx.New(5)
-	samples := cluster(rng, 60, []float64{1, 1}, 0.7)
-	base, err := Train(samples, Config{Nu: 0.1})
+	samples := sparsify(cluster(rng, 60, []float64{1, 1}, 0.7))
+	base, err := TrainSparse(samples, Config{Nu: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.CacheCols != 0 || base.CacheMisses != 0 {
-		t.Fatalf("small problem without a cache budget should be dense, got cache stats %+v", base)
+	if base.CacheCols != base.Groups {
+		t.Fatalf("default budget holds %d of %d columns", base.CacheCols, base.Groups)
 	}
-	cached, err := Train(samples, Config{Nu: 0.1, CacheBytes: 1 << 20})
+	small, err := TrainSparse(samples, Config{Nu: 0.1, CacheBytes: 8 * 60 * 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached.CacheCols == 0 || cached.CacheMisses == 0 {
-		t.Fatal("CacheBytes did not select the cached path")
+	if small.CacheCols != 4 {
+		t.Fatalf("a four-column budget holds %d columns", small.CacheCols)
 	}
-	sameModelBits(t, "cache-budget", base, cached)
+	sameModelBits(t, "small budget", base, small)
 }
 
 // rankingOrder is argsort-ascending over training decisions with
@@ -233,45 +225,6 @@ func sameEpsOptimum(t *testing.T, label string, want, got *Model, nu float64) {
 	}
 }
 
-// TestDenseGramGuard: a problem whose dense Gram exceeds the budget
-// routes to the cached path instead of attempting the l×l allocation, and
-// trains the model the materialized Gram gives once the budget allows it.
-func TestDenseGramGuard(t *testing.T) {
-	old := denseGramLimit
-	denseGramLimit = 64 << 10 // 64 KiB: oversized at l ≥ 91
-	defer func() { denseGramLimit = old }()
-
-	rng := randx.New(21)
-	samples := cluster(rng, 128, []float64{0, 0, 0}, 1)
-	sparse := sparseCluster(rng, 128, 16)
-	routed, err := Train(samples, Config{Nu: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	routedSparse, err := TrainSparse(sparse, Config{Nu: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if routed.CacheCols == 0 || routedSparse.CacheCols == 0 {
-		t.Fatal("oversized problem did not take the cached path")
-	}
-
-	denseGramLimit = old
-	want, err := Train(samples, Config{Nu: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSparse, err := TrainSparse(sparse, Config{Nu: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.CacheCols != 0 || wantSparse.CacheCols != 0 {
-		t.Fatal("reference models took the cached path")
-	}
-	sameModelBits(t, "routed", want, routed)
-	sameModelBits(t, "routed-sparse", wantSparse, routedSparse)
-}
-
 // fakeKernel looks kernel values up in an explicit matrix, keyed by the
 // 1-D sample value. It lets tests steer the SMO working-set selection into
 // branches real geometry cannot reach (the η ≤ 1e-12 degenerate step).
@@ -279,6 +232,26 @@ type fakeKernel struct{ m [][]float64 }
 
 func (k fakeKernel) Eval(a, b []float64) float64 { return k.m[int(a[0])][int(b[0])] }
 func (k fakeKernel) String() string              { return "fake" }
+
+// fakeProblem is a dense-only kernel problem: l one-dimensional samples
+// cycling through the values 0..n−1, under a fakeKernel whose table is the
+// RBF Gram of n random points, symmetric bit for bit.
+func fakeProblem(rng *randx.RNG, n, l int) (fakeKernel, []stats.Sparse) {
+	pts := cluster(rng, n, []float64{0, 0, 0}, 1)
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+		for j := 0; j <= i; j++ {
+			v := RBF{Gamma: 0.5}.Eval(pts[i], pts[j])
+			m[i][j], m[j][i] = v, v
+		}
+	}
+	samples := make([]stats.Sparse, l)
+	for i := range samples {
+		samples[i] = stats.DenseToSparse([]float64{float64(i % n)})
+	}
+	return fakeKernel{m}, samples
+}
 
 // TestSolveDegenerateEta drives the solver into the η ≤ 1e-12 branch: the
 // working pair (2,0) has K22+K00−2·K20 = 5e-14, so the Newton step is
@@ -300,7 +273,7 @@ func TestSolveDegenerateEta(t *testing.T) {
 	// α > 0 maxima). η = m22 + m00 − 2·m20 = 2·tiny ≤ 1e-12 ⇒ δ = +Inf,
 	// clamped to room C−α₂ = 0.5, then to α₀ = 0.5 — all halves, so the
 	// resulting α = [0, 0.5, 0.5, 0] is exact and asserted bitwise.
-	model, err := Train(samples, Config{Nu: 0.5, Kernel: fakeKernel{m}, MaxIter: 1, Eps: 1e-9})
+	model, err := TrainSparse(sparsify(samples), Config{Nu: 0.5, Kernel: fakeKernel{m}, MaxIter: 1, Eps: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +299,8 @@ func TestSolveDegenerateEta(t *testing.T) {
 // subtractions are exact and every α equals C bitwise.
 func TestSolveNuOne(t *testing.T) {
 	rng := randx.New(12)
-	samples := cluster(rng, 32, []float64{2, -1}, 0.8)
-	m, err := Train(samples, Config{Nu: 1})
+	samples := sparsify(cluster(rng, 32, []float64{2, -1}, 0.8))
+	m, err := TrainSparse(samples, Config{Nu: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +319,8 @@ func TestSolveNuOne(t *testing.T) {
 			t.Fatalf("alpha %v, want exactly C=%v", a, c)
 		}
 	}
-	// Cached path must agree bitwise here too.
-	mc, err := Train(samples, Config{Nu: 1, CacheBytes: 1})
+	// The two-column floor must agree bitwise here too.
+	mc, err := TrainSparse(samples, Config{Nu: 1, CacheBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,12 +332,12 @@ func TestSolveNuOne(t *testing.T) {
 // dual, finite ρ and decisions.
 func TestSolveMaxIterExhaustion(t *testing.T) {
 	rng := randx.New(13)
-	samples := cluster(rng, 150, []float64{0, 0, 0}, 1.2)
+	samples := sparsify(cluster(rng, 150, []float64{0, 0, 0}, 1.2))
 	for _, cfg := range []Config{
 		{Nu: 0.05, MaxIter: 3},
 		{Nu: 0.05, MaxIter: 3, CacheBytes: 1 << 14},
 	} {
-		m, err := Train(samples, cfg)
+		m, err := TrainSparse(samples, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,41 +357,6 @@ func TestSolveMaxIterExhaustion(t *testing.T) {
 		for _, d := range m.TrainingDecisions() {
 			if math.IsNaN(d) {
 				t.Fatal("NaN training decision after exhaustion")
-			}
-		}
-	}
-}
-
-// TestDecisionFromGramZeroSVs: a degenerate model with no kept support
-// vectors scores any empty column as −ρ rather than panicking.
-func TestDecisionFromGramZeroSVs(t *testing.T) {
-	m := &Model{rho: 0.25}
-	if got := m.DecisionFromGram(nil); got != -0.25 {
-		t.Fatalf("DecisionFromGram(nil) = %v, want -0.25", got)
-	}
-	if got := m.DecisionFromGram([]float64{}); got != -0.25 {
-		t.Fatalf("DecisionFromGram(empty) = %v, want -0.25", got)
-	}
-}
-
-// TestBuildGramBalancedPairs pins the paired-row handout: the parallel
-// build must produce the same matrix as the sequential one at worker
-// counts around the pairing boundaries (odd/even l, workers > l/2).
-func TestBuildGramBalancedPairs(t *testing.T) {
-	rng := randx.New(31)
-	for _, l := range []int{2, 3, 7, 8, 33} {
-		samples := cluster(rng, l, []float64{1, 2}, 1)
-		k := RBF{Gamma: 0.4}
-		want := gramDense(samples, k, 1)
-		for _, workers := range []int{2, 3, l, 4 * l} {
-			got := gramDense(samples, k, workers)
-			for i := range want {
-				for j := range want[i] {
-					if want[i][j] != got[i][j] {
-						t.Fatalf("l=%d workers=%d: cell (%d,%d) %v vs %v",
-							l, workers, i, j, got[i][j], want[i][j])
-					}
-				}
 			}
 		}
 	}

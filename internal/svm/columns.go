@@ -9,14 +9,14 @@ import (
 )
 
 // The SMO solver reads the Gram matrix exclusively through full columns
-// over the problem's groups of bit-identical samples (see solve):
+// over the problem's groups of bit-identical samples (see solveFrom):
 // gradient initialization walks the columns carrying initial mass, each
 // update step needs the two working-set columns, and Gram-reuse scoring
-// walks the support-vector columns. gramProvider is that access path. The
-// dense path materializes every column upfront; the cached path memoizes
-// columns in an LRU bounded by Config.CacheBytes and computes misses on
-// demand. Both hand the solver the very same float64 cell values, so the
-// trained model is bit-identical regardless of provider or cache size.
+// walks the support-vector columns. gramProvider is that access path.
+// Training reads it through colCache, which memoizes columns in an LRU
+// bounded by Config.CacheBytes and computes misses on demand; the
+// differential tests also hand the solver fully materialized matrices of
+// the very same float64 cells.
 type gramProvider interface {
 	// col returns column g of the G×G group matrix Q, length G (the
 	// number of groups): col(g)[h] == Q[h][g], the kernel value between
@@ -25,49 +25,6 @@ type gramProvider interface {
 	// (the cache never evicts its two most recently returned columns),
 	// which is exactly the pinning the solver needs.
 	col(g int) []float64
-}
-
-// denseMatrix adapts a fully materialized symmetric Gram matrix: the
-// stored rows mirror the upper/lower triangle, so row j IS column j.
-type denseMatrix [][]float64
-
-func (q denseMatrix) col(j int) []float64 { return q[j] }
-
-// columnSource computes kernel columns from scratch — the miss path
-// behind colCache. Implementations must write Q[h][g] into dst[h] with the
-// same evaluation-argument orientation buildGram uses (larger group index
-// first), so a cached cell is the identical float64 the dense build
-// produces.
-type columnSource interface {
-	// distinct returns the number of groups G: the length of every column.
-	distinct() int
-	// fill writes column g into dst (length distinct()).
-	fill(g int, dst []float64)
-}
-
-// denseColSource evaluates columns over dense samples, each sample its
-// own group.
-type denseColSource struct {
-	samples [][]float64
-	kernel  Kernel
-	workers int
-}
-
-func (s *denseColSource) distinct() int { return len(s.samples) }
-
-func (s *denseColSource) fill(j int, dst []float64) {
-	sj := s.samples[j]
-	parallelRanges(len(dst), len(dst)*len(sj), s.workers, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			// buildGram stores Q[a][b] (a >= b) as Eval(samples[a],
-			// samples[b]); keep that argument order per cell.
-			if k >= j {
-				dst[k] = s.kernel.Eval(s.samples[k], sj)
-			} else {
-				dst[k] = s.kernel.Eval(sj, s.samples[k])
-			}
-		}
-	})
 }
 
 // sparseColSource evaluates columns over the distinct vectors of a sparse
@@ -213,8 +170,8 @@ func (s *sparseColSource) release() { s.samples = nil }
 func (s *sparseColSource) distinct() int { return len(s.reps) }
 
 // evalCell computes the kernel value between group b's representative and
-// rg (group g's representative) with one merge, honoring buildGram's
-// argument orientation (larger group index first).
+// rg (group g's representative) with one merge, larger group index first
+// (the orientation of the per-sample reference Gram).
 func (s *sparseColSource) evalCell(b, g int, rg stats.Sparse) float64 {
 	if b >= g {
 		return s.kernel.EvalSparse(s.samples[s.reps[b]], rg)
@@ -350,34 +307,6 @@ func (s *sparseColSource) runTasks(g, w int) {
 	}
 }
 
-// parallelRanges splits [0,n) into contiguous chunks across the bounded
-// worker pool when the total work, in merge steps, is worth the spawn.
-// Cells are written to disjoint destinations, so the result is
-// independent of scheduling.
-func parallelRanges(n, work, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || work < minParallelWork {
-		fn(0, n)
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // colEntry is one resident column in the LRU. After the source grows, a
 // resident column stays short (its length is the group count at its last
 // fill) until the solver actually asks for it, and only then pays for its
@@ -396,7 +325,7 @@ type colEntry struct {
 // recycled into the incoming column, so steady-state misses allocate
 // nothing.
 type colCache struct {
-	src     columnSource
+	src     *sparseColSource
 	entries map[int]*colEntry
 	head    *colEntry // most recently used
 	tail    *colEntry // next to evict
@@ -425,7 +354,7 @@ func budgetCols(budgetBytes int64, g int) int {
 	return capCols
 }
 
-func newColCache(src columnSource, budgetBytes int64) *colCache {
+func newColCache(src *sparseColSource, budgetBytes int64) *colCache {
 	capCols := budgetCols(budgetBytes, src.distinct())
 	return &colCache{
 		src:     src,
@@ -472,7 +401,7 @@ func (c *colCache) col(g int) []float64 {
 			// fixed, so a pinned working-set slice is never reallocated
 			// mid-solve.
 			e.col = resize(e.col, n)
-			c.src.(*sparseColSource).evalFrom(g, from, e.col)
+			c.src.evalFrom(g, from, e.col)
 		}
 		c.moveToFront(e)
 		return e.col

@@ -83,7 +83,7 @@ func sameSolve(t *testing.T, label string, want, got *Model) {
 // reference solver bit for bit on duplicate-heavy sparse sets, cold and
 // warm-started from the projected optimum of a prefix, over the G×G
 // matrix, the column cache at several budgets, and identity groups over
-// the per-sample matrix (the dense Train case). nuPct sets ν =
+// the per-sample matrix. nuPct sets ν =
 // (nuPct%100+1)/100; warmAt%l, when nonzero, is the prefix whose cold
 // optimum warm-starts the full solve.
 //
@@ -111,7 +111,7 @@ func FuzzGroupSolve(f *testing.F) {
 
 		src := newSparseColSource(samples, kernel, 1)
 		ng := src.distinct()
-		got, err := solveFrom(denseMatrix(gramSparse(samples, src.reps, kernel, 1)), src.group, ng, cfg, kernel, warm)
+		got, err := solveFrom(groupGram(src), src.group, ng, cfg, kernel, warm)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,20 +6,13 @@ import (
 	"math"
 	mathbits "math/bits"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"sentomist/internal/stats"
 )
 
-// DefaultCacheBytes is the kernel column cache budget used when the dense
-// Gram is oversized and CacheBytes is zero.
+// DefaultCacheBytes is the kernel column cache budget used when
+// CacheBytes is zero.
 const DefaultCacheBytes = 256 << 20
-
-// denseGramLimit bounds the dense path's l×l allocation (bytes). Problems
-// past it route to the cached path. A variable so tests can lower it
-// without 50k-sample inputs.
-var denseGramLimit int64 = 1 << 30
 
 // Config parameterizes one-class training.
 type Config struct {
@@ -27,27 +20,24 @@ type Config struct {
 	// points treated as outliers and a lower bound on the fraction of
 	// support vectors. Must lie in (0, 1].
 	Nu float64
-	// Kernel defaults to RBF with gamma = 1/dim when nil.
+	// Kernel defaults to RBF with gamma = 1/dim when nil. A kernel without
+	// EvalSparse is evaluated on the densified pair.
 	Kernel Kernel
 	// Eps is the KKT violation tolerance; defaults to 1e-4.
 	Eps float64
 	// MaxIter bounds SMO iterations; defaults to 100·l (at least 10000).
 	MaxIter int
-	// Parallelism bounds the goroutines building the Gram matrix (dense
-	// path) or filling cache-miss columns (cached path): 0 selects
-	// GOMAXPROCS, 1 forces sequential construction. The resulting model
-	// is identical either way — each cell is computed independently.
+	// Parallelism bounds the goroutines filling a kernel column on a
+	// cache miss: 0 selects GOMAXPROCS, 1 forces sequential fills. The
+	// resulting model is identical either way — each cell is computed
+	// independently.
 	Parallelism int
-	// CacheBytes > 0 selects the cached path: kernel columns are computed
-	// on demand and memoized in an LRU bounded by CacheBytes (at least two
-	// columns stay resident). At zero the full Gram over the distinct
-	// samples (TrainSparse deduplicates, Train does not) is materialized,
-	// unless it exceeds the dense budget, in which case the cached path
-	// runs with DefaultCacheBytes. Columns hold one cell per distinct
+	// CacheBytes bounds the LRU of kernel columns the solver memoizes;
+	// columns are computed on demand and at least two stay resident. Zero
+	// selects DefaultCacheBytes. Columns hold one cell per distinct
 	// sample, so a budget holds l/G times more of them when l samples
-	// collapse to G distinct ones. Training is bit-identical either way:
-	// the cache memoizes the very float64 evaluations the dense build
-	// stores.
+	// collapse to G distinct ones. Training is bit-identical at any
+	// budget: a hit returns the very float64 evaluations a miss computes.
 	CacheBytes int64
 }
 
@@ -65,105 +55,11 @@ func (cfg Config) cacheBytes() int64 {
 	return DefaultCacheBytes
 }
 
-// denseGramOversized reports whether an l×l float64 matrix would overflow
-// int or exceed the dense budget.
-func denseGramOversized(l int) bool {
-	if l == 0 {
-		return false
-	}
-	return int64(l) > denseGramLimit/(8*int64(l))
-}
-
-// useCache decides the Gram access path for a problem with g distinct
-// columns: the solver works on the g×g matrix of distinct samples.
-func (cfg Config) useCache(g int) bool {
-	return cfg.CacheBytes > 0 || denseGramOversized(g)
-}
-
-// Model is a trained one-class SVM.
-type Model struct {
-	kernel Kernel
-	// Support vectors in exactly one representation (dense when trained
-	// via Train, sparse via TrainSparse), with their dual coefficients
-	// (only αᵢ > 0 kept).
-	sv       [][]float64
-	svSparse []stats.Sparse
-	alpha    []float64
-	rho      float64
-	// trainDec caches f(xₖ) for every training sample, computed from
-	// the Gram matrix at training time (see TrainingDecisions).
-	trainDec []float64
-
-	// Training diagnostics. Groups is how many distinct samples the
-	// solver iterated over (the training-set size for dense Train, which
-	// does not deduplicate).
-	Iters      int
-	NumSV      int
-	NumBoundSV int
-	Groups     int
-	// Cached-path diagnostics: column requests served from the LRU vs
-	// computed, and the cache capacity in columns. All zero on the dense
-	// path.
-	CacheHits   int64
-	CacheMisses int64
-	CacheCols   int
-}
-
-// ErrNoData is returned when Train is called without samples.
-var ErrNoData = errors.New("svm: no training samples")
-
-// Train fits a one-class ν-SVM on the samples. The sample slices are
-// referenced, not copied; callers must not mutate them afterwards.
-func Train(samples [][]float64, cfg Config) (*Model, error) {
-	l := len(samples)
-	if l == 0 {
-		return nil, ErrNoData
-	}
-	if cfg.Nu <= 0 || cfg.Nu > 1 {
-		return nil, fmt.Errorf("svm: nu=%g outside (0,1]", cfg.Nu)
-	}
-	dim := len(samples[0])
-	for i, s := range samples {
-		if len(s) != dim {
-			return nil, fmt.Errorf("svm: sample %d has %d dims, want %d", i, len(s), dim)
-		}
-	}
-	kernel := cfg.Kernel
-	if kernel == nil {
-		kernel = defaultKernel(dim)
-	}
-	var p gramProvider
-	if cfg.useCache(l) {
-		p = newColCache(&denseColSource{samples: samples, kernel: kernel, workers: cfg.workers()}, cfg.cacheBytes())
-	} else {
-		p = denseMatrix(gramDense(samples, kernel, cfg.workers()))
-	}
-	group := make([]int, l)
-	for k := range group {
-		group[k] = k
-	}
-	m, err := solve(p, group, l, cfg, kernel)
-	if err != nil {
-		return nil, err
-	}
-	for k := 0; k < l; k++ {
-		if m.alpha[k] > 0 {
-			m.sv = append(m.sv, samples[k])
-		}
-	}
-	return finish(m)
-}
-
-// TrainSparse fits a one-class ν-SVM on sparse samples. Kernel evaluation
-// costs O(nnz) per pair instead of O(dim), so training scales with how much
-// of the space each sample actually touches. The built-in kernels evaluate
-// sparse pairs bit-identically to their dense form, so the model —
-// coefficients, ρ, and every decision value — matches Train on the
-// densified samples exactly. A non-nil cfg.Kernel that does not implement
-// SparseKernel falls back to densifying the samples and calling Train.
-func TrainSparse(samples []stats.Sparse, cfg Config) (*Model, error) {
-	l := len(samples)
-	if l == 0 {
+// kernelFor validates a training batch (nonempty, ν in (0,1], one
+// dimensionality) and returns the kernel to train it with: cfg.Kernel, or
+// the per-dimension RBF default, adapted for sparse evaluation.
+func (cfg Config) kernelFor(samples []stats.Sparse) (SparseKernel, error) {
+	if len(samples) == 0 {
 		return nil, ErrNoData
 	}
 	if cfg.Nu <= 0 || cfg.Nu > 1 {
@@ -175,38 +71,61 @@ func TrainSparse(samples []stats.Sparse, cfg Config) (*Model, error) {
 			return nil, fmt.Errorf("svm: sample %d has %d dims, want %d", i, s.Dim, dim)
 		}
 	}
-	kernel := cfg.Kernel
-	if kernel == nil {
-		kernel = defaultKernel(dim)
+	if cfg.Kernel == nil {
+		return defaultKernel(dim), nil
 	}
-	sk, ok := kernel.(SparseKernel)
-	if !ok {
-		dense := make([][]float64, l)
-		for i, s := range samples {
-			dense[i] = s.Dense()
-		}
-		return Train(dense, cfg)
+	if sk, ok := cfg.Kernel.(SparseKernel); ok {
+		return sk, nil
 	}
-	src := newSparseColSource(samples, sk, cfg.workers())
-	var p gramProvider
-	if cfg.useCache(src.distinct()) {
-		p = newColCache(src, cfg.cacheBytes())
-	} else {
-		p = denseMatrix(gramSparse(samples, src.reps, sk, cfg.workers()))
-	}
-	m, err := solve(p, src.group, src.distinct(), cfg, kernel)
-	if err != nil {
-		return nil, err
-	}
-	for k := 0; k < l; k++ {
-		if m.alpha[k] > 0 {
-			m.svSparse = append(m.svSparse, samples[k])
-		}
-	}
-	return finish(m)
+	return densified{cfg.Kernel}, nil
 }
 
-func defaultKernel(dim int) Kernel {
+// densified adapts a kernel without EvalSparse by evaluating the densified
+// pair.
+type densified struct{ Kernel }
+
+func (k densified) EvalSparse(a, b stats.Sparse) float64 { return k.Eval(a.Dense(), b.Dense()) }
+
+// Model is a trained one-class SVM.
+type Model struct {
+	kernel SparseKernel
+	// Support vectors with their dual coefficients (only αᵢ > 0 kept).
+	sv    []stats.Sparse
+	alpha []float64
+	rho   float64
+	// trainDec caches f(xₖ) for every training sample, computed from
+	// the kernel columns at training time (see TrainingDecisions).
+	trainDec []float64
+
+	// Training diagnostics. Groups is how many distinct samples the
+	// solver iterated over.
+	Iters      int
+	NumSV      int
+	NumBoundSV int
+	Groups     int
+	// Kernel column cache diagnostics: column requests served from the
+	// LRU vs computed, and the cache capacity in columns.
+	CacheHits   int64
+	CacheMisses int64
+	CacheCols   int
+}
+
+// ErrNoData is returned when training is called without samples.
+var ErrNoData = errors.New("svm: no training samples")
+
+// TrainSparse fits a one-class ν-SVM on sparse samples: a cold first
+// Refit of a fresh Incremental. Kernel evaluation costs O(nnz) per pair
+// instead of O(dim), so training scales with how much of the space each
+// sample actually touches, and samples with bit-identical contents share
+// one kernel column. The built-in kernels evaluate sparse pairs
+// bit-identically to their dense form, so the model — coefficients, ρ,
+// and every decision value — matches per-sample training on the
+// densified samples exactly.
+func TrainSparse(samples []stats.Sparse, cfg Config) (*Model, error) {
+	return NewIncremental(cfg).Refit(samples, false)
+}
+
+func defaultKernel(dim int) RBF {
 	g := 1.0
 	if dim > 0 {
 		g = 1 / float64(dim)
@@ -214,81 +133,9 @@ func defaultKernel(dim int) Kernel {
 	return RBF{Gamma: g}
 }
 
-// gramDense builds the full symmetric kernel matrix. Rows of the lower
-// triangle are handed to workers via an atomic counter; cells are written
-// to disjoint locations, so the result is independent of scheduling.
-func gramDense(samples [][]float64, kernel Kernel, workers int) [][]float64 {
-	return buildGram(len(samples), workers, func(i, j int) float64 {
-		return kernel.Eval(samples[i], samples[j])
-	})
-}
-
-// gramSparse is gramDense over the distinct sparse samples: event-handling
-// intervals overwhelmingly repeat the same code path, so a batch of l
-// samples typically holds only a handful of distinct vectors. reps lists the
-// first sample of each distinct vector (see sparseColSource), and the result
-// is the g×g matrix over them — g²/2 kernel evaluations instead of l²/2. The
-// solver works on this matrix directly, one gradient per distinct vector.
-func gramSparse(samples []stats.Sparse, reps []int, kernel SparseKernel, workers int) [][]float64 {
-	return buildGram(len(reps), workers, func(a, b int) float64 {
-		return kernel.EvalSparse(samples[reps[a]], samples[reps[b]])
-	})
-}
-
-func buildGram(l, workers int, eval func(i, j int) float64) [][]float64 {
-	q := make([][]float64, l)
-	cells := make([]float64, l*l)
-	for i := range q {
-		q[i] = cells[i*l : (i+1)*l : (i+1)*l]
-	}
-	fill := func(i int) {
-		for j := 0; j <= i; j++ {
-			v := eval(i, j)
-			q[i][j] = v
-			q[j][i] = v
-		}
-	}
-	if workers <= 1 || l < 2 {
-		for i := 0; i < l; i++ {
-			fill(i)
-		}
-		return q
-	}
-	// Row i of the lower triangle holds i+1 cells, so handing out bare
-	// rows gives late workers quadratically heavier work. Hand out the
-	// pair (t, l−1−t) instead: every unit covers (t+1) + (l−t) = l+1
-	// cells, so the atomic counter deals near-identical loads no matter
-	// which worker draws which ticket. Cells are still written to
-	// disjoint locations — output is unchanged.
-	half := (l + 1) / 2
-	if workers > half {
-		workers = half
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= half {
-					return
-				}
-				fill(t)
-				if other := l - 1 - t; other != t {
-					fill(other)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return q
-}
-
-// solve runs the SMO optimizer over a Gram-column provider and returns a
-// partially-filled model (alpha, rho, diagnostics); the caller attaches
-// the support-vector representation.
+// solveFrom runs the SMO optimizer over a Gram-column provider and returns
+// a partially-filled model (alpha, rho, diagnostics); the caller attaches
+// the support vectors.
 //
 // The problem has l = len(group) samples in ng groups of bit-identical
 // samples: group[k] is sample k's group, groups are numbered by first
@@ -299,25 +146,19 @@ func buildGram(l, workers int, eval func(i, j int) float64) [][]float64 {
 // keeps one gradient per group and reproduces that per-sample SMO
 // iteration by iteration; α stays per sample. Every sum accumulates in the
 // same element order as the per-sample code, so the result is bit-identical
-// whether p materializes the matrix or memoizes columns at any cache size,
-// and whether samples are grouped or each is its own group.
-func solve(p gramProvider, group []int, ng int, cfg Config, kernel Kernel) (*Model, error) {
-	return solveFrom(p, group, ng, cfg, kernel, nil)
-}
-
-// solveFrom is solve with an optional warm start: when warm is non-nil it
-// must be a feasible point of the dual (0 ≤ αᵢ ≤ 1/(νl), Σα = 1, length l)
-// and optimization starts there instead of at the LIBSVM prefix
-// initialization. A warm start never changes what termination means — the
-// full problem satisfies the same ε tolerance — it only changes how many
-// iterations reaching it takes, so a warm start at the previous optimum of
-// the *same* problem converges immediately to the bit-identical solution,
-// and a warm start on a grown problem lands on the same ε-optimum a cold
-// solve finds (equal up to solver tolerance, not bitwise).
-func solveFrom(p gramProvider, group []int, ng int, cfg Config, kernel Kernel, warm []float64) (*Model, error) {
-	if cfg.Nu <= 0 || cfg.Nu > 1 {
-		return nil, fmt.Errorf("svm: nu=%g outside (0,1]", cfg.Nu)
-	}
+// at any cache size, and whether samples are grouped or each is its own
+// group.
+//
+// A nil warm starts cold, at the LIBSVM prefix initialization. A non-nil
+// warm must be a feasible point of the dual (0 ≤ αᵢ ≤ 1/(νl), Σα = 1,
+// length l) and optimization starts there instead. A warm start never
+// changes what termination means — the full problem satisfies the same ε
+// tolerance — it only changes how many iterations reaching it takes, so a
+// warm start at the previous optimum of the *same* problem converges
+// immediately to the bit-identical solution, and a warm start on a grown
+// problem lands on the same ε-optimum a cold solve finds (equal up to
+// solver tolerance, not bitwise).
+func solveFrom(p gramProvider, group []int, ng int, cfg Config, kernel SparseKernel, warm []float64) (*Model, error) {
 	l := len(group)
 	eps := cfg.Eps
 	if eps <= 0 {
@@ -587,16 +428,17 @@ func nextSet(bits []uint64, from, end int) int {
 	return -1
 }
 
-// finish compacts alpha to the kept SVs and fills the SV count.
+// finish replaces alpha by a compacted copy holding the kept SVs'
+// coefficients and fills the SV count.
 func finish(m *Model) (*Model, error) {
-	kept := m.alpha[:0]
+	kept := make([]float64, 0, len(m.sv))
 	for _, a := range m.alpha {
 		if a > 0 {
 			kept = append(kept, a)
 		}
 	}
 	m.alpha = kept
-	m.NumSV = len(m.sv) + len(m.svSparse)
+	m.NumSV = len(m.sv)
 	return m, nil
 }
 
@@ -604,46 +446,20 @@ func finish(m *Model) (*Model, error) {
 // the boundary, negative outside, with magnitude growing with distance —
 // exactly the score the paper ranks by (Section V-C1).
 func (m *Model) Decision(x []float64) float64 {
-	if m.svSparse != nil {
-		return m.DecisionSparse(stats.DenseToSparse(x))
-	}
-	var s float64
-	for i, v := range m.sv {
-		s += m.alpha[i] * m.kernel.Eval(v, x)
-	}
-	return s - m.rho
+	return m.DecisionSparse(stats.DenseToSparse(x))
 }
 
 // DecisionSparse is Decision for a sparse sample.
 func (m *Model) DecisionSparse(x stats.Sparse) float64 {
-	if m.svSparse == nil {
-		return m.Decision(x.Dense())
-	}
-	sk := m.kernel.(SparseKernel)
 	var s float64
-	for i, v := range m.svSparse {
-		s += m.alpha[i] * sk.EvalSparse(v, x)
-	}
-	return s - m.rho
-}
-
-// DecisionFromGram returns f(x) given the precomputed kernel column
-// kcol[i] = K(svᵢ, x) over the model's support vectors in order — the
-// batch-scoring path for callers that already hold kernel products (e.g. a
-// cached Gram matrix) and need no fresh evaluations.
-func (m *Model) DecisionFromGram(kcol []float64) float64 {
-	if len(kcol) != len(m.alpha) {
-		panic(fmt.Sprintf("svm: DecisionFromGram column has %d entries, want NumSV=%d", len(kcol), len(m.alpha)))
-	}
-	var s float64
-	for i, a := range m.alpha {
-		s += a * kcol[i]
+	for i, v := range m.sv {
+		s += m.alpha[i] * m.kernel.EvalSparse(v, x)
 	}
 	return s - m.rho
 }
 
 // TrainingDecisions returns f(xₖ) for every training sample, in training
-// order. The values come from the Gram matrix already built during
+// order. The values come from the kernel columns already computed during
 // training — no kernel re-evaluation — and equal Decision(xₖ) bit-for-bit
 // for symmetric kernels (every PSD kernel is). The slice is a copy;
 // callers may mutate it.
@@ -657,4 +473,9 @@ func (m *Model) TrainingDecisions() []float64 {
 func (m *Model) Rho() float64 { return m.rho }
 
 // Kernel returns the kernel the model was trained with.
-func (m *Model) Kernel() Kernel { return m.kernel }
+func (m *Model) Kernel() Kernel {
+	if d, ok := m.kernel.(densified); ok {
+		return d.Kernel
+	}
+	return m.kernel
+}

@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"fmt"
 	"math"
 
 	"sentomist/internal/stats"
@@ -51,8 +50,7 @@ type Incremental struct {
 }
 
 // NewIncremental returns an incremental trainer. The config is fixed for
-// the trainer's lifetime; cfg.Kernel must be nil (the per-dimension
-// default) or implement SparseKernel — the online path never densifies.
+// the trainer's lifetime, except for ν (see SetNu).
 func NewIncremental(cfg Config) *Incremental {
 	return &Incremental{cfg: cfg}
 }
@@ -71,35 +69,17 @@ func (inc *Incremental) SetNu(nu float64) { inc.cfg.Nu = nu }
 // earlier samples changed (e.g. a feature rescale) — the cache is rebuilt
 // but the warm start is kept.
 //
-// Refit always takes the cached Gram path (DefaultCacheBytes when
-// CacheBytes is zero), so the first Refit is bit-identical to TrainSparse
-// with the same config.
+// The first Refit starts cold and equals TrainSparse with the same config
+// bit for bit.
 func (inc *Incremental) Refit(samples []stats.Sparse, prefixValid bool) (*Model, error) {
-	l := len(samples)
-	if l == 0 {
-		return nil, ErrNoData
+	kernel, err := inc.cfg.kernelFor(samples)
+	if err != nil {
+		return nil, err
 	}
-	if inc.cfg.Nu <= 0 || inc.cfg.Nu > 1 {
-		return nil, fmt.Errorf("svm: nu=%g outside (0,1]", inc.cfg.Nu)
-	}
-	dim := samples[0].Dim
-	for i, s := range samples {
-		if s.Dim != dim {
-			return nil, fmt.Errorf("svm: sample %d has %d dims, want %d", i, s.Dim, dim)
-		}
-	}
-	kernel := inc.cfg.Kernel
-	if kernel == nil {
-		kernel = defaultKernel(dim)
-	}
-	sk, ok := kernel.(SparseKernel)
-	if !ok {
-		return nil, fmt.Errorf("svm: incremental training requires a SparseKernel, got %s", kernel)
-	}
-
+	l, dim := len(samples), samples[0].Dim
 	if !prefixValid || inc.src == nil || l < inc.prevLen || dim != inc.prevDim {
 		inc.Rebuilds++
-		inc.src = newSparseColSource(samples, sk, inc.cfg.workers())
+		inc.src = newSparseColSource(samples, kernel, inc.cfg.workers())
 		inc.cache = newColCache(inc.src, inc.cfg.cacheBytes())
 	} else {
 		inc.src.extendTo(samples)
@@ -118,12 +98,12 @@ func (inc *Incremental) Refit(samples []stats.Sparse, prefixValid bool) (*Model,
 	if err != nil {
 		return nil, err
 	}
-	// Capture the full-length α before finish compacts it in place: the
-	// next refit's warm start needs every coefficient slot, zeros included.
-	inc.alpha = append(inc.alpha[:0], m.alpha...)
+	// The next refit's warm start needs every coefficient slot, zeros
+	// included; finish keeps only a compacted copy in the model.
+	inc.alpha = m.alpha
 	for k := 0; k < l; k++ {
 		if m.alpha[k] > 0 {
-			m.svSparse = append(m.svSparse, samples[k])
+			m.sv = append(m.sv, samples[k])
 		}
 	}
 	// The model retains the support vectors it needs; dropping the source's

@@ -10,12 +10,12 @@ import (
 )
 
 // TestIncrementalFirstRefitBitIdentical: the first Refit carries no state,
-// so it must reproduce TrainSparse on the cached Gram path bit-for-bit.
+// so it must reproduce the per-sample dense oracle bit-for-bit.
 func TestIncrementalFirstRefitBitIdentical(t *testing.T) {
 	rng := randx.New(41)
 	samples := sparseCluster(rng, 150, 48)
 	cfg := Config{Nu: 0.08, CacheBytes: budgets(len(samples))["25pct"]}
-	want, err := TrainSparse(samples, cfg)
+	want, err := trainReference(densify(samples), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,13 +319,32 @@ func TestCacheGrowEvictsToBudget(t *testing.T) {
 	}
 }
 
-// TestIncrementalRejectsNonSparseKernel: the online path never densifies.
-func TestIncrementalRejectsNonSparseKernel(t *testing.T) {
+// TestIncrementalAcceptsDenseOnlyKernel: a kernel without EvalSparse
+// trains through the densifying adapter. The first refit equals the
+// per-sample dense oracle bit for bit, and a grown batch refits warm.
+func TestIncrementalAcceptsDenseOnlyKernel(t *testing.T) {
 	rng := randx.New(49)
-	samples := sparseCluster(rng, 10, 16)
-	inc := NewIncremental(Config{Nu: 0.2, Kernel: fakeKernel{m: [][]float64{{1}}}})
-	if _, err := inc.Refit(samples, false); err == nil {
-		t.Fatal("dense-only kernel accepted by the incremental path")
+	fake, samples := fakeProblem(rng, 10, 40)
+	cfg := Config{Nu: 0.2, Kernel: fake}
+	want, err := trainReference(densify(samples[:30]), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := NewIncremental(cfg)
+	got, err := inc.Refit(samples[:30], false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameModelBits(t, "first refit", want, got)
+	if _, ok := got.Kernel().(fakeKernel); !ok {
+		t.Fatalf("model reports kernel %T, want the configured fakeKernel", got.Kernel())
+	}
+	grown, err := inc.Refit(samples, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grown.TrainingDecisions()) != len(samples) || inc.Rebuilds != 1 {
+		t.Fatalf("warm refit: %d decisions, %d rebuilds", len(grown.TrainingDecisions()), inc.Rebuilds)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // loop over all l samples and reads l-length per-sample columns, col(j)[k]
 // == Q[k][j]. solveFrom must reproduce it bit for bit — α, ρ, training
 // decisions, iteration count and bound-SV count — cold and warm-started.
-func solveReference(p gramProvider, l int, cfg Config, kernel Kernel, warm []float64) (*Model, error) {
+func solveReference(p gramProvider, l int, cfg Config, kernel SparseKernel, warm []float64) (*Model, error) {
 	if cfg.Nu <= 0 || cfg.Nu > 1 {
 		return nil, fmt.Errorf("svm: nu=%g outside (0,1]", cfg.Nu)
 	}
@@ -185,13 +185,76 @@ func solveReference(p gramProvider, l int, cfg Config, kernel Kernel, warm []flo
 	return m, nil
 }
 
+// denseMatrix is a fully materialized symmetric Gram matrix: the stored
+// rows mirror the upper and lower triangle, so row j IS column j.
+type denseMatrix [][]float64
+
+func (q denseMatrix) col(j int) []float64 { return q[j] }
+
+// buildGram materializes the l×l matrix of eval, sequentially. Cell (i, j)
+// and its mirror (j, i) both hold eval(i, j) for i ≥ j: the larger index
+// goes first, the orientation the column cache's cells follow.
+func buildGram(l int, eval func(i, j int) float64) denseMatrix {
+	q := make(denseMatrix, l)
+	cells := make([]float64, l*l)
+	for i := range q {
+		q[i] = cells[i*l : (i+1)*l : (i+1)*l]
+	}
+	for i := 0; i < l; i++ {
+		for j := 0; j <= i; j++ {
+			v := eval(i, j)
+			q[i][j] = v
+			q[j][i] = v
+		}
+	}
+	return q
+}
+
 // perSampleGram is the l×l per-sample Gram matrix solveReference reads,
-// built pairwise over the samples with no duplicate collapsing (buildGram's
-// orientation: larger sample index first). The built-in kernels are
-// symmetric bit for bit, so every cell equals the group matrix's cell for
-// the two samples' groups.
+// built pairwise over the samples with no duplicate collapsing. The
+// built-in kernels are symmetric bit for bit, so every cell equals the
+// group matrix's cell for the two samples' groups.
 func perSampleGram(samples []stats.Sparse, kernel SparseKernel) denseMatrix {
-	return denseMatrix(buildGram(len(samples), 1, func(i, j int) float64 {
+	return buildGram(len(samples), func(i, j int) float64 {
 		return kernel.EvalSparse(samples[i], samples[j])
-	}))
+	})
+}
+
+// groupGram is the G×G matrix over the distinct samples of src, the one
+// the column cache serves column by column.
+func groupGram(src *sparseColSource) denseMatrix {
+	return buildGram(src.distinct(), func(a, b int) float64 {
+		return src.kernel.EvalSparse(src.samples[src.reps[a]], src.samples[src.reps[b]])
+	})
+}
+
+// trainReference is the per-sample training oracle TrainSparse must match
+// bit for bit: no duplicate collapsing, no column cache, and every cell
+// evaluated by Kernel.Eval on the dense samples, then the per-sample
+// solver. The kernel defaults as in TrainSparse; the support vectors are
+// kept sparse so the model scores like a trained one.
+func trainReference(dense [][]float64, cfg Config) (*Model, error) {
+	sparse := make([]stats.Sparse, len(dense))
+	for i, v := range dense {
+		sparse[i] = stats.DenseToSparse(v)
+	}
+	kernel, err := cfg.kernelFor(sparse)
+	if err != nil {
+		return nil, err
+	}
+	eval := cfg.Kernel
+	if eval == nil {
+		eval = kernel
+	}
+	q := buildGram(len(dense), func(i, j int) float64 { return eval.Eval(dense[i], dense[j]) })
+	m, err := solveReference(q, len(dense), cfg, kernel, nil)
+	if err != nil {
+		return nil, err
+	}
+	for k, a := range m.alpha {
+		if a > 0 {
+			m.sv = append(m.sv, sparse[k])
+		}
+	}
+	return finish(m)
 }

@@ -1,6 +1,8 @@
 package svm
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"sentomist/internal/randx"
@@ -32,49 +34,71 @@ func densify(samples []stats.Sparse) [][]float64 {
 	return out
 }
 
+func sparsify(dense [][]float64) []stats.Sparse {
+	out := make([]stats.Sparse, len(dense))
+	for i, v := range dense {
+		out[i] = stats.DenseToSparse(v)
+	}
+	return out
+}
+
+// oracleBudgets are the cache budgets the training oracles run at: the
+// default (0), the two-column floor, and every column resident.
+var oracleBudgets = map[string]int64{"default": 0, "two-columns": 1, "all": math.MaxInt64}
+
+// denseDecision evaluates m's decision function on a dense probe through
+// the kernel's dense Eval, the way per-sample dense scoring did.
+func denseDecision(m *Model, x []float64) float64 {
+	var s float64
+	for i, v := range m.sv {
+		s += m.alpha[i] * m.Kernel().Eval(v.Dense(), x)
+	}
+	return s - m.rho
+}
+
 // TestTrainSparseMatchesTrain pins the sparse path's central claim: the
-// model trained on sparse samples equals the model trained on the
-// densified samples bit-for-bit, for every built-in kernel.
+// model TrainSparse fits equals the per-sample dense oracle's bit for bit,
+// for every built-in kernel and a dense-only one, at every cache budget,
+// and scores out-of-sample probes like dense evaluation does.
 func TestTrainSparseMatchesTrain(t *testing.T) {
 	rng := randx.New(42)
 	sparse := sparseCluster(rng, 60, 40)
-	dense := densify(sparse)
-	kernels := []Kernel{
-		nil, // default RBF
-		RBF{Gamma: 0.3},
-		Linear{},
-		Poly{Gamma: 0.5, Coef0: 1, Degree: 2},
+	fake, fakeSamples := fakeProblem(rng, 12, 48)
+	probes := densify(sparseCluster(rng, 5, 40))
+	problems := []struct {
+		sparse []stats.Sparse
+		kernel Kernel
+		probes [][]float64
+	}{
+		{sparse, nil, probes},
+		{sparse, RBF{Gamma: 0.3}, probes},
+		{sparse, Linear{}, probes},
+		{sparse, Poly{Gamma: 0.5, Coef0: 1, Degree: 2}, probes},
+		{fakeSamples, fake, [][]float64{{0}, {5}, {11}}},
 	}
-	for _, k := range kernels {
+	for _, p := range problems {
 		name := "default-rbf"
-		if k != nil {
-			name = k.String()
+		if p.kernel != nil {
+			name = p.kernel.String()
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := Config{Nu: 0.1, Kernel: k}
-			md, err := Train(dense, cfg)
+			cfg := Config{Nu: 0.1, Kernel: p.kernel}
+			want, err := trainReference(densify(p.sparse), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ms, err := TrainSparse(sparse, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if md.NumSV != ms.NumSV || md.Iters != ms.Iters || md.Rho() != ms.Rho() {
-				t.Fatalf("model mismatch: dense (sv=%d iters=%d rho=%v) vs sparse (sv=%d iters=%d rho=%v)",
-					md.NumSV, md.Iters, md.Rho(), ms.NumSV, ms.Iters, ms.Rho())
-			}
-			dd, ds := md.TrainingDecisions(), ms.TrainingDecisions()
-			for i := range dd {
-				if dd[i] != ds[i] {
-					t.Fatalf("training decision %d: dense %v != sparse %v", i, dd[i], ds[i])
+			var got *Model
+			for bname, budget := range oracleBudgets {
+				cfg.CacheBytes = budget
+				if got, err = TrainSparse(p.sparse, cfg); err != nil {
+					t.Fatal(err)
 				}
+				sameModelBits(t, bname, want, got)
 			}
-			// Out-of-sample decisions through both representations.
-			probe := sparseCluster(rng, 5, 40)
-			for _, p := range probe {
-				if got, want := ms.DecisionSparse(p), md.Decision(p.Dense()); got != want {
-					t.Fatalf("DecisionSparse %v != dense Decision %v", got, want)
+			// Out-of-sample decisions against dense evaluation.
+			for _, x := range p.probes {
+				if d, dd := got.Decision(x), denseDecision(want, x); d != dd {
+					t.Fatalf("Decision %v != dense evaluation %v", d, dd)
 				}
 			}
 		})
@@ -87,7 +111,7 @@ func TestTrainSparseMatchesTrain(t *testing.T) {
 func TestTrainingDecisionsMatchDecision(t *testing.T) {
 	rng := randx.New(7)
 	samples := cluster(rng, 80, []float64{1, 2, 3}, 0.5)
-	m, err := Train(samples, Config{Nu: 0.08})
+	m, err := TrainSparse(sparsify(samples), Config{Nu: 0.08})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,69 +131,24 @@ func TestTrainingDecisionsMatchDecision(t *testing.T) {
 	}
 }
 
-func TestDecisionFromGram(t *testing.T) {
-	rng := randx.New(9)
-	samples := cluster(rng, 40, []float64{0, 0}, 1)
-	m, err := Train(samples, Config{Nu: 0.15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.3, -0.2}
-	kcol := make([]float64, 0, m.NumSV)
-	for _, sv := range m.sv {
-		kcol = append(kcol, m.kernel.Eval(sv, x))
-	}
-	if got, want := m.DecisionFromGram(kcol), m.Decision(x); got != want {
-		t.Fatalf("DecisionFromGram = %v, Decision = %v", got, want)
-	}
-}
-
-func TestDecisionFromGramBadColumnPanics(t *testing.T) {
-	rng := randx.New(10)
-	samples := cluster(rng, 20, []float64{0}, 1)
-	m, err := Train(samples, Config{Nu: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on wrong-length column")
-		}
-	}()
-	m.DecisionFromGram(make([]float64, m.NumSV+1))
-}
-
 // TestParallelGramDeterministic trains the same batch at several
-// parallelism settings; every model must be identical, because Gram cells
-// are computed independently of scheduling.
+// parallelism settings; every model must equal the sequential per-sample
+// oracle's, because kernel cells are computed independently of
+// scheduling.
 func TestParallelGramDeterministic(t *testing.T) {
 	rng := randx.New(3)
 	sparse := sparseCluster(rng, 70, 50)
-	dense := densify(sparse)
-	base, err := Train(dense, Config{Nu: 0.1, Parallelism: 1})
+	want, err := trainReference(densify(sparse), Config{Nu: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := base.TrainingDecisions()
 	for _, par := range []int{0, 2, 7, 16} {
-		for _, useSparse := range []bool{false, true} {
-			var m *Model
-			var err error
-			if useSparse {
-				m, err = TrainSparse(sparse, Config{Nu: 0.1, Parallelism: par})
-			} else {
-				m, err = Train(dense, Config{Nu: 0.1, Parallelism: par})
-			}
+		for bname, budget := range oracleBudgets {
+			m, err := TrainSparse(sparse, Config{Nu: 0.1, Parallelism: par, CacheBytes: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := m.TrainingDecisions()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("parallelism=%d sparse=%v: decision %d = %v, want %v",
-						par, useSparse, i, got[i], want[i])
-				}
-			}
+			sameModelBits(t, fmt.Sprintf("parallelism=%d/%s", par, bname), want, m)
 		}
 	}
 }

@@ -56,17 +56,17 @@ func TestKernelSymmetryAndBound(t *testing.T) {
 }
 
 func TestTrainRejectsBadInput(t *testing.T) {
-	if _, err := Train(nil, Config{Nu: 0.5}); err == nil {
+	if _, err := TrainSparse(nil, Config{Nu: 0.5}); err == nil {
 		t.Error("empty training set accepted")
 	}
 	samples := [][]float64{{1, 2}, {3}}
-	if _, err := Train(samples, Config{Nu: 0.5}); err == nil {
+	if _, err := TrainSparse(sparsify(samples), Config{Nu: 0.5}); err == nil {
 		t.Error("ragged samples accepted")
 	}
-	if _, err := Train([][]float64{{1}}, Config{Nu: 0}); err == nil {
+	if _, err := TrainSparse(sparsify([][]float64{{1}}), Config{Nu: 0}); err == nil {
 		t.Error("nu=0 accepted")
 	}
-	if _, err := Train([][]float64{{1}}, Config{Nu: 1.5}); err == nil {
+	if _, err := TrainSparse(sparsify([][]float64{{1}}), Config{Nu: 1.5}); err == nil {
 		t.Error("nu>1 accepted")
 	}
 }
@@ -76,7 +76,7 @@ func TestOutlierScoresBelowInliers(t *testing.T) {
 	samples := cluster(rng, 100, []float64{0, 0, 0}, 0.3)
 	outlier := []float64{6, 6, 6}
 	samples = append(samples, outlier)
-	m, err := Train(samples, Config{Nu: 0.05})
+	m, err := TrainSparse(sparsify(samples), Config{Nu: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestOutlierScoresBelowInliers(t *testing.T) {
 func TestDecisionMonotoneInDistance(t *testing.T) {
 	rng := randx.New(2)
 	samples := cluster(rng, 80, []float64{0, 0}, 0.5)
-	m, err := Train(samples, Config{Nu: 0.1})
+	m, err := TrainSparse(sparsify(samples), Config{Nu: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDualConstraints(t *testing.T) {
 	rng := randx.New(3)
 	for _, nu := range []float64{0.02, 0.1, 0.3, 0.7} {
 		samples := cluster(rng, 60, []float64{1, 2, 3}, 1.0)
-		m, err := Train(samples, Config{Nu: nu})
+		m, err := TrainSparse(sparsify(samples), Config{Nu: nu})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestNuControlsOutlierFraction(t *testing.T) {
 	rng := randx.New(4)
 	samples := cluster(rng, 200, []float64{0, 0}, 1.0)
 	for _, nu := range []float64{0.05, 0.2, 0.5} {
-		m, err := Train(samples, Config{Nu: nu})
+		m, err := TrainSparse(sparsify(samples), Config{Nu: nu})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestNuControlsOutlierFraction(t *testing.T) {
 
 func TestDefaultKernelGamma(t *testing.T) {
 	samples := [][]float64{{0, 0, 0, 0}, {1, 1, 1, 1}, {0, 1, 0, 1}}
-	m, err := Train(samples, Config{Nu: 0.5})
+	m, err := TrainSparse(sparsify(samples), Config{Nu: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestDefaultKernelGamma(t *testing.T) {
 func TestTrainingIsDeterministic(t *testing.T) {
 	rng := randx.New(6)
 	samples := cluster(rng, 50, []float64{0, 0}, 1)
-	m1, err := Train(samples, Config{Nu: 0.1})
+	m1, err := TrainSparse(sparsify(samples), Config{Nu: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Train(samples, Config{Nu: 0.1})
+	m2, err := TrainSparse(sparsify(samples), Config{Nu: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestTrainingIsDeterministic(t *testing.T) {
 }
 
 func TestSingleSample(t *testing.T) {
-	m, err := Train([][]float64{{1, 2}}, Config{Nu: 1})
+	m, err := TrainSparse(sparsify([][]float64{{1, 2}}), Config{Nu: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestIdenticalSamples(t *testing.T) {
 	for i := range samples {
 		samples[i] = []float64{3, 3}
 	}
-	m, err := Train(samples, Config{Nu: 0.2})
+	m, err := TrainSparse(sparsify(samples), Config{Nu: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestIdenticalSamples(t *testing.T) {
 func TestLinearKernelSeparation(t *testing.T) {
 	rng := randx.New(8)
 	samples := cluster(rng, 60, []float64{5, 5}, 0.5)
-	m, err := Train(samples, Config{Nu: 0.1, Kernel: Linear{}})
+	m, err := TrainSparse(sparsify(samples), Config{Nu: 0.1, Kernel: Linear{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,8 +199,8 @@ func ExtractBatchesFor(runs []RunInput, cfg MineConfig, irqs ...int) ([]MineBatc
 }
 
 // SVMDetector is the paper's default detector with every training knob
-// exposed: ν, kernel, Gram-build parallelism, and the on-demand kernel
-// column cache budget (CacheBytes — bit-identical scores at any budget).
+// exposed: ν, kernel, and the parallelism and byte budget of the kernel
+// column cache (bit-identical scores at any setting).
 type SVMDetector = outlier.OneClassSVM
 
 // OneClassSVM returns the paper's default detector with the given ν
