@@ -31,7 +31,7 @@ bench-svm:
 	$(GO) test -run xxx -bench 'BenchmarkTrain|BenchmarkKernelEval|BenchmarkColumnFill' -benchmem -timeout 60m ./internal/svm/
 
 # The online-mining benchmarks behind BENCH_PR10.json (PR 7 baseline in
-# BENCH_PR7.json): warm delta refits at the l=10k campaign size, with the
+# BENCH_PR7.json): exact delta refits at the l=10k campaign size, with the
 # metadata rows in memory and in an on-disk row file, and the ingest-only
 # path (several minutes on one core).
 bench-online:

@@ -153,12 +153,12 @@ func TestOnlineIngestAllocBudget(t *testing.T) {
 }
 
 // Online-refit allocation thresholds: the ingest stream above re-mined with
-// a refit every other batch (8 warm refits per op, l growing to 1500) and
-// the scale bounds pinned so every refit after the first scales only the
-// new distinct counters. The refit path reuses the resident scaled
-// vectors, the member view, the solver's warm coefficient buffer, and the
-// per-state bound scratch; what remains is the solve itself plus scaling
-// the new distinct counters. The canonical measurement is ~24.3 MB/op and
+// a refit every other batch (8 refits per op, l growing to 1500) and the
+// scale bounds pinned so every refit after the first scales only the new
+// distinct counters. The refit path reuses the resident scaled vectors,
+// the member view, the carried kernel columns, and the per-state bound
+// scratch; what remains is the solve itself plus scaling the new distinct
+// counters. The canonical measurement is ~24.3 MB/op and
 // ~10,500 allocs/op (BENCH_PR10.json; the content-addressed store now
 // measures ~8.4 MB/op and ~5,700 allocs/op); the ceilings carry ~40%
 // headroom for runner variance.
@@ -168,11 +168,11 @@ const (
 	maxOnlineRefitAllocs = 15_000
 )
 
-// TestOnlineRefitAllocBudget guards the warm delta-refit path: refitting
-// every other batch must not allocate per-refit copies of the whole
-// training set (resident scaled vectors, warm starts, and bound scratch
-// are reused), only the new distinct counters' scaled vectors and the
-// solver's own working set.
+// TestOnlineRefitAllocBudget guards the delta-refit path: refitting every
+// other batch must not allocate per-refit copies of the whole training set
+// (resident scaled vectors, the member view and bound scratch are reused),
+// only the new distinct counters' scaled vectors and the solver's own
+// working set.
 func TestOnlineRefitAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard skipped in -short mode")

@@ -137,7 +137,7 @@ func experimentsReport(w io.Writer) error {
 	fmt.Fprintln(w)
 
 	// E7: online incremental mining.
-	fmt.Fprintln(w, "E7 — online incremental mining (warm delta refits, streaming top-K, content-addressed counter store, multi-IRQ)")
+	fmt.Fprintln(w, "E7 — online incremental mining (exact delta refits, streaming top-K, content-addressed counter store, multi-IRQ)")
 	t0 = time.Now()
 	oSamples, oRefits, oConfigs, oEqual, err := experiments.OnlineEquivalence(experiments.CaseISeedBase)
 	elapsed = time.Since(t0)

@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"sentomist/internal/trace"
 )
 
 // runCLI runs the command line in-process and returns its exit code,
@@ -136,5 +138,23 @@ func TestAsmBuiltin(t *testing.T) {
 	}
 	if !regexp.MustCompile(`^caseII: \d+ instructions, \d+ vectors, \d+ tasks, \d+ variables, \d+ constants\n`).MatchString(stdout) {
 		t.Fatalf("missing instruction summary:\n%s", stdout)
+	}
+}
+
+// TestRankRejectsNegativeProgramLen: a trace file whose node claims a
+// negative program length fails rank with an error (exit 1), not a panic.
+func TestRankRejectsNegativeProgramLen(t *testing.T) {
+	n := &trace.NodeTrace{NodeID: 1, ProgramLen: -5}
+	for i := 0; i < 8; i++ {
+		c := uint64(100 * (i + 1))
+		n.Markers = append(n.Markers, trace.Marker{Kind: trace.Int, Arg: 1, Cycle: c}, trace.Marker{Kind: trace.Reti, Cycle: c + 50})
+	}
+	path := filepath.Join(t.TempDir(), "neg.trace")
+	if err := (&trace.Trace{Seed: 1, Cycles: 1000, Nodes: []*trace.NodeTrace{n}}).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runCLI("rank", "-irq", "1", path)
+	if code != 1 || !strings.Contains(stderr, "program length") {
+		t.Fatalf("rank on ProgramLen -5: exit %d, stderr %q; want exit 1 naming the program length", code, stderr)
 	}
 }

@@ -35,7 +35,7 @@ func rankCmd(fs *flag.FlagSet) runFunc {
 	fs.StringVar(&o.nodes, "nodes", "", "comma-separated node IDs to mine (empty = all nodes)")
 	fs.IntVar(&o.parallelism, "parallelism", 0, "worker pool for anatomize/feature and the SVM's kernel column fills (0 = GOMAXPROCS, 1 = sequential); the ranking is identical at any setting")
 	fs.IntVar(&o.svmCacheMB, "svm-cache-mb", 0, "bound the SVM's kernel column cache to this many MiB (0 = the 256 MiB default); the ranking is bit-identical at any budget")
-	fs.IntVar(&o.onlineRefit, "online-refit", 0, "rank as you go: refit the SVM warm every N ingested batches and print each intermediate top-K; the final ranking is bit-identical to the one-shot path (svm detector only)")
+	fs.IntVar(&o.onlineRefit, "online-refit", 0, "rank as you go: refit the SVM every N ingested batches and print each intermediate top-K, each the head of the one-shot ranking over the batches so far; the final ranking is bit-identical to the one-shot path (svm detector only)")
 	fs.IntVar(&o.onlineTopK, "online-topk", 10, "intermediate rankings keep the K most suspicious intervals (online mode only)")
 	fs.StringVar(&o.onlineIRQs, "online-irqs", "", "comma-separated additional event types mined alongside -irq, one incremental solver each over the shared stream (online mode only); every refit prints one top-K per type")
 	fs.StringVar(&o.spillDir, "spill-dir", "", "keep the intervals' metadata rows in a temporary file in this directory instead of in memory (implies online mode; results identical)")
@@ -101,9 +101,10 @@ func rankCmd(fs *flag.FlagSet) runFunc {
 }
 
 // runOnline is the rank-as-you-go path: traces become a batch stream, the
-// online miner refits warm every -online-refit batches printing each
-// intermediate top-K, and the final table comes from Finalize — bit-identical
-// to the one-shot path over the same traces.
+// online miner refits every -online-refit batches printing each
+// intermediate top-K (the head of the one-shot ranking over the batches so
+// far), and the final table comes from Finalize — bit-identical to the
+// one-shot path over the same traces.
 func runOnline(w io.Writer, o rankOptions, inputs []sentomist.RunInput, cfg sentomist.MineConfig) error {
 	if strings.ToLower(o.detector) != "svm" {
 		return fmt.Errorf("-online-refit drives the incremental one-class SVM; -detector %s is not supported online", o.detector)
@@ -165,24 +166,20 @@ func runOnline(w io.Writer, o rankOptions, inputs []sentomist.RunInput, cfg sent
 	return nil
 }
 
-// printOnlineRanking prints one intermediate refit: solver provenance,
-// whether the scale bounds held since the previous refit (only new
-// distinct counters scaled) or moved (all rescaled), the row-file size,
-// and the top-K table.
+// printOnlineRanking prints one intermediate refit: whether the scale
+// bounds held since the previous refit (only new distinct counters scaled)
+// or moved (all rescaled, the kernel cache rebuilt), the solver
+// diagnostics, the row-file size, and the top-K table.
 func printOnlineRanking(w io.Writer, r *sentomist.OnlineRanking) {
-	mode := "warm"
-	if !r.Warm {
-		mode = "cold"
-	}
-	if r.Rebuilt {
-		mode += "+rebuilt-cache"
-	}
 	scale := "moved"
 	if r.Delta {
 		scale = "stable"
 	}
-	fmt.Fprintf(w, "refit %d irq %d (%s, scale %s): %d batches, %d intervals (%d distinct), %d iters",
-		r.Refit, r.IRQ, mode, scale, r.Batches, r.Total, r.Groups, r.Iters)
+	if r.Rebuilt {
+		scale += "+rebuilt-cache"
+	}
+	fmt.Fprintf(w, "refit %d irq %d (scale %s): %d batches, %d intervals (%d distinct), %d iters",
+		r.Refit, r.IRQ, scale, r.Batches, r.Total, r.Groups, r.Iters)
 	if r.SpilledBytes > 0 {
 		fmt.Fprintf(w, "; spill %d bytes", r.SpilledBytes)
 	}

@@ -47,7 +47,7 @@ func soakCmd(fs *flag.FlagSet) runFunc {
 	fs.BoolVar(&o.stream, "stream", false, "also cross-check the online anatomizer against the two-pass reference on every node")
 	fs.IntVar(&o.mineIRQ, "mine-irq", 0, "also mine every run's intervals of this event type and cross-check the SVM ranking at the -svm-cache-mb kernel column budget against the default budget, which keeps every column resident, bitwise (0 = off)")
 	fs.IntVar(&o.svmCacheMB, "svm-cache-mb", 1, "kernel column cache budget (MiB) for the small-budget side of the -mine-irq cross-check; columns are evicted once the distinct counters outgrow it")
-	fs.BoolVar(&o.onlineCheck, "online-check", false, "additionally run every -mine-irq problem through the online miner (refit every batch, warm starts, delta refits, a second event type; spilled and in-memory passes) and require every finalized ranking to be bit-identical to one-shot MineBatches")
+	fs.BoolVar(&o.onlineCheck, "online-check", false, "additionally run every -mine-irq problem through the online miner (an exact refit after every batch, delta refits, a second event type; spilled and in-memory passes) and require every finalized ranking to be bit-identical to one-shot MineBatches")
 	fs.BoolVar(&o.parCheck, "par-check", false, "record every scenario twice — sequentially and with parallel node sections — and require the serialized traces to be byte-identical (uses -node-workers, or 4 when unset)")
 	nodeWorkersFlag(fs, &o.nodeWorkers)
 	return func(_ []string, stdout, _ io.Writer) error { return soak(stdout, o) }
@@ -139,7 +139,7 @@ func soak(w io.Writer, o soakOptions) error {
 			totalMined, o.svmCacheMB)
 	}
 	if o.onlineCheck {
-		fmt.Fprintf(w, "online cross-check: %d intervals through %d warm refits (two event types, spilled and in-memory passes, store counters checked), finalized rankings bit-identical to one-shot\n",
+		fmt.Fprintf(w, "online cross-check: %d intervals through %d refits (two event types, spilled and in-memory passes, store counters checked), finalized rankings bit-identical to one-shot\n",
 			totalOnline, totalRefits)
 	}
 	if o.parCheck {
@@ -229,8 +229,8 @@ func verifyMine(t *trace.Trace, irq int, cacheBytes int64) (int, error) {
 	return len(resident.Samples), nil
 }
 
-// verifyOnline streams one run's batches through the online miner — refit
-// after every batch, warm starts, delta refits, and a second event type
+// verifyOnline streams one run's batches through the online miner — an
+// exact refit after every batch, delta refits, and a second event type
 // mined over the shared stream — once with the row log spilled to disk and
 // once in memory, and requires every finalized ranking to be bit-identical
 // to one-shot MineBatches for its event type. Along the way the published

@@ -254,34 +254,22 @@ func mapNodes[T any](runs []RunInput, cfg Config, fn func(run int, ext *feature.
 	return out, nil
 }
 
-// rankSparse is the shared scoring tail of the sparse pipeline —
-// MineBatches (and so Mine) and OnlineMiner.FinalizeAll end here. It takes the
-// distinct counters and each sample's group (nil: every sample is its own
-// group, distinct holds one counter per sample), scales the distinct
-// counters per dimension into [0,1] in place (exactly Scale01's semantics
-// on the densified matrix), hands every sample its group's scaled vector,
-// scores through the sparse fast path when the detector has one, and
-// ranks ascending. Scaling the distinct counters equals scaling every
-// sample bit for bit: the per-dimension min, max and "some sample lacks
-// the dimension" are the same over both sets.
-func rankSparse(samples []Sample, distinct []stats.Sparse, group []int32, det outlier.Detector, labels LabelStyle, excluded int) (*Ranking, error) {
-	if len(distinct) == 0 {
+// rankSparse is the scoring tail of the sparse pipeline — MineBatches
+// (and so Mine) ends here; OnlineMiner reproduces it incrementally. It
+// scales the counters per dimension into [0,1] in place (exactly Scale01's
+// semantics on the densified matrix), scores through the sparse fast path
+// when the detector has one, and ranks ascending.
+func rankSparse(samples []Sample, svectors []stats.Sparse, det outlier.Detector, labels LabelStyle, excluded int) (*Ranking, error) {
+	if len(svectors) == 0 {
 		return nil, ErrNoIntervals
 	}
-	dim := distinct[0].Dim
-	for i, v := range distinct {
+	dim := svectors[0].Dim
+	for i, v := range svectors {
 		if v.Dim != dim {
 			return nil, fmt.Errorf("core: sample %d has %d dims, want %d — runs use different binaries", i, v.Dim, dim)
 		}
 	}
-	feature.Scale01Sparse(distinct)
-	svectors := distinct
-	if group != nil {
-		svectors = make([]stats.Sparse, len(group))
-		for i, g := range group {
-			svectors[i] = distinct[g]
-		}
-	}
+	feature.Scale01Sparse(svectors)
 	var scores []float64
 	var err error
 	if sd, ok := det.(outlier.SparseDetector); ok {
@@ -400,7 +388,7 @@ func MineBatches(batches []Batch, cfg Config) (*Ranking, error) {
 			svectors = append(svectors, b.Counters[i])
 		}
 	}
-	return rankSparse(samples, svectors, nil, det, labels, excluded)
+	return rankSparse(samples, svectors, det, labels, excluded)
 }
 
 // extractFeature features one complete interval by feat. The ablation

@@ -16,7 +16,7 @@ import (
 // OnlineConfig parameterizes an OnlineMiner. The embedded Config supplies
 // the filter and detector knobs MineBatches reads; Detector must be nil —
 // online mining drives the incremental one-class SVM directly, which is
-// what makes warm refits possible.
+// what lets every refit carry its dedup state and kernel columns over.
 type OnlineConfig struct {
 	Config
 
@@ -29,7 +29,9 @@ type OnlineConfig struct {
 	IRQs []int
 	// RefitEvery refits the detectors after every N ingested batches and
 	// publishes intermediate rankings; 0 disables intermediate refits
-	// (only Finalize scores).
+	// (only Finalize scores). Every refit is an exact cold solve, so each
+	// intermediate ranking is the head of MineBatches over the batches
+	// ingested so far, bit for bit.
 	RefitEvery int
 	// TopK bounds intermediate rankings to the K most suspicious
 	// intervals (default 100). Finalize always returns the full ranking.
@@ -59,20 +61,22 @@ type OnlineRanking struct {
 	// counts for this event type.
 	Batches, Total, Excluded int
 	// Samples holds the K most suspicious intervals, ascending by
-	// (normalized score, ingest position) — the prefix of exactly the
-	// ranking MineBatches would publish for this detector state.
+	// (normalized score, ingest position): the first K rows of MineBatches
+	// over the batches ingested so far, every score bit for bit.
 	Samples []Sample
-	// Warm reports whether the refit started from the previous optimum;
-	// Rebuilt whether the kernel cache had to be discarded because the
-	// effective feature scale moved. Iters/CacheHits/CacheMisses are the
-	// refit's solver diagnostics; Groups is how many distinct counters the
-	// solver iterated over (at most Total), a deterministic counter like
-	// Iters.
-	Warm, Rebuilt bool
-	Iters         int
-	Groups        int
-	CacheHits     int64
-	CacheMisses   int64
+	// Deprecated: always false since every refit became a cold solve. The
+	// next benchmark change drops this field.
+	Warm bool
+	// Rebuilt reports whether the kernel cache had to be discarded because
+	// the effective feature scale moved. Iters/CacheHits/CacheMisses are
+	// the refit's solver diagnostics; Groups is how many distinct counters
+	// the solver iterated over (at most Total), a deterministic counter
+	// like Iters.
+	Rebuilt     bool
+	Iters       int
+	Groups      int
+	CacheHits   int64
+	CacheMisses int64
 	// Delta reports whether every mined event type's scale bounds were
 	// bitwise-stable since the previous refit: only the distinct counters
 	// that arrived since were scaled, and the kernel caches were kept.
@@ -233,7 +237,8 @@ func (r *rowLog) close() error {
 
 // irqState is one event type's mining state: a content-addressed store of
 // its counters, streaming scale statistics over them, the scaled vectors
-// the solver trains on, and the warm incremental solver.
+// the solver trains on, the incremental solver that carries its dedup
+// state and kernel columns across refits, and the last refit's scores.
 //
 // The store keeps each distinct raw counter once, as its stats.AppendKey
 // bytes, with groups numbered in first-appearance order; the kept
@@ -261,6 +266,10 @@ type irqState struct {
 	prevLo, prevHi []float64
 	inc            *svm.Incremental
 	refits         int
+	// scores are the normalized scores of the last solve, one per member
+	// it saw; scored is that member count.
+	scores []float64
+	scored int
 	// Per-refit scratch: the effective bounds for this refit and whether
 	// they match the previous refit's bitwise.
 	curLo, curHi []float64
@@ -350,15 +359,16 @@ func (st *irqState) rescale(raw *stats.Sparse, dim int) {
 
 // OnlineMiner is the streaming counterpart of MineBatches: batches are
 // ingested as their runs finish, one detector per event type is refit
-// periodically with warm starts (svm.Incremental), and intermediate top-K
-// rankings are published along the way. Each event type stores every
-// distinct raw counter once and scales it once per refit at most: a refit
-// whose scale bounds are bitwise-unchanged scales only the counters that
-// arrived since the previous one. Finalize runs the distinct raw counters
-// through the identical scale → score → rank tail MineBatches runs, so the
-// final ranking is bit-identical to one-shot MineBatches over the same
-// batches in the same order — at any refit cadence, spill mode, worker
-// count, or IRQ set.
+// periodically (svm.Incremental), and intermediate top-K rankings are
+// published along the way. Each event type stores every distinct raw
+// counter once and scales it once per refit at most: a refit whose scale
+// bounds are bitwise-unchanged scales only the counters that arrived since
+// the previous one. Every refit is an exact cold solve over the carried
+// dedup state and kernel columns, so each published top-K is the head of
+// one-shot MineBatches over the batches ingested so far, bit for bit, and
+// Finalize publishes the last refit's scores when no rows arrived since —
+// bit-identical to MineBatches over the same batches in the same order at
+// any refit cadence, spill mode, worker count, or IRQ set.
 type OnlineMiner struct {
 	cfg     OnlineConfig
 	labels  LabelStyle
@@ -597,7 +607,6 @@ func (m *OnlineMiner) refitAll() error {
 		if len(st.group) == 0 {
 			continue
 		}
-		st.rescale(&m.rawBuf, m.dim)
 		r, err := m.refitState(st)
 		if err != nil {
 			return err
@@ -614,36 +623,48 @@ func (m *OnlineMiner) refitAll() error {
 	return nil
 }
 
-// refitState solves one event type warm over its scaled view. Cached
-// kernel columns survive iff the bounds are bitwise unchanged since the
-// previous refit (the view's prefix is then bit-identical); the warm
-// coefficient start survives either way. The top-K rows are read back by
-// ordinal.
-func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
-	warm := st.refits > 0
+// score rescales one event type's store and solves it cold over its
+// scaled view — the solve MineBatches runs over the same members, with the
+// same ν clamp — keeping the normalized scores. Cached kernel columns
+// carry over iff the bounds are bitwise unchanged since the previous solve
+// (the view's prefix is then bit-identical); they only make the solve
+// cheaper, never change it. effectiveScale must have run.
+func (m *OnlineMiner) score(st *irqState) (*svm.Model, error) {
+	st.rescale(&m.rawBuf, m.dim)
 	// The ν-feasibility clamp OneClassSVM applies, over the current l.
 	nu := 0.05
 	if lmin := 1 / float64(len(st.view)); nu < lmin {
 		nu = lmin
 	}
 	st.inc.SetNu(nu)
-	rebuildsBefore := st.inc.Rebuilds
 	model, err := st.inc.Refit(st.view, st.stable)
 	if err != nil {
 		return nil, fmt.Errorf("core: detector one-class-svm: %w", err)
 	}
 	st.prevLo = append(st.prevLo[:0], st.curLo...)
 	st.prevHi = append(st.prevHi[:0], st.curHi...)
+	st.scores = outlier.Normalize(model.TrainingDecisions())
+	st.scored = len(st.group)
+	return model, nil
+}
+
+// refitState scores one event type and publishes its top-K, reading the
+// top rows back by ordinal.
+func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
+	rebuildsBefore := st.inc.Rebuilds
+	model, err := m.score(st)
+	if err != nil {
+		return nil, err
+	}
 	st.refits++
-	scores := outlier.Normalize(model.TrainingDecisions())
-	top := topKIndices(scores, m.cfg.TopK)
+	top := topKIndices(st.scores, m.cfg.TopK)
 	ranked := make([]Sample, len(top))
 	for pos, idx := range top {
 		s, err := m.rows.read(int(st.row[idx]))
 		if err != nil {
 			return nil, err
 		}
-		s.Score = scores[idx]
+		s.Score = st.scores[idx]
 		ranked[pos] = s
 	}
 	return &OnlineRanking{
@@ -653,7 +674,6 @@ func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
 		Total:       len(st.group),
 		Excluded:    st.excluded,
 		Samples:     ranked,
-		Warm:        warm,
 		Rebuilt:     st.inc.Rebuilds > rebuildsBefore,
 		Iters:       model.Iters,
 		Groups:      model.Groups,
@@ -662,13 +682,15 @@ func (m *OnlineMiner) refitState(st *irqState) (*OnlineRanking, error) {
 	}, nil
 }
 
-// FinalizeAll runs each event type's distinct raw counters through the
-// identical scale → score → rank tail MineBatches runs (an exact cold
-// solve per event type), reading every row once in order, closes the
-// miner, and returns one full ranking per event type that scored at least
-// one interval — each bit-identical to one-shot MineBatches over the same
-// batches with Config.IRQ set to that type. The miner cannot be used
-// afterwards.
+// FinalizeAll closes the miner and returns one full ranking per event
+// type that scored at least one interval, reading every row once in order
+// — each bit-identical to one-shot MineBatches over the same batches with
+// Config.IRQ set to that type. A type whose last refit saw every member
+// publishes that refit's scores and runs no solve. Any other type — one
+// that got rows after its last refit, or was never refit (a cadence that
+// does not divide the batch count, RefitEvery 0) — is rescaled and solved
+// once more the way a refit is, without publishing an intermediate
+// ranking or counting a refit. The miner cannot be used afterwards.
 func (m *OnlineMiner) FinalizeAll() (map[int]*Ranking, error) {
 	if m.closed {
 		return nil, fmt.Errorf("core: online miner is closed")
@@ -683,6 +705,7 @@ func (m *OnlineMiner) FinalizeAll() (map[int]*Ranking, error) {
 	if err != nil {
 		return nil, err
 	}
+	det := m.cfg.Config.detector()
 	out := map[int]*Ranking{}
 	for _, irq := range m.irqs {
 		st := m.states[irq]
@@ -692,15 +715,13 @@ func (m *OnlineMiner) FinalizeAll() (map[int]*Ranking, error) {
 		if len(samples[irq]) != len(st.group) {
 			return nil, fmt.Errorf("core: spill holds %d rows of event type %d, ingested %d", len(samples[irq]), irq, len(st.group))
 		}
-		distinct := make([]stats.Sparse, len(st.raw))
-		for g, key := range st.raw {
-			distinct[g].SetKey(key, m.dim)
+		if st.scored != len(st.group) {
+			st.effectiveScale()
+			if _, err := m.score(st); err != nil {
+				return nil, err
+			}
 		}
-		r, err := rankSparse(samples[irq], distinct, st.group, m.cfg.Config.detector(), m.labels, st.excluded)
-		if err != nil {
-			return nil, err
-		}
-		out[irq] = r
+		out[irq] = assembleRanking(samples[irq], st.scores, det, m.labels, st.excluded, m.dim)
 	}
 	if len(out) == 0 {
 		return nil, ErrNoIntervals

@@ -8,7 +8,7 @@ import (
 )
 
 // onlineBenchSize mirrors svm's largeCampaignSize: the full campaign-scale
-// regime (l = 10000, the acceptance bar for the warm-refit claim), or a
+// regime (l = 10000, the size of the online-mining claims), or a
 // small problem in -short mode for CI's -benchmem smoke.
 func onlineBenchSize(short bool) (l, dim int) {
 	if short {
@@ -46,11 +46,11 @@ func onlineBenchBatches(l, dim, nb int) []Batch {
 
 // BenchmarkOnlineMine measures the incremental-refit path: 16 batches
 // ingested with a refit every 4 at a kernel-cache budget of 25% of the
-// dense Gram. Each refit reuses the previous optimum (fewer SMO
-// iterations), the surviving cached columns (extended lazily with exact
-// shape-planned fills for the new groups), and the resident scaled
-// distinct counters. The disk-rows variant keeps the intervals' metadata
-// rows in an on-disk row file and reads back only each refit's top-K rows.
+// dense Gram. Each refit is a cold solve that reuses the surviving cached
+// columns (extended lazily with exact shape-planned fills for the new
+// groups) and the resident scaled distinct counters. The disk-rows variant
+// keeps the intervals' metadata rows in an on-disk row file and reads back
+// only each refit's top-K rows.
 func BenchmarkOnlineMine(b *testing.B) {
 	l, dim := onlineBenchSize(testing.Short())
 	const nBatches = 16
@@ -60,7 +60,7 @@ func BenchmarkOnlineMine(b *testing.B) {
 		name string
 		disk bool
 	}{
-		{name: "warm"},
+		{name: "refit"},
 		{name: "disk-rows", disk: true},
 	} {
 		b.Run(variant.name, func(b *testing.B) {

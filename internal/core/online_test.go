@@ -9,11 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	"sentomist/internal/apps"
+	"sentomist/internal/dev"
 	"sentomist/internal/feature"
 	"sentomist/internal/lifecycle"
 	"sentomist/internal/outlier"
 	"sentomist/internal/randx"
 	"sentomist/internal/stats"
+	"sentomist/internal/synth"
 )
 
 // completeInterval and incompleteInterval build minimal interval records
@@ -105,8 +108,8 @@ func TestOnlineMinerBitIdenticalToMineBatches(t *testing.T) {
 	}
 }
 
-// TestOnlineMinerIntermediateRankings: refits fire on cadence, publish
-// bounded ascending rankings, and report warm/cold provenance.
+// TestOnlineMinerIntermediateRankings: refits fire on cadence, are
+// numbered in order, and publish bounded ascending rankings.
 func TestOnlineMinerIntermediateRankings(t *testing.T) {
 	batches := onlineBatches(t)
 	var seen []*OnlineRanking
@@ -143,12 +146,9 @@ func TestOnlineMinerIntermediateRankings(t *testing.T) {
 				t.Fatalf("refit %d ranking not ascending", r.Refit)
 			}
 		}
-		if wantWarm := i > 0; r.Warm != wantWarm {
-			t.Fatalf("refit %d Warm=%v, want %v", r.Refit, r.Warm, wantWarm)
-		}
 	}
 	// The anomaly plus its nested short instance must surface in the last
-	// intermediate top-K too (it is the same ε-optimum as the final one).
+	// intermediate top-K too (it is the same solve as the final one).
 	final, err := m.Finalize()
 	if err != nil {
 		t.Fatal(err)
@@ -204,40 +204,110 @@ func TestOnlineRankingGroupsDeterministic(t *testing.T) {
 	}
 }
 
-// TestOnlineMinerColdRefitsMatchWarm: a cold refit is exactly one-shot
-// MineBatches over the batches ingested so far, so every warm intermediate
-// top-K must match MineBatches over the same batch prefix to the solver
-// tolerance — per event type, in both spill modes, and across a batch
-// that moves the scale bounds.
-func TestOnlineMinerColdRefitsMatchWarm(t *testing.T) {
+// cloneBatches deep-copies a batch stream: MineBatches scales counters in
+// place, so every one-shot reference mines its own copy.
+func cloneBatches(bs []Batch) []Batch {
+	out := make([]Batch, len(bs))
+	for i, b := range bs {
+		out[i] = Batch{Run: b.Run, Intervals: append([]lifecycle.Interval(nil), b.Intervals...)}
+		for _, c := range b.Counters {
+			out[i].Counters = append(out[i].Counters, stats.Sparse{
+				Idx: append([]int32(nil), c.Idx...),
+				Val: append([]float64(nil), c.Val...),
+				Dim: c.Dim,
+			})
+		}
+	}
+	return out
+}
+
+// caseIIICampaign records a few short Case-III (CTP heartbeat) runs and
+// extracts their source nodes' timer intervals: one batch per (run, node).
+func caseIIICampaign(t *testing.T) ([]Batch, Config) {
+	t.Helper()
+	cfg := Config{IRQ: dev.IRQTimer0, Nodes: apps.CTPSources, Labels: LabelNodeSeq}
+	var runs []RunInput
+	for seed := uint64(1); seed <= 4; seed++ {
+		run, err := apps.RunCTPHeartbeat(apps.CTPConfig{Seconds: 15, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, RunInput{Trace: run.Trace, Programs: run.Programs})
+	}
+	batches, err := ExtractBatches(runs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return batches, cfg
+}
+
+// largeMovedBatches is a LargeCampaign stream in 12 batches whose scale
+// bounds keep moving: every interval draws its loop jitter continuously,
+// so a new per-dimension maximum can arrive in any batch.
+func largeMovedBatches() []Batch {
+	counters := synth.LargeCampaign(synth.LargeCampaignConfig{Seed: 5, Samples: 600, Dim: 192, Distinct: true})
+	var out []Batch
+	for start := 0; start < len(counters); start += 50 {
+		b := Batch{Run: len(out) + 1}
+		for i := start; i < start+50; i++ {
+			b.Intervals = append(b.Intervals, completeInterval(1, i, 1))
+			b.Counters = append(b.Counters, counters[i])
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// TestOnlineRefitsEqualMineBatchesPrefix: every refit is an exact cold
+// solve, so every published top-K is the first K rows of one-shot
+// MineBatches over the batches ingested so far — same intervals, every
+// score bit — per event type, in both spill modes, on a Case-III campaign,
+// and on streams whose scale bounds move mid-stream (kernel caches
+// rebuilt). No refit reports Warm.
+func TestOnlineRefitsEqualMineBatchesPrefix(t *testing.T) {
 	const topK = 4
+	caseIII, caseIIICfg := caseIIICampaign(t)
 	for _, tc := range []struct {
-		label string
-		irqs  []int
-		spill bool
-		build func() []Batch
+		label   string
+		cfg     Config
+		irqs    []int
+		spill   bool
+		batches []Batch
 	}{
-		{"mem", []int{1}, false, func() []Batch { return stableBatches(6, 9, 1) }},
-		{"disk-multi-irq-widened", []int{1, 2}, true, func() []Batch { return widenedBatches(6, 7, 1, 2) }},
+		{"mem", Config{IRQ: 1}, nil, false, stableBatches(6, 9, 1)},
+		{"disk-multi-irq-widened", Config{IRQ: 1}, []int{2}, true, widenedBatches(6, 7, 1, 2)},
+		{"case-III-campaign", caseIIICfg, nil, false, caseIII},
+		{"large-moved-bounds", Config{IRQ: 1}, nil, true, largeMovedBatches()},
 	} {
-		var warm int
+		var refits, rebuilt int
 		cfg := OnlineConfig{
-			Config:     Config{IRQ: tc.irqs[0]},
-			IRQs:       tc.irqs[1:],
+			Config:     tc.cfg,
+			IRQs:       tc.irqs,
 			RefitEvery: 1,
 			TopK:       topK,
 			OnRanking: func(r *OnlineRanking) {
-				if r.Warm != (r.Refit > 1) {
-					t.Fatalf("%s: refit %d reports Warm=%v", tc.label, r.Refit, r.Warm)
-				}
+				label := fmt.Sprintf("%s/irq%d/refit%d", tc.label, r.IRQ, r.Refit)
 				if r.Warm {
-					warm++
+					t.Fatalf("%s: reports Warm", label)
 				}
-				cold, err := MineBatches(tc.build()[:r.Batches], Config{IRQ: r.IRQ})
+				refits++
+				if r.Rebuilt && r.Refit > 1 {
+					rebuilt++
+				}
+				one := tc.cfg
+				one.IRQ = r.IRQ
+				want, err := MineBatches(cloneBatches(tc.batches[:r.Batches]), one)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameTopKToTolerance(t, fmt.Sprintf("%s/irq%d/refit%d", tc.label, r.IRQ, r.Refit), cold, r, topK)
+				if r.Total != len(want.Samples) || r.Excluded != want.Excluded {
+					t.Fatalf("%s: %d scored / %d excluded, MineBatches %d / %d", label, r.Total, r.Excluded, len(want.Samples), want.Excluded)
+				}
+				head := *want
+				head.Samples = want.Samples[:min(topK, len(want.Samples))]
+				sameRanking(t, label, &head, &Ranking{
+					Detector: want.Detector, Labels: want.Labels, Samples: r.Samples, Excluded: r.Excluded, Dim: want.Dim,
+				})
 			},
 		}
 		if tc.spill {
@@ -247,47 +317,118 @@ func TestOnlineMinerColdRefitsMatchWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range tc.build() {
+		for _, b := range cloneBatches(tc.batches) {
 			if err := m.Add(b); err != nil {
 				t.Fatal(err)
 			}
 		}
 		m.Close()
-		if warm == 0 {
-			t.Fatalf("%s: no warm refit ran", tc.label)
+		if refits < len(tc.batches) {
+			t.Fatalf("%s: %d refits over %d batches", tc.label, refits, len(tc.batches))
+		}
+		if strings.Contains(tc.label, "moved") && rebuilt < 2 {
+			t.Fatalf("%s: only %d later refits rebuilt their cache; the bounds did not move mid-stream", tc.label, rebuilt)
 		}
 	}
 }
 
-// sameTopKToTolerance checks an intermediate ranking against the cold
-// ranking of the same samples: equal counts, scores equal rank by rank to
-// the solver tolerance, and any interval out of place swapped only with
-// one the cold solve scores within that tolerance (a tie inside the KKT
-// band). Published scores are decisions divided by the largest positive
-// one, which magnifies the 1e-4 KKT band: boundary samples (decision ≈ 0)
-// move by up to ~2e-3 between warm and cold solves on these batches, while
-// the samples the rankings exist to surface sit 1e-1 and more apart.
-func sameTopKToTolerance(t *testing.T, label string, cold *Ranking, r *OnlineRanking, topK int) {
+// finalizeCase streams batches through a miner at the given cadence and
+// finalizes it, recording which event types FinalizeAll solved again: a
+// type whose scores slice survives FinalizeAll was published from its last
+// refit. It checks that FinalizeAll published no ranking and counted no
+// refit, and that every final ranking equals one-shot MineBatches bit for
+// bit.
+func finalizeCase(t *testing.T, label string, cfg OnlineConfig, batches []Batch) (solved map[int]bool) {
 	t.Helper()
-	const tol = 1e-2
-	if r.Total != len(cold.Samples) || r.Excluded != cold.Excluded {
-		t.Fatalf("%s: %d scored / %d excluded, cold %d / %d", label, r.Total, r.Excluded, len(cold.Samples), cold.Excluded)
+	published := 0
+	cfg.OnRanking = func(*OnlineRanking) { published++ }
+	m, err := NewOnlineMiner(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := min(len(cold.Samples), topK); len(r.Samples) != want {
-		t.Fatalf("%s: %d top samples, want %d", label, len(r.Samples), want)
-	}
-	coldScore := map[lifecycle.Interval]float64{}
-	for _, s := range cold.Samples {
-		coldScore[s.Interval] = s.Score
-	}
-	for i, g := range r.Samples {
-		w := cold.Samples[i]
-		if math.Abs(g.Score-w.Score) > tol {
-			t.Fatalf("%s: rank %d score %v, cold %v", label, i, g.Score, w.Score)
+	for _, b := range cloneBatches(batches) {
+		if err := m.Add(b); err != nil {
+			t.Fatal(err)
 		}
-		if g.Interval != w.Interval && math.Abs(coldScore[g.Interval]-w.Score) > tol {
-			t.Fatalf("%s: rank %d is %+v, cold ranks %+v there", label, i, g.Interval, w.Interval)
+	}
+	before, refits := published, map[int]int{}
+	last := map[int]*float64{}
+	for irq, st := range m.states {
+		refits[irq] = st.refits
+		if len(st.scores) > 0 {
+			last[irq] = &st.scores[0]
 		}
+	}
+	all, err := m.FinalizeAll()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if published != before {
+		t.Fatalf("%s: FinalizeAll published %d rankings", label, published-before)
+	}
+	solved = map[int]bool{}
+	for irq, st := range m.states {
+		if st.refits != refits[irq] {
+			t.Fatalf("%s: FinalizeAll moved irq %d's refit count %d -> %d", label, irq, refits[irq], st.refits)
+		}
+		if st.scored != len(st.group) {
+			t.Fatalf("%s: irq %d scored %d of %d members", label, irq, st.scored, len(st.group))
+		}
+		solved[irq] = last[irq] != &st.scores[0]
+		one := cfg.Config
+		one.IRQ = irq
+		want, err := MineBatches(cloneBatches(batches), one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRanking(t, fmt.Sprintf("%s/irq%d", label, irq), want, all[irq])
+	}
+	return solved
+}
+
+// TestOnlineFinalizeReusesLastRefit: when the last refit saw every member,
+// FinalizeAll publishes its scores and runs no solve, in both spill modes
+// and for every event type.
+func TestOnlineFinalizeReusesLastRefit(t *testing.T) {
+	for _, spill := range []string{"", t.TempDir()} {
+		solved := finalizeCase(t, "cadence-4-of-16", OnlineConfig{
+			Config: Config{IRQ: 1}, IRQs: []int{2}, RefitEvery: 4, SpillDir: spill,
+		}, widenedBatches(16, 6, 1, 2))
+		if solved[1] || solved[2] {
+			t.Fatalf("spill %q: FinalizeAll solved again after a refit that saw every member: %v", spill, solved)
+		}
+	}
+}
+
+// TestOnlineFinalizeSolvesStaleTypes: an event type that got members after
+// its last refit, or was never refit, is solved once more at FinalizeAll —
+// a cadence that does not divide the batch count, RefitEvery 0, and a
+// multi-IRQ stream where only one type gets members (and the other only an
+// excluded interval) after the last refit.
+func TestOnlineFinalizeSolvesStaleTypes(t *testing.T) {
+	l, dim := onlineBenchSize(true)
+	large := onlineBenchBatches(l/2, dim/2, 16)
+	if solved := finalizeCase(t, "cadence-3-of-16", OnlineConfig{Config: Config{IRQ: 1}, RefitEvery: 3}, large); !solved[1] {
+		t.Fatal("cadence 3 over 16 batches: FinalizeAll reused a stale refit")
+	}
+	if solved := finalizeCase(t, "never-refit", OnlineConfig{Config: Config{IRQ: 1}}, large); !solved[1] {
+		t.Fatal("RefitEvery 0: FinalizeAll did not solve")
+	}
+
+	multi := widenedBatches(6, 8, 1, 2)
+	tail := Batch{Run: 7}
+	for i, c := range stableBatches(1, 6, 1)[0].Counters[2:] {
+		tail.Intervals = append(tail.Intervals, completeInterval(1, 1000+i, 1))
+		tail.Counters = append(tail.Counters, c)
+	}
+	tail.Intervals = append(tail.Intervals, incompleteInterval(2, 2000, 1))
+	tail.Counters = append(tail.Counters, stats.Sparse{})
+	multi = append(multi, tail)
+	solved := finalizeCase(t, "multi-irq-one-stale", OnlineConfig{
+		Config: Config{IRQ: 1}, IRQs: []int{2}, RefitEvery: 6, SpillDir: t.TempDir(),
+	}, multi)
+	if !solved[1] || solved[2] {
+		t.Fatalf("only irq 1 got members after the last refit, FinalizeAll solved %v", solved)
 	}
 }
 

@@ -76,7 +76,7 @@ func CampaignEquivalence(seedBase uint64) (samples int, equal bool, err error) {
 
 // OnlineEquivalence exercises the rank-as-you-go path: the Case-I campaign
 // streamed into the online miner at several worker counts and refit
-// cadences — warm refits, the spilled and the in-memory row log, and a
+// cadences — exact refits, the spilled and the in-memory row log, and a
 // multi-IRQ configuration mining the sampling timer alongside the ADC —
 // each finalized primary ranking compared bitwise against the one-shot
 // campaign ranking. The `sentomist experiments` report prints it as E7.

@@ -196,7 +196,7 @@ func TestFillTailGrowsAndOpensShapes(t *testing.T) {
 	}
 }
 
-// TestCarriedRefitColumnsExact: a carried (warm) refit evaluates kernel
+// TestCarriedRefitColumnsExact: a refit over carried state evaluates kernel
 // cells exactly as a cold solve does, so every column its cache holds —
 // complete, or extended on first touch — equals a fresh fill over the
 // grown batch bit for bit.

@@ -80,61 +80,39 @@ func sameSolve(t *testing.T, label string, want, got *Model) {
 }
 
 // FuzzGroupSolve: the group-compressed solver reproduces the per-sample
-// reference solver bit for bit on duplicate-heavy sparse sets, cold and
-// warm-started from the projected optimum of a prefix, over the G×G
-// matrix, the column cache at several budgets, and identity groups over
-// the per-sample matrix. nuPct sets ν =
-// (nuPct%100+1)/100; warmAt%l, when nonzero, is the prefix whose cold
-// optimum warm-starts the full solve.
+// reference solver bit for bit on duplicate-heavy sparse sets, over the
+// G×G matrix, the column cache at several budgets, and identity groups
+// over the per-sample matrix. nuPct sets ν = (nuPct%100+1)/100.
 //
 // The working pair can never lie in one group: members share a gradient,
 // so such a pair has a zero gap, below every ε, and both solvers stop.
 // The corpus's mixed-group seeds pin that stop.
 func FuzzGroupSolve(f *testing.F) {
-	f.Add(uint8(9), uint8(0), []byte{0, 2, 0, 1, 5, 13, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2})
-	f.Fuzz(func(t *testing.T, nuPct, warmAt uint8, data []byte) {
+	f.Add(uint8(9), []byte{0, 2, 0, 1, 5, 13, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, nuPct uint8, data []byte) {
 		samples, kernel, budget := groupProblem(data)
 		l := len(samples)
 		cfg := Config{Nu: float64(nuPct%100+1) / 100, Kernel: kernel, Parallelism: 1}
-		var warm []float64
-		if m := int(warmAt) % l; m > 0 {
-			prev, err := solveReference(perSampleGram(samples[:m], kernel), m, cfg, kernel, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm = projectAlpha(prev.alpha, l, 1/(cfg.Nu*float64(l)))
-		}
-		want, err := solveReference(perSampleGram(samples, kernel), l, cfg, kernel, warm)
+		want, err := solveReference(perSampleGram(samples, kernel), l, cfg, kernel)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		src := newSparseColSource(samples, kernel, 1)
 		ng := src.distinct()
-		got, err := solveFrom(groupGram(src), src.group, ng, cfg, kernel, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := solveFrom(groupGram(src), src.group, ng, cfg, kernel)
 		if got.Groups != ng {
 			t.Fatalf("Groups = %d, want %d", got.Groups, ng)
 		}
 		sameSolve(t, "group matrix", want, got)
 
 		budgetBytes := [...]int64{1, int64(8 * ng * max(ng/2, 1)), math.MaxInt64}[budget]
-		got, err = solveFrom(newColCache(src, budgetBytes), src.group, ng, cfg, kernel, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSolve(t, "column cache", want, got)
+		sameSolve(t, "column cache", want, solveFrom(newColCache(src, budgetBytes), src.group, ng, cfg, kernel))
 
 		identity := make([]int, l)
 		for k := range identity {
 			identity[k] = k
 		}
-		got, err = solveFrom(perSampleGram(samples, kernel), identity, l, cfg, kernel, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSolve(t, "identity groups", want, got)
+		sameSolve(t, "identity groups", want, solveFrom(perSampleGram(samples, kernel), identity, l, cfg, kernel))
 	})
 }

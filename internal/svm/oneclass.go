@@ -149,16 +149,10 @@ func defaultKernel(dim int) RBF {
 // at any cache size, and whether samples are grouped or each is its own
 // group.
 //
-// A nil warm starts cold, at the LIBSVM prefix initialization. A non-nil
-// warm must be a feasible point of the dual (0 ≤ αᵢ ≤ 1/(νl), Σα = 1,
-// length l) and optimization starts there instead. A warm start never
-// changes what termination means — the full problem satisfies the same ε
-// tolerance — it only changes how many iterations reaching it takes, so a
-// warm start at the previous optimum of the *same* problem converges
-// immediately to the bit-identical solution, and a warm start on a grown
-// problem lands on the same ε-optimum a cold solve finds (equal up to
-// solver tolerance, not bitwise).
-func solveFrom(p gramProvider, group []int, ng int, cfg Config, kernel SparseKernel, warm []float64) (*Model, error) {
+// Every solve starts cold, at the LIBSVM prefix initialization, so the
+// result depends only on the kernel cells: an online refit over carried
+// columns equals a solve over freshly filled ones (see Incremental).
+func solveFrom(p gramProvider, group []int, ng int, cfg Config, kernel SparseKernel) *Model {
 	l := len(group)
 	eps := cfg.Eps
 	if eps <= 0 {
@@ -174,28 +168,19 @@ func solveFrom(p gramProvider, group []int, ng int, cfg Config, kernel SparseKer
 
 	c := 1 / (cfg.Nu * float64(l))
 	alpha := make([]float64, l)
-	if warm != nil {
-		if len(warm) != l {
-			return nil, fmt.Errorf("svm: warm start has %d coefficients, want %d", len(warm), l)
-		}
-		copy(alpha, warm)
-	} else {
-		// LIBSVM-style initialization: put total mass 1 on the first ⌈νl⌉
-		// points, the last one fractionally.
-		remaining := 1.0
-		for i := 0; i < l && remaining > 0; i++ {
-			a := math.Min(c, remaining)
-			alpha[i] = a
-			remaining -= a
-		}
+	// LIBSVM-style initialization: put total mass 1 on the first ⌈νl⌉
+	// points, the last one fractionally.
+	remaining := 1.0
+	for i := 0; i < l && remaining > 0; i++ {
+		a := math.Min(c, remaining)
+		alpha[i] = a
+		remaining -= a
 	}
 
 	// Gradient of ½αᵀQα is Qα: only columns carrying mass contribute.
 	// Walking them in ascending sample order feeds each group's gradient
 	// the same additions in the same order as the per-sample loop (Q is
-	// symmetric cell-for-cell by construction); for the cold prefix
-	// initialization this is exactly the historical prefix walk, so cold
-	// solves stay bit-identical.
+	// symmetric cell-for-cell by construction): the historical prefix walk.
 	grad := make([]float64, ng)
 	for j := 0; j < l; j++ {
 		if alpha[j] <= 0 {
@@ -334,7 +319,7 @@ func solveFrom(p gramProvider, group []int, ng int, cfg Config, kernel SparseKer
 		m.CacheMisses = cache.misses
 		m.CacheCols = cache.capCols
 	}
-	return m, nil
+	return m
 }
 
 // eligibility tracks, for every group, its lowest member sample that may

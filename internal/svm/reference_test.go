@@ -11,8 +11,8 @@ import (
 // solveFrom replaced, kept verbatim as a differential oracle: it runs every
 // loop over all l samples and reads l-length per-sample columns, col(j)[k]
 // == Q[k][j]. solveFrom must reproduce it bit for bit — α, ρ, training
-// decisions, iteration count and bound-SV count — cold and warm-started.
-func solveReference(p gramProvider, l int, cfg Config, kernel SparseKernel, warm []float64) (*Model, error) {
+// decisions, iteration count and bound-SV count.
+func solveReference(p gramProvider, l int, cfg Config, kernel SparseKernel) (*Model, error) {
 	if cfg.Nu <= 0 || cfg.Nu > 1 {
 		return nil, fmt.Errorf("svm: nu=%g outside (0,1]", cfg.Nu)
 	}
@@ -30,28 +30,19 @@ func solveReference(p gramProvider, l int, cfg Config, kernel SparseKernel, warm
 
 	c := 1 / (cfg.Nu * float64(l))
 	alpha := make([]float64, l)
-	if warm != nil {
-		if len(warm) != l {
-			return nil, fmt.Errorf("svm: warm start has %d coefficients, want %d", len(warm), l)
-		}
-		copy(alpha, warm)
-	} else {
-		// LIBSVM-style initialization: put total mass 1 on the first ⌈νl⌉
-		// points, the last one fractionally.
-		remaining := 1.0
-		for i := 0; i < l && remaining > 0; i++ {
-			a := math.Min(c, remaining)
-			alpha[i] = a
-			remaining -= a
-		}
+	// LIBSVM-style initialization: put total mass 1 on the first ⌈νl⌉
+	// points, the last one fractionally.
+	remaining := 1.0
+	for i := 0; i < l && remaining > 0; i++ {
+		a := math.Min(c, remaining)
+		alpha[i] = a
+		remaining -= a
 	}
 
 	// Gradient of ½αᵀQα is Qα: only columns carrying mass contribute.
 	// Walking them in ascending order feeds each grad[i] the same
 	// additions in the same order as the historical row-based loop (Q is
-	// symmetric cell-for-cell by construction); for the cold prefix
-	// initialization this is exactly the historical prefix walk, so cold
-	// solves stay bit-identical.
+	// symmetric cell-for-cell by construction).
 	grad := make([]float64, l)
 	for j := 0; j < l; j++ {
 		if alpha[j] <= 0 {
@@ -247,7 +238,7 @@ func trainReference(dense [][]float64, cfg Config) (*Model, error) {
 		eval = kernel
 	}
 	q := buildGram(len(dense), func(i, j int) float64 { return eval.Eval(dense[i], dense[j]) })
-	m, err := solveReference(q, len(dense), cfg, kernel, nil)
+	m, err := solveReference(q, len(dense), cfg, kernel)
 	if err != nil {
 		return nil, err
 	}

@@ -89,3 +89,48 @@ func TestLoadFileReportsOpenError(t *testing.T) {
 		t.Fatal("load of a nonexistent file succeeded")
 	}
 }
+
+// intervalTrace is one node with eight Int/Reti intervals and the given
+// program length; the markers carry no deltas, so no PC bound applies.
+func intervalTrace(programLen int) *Trace {
+	n := &NodeTrace{NodeID: 3, ProgramLen: programLen}
+	for i := 0; i < 8; i++ {
+		c := uint64(100 * (i + 1))
+		n.Markers = append(n.Markers, Marker{Kind: Int, Arg: 1, Cycle: c}, Marker{Kind: Reti, Cycle: c + 50})
+	}
+	return &Trace{Seed: 1, Cycles: 1000, Nodes: []*NodeTrace{n}}
+}
+
+// TestDecodersRejectUnboundedProgramLen: a node claiming a program longer
+// than the 16-bit code space, or a negative one, is rejected by both
+// decoders with an error naming the node, instead of reaching the miner
+// (which sizes per-interval scratch by ProgramLen).
+func TestDecodersRejectUnboundedProgramLen(t *testing.T) {
+	for _, programLen := range []int{1 << 26, -5, 1 << 40} {
+		tr := intervalTrace(programLen)
+		var bin, js bytes.Buffer
+		if err := tr.WriteBinary(&bin); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		for name, read := range map[string]func() (*Trace, error){
+			"binary": func() (*Trace, error) { return ReadBinary(&bin) },
+			"json":   func() (*Trace, error) { return ReadJSON(&js) },
+		} {
+			_, err := read()
+			if err == nil {
+				t.Fatalf("%s: ProgramLen %d accepted", name, programLen)
+			}
+			if !strings.Contains(err.Error(), "node 3") || !strings.Contains(err.Error(), "program length") {
+				t.Fatalf("%s: ProgramLen %d: error %q does not name the node and its program length", name, programLen, err)
+			}
+		}
+	}
+	for _, programLen := range []int{0, 0xffff} {
+		if err := intervalTrace(programLen).Validate(); err != nil {
+			t.Fatalf("ProgramLen %d rejected: %v", programLen, err)
+		}
+	}
+}

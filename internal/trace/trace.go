@@ -131,12 +131,20 @@ func (t *Trace) Node(id int) *NodeTrace {
 	return nil
 }
 
-// Validate performs structural checks: non-decreasing cycles, known kinds,
-// PCs within the program, and ground-truth length agreement.
+// maxProgramLen is the 16-bit code space isa.Program.Validate enforces: no
+// program a node can run is longer, so no counter is wider.
+const maxProgramLen = 0xffff
+
+// Validate performs structural checks: program lengths within the code
+// space, non-decreasing cycles, known kinds, PCs within the program, and
+// ground-truth length agreement.
 func (t *Trace) Validate() error {
 	for _, n := range t.Nodes {
 		if n == nil {
 			return fmt.Errorf("trace: nil node trace")
+		}
+		if n.ProgramLen < 0 || n.ProgramLen > maxProgramLen {
+			return fmt.Errorf("trace: node %d: program length %d outside [0, %d]", n.NodeID, n.ProgramLen, maxProgramLen)
 		}
 		if n.TruthInstance != nil && len(n.TruthInstance) != len(n.Markers) {
 			return fmt.Errorf("trace: node %d: %d truth entries for %d markers",

@@ -161,15 +161,15 @@ func MineBatches(batches []MineBatch, cfg MineConfig) (*Ranking, error) {
 // Online incremental mining (rank-as-you-go).
 type (
 	// OnlineMiner ingests batches as runs finish, refits the one-class
-	// SVM periodically with warm starts, publishes streaming top-K
-	// rankings, and finalizes to a ranking bit-identical to one-shot
-	// MineBatches over the same batches.
+	// SVM periodically, publishes streaming top-K rankings — each the head
+	// of one-shot MineBatches over the batches so far — and finalizes to a
+	// ranking bit-identical to one-shot MineBatches over the same batches.
 	OnlineMiner = core.OnlineMiner
 	// OnlineMineConfig parameterizes an OnlineMiner (refit cadence,
 	// top-K bound, row spill directory).
 	OnlineMineConfig = core.OnlineConfig
 	// OnlineRanking is one intermediate refit's top-K output with its
-	// solver provenance (warm start, cache reuse, iterations).
+	// solver provenance (cache reuse, iterations).
 	OnlineRanking = core.OnlineRanking
 	// CampaignOnline switches MineCampaign to the streaming-ingest path;
 	// set it as CampaignConfig.Online.
