@@ -8,6 +8,8 @@ package apps
 import (
 	"sync"
 	"testing"
+
+	"sentomist/internal/trace"
 )
 
 func benchOscilloscope(b *testing.B, reference bool) {
@@ -66,4 +68,31 @@ func BenchmarkSimulateCaseI(b *testing.B) {
 	}
 	b.Run("batched", func(b *testing.B) { simulate(b, false) })
 	b.Run("reference", func(b *testing.B) { simulate(b, true) })
+}
+
+// nopSink consumes streamed markers and keeps nothing.
+type nopSink struct{}
+
+func (nopSink) OnMark(trace.Kind, int, uint64, int, []uint16, []uint32) {}
+
+// BenchmarkCTPRun measures the campaign's unit of work: one 15-second
+// Case-III run with the four source nodes streamed to a sink and markers
+// discarded, as a production campaign records it. Mining is excluded.
+func BenchmarkCTPRun(b *testing.B) {
+	const seconds = 15
+	stream := make(map[int]trace.StreamSink, len(CTPSources))
+	for _, id := range CTPSources {
+		stream[id] = nopSink{}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		run, err := RunCTPHeartbeat(CTPConfig{
+			Seconds: seconds, Seed: 1 + uint64(i%8), Stream: stream, DiscardMarkers: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		run.Release()
+	}
+	b.ReportMetric(seconds*float64(b.N)/b.Elapsed().Seconds(), "sim_s/host_s")
 }

@@ -393,7 +393,11 @@ type CTPConfig struct {
 }
 
 // RunCTPHeartbeat executes one Case-III run: 9 nodes, two-level tree.
-func RunCTPHeartbeat(cfg CTPConfig) (*Run, error) {
+func RunCTPHeartbeat(cfg CTPConfig) (*Run, error) { return runCTPHeartbeat(cfg, 0.03) }
+
+// runCTPHeartbeat is RunCTPHeartbeat with frame-loss probability loss on
+// every link.
+func runCTPHeartbeat(cfg CTPConfig, loss float64) (*Run, error) {
 	prog, err := assembleCached(ctpNodeSource(!cfg.Fixed))
 	if err != nil {
 		return nil, fmt.Errorf("apps: ctp node: %w", err)
@@ -433,15 +437,15 @@ func RunCTPHeartbeat(cfg CTPConfig) (*Run, error) {
 		}
 	}
 	// Two-level tree with intra-cluster audibility.
-	cluster := func(ids []int, loss float64) {
+	cluster := func(ids []int) {
 		for i := 0; i < len(ids); i++ {
 			for j := i + 1; j < len(ids); j++ {
 				b.net.AddSymmetricLink(ids[i], ids[j], loss)
 			}
 		}
 	}
-	cluster([]int{0, 1, 2}, 0.03)
-	cluster([]int{1, 3, 4, 5}, 0.03)
-	cluster([]int{2, 6, 7, 8}, 0.03)
+	cluster([]int{0, 1, 2})
+	cluster([]int{1, 3, 4, 5})
+	cluster([]int{2, 6, 7, 8})
 	return b.execute(cfg.Seconds)
 }

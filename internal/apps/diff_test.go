@@ -23,9 +23,10 @@ type diffScenario struct {
 }
 
 // diffScenarios covers every program in this package: the three case
-// studies, their fixed variants, the sequential-semantics mode, and all
-// five Case-I sampling periods. Durations shrink under -short; the full
-// paper durations run in CI's long mode.
+// studies, their fixed variants, the sequential-semantics mode, all five
+// Case-I sampling periods, and Case III at four seeds and on lossy links.
+// Durations shrink under -short; the full paper durations run in CI's long
+// mode.
 func diffScenarios(short bool) []diffScenario {
 	oscSeconds, fwdSeconds, ctpSeconds := 10.0, 20.0, 15.0
 	periods := []int{20, 40, 60, 80, 100}
@@ -69,7 +70,18 @@ func diffScenarios(short bool) []diffScenario {
 		diffScenario{"ctpheartbeat/fixed", func(ref bool) (*Run, error) {
 			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, Fixed: true, reference: ref})
 		}},
+		// Every link at 60% loss: handshakes exhaust MaxRetries (TX-done
+		// with no ACK) and the congested channel makes CSMA give up.
+		diffScenario{"ctpheartbeat/lossy", func(ref bool) (*Run, error) {
+			return runCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, reference: ref}, 0.6)
+		}},
 	)
+	for _, seed := range []uint64{21, 22, 23} {
+		seed := seed
+		scs = append(scs, diffScenario{fmt.Sprintf("ctpheartbeat/seed=%d", seed), func(ref bool) (*Run, error) {
+			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: seed, reference: ref})
+		}})
+	}
 	return scs
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"sentomist/internal/asm"
+	"sentomist/internal/medium"
 	"sentomist/internal/trace"
 )
 
@@ -18,7 +19,8 @@ type Scenario struct {
 
 // NodeSpec describes one node of a scenario.
 type NodeSpec struct {
-	// ID is the node's address on the radio medium.
+	// ID is the node's address on the radio medium, in [0, 254]: radio
+	// addresses are one byte and 255 is the broadcast address.
 	ID int
 	// Source is the node's SVM-8 assembly program.
 	Source string
@@ -54,6 +56,10 @@ func NewScenario(seed uint64) *Scenario {
 func (s *Scenario) AddNode(spec NodeSpec) error {
 	if s.done {
 		return fmt.Errorf("apps: scenario already ran")
+	}
+	if spec.ID < 0 || spec.ID >= medium.Broadcast {
+		return fmt.Errorf("apps: node %d: ID outside [0, %d] (radio addresses are one byte, %d is broadcast)",
+			spec.ID, medium.Broadcast-1, medium.Broadcast)
 	}
 	if _, dup := s.b.run.Nodes[spec.ID]; dup {
 		return fmt.Errorf("apps: duplicate node %d", spec.ID)
@@ -109,7 +115,8 @@ func (s *Scenario) AddNode(spec NodeSpec) error {
 }
 
 // Link declares a symmetric radio link between nodes a and b with the given
-// frame-loss probability.
+// frame-loss probability. A link to an ID that never gets a radio node
+// carries no traffic.
 func (s *Scenario) Link(a, b int, lossProb float64) {
 	s.b.net.AddSymmetricLink(a, b, lossProb)
 }

@@ -63,7 +63,7 @@ func TestAirPruneKeepsCollisionWindow(t *testing.T) {
 	net.NewMAC(1)
 	net.NewMAC(2)
 	net.AddSymmetricLink(1, 2, 0)
-	tx := net.air(0, frame{kind: frameData, src: 1, dst: 2, payload: []byte{1}})
+	tx := net.air(net.mac(1), 0, frame{kind: frameData, src: 1, dst: 2, payload: []byte{1}})
 	net.Advance(tx.end + 1)
 	if len(net.onAir) == 0 {
 		t.Fatal("transmission pruned inside its collision window")
@@ -123,5 +123,47 @@ func TestACKFromWrongPeerIgnored(t *testing.T) {
 	net.Advance(30_000_000)
 	if len(ca.txDone) != 1 || ca.txDone[0] != txOK {
 		t.Fatalf("legitimate exchange broken: %v", ca.txDone)
+	}
+}
+
+// TestLinkTableFollowsRegistration: links may be declared before or after
+// their MACs register and before or after the dense table is built. The
+// table is sized by the registered MACs, so a link to an ID without a MAC
+// leaves it untouched until that MAC registers.
+func TestLinkTableFollowsRegistration(t *testing.T) {
+	net := NewNetwork(randx.New(3))
+	net.AddLink(1, 2, 0.25)
+	a := net.NewMAC(1)
+	b := net.NewMAC(2)
+	at := func(src, dst *MAC) link { return net.row(src)[dst.idx] }
+	if got := at(a, b); got != (link{0.25, true}) {
+		t.Errorf("link declared before registration = %+v", got)
+	}
+	net.AddLink(2, 1, 0.5)
+	net.AddLink(1, 1000, 0.125)
+	net.AddLink(-4, 1, 0)
+	for _, tc := range []struct {
+		src, dst *MAC
+		want     link
+	}{{a, b, link{0.25, true}}, {b, a, link{0.5, true}}, {a, a, link{}}, {b, b, link{}}} {
+		if got := at(tc.src, tc.dst); got != tc.want {
+			t.Errorf("link %d->%d = %+v, want %+v", tc.src.id, tc.dst.id, got, tc.want)
+		}
+	}
+	if len(net.links) != 4 {
+		t.Fatalf("link table has %d entries for 2 MACs, want 4", len(net.links))
+	}
+	c := net.NewMAC(1000)
+	if got := at(a, c); got != (link{0.125, true}) {
+		t.Errorf("link to a later MAC = %+v", got)
+	}
+	if len(net.links) != 9 {
+		t.Fatalf("link table has %d entries for 3 MACs, want 9", len(net.links))
+	}
+	if got := at(c, a); got.audible {
+		t.Errorf("undeclared reverse link audible: %+v", got)
+	}
+	if got := at(b, a); got != (link{0.5, true}) {
+		t.Errorf("link declared after the table was built = %+v", got)
 	}
 }

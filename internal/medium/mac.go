@@ -34,6 +34,7 @@ const (
 type MAC struct {
 	net    *Network
 	id     int
+	idx    int // registration order: the MAC's row and column in the link table
 	rng    *randx.RNG
 	client Client
 
@@ -167,7 +168,7 @@ func (m *MAC) enterBackoff(now uint64) {
 }
 
 func (m *MAC) backoffDone(now uint64) {
-	if m.net.carrierBusyAt(m.id, now) || m.airingUntil > now {
+	if m.net.carrierBusyAt(m, now) || m.airingUntil > now {
 		m.tries++
 		if m.tries >= MaxCSMATries {
 			m.finish(txNoAck)
@@ -212,7 +213,7 @@ func (m *MAC) finish(status uint8) {
 
 // airOwn airs a frame from this MAC and records the half-duplex window.
 func (m *MAC) airOwn(now uint64, f frame) *transmission {
-	tx := m.net.air(now, f)
+	tx := m.net.air(m, now, f)
 	if tx.end > m.airingUntil {
 		m.airingUntil = tx.end
 	}

@@ -16,7 +16,6 @@
 package medium
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -85,6 +84,7 @@ func (f frame) airtime() uint64 {
 // transmission is a frame on the air.
 type transmission struct {
 	f     frame
+	from  *MAC // the sending MAC; f.src is its ID
 	start uint64
 	end   uint64
 }
@@ -131,32 +131,77 @@ type event struct {
 	lost bool
 }
 
+// before orders events by fire time, then by scheduling sequence. seq is
+// unique per network, so the order is total and the pop sequence does not
+// depend on the heap's internal layout.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventQueue is a binary min-heap of events in (at, seq) order, sifted
+// directly on the typed slice (no container/heap interface calls).
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (q *eventQueue) push(e *event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i] = e
+	*q = h
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// pop removes and returns the earliest event; the queue must be non-empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	x := h[last]
+	h[last] = nil
+	h = h[:last]
+	if last > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if r := c + 1; r < last && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(x) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = x
+	}
+	*q = h
+	return top
+}
+
+// link is one entry of the dense link table.
+type link struct {
+	loss    float64
+	audible bool
 }
 
 // Network is the shared channel plus all MACs.
 type Network struct {
 	rng   *randx.RNG
-	macs  map[int]*MAC
-	ids   []int              // registered node IDs, sorted (deterministic receiver order)
-	loss  map[[2]int]float64 // directed link -> loss probability; absent = no link
+	macs  []*MAC             // sorted by ID (deterministic receiver order)
+	loss  map[[2]int]float64 // declared directed links by node ID; absent = no link
+	links []link             // links[src.idx*len(macs)+dst.idx]; nil until built, see row
 	queue eventQueue
 	seq   uint64
 	now   uint64
@@ -178,15 +223,17 @@ type Network struct {
 func NewNetwork(rng *randx.RNG) *Network {
 	return &Network{
 		rng:  rng,
-		macs: make(map[int]*MAC),
 		loss: make(map[[2]int]float64),
 	}
 }
 
 // AddLink declares a directed radio link from a to b with the given frame
-// loss probability. Call twice for a symmetric link.
+// loss probability. Call twice for a symmetric link. A link may be declared
+// before or after its endpoints' MACs register; one whose endpoint never
+// registers carries no traffic.
 func (n *Network) AddLink(a, b int, lossProb float64) {
 	n.loss[[2]int{a, b}] = lossProb
+	n.links = nil
 }
 
 // AddSymmetricLink declares links in both directions with equal loss.
@@ -198,15 +245,49 @@ func (n *Network) AddSymmetricLink(a, b int, lossProb float64) {
 // NewMAC creates and registers the MAC of node id. The client must be set
 // with MAC.SetClient before traffic flows.
 func (n *Network) NewMAC(id int) *MAC {
-	if _, dup := n.macs[id]; dup {
+	pos := n.search(id)
+	if pos < len(n.macs) && n.macs[pos].id == id {
 		panic(fmt.Sprintf("medium: duplicate MAC for node %d", id))
 	}
-	m := &MAC{net: n, id: id, rng: n.rng.Split(uint64(id) + 1)}
+	m := &MAC{net: n, id: id, idx: len(n.macs), rng: n.rng.Split(uint64(id) + 1)}
 	m.bind()
-	n.macs[id] = m
-	n.ids = append(n.ids, id)
-	sort.Ints(n.ids)
+	n.macs = append(n.macs, nil)
+	copy(n.macs[pos+1:], n.macs[pos:])
+	n.macs[pos] = m
+	n.links = nil
 	return m
+}
+
+// search returns the position of the first MAC whose ID is >= id.
+func (n *Network) search(id int) int {
+	return sort.Search(len(n.macs), func(i int) bool { return n.macs[i].id >= id })
+}
+
+// mac returns the MAC registered for node id, or nil.
+func (n *Network) mac(id int) *MAC {
+	if pos := n.search(id); pos < len(n.macs) && n.macs[pos].id == id {
+		return n.macs[pos]
+	}
+	return nil
+}
+
+// row returns src's row of the dense link table, indexed by destination
+// registration position. The table is built from the declared links at
+// first use after the topology changed (a MAC registered or a link was
+// declared), so it is sized by the number of MACs, never by ID values, and
+// the hot paths never touch the ID-keyed map.
+func (n *Network) row(src *MAC) []link {
+	k := len(n.macs)
+	if n.links == nil {
+		n.links = make([]link, k*k)
+		for _, a := range n.macs {
+			for _, b := range n.macs {
+				p, ok := n.loss[[2]int{a.id, b.id}]
+				n.links[a.idx*k+b.idx] = link{p, ok}
+			}
+		}
+	}
+	return n.links[src.idx*k : (src.idx+1)*k]
 }
 
 // Deliveries returns all data-frame deliveries so far. The slice is owned
@@ -224,7 +305,7 @@ func (n *Network) NextEvent() (uint64, bool) {
 // Advance runs all network events scheduled at or before cycle.
 func (n *Network) Advance(cycle uint64) {
 	for len(n.queue) > 0 && n.queue[0].at <= cycle {
-		e := heap.Pop(&n.queue).(*event)
+		e := n.queue.pop()
 		if e.at > n.now {
 			n.now = e.at
 		}
@@ -247,7 +328,7 @@ func (n *Network) fire(e *event) {
 		if e.lost {
 			return
 		}
-		if n.collided(e.tx, e.dst.id) {
+		if n.collided(e.tx, e.dst) {
 			return
 		}
 		if e.dst.airingUntil > e.tx.start {
@@ -282,20 +363,20 @@ func (n *Network) newEvent(at uint64) *event {
 func (n *Network) schedule(at uint64, fn func(now uint64)) {
 	e := n.newEvent(at)
 	e.fn = fn
-	heap.Push(&n.queue, e)
+	n.queue.push(e)
 }
 
 // scheduleGuarded schedules fn to fire only if *guard still equals gen.
 func (n *Network) scheduleGuarded(at uint64, guard *uint64, gen uint64, fn func(now uint64)) {
 	e := n.newEvent(at)
 	e.fn, e.guard, e.gen = fn, guard, gen
-	heap.Push(&n.queue, e)
+	n.queue.push(e)
 }
 
 func (n *Network) scheduleDelivery(at uint64, tx *transmission, dst *MAC, lost bool) {
 	e := n.newEvent(at)
 	e.tx, e.dst, e.lost = tx, dst, lost
-	heap.Push(&n.queue, e)
+	n.queue.push(e)
 }
 
 func (n *Network) pruneAir(now uint64) {
@@ -361,8 +442,8 @@ func (n *Network) CommitStaged(ids []int, anchor, quantum uint64) int {
 	}
 	buf := n.stagedScratch[:0]
 	for _, id := range ids {
-		m, ok := n.macs[id]
-		if !ok {
+		m := n.mac(id)
+		if m == nil {
 			continue
 		}
 		buf = append(buf, m.staged...)
@@ -382,27 +463,17 @@ func (n *Network) CommitStaged(ids []int, anchor, quantum uint64) int {
 	for i := range buf {
 		e := n.newEvent(buf[i].at)
 		e.fn, e.guard, e.gen = buf[i].fn, buf[i].guard, buf[i].gen
-		heap.Push(&n.queue, e)
+		n.queue.push(e)
 		buf[i] = stagedEvent{}
 	}
 	n.stagedScratch = buf[:0]
 	return len(buf)
 }
 
-// linkLoss returns the loss probability of src->dst, and whether the link
-// exists.
-func (n *Network) linkLoss(src, dst int) (float64, bool) {
-	p, ok := n.loss[[2]int{src, dst}]
-	return p, ok
-}
-
-// carrierBusyAt reports whether node id hears any transmission at cycle t.
-func (n *Network) carrierBusyAt(id int, t uint64) bool {
+// carrierBusyAt reports whether m hears any transmission at cycle t.
+func (n *Network) carrierBusyAt(m *MAC, t uint64) bool {
 	for _, tx := range n.onAir {
-		if tx.f.src == id {
-			continue
-		}
-		if _, audible := n.linkLoss(tx.f.src, id); !audible {
+		if tx.from == m || !n.row(tx.from)[m.idx].audible {
 			continue
 		}
 		if tx.start <= t && t < tx.end {
@@ -412,11 +483,11 @@ func (n *Network) carrierBusyAt(id int, t uint64) bool {
 	return false
 }
 
-// air puts a frame on the channel at time now and schedules its reception
-// at every audible destination. Receivers are visited in node-ID order:
-// the loss draws consume the shared random stream, so iteration order must
-// be deterministic or runs would not replay.
-func (n *Network) air(now uint64, f frame) *transmission {
+// air puts src's frame f on the channel at time now and schedules its
+// reception at every audible destination. Receivers are visited in node-ID
+// order: the loss draws consume the shared random stream, so iteration
+// order must be deterministic or runs would not replay.
+func (n *Network) air(src *MAC, now uint64, f frame) *transmission {
 	var tx *transmission
 	if k := len(n.freeTx); k > 0 {
 		tx = n.freeTx[k-1]
@@ -424,45 +495,46 @@ func (n *Network) air(now uint64, f frame) *transmission {
 	} else {
 		tx = &transmission{}
 	}
-	tx.f, tx.start, tx.end = f, now, now+f.airtime()
+	tx.f, tx.from, tx.start, tx.end = f, src, now, now+f.airtime()
 	n.onAir = append(n.onAir, tx)
-	for _, id := range n.ids {
-		if id == f.src {
+	row := n.row(src)
+	for _, m := range n.macs {
+		if m == src {
 			continue
 		}
-		if f.dst != Broadcast && f.dst != id {
+		if f.dst != Broadcast && f.dst != m.id {
 			// Unicast control/data frames still occupy the channel
 			// for overhearers (carrier sense sees them via onAir),
 			// but are not decoded by third parties.
 			continue
 		}
-		p, audible := n.linkLoss(f.src, id)
-		if !audible {
+		l := row[m.idx]
+		if !l.audible {
 			continue
 		}
 		// A lost frame still draws from the shared stream (replay
 		// determinism) and still schedules, so event ordering is
 		// unchanged; the delivery is simply dropped at fire time.
-		n.scheduleDelivery(tx.end, tx, n.macs[id], n.rng.Bool(p))
+		n.scheduleDelivery(tx.end, tx, m, n.rng.Bool(l.loss))
 	}
 	return tx
 }
 
 // collided reports whether another audible transmission overlapped tx at
-// receiver id. The check runs when tx's delivery event fires (at tx.end), so
+// receiver dst. The check runs when tx's delivery event fires (at tx.end), so
 // visibility must be a pure function of time, not of how often Advance was
 // called: a finished transmission stops counting once its collision window
 // (one extra airtime past its end) has expired. pruneAir merely reclaims
 // memory for entries that are already invisible under this rule.
-func (n *Network) collided(tx *transmission, id int) bool {
+func (n *Network) collided(tx *transmission, dst *MAC) bool {
 	for _, other := range n.onAir {
-		if other == tx || other.f.src == tx.f.src || other.f.src == id {
+		if other == tx || other.from == tx.from || other.from == dst {
 			continue
 		}
 		if other.end+(other.end-other.start) < tx.end {
 			continue // collision window expired before the check time
 		}
-		if _, audible := n.linkLoss(other.f.src, id); !audible {
+		if !n.row(other.from)[dst.idx].audible {
 			continue
 		}
 		if other.start < tx.end && tx.start < other.end {

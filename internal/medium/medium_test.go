@@ -229,8 +229,8 @@ func TestCollisionCorruptsOverlap(t *testing.T) {
 
 	// Air raw frames simultaneously, bypassing CSMA (hidden terminals
 	// cannot hear each other anyway).
-	net.air(0, frame{kind: frameData, src: 1, dst: 3, payload: []byte{1}})
-	net.air(10, frame{kind: frameData, src: 2, dst: 3, payload: []byte{2}})
+	net.air(net.mac(1), 0, frame{kind: frameData, src: 1, dst: 3, payload: []byte{1}})
+	net.air(net.mac(2), 10, frame{kind: frameData, src: 2, dst: 3, payload: []byte{2}})
 	net.Advance(1_000_000)
 	if len(cr.rx) != 0 {
 		t.Fatalf("receiver decoded %d frames out of a collision", len(cr.rx))
@@ -242,14 +242,14 @@ func TestCarrierSense(t *testing.T) {
 	net.NewMAC(1)
 	net.NewMAC(2)
 	net.AddSymmetricLink(1, 2, 0)
-	tx := net.air(100, frame{kind: frameData, src: 1, dst: 2, payload: []byte{1, 2, 3}})
-	if !net.carrierBusyAt(2, 200) {
+	tx := net.air(net.mac(1), 100, frame{kind: frameData, src: 1, dst: 2, payload: []byte{1, 2, 3}})
+	if !net.carrierBusyAt(net.mac(2), 200) {
 		t.Fatal("receiver does not sense the ongoing transmission")
 	}
-	if net.carrierBusyAt(1, 200) {
+	if net.carrierBusyAt(net.mac(1), 200) {
 		t.Fatal("sender senses its own transmission as foreign")
 	}
-	if net.carrierBusyAt(2, tx.end+1) {
+	if net.carrierBusyAt(net.mac(2), tx.end+1) {
 		t.Fatal("carrier busy after the transmission ended")
 	}
 }
@@ -260,7 +260,7 @@ func TestCSMADefersToOngoingTraffic(t *testing.T) {
 	// completes after the channel clears.
 	net, a, _, ca, _ := pair(t, 0)
 	// Occupy the channel with a long foreign transmission from node 2.
-	net.air(0, frame{kind: frameData, src: 2, dst: 1, payload: make([]byte, 30)})
+	net.air(net.mac(2), 0, frame{kind: frameData, src: 2, dst: 1, payload: make([]byte, 30)})
 	a.Submit(0, 2, []byte{1})
 	net.Advance(10_000_000)
 	if len(ca.txDone) != 1 || ca.txDone[0] != txOK {

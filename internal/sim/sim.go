@@ -367,6 +367,12 @@ func (s *Sim) jump(r int, x uint64) error {
 	s.advanceNet(s.clock)
 	for i := range s.nodes {
 		if i == r {
+			if s.mustAdvance[r] {
+				// Raised by the events just fired (which the submit delay
+				// exceeding one quantum rules out today): its cache must
+				// show the latched IRQ; the next round advances it.
+				s.refresh(r)
+			}
 			continue
 		}
 		if s.mustAdvance[i] || s.wake[i] <= s.clock {
@@ -378,11 +384,16 @@ func (s *Sim) jump(r int, x uint64) error {
 	return nil
 }
 
-// advanceNet fires due network events and then re-derives every node's
-// scheduler caches. The refresh is what keeps the wake heap honest: frame
-// delivery can hand a *sender's* radio a new device event (TX-done) without
-// raising any interrupt, so no raise hook fires — only a refresh notices
-// the node's next-event time changed.
+// advanceNet fires due network events. It refreshes no scheduler cache:
+// the raise hook is the dirty set. A medium event reaches a node only
+// through its radio's medium.Client callbacks, and each either raises or
+// leaves every scheduler input alone. OnTxDone always raises IRQTxDone;
+// OnReceive raises IRQRadioRX or only counts a drop, which neither
+// Runnable nor NextDeviceEvent reads; the radio's NextEvent is constant
+// (all radio timing lives in the medium). So a node whose runnable, halted
+// or wake state a medium event can change always passes through onRaise,
+// which sets mustAdvance, and its caller advances and refreshes it before
+// anything reads its cache. Every other node's cache is still exact.
 func (s *Sim) advanceNet(t uint64) {
 	if s.net == nil {
 		return
@@ -391,9 +402,6 @@ func (s *Sim) advanceNet(t uint64) {
 		return
 	}
 	s.net.Advance(t)
-	for i := range s.nodes {
-		s.refresh(i)
-	}
 }
 
 // netDirty reports whether the medium has any scheduled event; the jumping
