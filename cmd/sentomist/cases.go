@@ -29,11 +29,10 @@ type caseStudy struct {
 }
 
 type recordParams struct {
-	seconds     float64
-	seed        uint64
-	fixed       bool
-	periodMS    int
-	nodeWorkers int
+	seconds  float64
+	seed     uint64
+	fixed    bool
+	periodMS int
 }
 
 var caseStudies = []caseStudy{
@@ -44,7 +43,6 @@ var caseStudies = []caseStudy{
 		record: func(p recordParams) (*sentomist.Run, error) {
 			return sentomist.RunCaseI(sentomist.CaseIConfig{
 				PeriodMS: p.periodMS, Seconds: p.seconds, Seed: p.seed, Fixed: p.fixed,
-				NodeWorkers: p.nodeWorkers,
 			})
 		},
 		summary: func(r *sentomist.Run) string {
@@ -55,9 +53,7 @@ var caseStudies = []caseStudy{
 		name: "II", seconds: 20, seed: 7,
 		irq: sentomist.IRQRadioRX, nodes: []int{sentomist.CaseIIRelayID}, labels: sentomist.LabelSeqOnly,
 		record: func(p recordParams) (*sentomist.Run, error) {
-			return sentomist.RunCaseII(sentomist.CaseIIConfig{
-				Seconds: p.seconds, Seed: p.seed, Fixed: p.fixed, NodeWorkers: p.nodeWorkers,
-			})
+			return sentomist.RunCaseII(sentomist.CaseIIConfig{Seconds: p.seconds, Seed: p.seed, Fixed: p.fixed})
 		},
 		summary: func(r *sentomist.Run) string {
 			drops, _ := r.RAM(sentomist.CaseIIRelayID, "dropcnt")
@@ -68,9 +64,7 @@ var caseStudies = []caseStudy{
 		name: "III", seconds: 15, seed: 20,
 		irq: sentomist.IRQTimer0, nodes: sentomist.CaseIIISources(), labels: sentomist.LabelNodeSeq,
 		record: func(p recordParams) (*sentomist.Run, error) {
-			return sentomist.RunCaseIII(sentomist.CaseIIIConfig{
-				Seconds: p.seconds, Seed: p.seed, Fixed: p.fixed, NodeWorkers: p.nodeWorkers,
-			})
+			return sentomist.RunCaseIII(sentomist.CaseIIIConfig{Seconds: p.seconds, Seed: p.seed, Fixed: p.fixed})
 		},
 		summary: func(r *sentomist.Run) string {
 			fails := 0
@@ -207,8 +201,6 @@ func recordCmd(fs *flag.FlagSet) runFunc {
 	out := fs.String("out", "", "output path (required; .json selects JSON)")
 	period := fs.Int("period", 20, "case I: sampling period in ms")
 	asBundle := fs.Bool("bundle", false, "save a full run bundle (trace + programs) instead of a bare trace")
-	var workers int
-	nodeWorkersFlag(fs, &workers)
 	return func(_ []string, stdout, _ io.Writer) error {
 		if *out == "" {
 			return usagef("-out is required")
@@ -217,7 +209,7 @@ func recordCmd(fs *flag.FlagSet) runFunc {
 		if err != nil {
 			return err
 		}
-		p.periodMS, p.nodeWorkers = *period, workers
+		p.periodMS = *period
 		r, err := cs.record(p)
 		if err != nil {
 			return err
@@ -236,9 +228,7 @@ func recordCmd(fs *flag.FlagSet) runFunc {
 		}
 		fmt.Fprintf(stdout, "wrote %s: %d nodes, %d markers, ~%d bytes uncompressed\n",
 			*out, len(r.Trace.Nodes), markers, r.Trace.SizeBytes())
-		if workers > 1 {
-			printSchedStats(stdout, "scheduler", r.Stats)
-		}
+		printSchedStats(stdout, "scheduler", r.Stats)
 		return nil
 	}
 }

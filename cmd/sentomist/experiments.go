@@ -6,15 +6,13 @@ import (
 	"io"
 	"time"
 
-	"sentomist/internal/bench"
 	"sentomist/internal/experiments"
 )
 
 // experimentsCmd regenerates every evaluation artifact of the paper in one
 // run and prints a paper-vs-measured report — the executable counterpart
 // of EXPERIMENTS.md.
-func experimentsCmd(fs *flag.FlagSet) runFunc {
-	nodeWorkersFlag(fs, &bench.NodeWorkers)
+func experimentsCmd(*flag.FlagSet) runFunc {
 	return func(_ []string, stdout, _ io.Writer) error { return experimentsReport(stdout) }
 }
 

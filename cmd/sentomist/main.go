@@ -51,7 +51,7 @@ var commands = []command{
 	{"rank", "-irq N [-nodes 1,2] [-inspect K] FILE [FILE...]", "rank saved traces or bundles offline; -inspect K reports one interval", rankCmd},
 	{"bench", "[-baseline FILE] [-update FILE]", "score the Sentomist-bench seeded-bug corpus (precision@k, MRR)", benchCmd},
 	{"soak", "[-runs N] [flags]", "cross-check the emulator and the analyzer on random scenarios", soakCmd},
-	{"experiments", "[-node-workers N]", "regenerate every evaluation artifact of the paper", experimentsCmd},
+	{"experiments", "[flags]", "regenerate every evaluation artifact of the paper", experimentsCmd},
 	{"asm", "[-d] FILE.s | -builtin NAME", "assemble an SVM-8 program and print its statistics", asmCmd},
 }
 
@@ -217,12 +217,6 @@ func pickDetector(name string, nu float64, parallelism int, cacheBytes int64) (s
 		return sentomist.KernelPCADetector(nil, 0), nil
 	}
 	return nil, fmt.Errorf("unknown detector %q", name)
-}
-
-// nodeWorkersFlag registers -node-workers, the emulator-side parallelism
-// of every record phase.
-func nodeWorkersFlag(fs *flag.FlagSet, p *int) {
-	fs.IntVar(p, "node-workers", 0, "emulator-side parallelism of every record phase (sim.Config.ParallelNodes); traces and all results are byte-identical at any setting (<= 1 = sequential)")
 }
 
 // parseInts parses the comma-separated integer list of flag name; empty

@@ -27,8 +27,12 @@ func recordCaseII(t *testing.T) (tracePath, bundlePath string) {
 		{"record", "-case", "II", "-out", tracePath},
 		{"record", "-case", "II", "-bundle", "-out", bundlePath},
 	} {
-		if code, _, stderr := runCLI(args...); code != 0 {
+		code, stdout, stderr := runCLI(args...)
+		if code != 0 {
 			t.Fatalf("%v: exit %d: %s", args, code, stderr)
+		}
+		if !strings.Contains(stdout, "\nscheduler: ") {
+			t.Fatalf("%v: no scheduler line in %q", args, stdout)
 		}
 	}
 	return tracePath, bundlePath
@@ -120,6 +124,10 @@ func TestUsageErrors(t *testing.T) {
 		{"rank", "-irq", "4", "-nodes", "1", "-online-irqs", "1", tracePath},
 		{"rank", "-irq", "4", "-nodes", "1", "-online-topk", "3", tracePath},
 		{"case", "-case", "IV"},
+		// Node parallelism is a soak flag only.
+		{"record", "-case", "II", "-out", tracePath, "-node-workers", "2"},
+		{"bench", "-node-workers", "2"},
+		{"experiments", "-node-workers", "2"},
 	} {
 		code, stdout, stderr := runCLI(args...)
 		if code != 2 || !strings.Contains(stderr, "usage: sentomist") {

@@ -243,7 +243,6 @@ func inspect(w io.Writer, inputs []sentomist.RunInput, stats sentomist.SimStats,
 func benchCmd(fs *flag.FlagSet) runFunc {
 	baseline := fs.String("baseline", "", "compare the report against this JSON baseline and exit nonzero on any difference")
 	update := fs.String("update", "", "write the report to this JSON baseline file")
-	nodeWorkersFlag(fs, &bench.NodeWorkers)
 	return func(_ []string, stdout, stderr io.Writer) error {
 		rep, err := bench.EvaluateAll(bench.Catalog())
 		if err != nil {

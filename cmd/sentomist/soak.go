@@ -49,7 +49,7 @@ func soakCmd(fs *flag.FlagSet) runFunc {
 	fs.IntVar(&o.svmCacheMB, "svm-cache-mb", 1, "kernel column cache budget (MiB) for the small-budget side of the -mine-irq cross-check; columns are evicted once the distinct counters outgrow it")
 	fs.BoolVar(&o.onlineCheck, "online-check", false, "additionally run every -mine-irq problem through the online miner (an exact refit after every batch, delta refits, a second event type; spilled and in-memory passes) and require every finalized ranking to be bit-identical to one-shot MineBatches")
 	fs.BoolVar(&o.parCheck, "par-check", false, "record every scenario twice — sequentially and with parallel node sections — and require the serialized traces to be byte-identical (uses -node-workers, or 4 when unset)")
-	nodeWorkersFlag(fs, &o.nodeWorkers)
+	fs.IntVar(&o.nodeWorkers, "node-workers", 0, "emulator-side parallelism of every recording (sim.Config.ParallelNodes); traces and all results are byte-identical at any setting (<= 1 = sequential)")
 	return func(_ []string, stdout, _ io.Writer) error { return soak(stdout, o) }
 }
 

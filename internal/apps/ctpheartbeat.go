@@ -381,15 +381,13 @@ type CTPConfig struct {
 	// reference runs the whole scenario on the single-step reference
 	// engine, for differential testing against the batched engine.
 	reference bool
+	// nodeWorkers runs the scenario with that many parallel node
+	// workers, for differential testing against sequential sections.
+	nodeWorkers int
 	// Stream installs per-node streaming sinks; DiscardMarkers drops
 	// markers from the materialized trace (see OscConfig).
 	Stream         map[int]trace.StreamSink
 	DiscardMarkers bool
-	// NodeWorkers bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 (the default)
-	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
-	// are byte-identical at any setting.
-	NodeWorkers int
 }
 
 // RunCTPHeartbeat executes one Case-III run: 9 nodes, two-level tree.
@@ -412,7 +410,7 @@ func runCTPHeartbeat(cfg CTPConfig, loss float64) (*Run, error) {
 		isSource[id] = true
 	}
 
-	b := newBuilder(cfg.Seed, cfg.NodeWorkers, cfg.reference)
+	b := newBuilder(cfg.Seed, cfg.nodeWorkers, cfg.reference)
 	if _, err := b.addNode(CTPRootID, rootProg, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[CTPRootID], discard: cfg.DiscardMarkers,

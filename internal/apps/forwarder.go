@@ -303,15 +303,13 @@ type ForwarderConfig struct {
 	// reference runs the whole scenario on the single-step reference
 	// engine, for differential testing against the batched engine.
 	reference bool
+	// nodeWorkers runs the scenario with that many parallel node
+	// workers, for differential testing against sequential sections.
+	nodeWorkers int
 	// Stream installs per-node streaming sinks; DiscardMarkers drops
 	// markers from the materialized trace (see OscConfig).
 	Stream         map[int]trace.StreamSink
 	DiscardMarkers bool
-	// NodeWorkers bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 (the default)
-	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
-	// are byte-identical at any setting.
-	NodeWorkers int
 }
 
 // RunForwarder executes one Case-II run.
@@ -333,7 +331,7 @@ func RunForwarder(cfg ForwarderConfig) (*Run, error) {
 		return nil, fmt.Errorf("apps: forwarder sink: %w", err)
 	}
 
-	b := newBuilder(cfg.Seed, cfg.NodeWorkers, cfg.reference)
+	b := newBuilder(cfg.Seed, cfg.nodeWorkers, cfg.reference)
 	if _, err := b.addNode(FwdSinkID, sinkProg, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[FwdSinkID], discard: cfg.DiscardMarkers,

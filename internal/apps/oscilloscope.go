@@ -222,6 +222,9 @@ type OscConfig struct {
 	// reference runs the whole scenario on the single-step reference
 	// engine, for differential testing against the batched engine.
 	reference bool
+	// nodeWorkers runs the scenario with that many parallel node
+	// workers, for differential testing against sequential sections.
+	nodeWorkers int
 	// Stream installs per-node streaming sinks: markers (with their
 	// instruction-count deltas) are delivered online as each node
 	// records them — the hook for the streaming featuring pipeline.
@@ -230,11 +233,6 @@ type OscConfig struct {
 	// node; with Stream sinks installed, the online consumers are then
 	// the only output of the record phase.
 	DiscardMarkers bool
-	// NodeWorkers bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 (the default)
-	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
-	// are byte-identical at any setting.
-	NodeWorkers int
 }
 
 // RunOscilloscope executes one Case-I run and returns its trace.
@@ -252,7 +250,7 @@ func RunOscilloscope(cfg OscConfig) (*Run, error) {
 		return nil, fmt.Errorf("apps: sink: %w", err)
 	}
 
-	b := newBuilder(cfg.Seed, cfg.NodeWorkers, cfg.reference)
+	b := newBuilder(cfg.Seed, cfg.nodeWorkers, cfg.reference)
 	if _, err := b.addNode(OscSinkID, sinkSrc, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[OscSinkID], discard: cfg.DiscardMarkers,

@@ -36,17 +36,17 @@ func TestParallelEngineDifferential(t *testing.T) {
 	}{
 		{"oscilloscope", func(w int) (*Run, error) {
 			return RunOscilloscope(OscConfig{
-				PeriodMS: 20, Seconds: oscSeconds, Seed: 100, NodeWorkers: w,
+				PeriodMS: 20, Seconds: oscSeconds, Seed: 100, nodeWorkers: w,
 			})
 		}},
 		{"forwarder", func(w int) (*Run, error) {
 			return RunForwarder(ForwarderConfig{
-				Seconds: fwdSeconds, Seed: 7, NodeWorkers: w,
+				Seconds: fwdSeconds, Seed: 7, nodeWorkers: w,
 			})
 		}},
 		{"ctpheartbeat", func(w int) (*Run, error) {
 			return RunCTPHeartbeat(CTPConfig{
-				Seconds: ctpSeconds, Seed: 20, NodeWorkers: w,
+				Seconds: ctpSeconds, Seed: 20, nodeWorkers: w,
 			})
 		}},
 	}

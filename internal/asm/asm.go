@@ -112,16 +112,6 @@ func File(name, src string) (*Result, error) {
 // String assembles src with a generic name.
 func String(src string) (*Result, error) { return File("", src) }
 
-// MustString assembles src and panics on error. It is intended for
-// compiled-in application sources, whose validity is covered by tests.
-func MustString(src string) *Result {
-	r, err := String(src)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 func (a *assembler) errf(line int, format string, args ...any) error {
 	return &Error{File: a.file, Line: line, Msg: fmt.Sprintf(format, args...)}
 }

@@ -219,15 +219,6 @@ e:
 	}
 }
 
-func TestMustStringPanicsOnBadSource(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustString did not panic")
-		}
-	}()
-	MustString("garbage")
-}
-
 // TestDisassembleRoundTrip: assembling the disassembly of a program yields
 // identical code, vectors, tasks, and entry.
 func TestDisassembleRoundTrip(t *testing.T) {

@@ -170,14 +170,6 @@ func ExpectedBruteForceInspections(n, s int) float64 {
 	return float64(n+1) / float64(s+1)
 }
 
-// ChronologicalInspections is the number of intervals a human inspects
-// scanning in chronological order before the first symptomatic one.
-// firstSymptomIndex is 0-based; the result counts the symptomatic interval
-// itself.
-func ChronologicalInspections(firstSymptomIndex int) int {
-	return firstSymptomIndex + 1
-}
-
 // Random is the null-hypothesis detector: uniformly random scores. It
 // implements outlier.Detector's contract (lower = more suspicious) with no
 // information at all.

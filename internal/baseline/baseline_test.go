@@ -106,12 +106,6 @@ func TestExpectedBruteForceInspections(t *testing.T) {
 	}
 }
 
-func TestChronologicalInspections(t *testing.T) {
-	if got := ChronologicalInspections(41); got != 42 {
-		t.Fatalf("got %d", got)
-	}
-}
-
 func TestRandomDetector(t *testing.T) {
 	samples := make([][]float64, 30)
 	for i := range samples {

@@ -97,12 +97,6 @@ var CaseIPeriods = []int{20, 40, 60, 80, 100}
 // several seeds so nothing below depends on this one being lucky.
 const BugSeed = 1
 
-// NodeWorkers is the emulator-side parallelism (sim.Config.ParallelNodes)
-// of every record phase run by this package and internal/experiments.
-// Recorded traces are byte-identical at any setting, so no result depends
-// on it; it only changes how fast the runs execute.
-var NodeWorkers int
-
 // Entry is one corpus bug: a buggy/fixed scenario pair, the mining
 // configuration of its monitored event type, and its ground-truth oracle.
 type Entry struct {
@@ -246,7 +240,7 @@ func Catalog() []Entry {
 // bugRuns lifts a synth seeded-bug runner into an Entry.Runs.
 func bugRuns(run func(synth.BugScenarioConfig) (*apps.Run, error)) func(bool) ([]*apps.Run, error) {
 	return func(fixed bool) ([]*apps.Run, error) {
-		r, err := run(synth.BugScenarioConfig{Seed: BugSeed, Fixed: fixed, NodeWorkers: NodeWorkers})
+		r, err := run(synth.BugScenarioConfig{Seed: BugSeed, Fixed: fixed})
 		if err != nil {
 			return nil, err
 		}
@@ -260,10 +254,7 @@ func caseIRuns(fixed bool) ([]*apps.Run, error) {
 	runs := make([]*apps.Run, len(CaseIPeriods))
 	for i, d := range CaseIPeriods {
 		var err error
-		runs[i], err = apps.RunOscilloscope(apps.OscConfig{
-			PeriodMS: d, Seconds: 10, Seed: CaseISeedBase + uint64(i), Fixed: fixed,
-			NodeWorkers: NodeWorkers,
-		})
+		runs[i], err = apps.RunOscilloscope(apps.OscConfig{PeriodMS: d, Seconds: 10, Seed: CaseISeedBase + uint64(i), Fixed: fixed})
 		if err != nil {
 			return nil, err
 		}
@@ -290,10 +281,7 @@ func caseIIntegrity(runs []*apps.Run) (int, error) {
 }
 
 func caseIIRuns(fixed bool) ([]*apps.Run, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{
-		Seconds: 20, Seed: CaseIISeed, Fixed: fixed,
-		NodeWorkers: NodeWorkers,
-	})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: CaseIISeed, Fixed: fixed})
 	if err != nil {
 		return nil, err
 	}
@@ -301,10 +289,7 @@ func caseIIRuns(fixed bool) ([]*apps.Run, error) {
 }
 
 func caseIIIRuns(fixed bool) ([]*apps.Run, error) {
-	run, err := apps.RunCTPHeartbeat(apps.CTPConfig{
-		Seconds: 15, Seed: CaseIIISeed, Fixed: fixed,
-		NodeWorkers: NodeWorkers,
-	})
+	run, err := apps.RunCTPHeartbeat(apps.CTPConfig{Seconds: 15, Seed: CaseIIISeed, Fixed: fixed})
 	if err != nil {
 		return nil, err
 	}

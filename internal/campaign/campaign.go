@@ -19,7 +19,6 @@ import (
 	"sentomist/internal/core"
 	"sentomist/internal/lifecycle"
 	"sentomist/internal/outlier"
-	"sentomist/internal/sim"
 	"sentomist/internal/trace"
 )
 
@@ -34,19 +33,8 @@ type Config struct {
 	// Labels defaults to core.LabelRunSeq.
 	Labels core.LabelStyle
 	// Workers bounds the pool running scenarios concurrently; <= 0
-	// selects GOMAXPROCS, divided by NodeWorkers as the engine resolves it
-	// (sim.ResolveParallelism), so a campaign of parallel-emulation runs
-	// does not oversubscribe the machine. The ranking is identical at any
-	// setting.
+	// selects GOMAXPROCS. The ranking is identical at any setting.
 	Workers int
-	// NodeWorkers is the emulator-side parallelism each run should use
-	// (sim.Config.ParallelNodes): how many nodes advance concurrently
-	// inside one simulation's conservative-lookahead sections. RunFunc
-	// builders pass it into their scenario configs (see
-	// experiments.CaseICampaign); Mine uses it only to budget the default
-	// run pool. Traces, and therefore rankings, are identical at any
-	// setting.
-	NodeWorkers int
 	// SVMCacheBytes bounds the default detector's kernel column cache
 	// (0 = svm.DefaultCacheBytes); see core.Config.SVMCacheBytes.
 	// Rankings are bit-identical at any budget. Ignored when Detector is
@@ -90,15 +78,14 @@ type RunFunc func(attach Attach) error
 // streamers into core.Batch values, and scores them with
 // core.MineBatches. Batches are ordered by (run index, attach order), so
 // monitor nodes in the same order the materialized trace would list them
-// for a bit-identical ranking. The first run error aborts the campaign.
+// for a bit-identical ranking. The lowest-indexed failing run aborts the
+// campaign.
 func Mine(cfg Config, runs []RunFunc) (*core.Ranking, error) {
 	if cfg.IRQ == 0 {
 		return nil, fmt.Errorf("campaign: config must name the IRQ to mine")
 	}
-	workers := poolWorkers(cfg, len(runs))
-	pool := &lifecycle.ScratchPool{}
 	if cfg.Online != nil {
-		all, primary, err := mineOnline(cfg, runs, workers, pool)
+		all, primary, err := mineOnline(cfg, runs)
 		if err != nil {
 			return nil, err
 		}
@@ -108,48 +95,14 @@ func Mine(cfg Config, runs []RunFunc) (*core.Ranking, error) {
 		}
 		return r, nil
 	}
-	type runOut struct {
-		streamers []*lifecycle.Streamer
-		err       error
-	}
-	outs := make([]runOut, len(runs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range jobs {
-				var streamers []*lifecycle.Streamer
-				attach := func(nodeID int) trace.StreamSink {
-					// Only cfg.IRQ intervals are mined; skip featuring the rest.
-					s := lifecycle.NewStreamer(nodeID, pool).Keep(cfg.IRQ)
-					streamers = append(streamers, s)
-					return s
-				}
-				err := runs[r](attach)
-				outs[r] = runOut{streamers: streamers, err: err}
-			}
-		}()
-	}
-	for r := range runs {
-		jobs <- r
-	}
-	close(jobs)
-	wg.Wait()
-
 	var batches []core.Batch
-	for r, out := range outs {
-		if out.err != nil {
-			return nil, fmt.Errorf("campaign: run %d: %w", r+1, out.err)
-		}
-		for _, s := range out.streamers {
-			ivs, cnts, err := s.Finalize()
-			if err != nil {
-				return nil, fmt.Errorf("campaign: run %d: %w", r+1, err)
-			}
-			batches = append(batches, core.Batch{Run: r + 1, Intervals: ivs, Counters: cnts})
-		}
+	// Only cfg.IRQ intervals are mined; skip featuring the rest.
+	err := runPool(runs, poolWorkers(cfg, len(runs)), []int{cfg.IRQ}, func(b core.Batch) error {
+		batches = append(batches, b)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return core.MineBatches(batches, core.Config{
 		IRQ:           cfg.IRQ,
@@ -169,39 +122,26 @@ func MineAll(cfg Config, runs []RunFunc) (map[int]*core.Ranking, error) {
 	if cfg.Online == nil {
 		return nil, fmt.Errorf("campaign: MineAll requires Online options")
 	}
-	all, _, err := mineOnline(cfg, runs, poolWorkers(cfg, len(runs)), &lifecycle.ScratchPool{})
+	all, _, err := mineOnline(cfg, runs)
 	return all, err
 }
 
-// poolWorkers budgets the run-level fan-out.
+// poolWorkers budgets the run-level fan-out: Workers, or GOMAXPROCS when
+// unset, and never more than there are runs.
 func poolWorkers(cfg Config, runs int) int {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-		if nw := sim.ResolveParallelism(cfg.NodeWorkers); nw > 1 {
-			// Each run brings its own node-section workers; shrink the
-			// run-level fan-out so total goroutines stay near GOMAXPROCS.
-			if workers = workers / nw; workers < 1 {
-				workers = 1
-			}
-		}
 	}
-	if workers > runs {
-		workers = runs
-	}
-	return workers
+	return min(workers, runs)
 }
 
-// mineOnline is Mine's streaming arm: workers finalize each run's streamers
-// into batches as the run finishes, and a collector ingests them into a
-// core.OnlineMiner strictly in run order (a pending map holds batches from
-// runs that finished ahead of their turn). The final rankings run the
-// distinct counters through the identical scale → score → rank tail, so
-// each is bit-identical to the one-shot path at any worker count or refit
-// cadence.
-// The first error encountered aborts the campaign, which may be a
-// later-indexed run than the one-shot path would report.
-func mineOnline(cfg Config, runs []RunFunc, workers int, pool *lifecycle.ScratchPool) (map[int]*core.Ranking, int, error) {
+// mineOnline is Mine's streaming arm: the run pool hands each finished
+// run's batches to a core.OnlineMiner in run order. The final rankings run
+// the distinct counters through the identical scale → score → rank tail,
+// so each is bit-identical to the one-shot path at any worker count or
+// refit cadence.
+func mineOnline(cfg Config, runs []RunFunc) (map[int]*core.Ranking, int, error) {
 	if cfg.Detector != nil {
 		return nil, 0, fmt.Errorf("campaign: online mining drives the incremental one-class SVM; Detector must be nil")
 	}
@@ -222,83 +162,111 @@ func mineOnline(cfg Config, runs []RunFunc, workers int, pool *lifecycle.Scratch
 		return nil, 0, err
 	}
 	keep := miner.IRQs()
-	primary := keep[0]
+	if err := runPool(runs, poolWorkers(cfg, len(runs)), keep, miner.Add); err != nil {
+		miner.Close()
+		return nil, 0, err
+	}
+	all, err := miner.FinalizeAll()
+	if err != nil {
+		return nil, 0, err
+	}
+	return all, keep[0], nil
+}
+
+// runPool executes runs on workers goroutines. Each worker attaches
+// streamers that keep the given event types, runs the scenario, and
+// finalizes the streamers into batches; a single collector hands the
+// batches to deliver strictly in run order, holding results that finished
+// ahead of their turn. The first failure in run order — a run, its
+// finalization, or deliver — stops the pool handing out further runs and
+// is returned once the runs in flight have drained, so the error names
+// the lowest-indexed failing run whatever order the workers finish in.
+func runPool(runs []RunFunc, workers int, keep []int, deliver func(core.Batch) error) error {
 	type runOut struct {
 		run     int
 		batches []core.Batch
 		err     error
 	}
+	pool := &lifecycle.ScratchPool{}
+	finish := func(r int) runOut {
+		var streamers []*lifecycle.Streamer
+		attach := func(nodeID int) trace.StreamSink {
+			s := lifecycle.NewStreamer(nodeID, pool).Keep(keep...)
+			streamers = append(streamers, s)
+			return s
+		}
+		out := runOut{run: r, err: runs[r](attach)}
+		if out.err != nil {
+			return out
+		}
+		for _, s := range streamers {
+			ivs, cnts, err := s.Finalize()
+			if err != nil {
+				out.err = err
+				return out
+			}
+			out.batches = append(out.batches, core.Batch{Run: r + 1, Intervals: ivs, Counters: cnts})
+		}
+		return out
+	}
+
 	jobs := make(chan int)
 	results := make(chan runOut)
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for r := range jobs {
-				var streamers []*lifecycle.Streamer
-				attach := func(nodeID int) trace.StreamSink {
-					s := lifecycle.NewStreamer(nodeID, pool).Keep(keep...)
-					streamers = append(streamers, s)
-					return s
-				}
-				out := runOut{run: r, err: runs[r](attach)}
-				if out.err == nil {
-					for _, s := range streamers {
-						ivs, cnts, ferr := s.Finalize()
-						if ferr != nil {
-							out.err = ferr
-							break
-						}
-						out.batches = append(out.batches, core.Batch{Run: r + 1, Intervals: ivs, Counters: cnts})
-					}
-				}
-				results <- out
+				results <- finish(r)
 			}
 		}()
 	}
 	go func() {
+		defer close(jobs)
 		for r := range runs {
-			jobs <- r
+			select {
+			case jobs <- r:
+			case <-stop:
+				return
+			}
 		}
-		close(jobs)
+	}()
+	go func() {
 		wg.Wait()
 		close(results)
 	}()
-	pending := make(map[int][]core.Batch, workers)
+
+	pending := make(map[int]runOut, workers)
 	next := 0
 	var firstErr error
 	for out := range results {
 		if firstErr != nil {
-			continue // drain the pool
+			continue // drain the runs in flight
 		}
-		if out.err != nil {
-			firstErr = fmt.Errorf("campaign: run %d: %w", out.run+1, out.err)
-			continue
-		}
-		pending[out.run] = out.batches
+		pending[out.run] = out
 		for firstErr == nil {
-			bs, ok := pending[next]
+			o, ok := pending[next]
 			if !ok {
 				break
 			}
 			delete(pending, next)
 			next++
-			for _, b := range bs {
-				if err := miner.Add(b); err != nil {
+			if o.err != nil {
+				firstErr = fmt.Errorf("campaign: run %d: %w", o.run+1, o.err)
+				break
+			}
+			for _, b := range o.batches {
+				if err := deliver(b); err != nil {
 					firstErr = err
 					break
 				}
 			}
 		}
+		if firstErr != nil {
+			close(stop)
+		}
 	}
-	if firstErr != nil {
-		miner.Close()
-		return nil, 0, firstErr
-	}
-	all, err := miner.FinalizeAll()
-	if err != nil {
-		return nil, 0, err
-	}
-	return all, primary, nil
+	return firstErr
 }

@@ -4,7 +4,6 @@ import (
 	"os"
 
 	"sentomist/internal/apps"
-	"sentomist/internal/bench"
 	"sentomist/internal/campaign"
 	"sentomist/internal/core"
 	"sentomist/internal/dev"
@@ -24,7 +23,6 @@ func CaseICampaign(seedBase uint64) (*core.Ranking, error) {
 		runs[i] = func(attach campaign.Attach) error {
 			run, err := apps.RunOscilloscope(apps.OscConfig{
 				PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-				NodeWorkers: bench.NodeWorkers,
 				Stream: map[int]trace.StreamSink{
 					apps.OscSensorID: attach(apps.OscSensorID),
 				},
@@ -40,9 +38,8 @@ func CaseICampaign(seedBase uint64) (*core.Ranking, error) {
 		}
 	}
 	return campaign.Mine(campaign.Config{
-		IRQ:         dev.IRQADC,
-		Nodes:       []int{apps.OscSensorID},
-		NodeWorkers: bench.NodeWorkers,
+		IRQ:   dev.IRQADC,
+		Nodes: []int{apps.OscSensorID},
 	}, runs)
 }
 
@@ -139,7 +136,6 @@ func mineCaseIOnline(seedBase uint64, workers int, online campaign.OnlineOptions
 		runs[i] = func(attach campaign.Attach) error {
 			run, err := apps.RunOscilloscope(apps.OscConfig{
 				PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-				NodeWorkers: bench.NodeWorkers,
 				Stream: map[int]trace.StreamSink{
 					apps.OscSensorID: attach(apps.OscSensorID),
 				},
@@ -156,11 +152,10 @@ func mineCaseIOnline(seedBase uint64, workers int, online campaign.OnlineOptions
 	online.SpillDir = spillDir
 	online.OnRanking = func(*core.OnlineRanking) { *refits++ }
 	return campaign.Mine(campaign.Config{
-		IRQ:         dev.IRQADC,
-		Nodes:       []int{apps.OscSensorID},
-		NodeWorkers: bench.NodeWorkers,
-		Workers:     workers,
-		Online:      &online,
+		IRQ:     dev.IRQADC,
+		Nodes:   []int{apps.OscSensorID},
+		Workers: workers,
+		Online:  &online,
 	}, runs)
 }
 
@@ -169,10 +164,7 @@ func mineCaseIOnline(seedBase uint64, workers int, online campaign.OnlineOptions
 func caseIRanking(seedBase uint64) (*core.Ranking, error) {
 	inputs := make([]core.RunInput, len(CaseIPeriods))
 	for i, d := range CaseIPeriods {
-		run, err := apps.RunOscilloscope(apps.OscConfig{
-			PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-			NodeWorkers: bench.NodeWorkers,
-		})
+		run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i)})
 		if err != nil {
 			return nil, err
 		}

@@ -65,10 +65,7 @@ func CaseI(seedBase uint64) (*CaseResult, error) {
 		wg.Add(1)
 		go func(i, d int) {
 			defer wg.Done()
-			runs[i], errs[i] = apps.RunOscilloscope(apps.OscConfig{
-				PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i),
-				NodeWorkers: bench.NodeWorkers,
-			})
+			runs[i], errs[i] = apps.RunOscilloscope(apps.OscConfig{PeriodMS: d, Seconds: 10, Seed: seedBase + uint64(i)})
 		}(i, d)
 	}
 	wg.Wait()
@@ -94,7 +91,7 @@ func CaseI(seedBase uint64) (*CaseResult, error) {
 
 // CaseII reproduces Figure 5(b): one 20-second forwarding run.
 func CaseII(seed uint64) (*CaseResult, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: bench.NodeWorkers})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: case II: %w", err)
 	}
@@ -115,7 +112,7 @@ func CaseII(seed uint64) (*CaseResult, error) {
 
 // CaseIII reproduces Figure 5(c): one 15-second nine-node run.
 func CaseIII(seed uint64) (*CaseResult, error) {
-	run, err := apps.RunCTPHeartbeat(apps.CTPConfig{Seconds: 15, Seed: seed, NodeWorkers: bench.NodeWorkers})
+	run, err := apps.RunCTPHeartbeat(apps.CTPConfig{Seconds: 15, Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: case III: %w", err)
 	}
@@ -205,7 +202,7 @@ type VolumeResult struct {
 
 // TraceVolume measures the Case-I run at D = 20 ms.
 func TraceVolume() (*VolumeResult, error) {
-	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase, NodeWorkers: bench.NodeWorkers})
+	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase})
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +228,7 @@ type EffortResult struct {
 
 // InspectionEffort measures the Case-II workload.
 func InspectionEffort(seed uint64) (*EffortResult, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: bench.NodeWorkers})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +270,7 @@ type AblationRow struct {
 
 // DetectorAblation is A1 on Case II.
 func DetectorAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: bench.NodeWorkers})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +307,7 @@ func DetectorAblation(seed uint64) ([]AblationRow, error) {
 
 // FeatureAblation is A2 on Case II.
 func FeatureAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: bench.NodeWorkers})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +342,7 @@ func FeatureAblation(seed uint64) ([]AblationRow, error) {
 
 // KernelAblation is A3 on Case I run 1.
 func KernelAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: seed, NodeWorkers: bench.NodeWorkers})
+	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +381,7 @@ func KernelAblation(seed uint64) ([]AblationRow, error) {
 func DustminerBaseline() ([]AblationRow, error) {
 	var rows []AblationRow
 
-	caseIRun, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase, NodeWorkers: bench.NodeWorkers})
+	caseIRun, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: CaseISeedBase})
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +393,7 @@ func DustminerBaseline() ([]AblationRow, error) {
 	}
 	rows = append(rows, AblationRow{Name: "Case I (labels supplied)", Extra: score})
 
-	caseIIRun, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: CaseIISeed, NodeWorkers: bench.NodeWorkers})
+	caseIIRun, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: CaseIISeed})
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +436,7 @@ func dustminerScore(run *apps.Run, nodeID, irq int, oracle func(lifecycle.Interv
 // reports the rank of the first busy-drop per value — the check that the
 // default 0.05 is not a tuned constant.
 func NuSensitivity(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed, NodeWorkers: bench.NodeWorkers})
+	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -471,10 +468,7 @@ func NuSensitivity(seed uint64) ([]AblationRow, error) {
 // sequential simulation.
 func SequentialAblation() (preemptive, sequential int, err error) {
 	count := func(seqMode bool) (int, error) {
-		run, err := apps.RunOscilloscope(apps.OscConfig{
-			PeriodMS: 20, Seconds: 10, Seed: 1, Sequential: seqMode,
-			NodeWorkers: bench.NodeWorkers,
-		})
+		run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: 1, Sequential: seqMode})
 		if err != nil {
 			return 0, err
 		}

@@ -118,54 +118,6 @@ func (e *Extractor) CounterSparse(iv lifecycle.Interval) (stats.Sparse, error) {
 	return s, nil
 }
 
-// CountersSparse extracts sparse instruction counters for a batch of
-// intervals; the sparse sibling of Counters, with the same shared-space
-// requirement.
-func (e *Extractor) CountersSparse(ivs []lifecycle.Interval) ([]stats.Sparse, error) {
-	if len(ivs) == 0 {
-		return nil, nil
-	}
-	dim := -1
-	out := make([]stats.Sparse, len(ivs))
-	for i, iv := range ivs {
-		v, err := e.CounterSparse(iv)
-		if err != nil {
-			return nil, err
-		}
-		if dim == -1 {
-			dim = v.Dim
-		} else if v.Dim != dim {
-			return nil, fmt.Errorf("feature: mixed program sizes (%d vs %d): intervals span different binaries", dim, v.Dim)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// Counters extracts instruction counters for a batch of intervals. All
-// intervals must come from nodes running the same binary (equal ProgramLen),
-// so the resulting samples share a space.
-func (e *Extractor) Counters(ivs []lifecycle.Interval) ([][]float64, error) {
-	if len(ivs) == 0 {
-		return nil, nil
-	}
-	dim := -1
-	out := make([][]float64, len(ivs))
-	for i, iv := range ivs {
-		v, err := e.Counter(iv)
-		if err != nil {
-			return nil, err
-		}
-		if dim == -1 {
-			dim = len(v)
-		} else if len(v) != dim {
-			return nil, fmt.Errorf("feature: mixed program sizes (%d vs %d): intervals span different binaries", dim, len(v))
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // FuncCounter aggregates iv's instruction counter per function: one
 // dimension per label in prog, counting executions of instructions between
 // that label and the next. It is the coarse feature of ablation A2.

@@ -95,18 +95,6 @@ func TestCounterExcludesOutsideWindow(t *testing.T) {
 	}
 }
 
-func TestCountersBatch(t *testing.T) {
-	tr := twoInstanceTrace()
-	ivs := extractIntervals(t, tr)
-	vs, err := NewExtractor(tr).Counters(ivs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 2 || len(vs[0]) != 10 {
-		t.Fatalf("batch shape %dx%d", len(vs), len(vs[0]))
-	}
-}
-
 func TestCounterUnknownNode(t *testing.T) {
 	tr := twoInstanceTrace()
 	_, err := NewExtractor(tr).Counter(lifecycle.Interval{Node: 9})

@@ -189,9 +189,11 @@ func TestStreamingEquivalenceUnderRandomInterrupts(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		ext := feature.NewExtractor(&trace.Trace{Nodes: []*trace.NodeTrace{nt}})
-		wantCnt, err := ext.CountersSparse(wantIvs)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		wantCnt := make([]stats.Sparse, len(wantIvs))
+		for i, iv := range wantIvs {
+			if wantCnt[i], err = ext.CounterSparse(iv); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
 		}
 
 		liveIvs, liveCnt, err := live.Finalize()

@@ -338,14 +338,3 @@ func GroupByIRQ(ivs []Interval) map[int][]Interval {
 	}
 	return m
 }
-
-// CompleteOnly filters out intervals truncated by the run end.
-func CompleteOnly(ivs []Interval) []Interval {
-	out := make([]Interval, 0, len(ivs))
-	for _, iv := range ivs {
-		if iv.Complete {
-			out = append(out, iv)
-		}
-	}
-	return out
-}

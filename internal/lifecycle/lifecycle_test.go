@@ -206,7 +206,7 @@ func TestFIFOMatchingAcrossInstances(t *testing.T) {
 	}
 }
 
-func TestGroupByIRQAndCompleteOnly(t *testing.T) {
+func TestGroupByIRQ(t *testing.T) {
 	ivs := []Interval{
 		{IRQ: 1, Complete: true},
 		{IRQ: 2, Complete: false},
@@ -215,9 +215,6 @@ func TestGroupByIRQAndCompleteOnly(t *testing.T) {
 	groups := GroupByIRQ(ivs)
 	if len(groups[1]) != 2 || len(groups[2]) != 1 {
 		t.Fatalf("groups %v", groups)
-	}
-	if got := CompleteOnly(ivs); len(got) != 2 {
-		t.Fatalf("CompleteOnly kept %d", len(got))
 	}
 }
 

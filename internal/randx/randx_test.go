@@ -3,7 +3,6 @@ package randx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -122,26 +121,6 @@ func TestBoolProbability(t *testing.T) {
 	frac := float64(hits) / draws
 	if math.Abs(frac-0.25) > 0.01 {
 		t.Errorf("Bool(0.25) hit fraction %v", frac)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	check := func(seed uint64, n uint8) bool {
-		p := New(seed).Perm(int(n))
-		if len(p) != int(n) {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= int(n) || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -84,7 +84,11 @@ type Config struct {
 // New creates a simulation over the given nodes and (optionally nil)
 // network on the event-horizon engine.
 func New(cfg Config, nodes []*node.Node, net *medium.Network) *Sim {
-	return &Sim{nodes: nodes, net: net, seed: cfg.Seed, workers: ResolveParallelism(cfg.ParallelNodes)}
+	workers := cfg.ParallelNodes
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &Sim{nodes: nodes, net: net, seed: cfg.Seed, workers: workers}
 }
 
 // NewReference creates a simulation on the fixed-quantum reference
@@ -94,17 +98,6 @@ func New(cfg Config, nodes []*node.Node, net *medium.Network) *Sim {
 // byte-identical trace, and is an order of magnitude slower.
 func NewReference(seed uint64, nodes []*node.Node, net *medium.Network) *Sim {
 	return &Sim{nodes: nodes, net: net, seed: seed, reference: true}
-}
-
-// ResolveParallelism maps a node-parallelism setting to the worker count
-// the engine uses: w < 0 selects GOMAXPROCS, anything else is taken as is
-// (<= 1 meaning sequential). Callers that budget goroutines around the
-// engine resolve through it so they agree with the engine on the sentinel.
-func ResolveParallelism(w int) int {
-	if w < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
 }
 
 // Clock returns the current global cycle time.
