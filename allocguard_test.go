@@ -257,10 +257,12 @@ func TestOnlineRefitAllocBudget(t *testing.T) {
 }
 
 // Parallel-record allocation thresholds: one 2-second, 12-node multihop
-// record phase under conservative-lookahead sections at two node workers.
-// Section task lists, staged medium events, and the barrier scratch are
-// reused across sections, so the whole run measures ~12,800 allocs/op and
-// ~1.9 MB/op; the ceilings carry ~40% headroom for runner variance.
+// record phase with conservative-lookahead sections on. Section task
+// lists, staged medium events, and the barrier scratch are reused across
+// sections, and a section allocates nothing of its own, so the whole run
+// measures ~5,200 allocs/op and ~1.4 MB/op, the same as with sections off.
+// The ceilings date from a section engine that allocated per pass; they
+// stay as an upper bound.
 const (
 	maxParallelRecordAllocs = 18_000
 	maxParallelRecordBytes  = 2_700_000
@@ -293,7 +295,7 @@ func TestParallelRecordAllocBudget(t *testing.T) {
 	})
 	allocs := res.AllocsPerOp()
 	bytes := res.AllocedBytesPerOp()
-	t.Logf("parallel multihop record (12 nodes, 2 s, 2 workers): %d allocs/op, %d B/op over %d op(s)",
+	t.Logf("parallel multihop record (12 nodes, 2 s, sections on): %d allocs/op, %d B/op over %d op(s)",
 		allocs, bytes, res.N)
 	if allocs > maxParallelRecordAllocs {
 		t.Errorf("allocs/op regressed: %d > %d (threshold)", allocs, maxParallelRecordAllocs)

@@ -48,8 +48,8 @@ func soakCmd(fs *flag.FlagSet) runFunc {
 	fs.IntVar(&o.mineIRQ, "mine-irq", 0, "also mine every run's intervals of this event type and cross-check the SVM ranking at the -svm-cache-mb kernel column budget against the default budget, which keeps every column resident, bitwise (0 = off)")
 	fs.IntVar(&o.svmCacheMB, "svm-cache-mb", 1, "kernel column cache budget (MiB) for the small-budget side of the -mine-irq cross-check; columns are evicted once the distinct counters outgrow it")
 	fs.BoolVar(&o.onlineCheck, "online-check", false, "additionally run every -mine-irq problem through the online miner (an exact refit after every batch, delta refits, a second event type; spilled and in-memory passes) and require every finalized ranking to be bit-identical to one-shot MineBatches")
-	fs.BoolVar(&o.parCheck, "par-check", false, "record every scenario twice — sequentially and with parallel node sections — and require the serialized traces to be byte-identical (uses -node-workers, or 4 when unset)")
-	fs.IntVar(&o.nodeWorkers, "node-workers", 0, "emulator-side parallelism of every recording (sim.Config.ParallelNodes); traces and all results are byte-identical at any setting (<= 1 = sequential)")
+	fs.BoolVar(&o.parCheck, "par-check", false, "record every scenario twice — on lockstep rounds and with conservative-lookahead sections — and require the serialized traces to be byte-identical")
+	fs.IntVar(&o.nodeWorkers, "node-workers", 0, "turn on the emulator's conservative-lookahead sections for every recording (sim.Config.Sections): 0 or 1 keeps them off, any other value turns them on; sections run on the scheduler goroutine, and traces and all results are byte-identical at any setting")
 	return func(_ []string, stdout, _ io.Writer) error { return soak(stdout, o) }
 }
 
@@ -60,10 +60,6 @@ func soak(w io.Writer, o soakOptions) error {
 	totalIntervals, totalMarkers, totalStreamed, totalMined := 0, 0, 0, 0
 	totalOnline, totalRefits := 0, 0
 	pool := &lifecycle.ScratchPool{}
-	checkWorkers := o.nodeWorkers
-	if o.parCheck && checkWorkers <= 1 {
-		checkWorkers = 4
-	}
 	var stats sim.Stats
 	for i := 0; i < o.runs; i++ {
 		s := o.seed + uint64(i)
@@ -88,7 +84,7 @@ func soak(w io.Writer, o soakOptions) error {
 		}
 		addStats(&stats, r.Stats)
 		if o.parCheck {
-			parStats, err := verifyParallel(cfg, r, checkWorkers)
+			parStats, err := verifyParallel(cfg, r)
 			if err != nil {
 				return fmt.Errorf("seed %d: %w", s, err)
 			}
@@ -143,10 +139,9 @@ func soak(w io.Writer, o soakOptions) error {
 			totalOnline, totalRefits)
 	}
 	if o.parCheck {
-		fmt.Fprintf(w, "parallel cross-check: every serialized trace byte-identical at %d node workers\n",
-			checkWorkers)
+		fmt.Fprintln(w, "parallel cross-check: every serialized trace byte-identical with sections on")
 	}
-	if o.nodeWorkers > 1 || o.parCheck {
+	if (o.nodeWorkers != 0 && o.nodeWorkers != 1) || o.parCheck {
 		printSchedStats(w, "scheduler", stats)
 	}
 	return nil
@@ -161,20 +156,18 @@ func addStats(total *sim.Stats, s sim.Stats) {
 	total.HorizonBarriers += s.HorizonBarriers
 	total.ParallelAdvances += s.ParallelAdvances
 	total.StagedEvents += s.StagedEvents
-	total.WorkersParked += s.WorkersParked
-	total.WorkersWoken += s.WorkersWoken
 }
 
-// verifyParallel re-records the scenario with parallel node sections and
+// verifyParallel re-records the scenario with sections on and
 // requires the serialized trace to be byte-identical to the sequential
 // reference already recorded (the trace-equivalence gate of the scheduler,
 // on live random topologies). It returns the re-recording's scheduler
 // counters.
-func verifyParallel(cfg synth.Config, ref *apps.Run, workers int) (sim.Stats, error) {
-	cfg.NodeWorkers = workers
+func verifyParallel(cfg synth.Config, ref *apps.Run) (sim.Stats, error) {
+	cfg.NodeWorkers = 2 // any value but 0 and 1 turns sections on
 	par, err := synth.Generate(cfg)
 	if err != nil {
-		return sim.Stats{}, fmt.Errorf("parallel (%d workers): %w", workers, err)
+		return sim.Stats{}, fmt.Errorf("sections on: %w", err)
 	}
 	var a, b bytes.Buffer
 	if err := ref.Trace.WriteBinary(&a); err != nil {
@@ -184,8 +177,8 @@ func verifyParallel(cfg synth.Config, ref *apps.Run, workers int) (sim.Stats, er
 		return sim.Stats{}, err
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		return sim.Stats{}, fmt.Errorf("parallel (%d workers): trace diverges from sequential (%d vs %d bytes)",
-			workers, b.Len(), a.Len())
+		return sim.Stats{}, fmt.Errorf("sections on: trace diverges from lockstep (%d vs %d bytes)",
+			b.Len(), a.Len())
 	}
 	return par.Stats, nil
 }

@@ -129,10 +129,15 @@ type builder struct {
 	// (sim.NewReference) instead of the batched event-horizon engine; used
 	// by differential tests.
 	reference bool
-	// parallel bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 stays sequential.
-	parallel int
+	// sections turns on the scheduler's conservative-lookahead sections
+	// (sim.Config.Sections).
+	sections bool
 }
+
+// sectionsFor maps a node-worker count, the knob's historical form, to the
+// sections switch: 0 and 1 keep sections off, any other value turns them
+// on. Sections run on the scheduler goroutine whatever the count.
+func sectionsFor(workers int) bool { return workers != 0 && workers != 1 }
 
 // RNG-split keys of the builder's derived streams. The network's stream is
 // split first (in newBuilder), each node's sensor stream on ADC attach;
@@ -143,13 +148,13 @@ const (
 	sensorSplitKey = 0x5e45
 )
 
-func newBuilder(seed uint64, parallel int, reference bool) *builder {
+func newBuilder(seed uint64, sections, reference bool) *builder {
 	rng := randx.New(seed)
 	return &builder{
 		seed:      seed,
 		rng:       rng,
 		net:       medium.NewNetwork(rng.Split(netSplitKey)),
-		parallel:  parallel,
+		sections:  sections,
 		reference: reference,
 		run: &Run{
 			Programs: make(map[int]*isa.Program),
@@ -230,7 +235,7 @@ func (b *builder) execute(seconds float64) (*Run, error) {
 	if b.reference {
 		s = sim.NewReference(b.seed, b.nodes, b.net)
 	} else {
-		s = sim.New(sim.Config{Seed: b.seed, ParallelNodes: b.parallel}, b.nodes, b.net)
+		s = sim.New(sim.Config{Seed: b.seed, Sections: b.sections}, b.nodes, b.net)
 	}
 	cycles := uint64(seconds * CyclesPerSecond)
 	if err := s.Run(cycles); err != nil {

@@ -381,8 +381,9 @@ type CTPConfig struct {
 	// reference runs the whole scenario on the single-step reference
 	// engine, for differential testing against the batched engine.
 	reference bool
-	// nodeWorkers runs the scenario with that many parallel node
-	// workers, for differential testing against sequential sections.
+	// nodeWorkers turns on conservative-lookahead sections unless it is
+	// 0 or 1 (see sectionsFor), for differential testing against the
+	// lockstep rounds.
 	nodeWorkers int
 	// Stream installs per-node streaming sinks; DiscardMarkers drops
 	// markers from the materialized trace (see OscConfig).
@@ -410,7 +411,7 @@ func runCTPHeartbeat(cfg CTPConfig, loss float64) (*Run, error) {
 		isSource[id] = true
 	}
 
-	b := newBuilder(cfg.Seed, cfg.nodeWorkers, cfg.reference)
+	b := newBuilder(cfg.Seed, sectionsFor(cfg.nodeWorkers), cfg.reference)
 	if _, err := b.addNode(CTPRootID, rootProg, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[CTPRootID], discard: cfg.DiscardMarkers,

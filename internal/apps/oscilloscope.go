@@ -222,8 +222,9 @@ type OscConfig struct {
 	// reference runs the whole scenario on the single-step reference
 	// engine, for differential testing against the batched engine.
 	reference bool
-	// nodeWorkers runs the scenario with that many parallel node
-	// workers, for differential testing against sequential sections.
+	// nodeWorkers turns on conservative-lookahead sections unless it is
+	// 0 or 1 (see sectionsFor), for differential testing against the
+	// lockstep rounds.
 	nodeWorkers int
 	// Stream installs per-node streaming sinks: markers (with their
 	// instruction-count deltas) are delivered online as each node
@@ -250,7 +251,7 @@ func RunOscilloscope(cfg OscConfig) (*Run, error) {
 		return nil, fmt.Errorf("apps: sink: %w", err)
 	}
 
-	b := newBuilder(cfg.Seed, cfg.nodeWorkers, cfg.reference)
+	b := newBuilder(cfg.Seed, sectionsFor(cfg.nodeWorkers), cfg.reference)
 	if _, err := b.addNode(OscSinkID, sinkSrc, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[OscSinkID], discard: cfg.DiscardMarkers,

@@ -1,30 +1,35 @@
 package apps
 
-// Differential testing of the parallel node scheduler: every scenario is
-// executed sequentially and again with conservative-lookahead sections at
-// several worker counts, and all serialized traces must be byte-identical.
-// Parallel node execution is required to be a pure wall-clock optimization
-// with no observable effect, exactly like the batched engine before it.
+// Differential testing of conservative-lookahead sections: every scenario
+// is executed on lockstep rounds and again with sections on at several of
+// the knob's historical worker counts, and all serialized traces must be
+// byte-identical. Sections are required to be a pure wall-clock
+// optimization with no observable effect, exactly like the batched engine
+// before them.
 
 import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"sentomist/internal/sim"
 )
 
-// parallelWorkerCounts are the worker settings every parallel differential
-// scenario is exercised at, beyond the sequential baseline.
+// parallelWorkerCounts are the worker settings every section differential
+// scenario is exercised at, beyond the sequential baseline. Each turns
+// sections on; they must agree in trace and in every scheduler counter.
+// GOMAXPROCS 1 is skipped: a worker count of 1 keeps sections off.
 func parallelWorkerCounts() []int {
 	counts := []int{2, 4}
-	if p := runtime.GOMAXPROCS(0); p != 2 && p != 4 {
+	if p := runtime.GOMAXPROCS(0); p > 1 && p != 2 && p != 4 {
 		counts = append(counts, p)
 	}
 	return counts
 }
 
 // TestParallelEngineDifferential asserts byte-identical traces between the
-// sequential scheduler and the parallel sections at every worker count, on
-// all three case studies.
+// lockstep scheduler and sections at every worker count, on all three case
+// studies, and that every run with sections on opened some.
 func TestParallelEngineDifferential(t *testing.T) {
 	oscSeconds, fwdSeconds, ctpSeconds := 10.0, 20.0, 15.0
 	if testing.Short() {
@@ -57,6 +62,7 @@ func TestParallelEngineDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
+			var first *sim.Stats
 			for _, w := range parallelWorkerCounts() {
 				w := w
 				t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
@@ -65,8 +71,29 @@ func TestParallelEngineDifferential(t *testing.T) {
 						t.Fatalf("parallel(%d): %v", w, err)
 					}
 					assertTracesIdentical(t, seq.Trace, par.Trace)
+					assertSectionsRan(t, par.Stats)
+					// Every worker count selects the same sections, so
+					// every scheduler counter must agree.
+					if first == nil {
+						first = &par.Stats
+					} else if par.Stats != *first {
+						t.Errorf("scheduler counters differ across worker counts:\n%+v\n%+v", *first, par.Stats)
+					}
 				})
 			}
 		})
+	}
+}
+
+// assertSectionsRan fails unless a run with sections on actually opened
+// them: a differential that never leaves lockstep compares nothing.
+func assertSectionsRan(t *testing.T, st sim.Stats) {
+	t.Helper()
+	if st.ParallelSections == 0 {
+		t.Fatalf("no sections ran: %+v", st)
+	}
+	if st.ParallelAdvances < 2*st.ParallelSections {
+		t.Errorf("%d advances over %d sections: a section advances at least two nodes",
+			st.ParallelAdvances, st.ParallelSections)
 	}
 }

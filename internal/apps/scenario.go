@@ -49,7 +49,7 @@ type NodeSpec struct {
 
 // NewScenario creates an empty scenario whose randomness derives from seed.
 func NewScenario(seed uint64) *Scenario {
-	return &Scenario{b: newBuilder(seed, 0, false)}
+	return &Scenario{b: newBuilder(seed, false, false)}
 }
 
 // AddNode assembles the node's source and attaches the requested devices.
@@ -121,11 +121,12 @@ func (s *Scenario) Link(a, b int, lossProb float64) {
 	s.b.net.AddSymmetricLink(a, b, lossProb)
 }
 
-// SetParallelism bounds how many nodes advance concurrently inside the
-// scheduler's conservative-lookahead sections. w <= 1 (the default) keeps
-// node execution sequential; w < 0 selects GOMAXPROCS. Serialized traces
-// are byte-identical at any setting.
-func (s *Scenario) SetParallelism(w int) { s.b.parallel = w }
+// SetParallelism turns the scheduler's conservative-lookahead sections on
+// or off (sim.Config.Sections). w == 0 or 1 (the default is 0) keeps them
+// off; any other value, negative ones included, turns them on. The count
+// itself selects nothing more: sections run on the scheduler goroutine.
+// Serialized traces are byte-identical at any setting.
+func (s *Scenario) SetParallelism(w int) { s.b.sections = sectionsFor(w) }
 
 // Run executes the scenario for the given wall-clock seconds of simulated
 // time and returns the collected run. A scenario runs once.

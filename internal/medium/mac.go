@@ -59,8 +59,9 @@ type MAC struct {
 	airingUntil uint64
 
 	// staged buffers callbacks created while the network is in a staging
-	// section (concurrent node execution); only this MAC's node writes it,
-	// and the scheduler drains it at the section barrier via CommitStaged.
+	// section (each node advanced across a whole window); only this MAC's
+	// node writes it, and the scheduler drains it at the section barrier
+	// via CommitStaged.
 	staged []stagedEvent
 
 	// Hot callbacks, bound once at registration: method values allocate a

@@ -143,7 +143,7 @@ func TestCachesMatchLiveStateAcrossMediumEvents(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			nodes, net, radios, macs := chatterNet(t, 11)
-			s := New(Config{Seed: 11, ParallelNodes: workers}, nodes, net)
+			s := New(Config{Seed: 11, Sections: workers > 1}, nodes, net)
 			for until := uint64(0); until < 3_000_000; {
 				until += 997
 				if err := s.Run(until); err != nil {

@@ -1,6 +1,6 @@
 package sim
 
-// Conservative-lookahead parallel sections.
+// Conservative-lookahead sections.
 //
 // Between medium events, nodes are causally independent: the only way one
 // node's execution reaches another inside the simulator is through the
@@ -13,12 +13,19 @@ package sim
 //	        round(next network event) - quantum,   // lockstep resumes there
 //	        clock + the largest whole-quantum span < MinSubmitDelay)
 //
-// and advances every runnable node toward H concurrently, each on its own
-// goroutine, with medium callbacks staged per MAC instead of entering the
-// shared queue. At the horizon barrier the staged events are merged in the
-// exact order the sequential engine would have assigned (submit round, then
-// node index, then per-node order), so serialized traces stay byte-identical
-// to the sequential event-horizon engine at any worker count.
+// and advances every runnable node toward H in one call each, on the
+// calling goroutine, with medium callbacks staged per MAC instead of
+// entering the shared queue. At the horizon barrier the staged events are
+// merged in the exact order the lockstep engine would have assigned (submit
+// round, then node index, then per-node order), so serialized traces stay
+// byte-identical to the event-horizon engine without sections.
+//
+// A section saves the lockstep rounds between medium events: each node
+// crosses the whole window in one AdvanceJump instead of one Advance per
+// quantum. The node work inside a section is small (the window is capped
+// below MinSubmitDelay, a few microseconds of emulation per node), so the
+// advances run one after another: handing them to other goroutines costs
+// more in synchronization than the work they would overlap.
 //
 // The one global artifact nodes cannot reproduce independently is the
 // lockstep grid itself: the sequential engine re-anchors its round grid
@@ -36,15 +43,12 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"sentomist/internal/medium"
 	"sentomist/internal/node"
 )
 
-// trySection attempts one conservative parallel section. It returns false
+// trySection attempts one conservative-lookahead section. It returns false
 // when the lookahead window is too small to beat a plain lockstep round
 // (a due network event, or fewer than two quanta of guaranteed
 // independence); the caller then falls back to the sequential paths.
@@ -77,7 +81,7 @@ func (s *Sim) trySection(until uint64) (bool, error) {
 	pass := s.members[:0]
 	for i := range s.nodes {
 		if s.runnable[i] {
-			pass = append(pass, sectionTask{idx: i, from: c, h: h})
+			pass = append(pass, sectionTask{idx: i, from: c})
 		}
 		s.sectStop[i] = 0
 		s.sectDead[i] = false
@@ -89,16 +93,15 @@ func (s *Sim) trySection(until uint64) (bool, error) {
 	if s.net != nil {
 		s.net.BeginStaging()
 	}
-	s.ensurePool()
 
-	// Coverage fixpoint: run passes of concurrent node advances; t is the
+	// Coverage fixpoint: run passes of node advances; t is the
 	// frontier up to which some node was provably runnable at every round
 	// boundary, i.e. up to which the sequential engine keeps this grid.
 	t := c
 	for len(pass) > 0 {
 		s.stats.ParallelAdvances += uint64(len(pass))
-		s.pool.dispatch(pass, c, q, s)
 		for _, tk := range pass {
+			s.advanceSection(tk.idx, tk.from, c, q, h)
 			if s.sectStop[tk.idx] > t {
 				t = s.sectStop[tk.idx]
 			}
@@ -130,7 +133,7 @@ func (s *Sim) trySection(until uint64) (bool, error) {
 				b = until
 			}
 			if b <= t {
-				pass = append(pass, sectionTask{idx: i, from: b, h: h})
+				pass = append(pass, sectionTask{idx: i, from: b})
 			}
 		}
 		s.members = pass[:0]
@@ -171,7 +174,7 @@ func (s *Sim) trySection(until uint64) (bool, error) {
 		// the section completed its horizon first, so sibling nodes may
 		// have advanced further than a sequential run would. The chosen
 		// fault is the one the sequential engine reports (earliest round,
-		// then lowest node index), and it is identical at any worker count.
+		// then lowest node index).
 		return true, fmt.Errorf("sim: %w", s.nodes[errIdx].Err())
 	}
 	return true, nil
@@ -202,132 +205,8 @@ func (s *Sim) advanceSection(idx int, from, c, q, h uint64) {
 	s.sectDead[idx] = st == node.JumpDead
 }
 
-// sectionTask is one node advance inside a section pass. The horizon rides
-// in each task rather than in passDesc: the task list is reused across
-// passes, while a passDesc is allocated per pass and one more field would
-// push it past the 64-byte size class.
+// sectionTask is one node advance inside a section pass.
 type sectionTask struct {
 	idx  int
 	from uint64 // wake boundary; == section start for already-running nodes
-	h    uint64 // advance target: the section horizon
-}
-
-// passDesc is the shared state of one dispatched pass. Each dispatch gets a
-// fresh descriptor so a straggling worker still draining an exhausted pass
-// can never steal work from the next one.
-type passDesc struct {
-	tasks   []sectionTask
-	c, q    uint64
-	cursor  atomic.Int64
-	pending atomic.Int64
-	sim     *Sim
-}
-
-// nodePool is the bounded pool of section workers. Workers spin briefly
-// between passes (sections arrive back to back in hot phases) and park on a
-// condition variable when the scheduler goes sequential for a while.
-type nodePool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	gen     atomic.Uint64
-	stopped atomic.Bool
-	pass    atomic.Pointer[passDesc]
-
-	parkedTotal atomic.Uint64
-	wokenTotal  atomic.Uint64
-}
-
-// ensurePool lazily starts the worker pool: min(workers, nodes) - 1 extra
-// goroutines (the scheduler goroutine itself is the remaining worker).
-func (s *Sim) ensurePool() {
-	if s.pool != nil && !s.pool.stopped.Load() {
-		return
-	}
-	p := &nodePool{}
-	p.cond = sync.NewCond(&p.mu)
-	extra := s.workers
-	if extra > len(s.nodes) {
-		extra = len(s.nodes)
-	}
-	for w := 0; w < extra-1; w++ {
-		go p.worker()
-	}
-	s.pool = p
-}
-
-// dispatch runs one pass: hand the tasks to the workers, take part in the
-// draining, and block until every task completed.
-func (p *nodePool) dispatch(tasks []sectionTask, c, q uint64, s *Sim) {
-	if len(tasks) == 1 {
-		// Late fixpoint passes often wake a single node; skip the pool.
-		s.advanceSection(tasks[0].idx, tasks[0].from, c, q, tasks[0].h)
-		return
-	}
-	d := &passDesc{tasks: tasks, c: c, q: q, sim: s}
-	d.pending.Store(int64(len(tasks)))
-	p.pass.Store(d)
-	p.mu.Lock()
-	p.gen.Add(1)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	d.drain()
-	for d.pending.Load() > 0 {
-		runtime.Gosched()
-	}
-}
-
-// drain executes tasks until the pass is exhausted.
-func (d *passDesc) drain() {
-	n := int64(len(d.tasks))
-	for {
-		k := d.cursor.Add(1) - 1
-		if k >= n {
-			return
-		}
-		t := d.tasks[k]
-		d.sim.advanceSection(t.idx, t.from, d.c, d.q, t.h)
-		d.pending.Add(-1)
-	}
-}
-
-// spinBudget bounds how long an idle worker spins before parking.
-const spinBudget = 192
-
-func (p *nodePool) worker() {
-	last := uint64(0)
-	for {
-		g := p.gen.Load()
-		for spins := 0; g == last; spins++ {
-			if p.stopped.Load() {
-				return
-			}
-			if spins >= spinBudget {
-				p.mu.Lock()
-				p.parkedTotal.Add(1)
-				for p.gen.Load() == last && !p.stopped.Load() {
-					p.cond.Wait()
-				}
-				p.wokenTotal.Add(1)
-				p.mu.Unlock()
-			} else {
-				runtime.Gosched()
-			}
-			g = p.gen.Load()
-		}
-		last = g
-		if d := p.pass.Load(); d != nil {
-			d.drain()
-		}
-	}
-}
-
-// quiesce permanently parks the pool's workers (a fresh pool restarts them
-// on the next section), so finished sims do not leak goroutines.
-func (p *nodePool) quiesce(st *Stats) {
-	p.mu.Lock()
-	p.stopped.Store(true)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	st.WorkersParked = p.parkedTotal.Load()
-	st.WorkersWoken = p.wokenTotal.Load()
 }

@@ -27,7 +27,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"sentomist/internal/medium"
 	"sentomist/internal/node"
@@ -58,10 +57,9 @@ type Sim struct {
 	mustAdvance []bool   // raised by the medium mid-round; advance this round
 	heap        *wakeHeap
 
-	// Parallel-section state (see parallel.go). workers <= 1 keeps the
-	// engine fully sequential.
-	workers  int
-	pool     *nodePool
+	// Section state (see parallel.go); sections off keeps every
+	// multi-node stretch on lockstep rounds.
+	sections bool
 	members  []sectionTask // scratch: section pass tasks
 	sectIDs  []int         // scratch: advanced-node IDs for the staging barrier
 	sectStop []uint64      // scratch: per-node section stop boundary
@@ -74,21 +72,18 @@ type Sim struct {
 type Config struct {
 	// Seed is recorded in the resulting trace for reproducibility.
 	Seed uint64
-	// ParallelNodes bounds how many nodes advance concurrently inside
-	// conservative-lookahead sections; <= 1 (the default) keeps node
-	// execution sequential, < 0 selects GOMAXPROCS. Traces are
-	// byte-identical at any setting.
-	ParallelNodes int
+	// Sections turns on conservative-lookahead sections: between medium
+	// events, every runnable node crosses the independence window in one
+	// advance instead of one lockstep round per quantum. Sections run on
+	// the calling goroutine and start none. Traces are byte-identical
+	// either way.
+	Sections bool
 }
 
 // New creates a simulation over the given nodes and (optionally nil)
 // network on the event-horizon engine.
 func New(cfg Config, nodes []*node.Node, net *medium.Network) *Sim {
-	workers := cfg.ParallelNodes
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Sim{nodes: nodes, net: net, seed: cfg.Seed, workers: workers}
+	return &Sim{nodes: nodes, net: net, seed: cfg.Seed, sections: cfg.Sections}
 }
 
 // NewReference creates a simulation on the fixed-quantum reference
@@ -110,14 +105,6 @@ func (s *Sim) Run(until uint64) error {
 		return s.runReference(until)
 	}
 	s.init()
-	// The pool is created lazily by the first section; park its workers
-	// for good on exit so sims do not leak goroutines (campaigns create
-	// thousands of them).
-	defer func() {
-		if s.pool != nil {
-			s.pool.quiesce(&s.stats)
-		}
-	}()
 	for s.clock < until {
 		nRun, rIdx, alive := s.scan()
 		if !alive {
@@ -132,7 +119,7 @@ func (s *Sim) Run(until uint64) error {
 				continue
 			}
 		}
-		if nRun >= 2 && s.workers > 1 {
+		if nRun >= 2 && s.sections {
 			ran, err := s.trySection(until)
 			if err != nil {
 				return err

@@ -1,10 +1,10 @@
 package sim
 
 // Stats are per-run scheduler counters, collected by every engine path so
-// speedup regressions are diagnosable: a scenario that should parallelize
-// but shows ParallelSections == 0 is bounded by radio chatter (the
+// speedup regressions are diagnosable: a scenario that should open
+// sections but shows ParallelSections == 0 is bounded by radio chatter (the
 // conservative lookahead collapses to lockstep rounds), one with many
-// sections but few ParallelAdvances per section has too few concurrently
+// sections but few ParallelAdvances per section has too few simultaneously
 // runnable nodes to win anything.
 type Stats struct {
 	// Rounds counts realized lockstep rounds (two or more runnable nodes,
@@ -15,7 +15,8 @@ type Stats struct {
 	// SoloJumps counts single-runnable AdvanceJump fast paths.
 	SoloJumps uint64
 	// ParallelSections counts conservative-lookahead sections entered:
-	// stretches where two or more nodes advanced concurrently.
+	// stretches where two or more nodes each crossed the window in one
+	// advance.
 	ParallelSections uint64
 	// HorizonBarriers counts section barriers completed — each merges the
 	// staged medium events and re-derives every member's scheduler caches.
@@ -26,19 +27,13 @@ type Stats struct {
 	// StagedEvents counts medium events buffered during sections and
 	// deterministically re-sequenced at barriers.
 	StagedEvents uint64
-	// WorkersParked and WorkersWoken count worker-pool transitions into
-	// and out of the parked (condition-wait) state; a high rate relative
-	// to ParallelSections means sections are too sparse for spin-waiting.
+	// Deprecated: always zero. Sections run on the scheduler goroutine and
+	// have no worker pool to park; the field stays so saved bundles and
+	// existing readers keep decoding.
 	WorkersParked uint64
-	WorkersWoken  uint64
+	// Deprecated: always zero, like WorkersParked.
+	WorkersWoken uint64
 }
 
 // Stats returns the scheduler counters accumulated so far.
-func (s *Sim) Stats() Stats {
-	st := s.stats
-	if s.pool != nil {
-		st.WorkersParked = s.pool.parkedTotal.Load()
-		st.WorkersWoken = s.pool.wokenTotal.Load()
-	}
-	return st
-}
+func (s *Sim) Stats() Stats { return s.stats }

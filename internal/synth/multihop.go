@@ -10,8 +10,8 @@ import (
 // MultihopConfig parameterizes the deterministic multi-hop benchmark
 // scenario: a chain of compute-heavy nodes forwarding traffic hop by hop.
 // Unlike Generate, every constant derives from the node ID alone, so the
-// workload is identical across runs and worker counts — the scenario is the
-// parallel scheduler's benchmark and differential-test subject.
+// workload is identical across runs and knob settings — the scenario is the
+// section scheduler's benchmark and differential-test subject.
 type MultihopConfig struct {
 	// Nodes is the chain length (default 12, min 2).
 	Nodes int
@@ -19,8 +19,8 @@ type MultihopConfig struct {
 	Seconds float64
 	// Seed is recorded in the trace; the workload itself is deterministic.
 	Seed uint64
-	// NodeWorkers bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 stays sequential.
+	// NodeWorkers turns on the scheduler's conservative-lookahead
+	// sections unless it is 0 or 1 (apps.Scenario.SetParallelism).
 	NodeWorkers int
 }
 

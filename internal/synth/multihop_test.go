@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"sentomist/internal/sim"
 )
 
 // multihopTrace runs the benchmark scenario at the given worker count and
-// returns the serialized trace.
-func multihopTrace(t testing.TB, nodes, workers int, seconds float64) []byte {
+// returns the serialized trace and the scheduler counters.
+func multihopTrace(t testing.TB, nodes, workers int, seconds float64) ([]byte, sim.Stats) {
 	t.Helper()
 	r, err := Multihop(MultihopConfig{
 		Nodes: nodes, Seconds: seconds, Seed: 1, NodeWorkers: workers,
@@ -21,7 +23,7 @@ func multihopTrace(t testing.TB, nodes, workers int, seconds float64) []byte {
 	if err := r.Trace.WriteBinary(&b); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	return b.Bytes()
+	return b.Bytes(), r.Stats
 }
 
 // TestMultihopDeliversAcrossHops: the benchmark scenario must actually
@@ -51,11 +53,34 @@ func TestMultihopDeliversAcrossHops(t *testing.T) {
 	}
 }
 
+// TestSectionsStartNoGoroutine: sections run on the scheduler goroutine, so
+// a recording with sections on must leave exactly the goroutines it found,
+// with no grace period for workers to wind down. Campaigns build thousands
+// of sims; any goroutine a section started would pile up across them.
+func TestSectionsStartNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	r, err := Multihop(MultihopConfig{Nodes: 12, Seconds: 2, Seed: 1, NodeWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := runtime.NumGoroutine()
+	if r.Stats.ParallelSections == 0 {
+		t.Fatal("no sections ran; the guard is not measuring the section path")
+	}
+	if after != before {
+		t.Fatalf("%d goroutines before the recording, %d after", before, after)
+	}
+}
+
 // TestMultihopParallelDifferential: the benchmark scenario's trace must be
-// byte-identical between the sequential scheduler and parallel sections at
-// every tested worker count, across chain lengths.
+// byte-identical between lockstep rounds and sections at every tested
+// worker count, across chain lengths. Every run with sections on must open
+// some, and every worker count must give the same scheduler counters.
 func TestMultihopParallelDifferential(t *testing.T) {
-	counts := []int{2, 4, runtime.GOMAXPROCS(0)}
+	counts := []int{2, 4}
+	if p := runtime.GOMAXPROCS(0); p > 1 && p != 2 && p != 4 {
+		counts = append(counts, p) // at 1, the count keeps sections off
+	}
 	for _, nodes := range []int{8, 12, 16} {
 		nodes := nodes
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
@@ -63,11 +88,26 @@ func TestMultihopParallelDifferential(t *testing.T) {
 			if testing.Short() {
 				seconds = 0.3
 			}
-			seq := multihopTrace(t, nodes, 1, seconds)
-			for _, w := range counts {
-				if par := multihopTrace(t, nodes, w, seconds); !bytes.Equal(seq, par) {
+			seq, _ := multihopTrace(t, nodes, 1, seconds)
+			var first sim.Stats
+			for i, w := range counts {
+				par, st := multihopTrace(t, nodes, w, seconds)
+				if !bytes.Equal(seq, par) {
 					t.Errorf("workers=%d: trace differs from sequential (%d vs %d bytes)",
 						w, len(seq), len(par))
+				}
+				if st.ParallelSections == 0 {
+					t.Fatalf("workers=%d: no sections ran: %+v", w, st)
+				}
+				if st.ParallelAdvances < 2*st.ParallelSections {
+					t.Errorf("workers=%d: %d advances over %d sections: a section advances at least two nodes",
+						w, st.ParallelAdvances, st.ParallelSections)
+				}
+				if i == 0 {
+					first = st
+				} else if st != first {
+					t.Errorf("workers=%d: scheduler counters differ from the first run with sections on (workers=%d):\n%+v\n%+v",
+						w, counts[0], first, st)
 				}
 			}
 		})
@@ -150,20 +190,21 @@ func FuzzParallelTrace(f *testing.F) {
 }
 
 // BenchmarkRecordParallelNodes measures the record phase of the multi-hop
-// benchmark scenario across worker counts. b.ReportMetric publishes the
+// benchmark scenario with sections off and on (the worker counts the name
+// recalls all select the same run now). b.ReportMetric publishes the
 // simulated-cycles-per-second rate so runs on different hardware compare.
 func BenchmarkRecordParallelNodes(b *testing.B) {
-	counts := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 {
-		counts = append(counts, p)
-	}
 	const seconds = 2.0
-	for _, w := range counts {
-		w := w
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"sections=off", 0}, {"sections=on", 2}} {
+		bc := bc
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r, err := Multihop(MultihopConfig{
-					Nodes: 12, Seconds: seconds, Seed: 1, NodeWorkers: w,
+					Nodes: 12, Seconds: seconds, Seed: 1, NodeWorkers: bc.workers,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -26,10 +26,10 @@ type Config struct {
 	ExactNodes int
 	// Seconds is the simulated run length (default 0.5).
 	Seconds float64
-	// NodeWorkers bounds how many nodes advance concurrently inside the
-	// scheduler's conservative-lookahead sections; <= 1 (the default)
-	// keeps node execution sequential, < 0 selects GOMAXPROCS. Traces
-	// are byte-identical at any setting.
+	// NodeWorkers turns on the scheduler's conservative-lookahead
+	// sections: 0 (the default) and 1 keep them off, any other value
+	// turns them on (apps.Scenario.SetParallelism). Traces are
+	// byte-identical at any setting.
 	NodeWorkers int
 }
 
