@@ -5,9 +5,11 @@ import (
 
 	"sentomist"
 	"sentomist/internal/experiments"
+	"sentomist/internal/lifecycle"
 	"sentomist/internal/stats"
 	"sentomist/internal/svm"
 	"sentomist/internal/synth"
+	"sentomist/internal/trace"
 )
 
 // Allocation-profile thresholds for the streaming Case-I end-to-end op
@@ -336,5 +338,68 @@ func TestCachedTrainingAllocBudget(t *testing.T) {
 	}
 	if allocs > maxCachedTrainAllocs {
 		t.Errorf("allocs/op regressed: %d > %d (threshold; see BENCH_PR4.json)", allocs, maxCachedTrainAllocs)
+	}
+}
+
+// maxOpenIntervalsBytes bounds Replay on openIntervalsTrace. The streamer's
+// per-PC totals at ProgramLen 0xffff are about 0.8 MB and come back from
+// its pool after the first call; a dense buffer per open interval, which
+// this trace keeps 200 of, measured about 105 MB per op.
+const maxOpenIntervalsBytes = 2_000_000
+
+// openIntervalsTrace is a crafted trace that passes trace.Validate and
+// keeps every interval open to the end: 200 handlers, each posting a task
+// that never runs, in the largest program the format allows. Every marker
+// executes one PC once.
+func openIntervalsTrace() *trace.NodeTrace {
+	nt := &trace.NodeTrace{NodeID: 1, ProgramLen: 0xffff}
+	for k := 0; k < 200; k++ {
+		for _, kind := range []trace.Kind{trace.Int, trace.PostTask, trace.Reti} {
+			arg := 0
+			if kind == trace.Int {
+				arg = 1
+			}
+			i := len(nt.Markers)
+			nt.Markers = append(nt.Markers, trace.Marker{
+				Kind: kind, Arg: arg, Cycle: uint64(10 * (i + 1)),
+				Deltas: []trace.Delta{{PC: uint16(i), Count: 1}},
+			})
+		}
+	}
+	return nt
+}
+
+// TestReplayOpenIntervalsAllocBudget guards the streamer's memory bound:
+// an open interval holds state for the PCs its window touched, not a
+// buffer the size of the program, so open intervals that never close cost
+// what they touch.
+func TestReplayOpenIntervalsAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
+	}
+	nt := openIntervalsTrace()
+	if err := (&trace.Trace{Nodes: []*trace.NodeTrace{nt}}).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ivs, _, err := lifecycle.Replay(nt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(ivs) != 200 || ivs[0].Complete {
+				b.Fatalf("%d intervals, first complete=%v; want 200 open ones", len(ivs), ivs[0].Complete)
+			}
+		}
+	})
+	bytes := res.AllocedBytesPerOp()
+	t.Logf("Replay over 200 open intervals at ProgramLen 0xffff: %d allocs/op, %d B/op over %d op(s)",
+		res.AllocsPerOp(), bytes, res.N)
+	if bytes > maxOpenIntervalsBytes {
+		t.Errorf("B/op regressed: %d > %d (threshold)", bytes, maxOpenIntervalsBytes)
 	}
 }

@@ -59,7 +59,6 @@ func soak(w io.Writer, o soakOptions) error {
 	}
 	totalIntervals, totalMarkers, totalStreamed, totalMined := 0, 0, 0, 0
 	totalOnline, totalRefits := 0, 0
-	pool := &lifecycle.ScratchPool{}
 	var stats sim.Stats
 	for i := 0; i < o.runs; i++ {
 		s := o.seed + uint64(i)
@@ -98,7 +97,7 @@ func soak(w io.Writer, o soakOptions) error {
 			}
 			totalIntervals += n
 			if o.stream {
-				n, err := verifyStream(nt, pool)
+				n, err := verifyStream(nt)
 				if err != nil {
 					return fmt.Errorf("seed %d node %d: %w", s, nt.NodeID, err)
 				}
@@ -345,13 +344,13 @@ func verifyOnline(t *trace.Trace, irq int) (intervals, refits int, err error) {
 // verifyStream replays the node's markers through the online anatomizer and
 // checks intervals and counters are bit-identical to the two-pass
 // reference (Extract + CounterSparse).
-func verifyStream(nt *trace.NodeTrace, pool *lifecycle.ScratchPool) (int, error) {
+func verifyStream(nt *trace.NodeTrace) (int, error) {
 	want, err := lifecycle.NewSequence(nt).Extract()
 	if err != nil {
 		return 0, err
 	}
 	ext := feature.NewExtractor(&trace.Trace{Nodes: []*trace.NodeTrace{nt}})
-	got, cnt, err := lifecycle.Replay(nt, pool)
+	got, cnt, err := lifecycle.Replay(nt)
 	if err != nil {
 		return 0, fmt.Errorf("stream: %w", err)
 	}

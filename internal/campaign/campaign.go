@@ -187,11 +187,10 @@ func runPool(runs []RunFunc, workers int, keep []int, deliver func(core.Batch) e
 		batches []core.Batch
 		err     error
 	}
-	pool := &lifecycle.ScratchPool{}
 	finish := func(r int) runOut {
 		var streamers []*lifecycle.Streamer
 		attach := func(nodeID int) trace.StreamSink {
-			s := lifecycle.NewStreamer(nodeID, pool).Keep(keep...)
+			s := lifecycle.NewStreamer(nodeID).Keep(keep...)
 			streamers = append(streamers, s)
 			return s
 		}

@@ -9,9 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
 
 	"sentomist/internal/feature"
 	"sentomist/internal/isa"
@@ -180,80 +178,6 @@ func Mine(runs []RunInput, cfg Config) (*Ranking, error) {
 	return MineBatches(batches, cfg)
 }
 
-// mapNodes anatomizes every monitored node of every run and hands the
-// intervals to fn, one job per (run, node) on up to cfg.Parallelism
-// workers. Nodes outside cfg.Nodes are skipped before anatomizing. run is
-// the 0-based index into runs and ext is that run's extractor, shared by
-// its jobs. Results come back in (run, node) order, so whatever the caller
-// stitches from them is identical at any parallelism; the first failing
-// job in that order names the error.
-func mapNodes[T any](runs []RunInput, cfg Config, fn func(run int, ext *feature.Extractor, ivs []lifecycle.Interval) (T, error)) ([]T, error) {
-	allowed := map[int]bool{}
-	for _, id := range cfg.Nodes {
-		allowed[id] = true
-	}
-	type job struct {
-		run int
-		ext *feature.Extractor
-		nt  *trace.NodeTrace
-	}
-	var jobs []job
-	for ri, run := range runs {
-		if run.Trace == nil {
-			return nil, fmt.Errorf("core: run %d has no trace", ri+1)
-		}
-		ext := feature.NewExtractor(run.Trace)
-		for _, nt := range run.Trace.Nodes {
-			if len(allowed) > 0 && !allowed[nt.NodeID] {
-				continue
-			}
-			jobs = append(jobs, job{run: ri, ext: ext, nt: nt})
-		}
-	}
-
-	out := make([]T, len(jobs))
-	errs := make([]error, len(jobs))
-	do := func(i int) {
-		jb := jobs[i]
-		ivs, err := lifecycle.NewSequence(jb.nt).Extract()
-		if err == nil {
-			out[i], err = fn(jb.run, jb.ext, ivs)
-		}
-		if err != nil {
-			errs[i] = fmt.Errorf("core: run %d node %d: %w", jb.run+1, jb.nt.NodeID, err)
-		}
-	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				do(i)
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // rankSparse is the scoring tail of the sparse pipeline — MineBatches
 // (and so Mine) ends here; OnlineMiner reproduces it incrementally. It
 // scales the counters per dimension into [0,1] in place (exactly Scale01's
@@ -391,16 +315,14 @@ func MineBatches(batches []Batch, cfg Config) (*Ranking, error) {
 	return rankSparse(samples, svectors, det, labels, excluded)
 }
 
-// extractFeature features one complete interval by feat. The ablation
-// features are finite and nonnegative (cycles, counts, bytes below the
-// stack top), so their sparse form passes checkCounter, and scaling it
-// equals Scale01 on the dense vectors.
+// extractFeature features one complete interval by an ablation feature
+// kind. The ablation features are finite and nonnegative (cycles, counts,
+// bytes below the stack top), so their sparse form passes checkCounter,
+// and scaling it equals Scale01 on the dense vectors.
 func extractFeature(ext *feature.Extractor, run RunInput, feat FeatureKind, iv lifecycle.Interval) (stats.Sparse, error) {
 	var v []float64
 	var err error
 	switch feat {
-	case 0, FeatureCounter:
-		return ext.CounterSparse(iv)
 	case FeatureFuncCount:
 		prog := run.Programs[iv.Node]
 		if prog == nil {

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"sync"
 
 	"sentomist/internal/feature"
 	"sentomist/internal/lifecycle"
 	"sentomist/internal/outlier"
 	"sentomist/internal/stats"
 	"sentomist/internal/svm"
+	"sentomist/internal/trace"
 )
 
 // OnlineConfig parameterizes an OnlineMiner. The embedded Config supplies
@@ -764,29 +767,69 @@ func ExtractBatches(runs []RunInput, cfg Config) ([]Batch, error) {
 
 // ExtractBatchesFor is ExtractBatches over a set of event types: intervals
 // of any listed type are featured into the shared batch stream, which is
-// what multi-IRQ online mining ingests. Passing exactly one type matches
-// ExtractBatches.
+// what multi-IRQ online mining ingests. Each node is anatomized by a
+// lifecycle.Streamer kept to those types, whose counters are the default
+// feature; ablation kinds run feature.Extractor on the same intervals.
+// Incomplete intervals get an empty counter, and the first failing
+// (run, node) job names the error.
 func ExtractBatchesFor(runs []RunInput, cfg Config, irqs ...int) ([]Batch, error) {
-	want := map[int]bool{}
-	for _, irq := range irqs {
-		want[irq] = true
+	allowed := map[int]bool{}
+	for _, id := range cfg.Nodes {
+		allowed[id] = true
 	}
-	return mapNodes(runs, cfg, func(run int, ext *feature.Extractor, ivs []lifecycle.Interval) (Batch, error) {
-		b := Batch{Run: run + 1}
-		for _, iv := range ivs {
-			if !want[iv.IRQ] {
+	type job struct {
+		run int
+		ext *feature.Extractor
+		nt  *trace.NodeTrace
+	}
+	var jobs []job
+	for ri, run := range runs {
+		if run.Trace == nil {
+			return nil, fmt.Errorf("core: run %d has no trace", ri+1)
+		}
+		ext := feature.NewExtractor(run.Trace)
+		for _, nt := range run.Trace.Nodes {
+			if len(allowed) > 0 && !allowed[nt.NodeID] {
 				continue
 			}
-			var c stats.Sparse
-			if iv.Complete {
-				var err error
-				if c, err = extractFeature(ext, runs[run], cfg.Feature, iv); err != nil {
-					return Batch{}, err
+			jobs = append(jobs, job{run: ri, ext: ext, nt: nt})
+		}
+	}
+
+	out := make([]Batch, len(jobs))
+	errs := make([]error, len(jobs))
+	workers := cfg.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sem := make(chan struct{}, workers) // bounds the jobs in flight
+	var wg sync.WaitGroup
+	for i, jb := range jobs {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			ivs, cnt, err := lifecycle.NewStreamer(jb.nt.NodeID).Keep(irqs...).Replay(jb.nt)
+			for k := 0; err == nil && k < len(ivs); k++ {
+				switch {
+				case !ivs[k].Complete:
+					cnt[k] = stats.Sparse{}
+				case cfg.Feature != 0 && cfg.Feature != FeatureCounter:
+					cnt[k], err = extractFeature(jb.ext, runs[jb.run], cfg.Feature, ivs[k])
 				}
 			}
-			b.Intervals = append(b.Intervals, iv)
-			b.Counters = append(b.Counters, c)
+			if err != nil {
+				errs[i] = fmt.Errorf("core: run %d node %d: %w", jb.run+1, jb.nt.NodeID, err)
+				return
+			}
+			out[i] = Batch{Run: jb.run + 1, Intervals: ivs, Counters: cnt}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		return b, nil
-	})
+	}
+	return out, nil
 }

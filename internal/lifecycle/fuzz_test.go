@@ -170,7 +170,7 @@ func TestStreamingEquivalenceUnderRandomInterrupts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := lifecycle.NewStreamer(1, nil)
+		live := lifecycle.NewStreamer(1)
 		n, err := node.New(node.Config{
 			ID: 1, Program: r.Program, Truth: true, Sink: live,
 		})
@@ -200,7 +200,7 @@ func TestStreamingEquivalenceUnderRandomInterrupts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: live streamer: %v", seed, err)
 		}
-		repIvs, repCnt, err := lifecycle.Replay(nt, &lifecycle.ScratchPool{})
+		repIvs, repCnt, err := lifecycle.Replay(nt)
 		if err != nil {
 			t.Fatalf("seed %d: replay: %v", seed, err)
 		}

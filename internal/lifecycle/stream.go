@@ -5,16 +5,18 @@
 // same analysis Extract performs over a materialized trace — the
 // Definition-3 pushdown automaton over int-reti strings and the Criterion
 // 1–3 post/run matching of Figure 4 — incrementally. Each in-flight
-// interval's instruction counter (Definition 4) accumulates in place from
-// the marker deltas, and the interval is finalized the moment its last
-// item arrives. No marker-delta trace is materialized and no second pass
-// happens; Finalize returns intervals and counters bit-identical to
+// interval's instruction counter (Definition 4) is read off running per-PC
+// totals, and the interval is finalized the moment its last item arrives.
+// No marker-delta trace is materialized and no second pass happens;
+// Finalize returns intervals and counters bit-identical to
 // NewSequence(nt).Extract() plus Extractor.CounterSparse over the
 // materialized trace of the same run (the equivalence the streaming tests
-// and the fuzz corpus pin).
+// and FuzzReplayMatchesExtract pin). Replay runs the same streamer over a
+// materialized trace; it is the one production anatomizer for counters.
 package lifecycle
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -23,64 +25,42 @@ import (
 	"sentomist/internal/trace"
 )
 
-// scratch is one in-flight interval's accumulation storage: the dense
-// counter, its touched-PC list, and the reusable snapshot buffers (see
-// ivState). All four recycle together.
-type scratch struct {
-	counts  []float64 // all-zero over full capacity between uses
-	touched []int32
+// Counters. The streamer keeps one running total per PC. At an interval's
+// first touch of a PC in its window it records the total, which still
+// equals the total at window start; at close or snapshot it subtracts. An
+// open interval thus holds what its window touched, a streamer O(ProgramLen)
+// however many intervals are open. The totals are uint64 integer sums, so
+// each difference is the exact window sum; Extractor.CounterSparse adds the
+// same deltas in float64, exact below 2^53, so the counters are bit-identical.
+
+// firstTouch is a PC an open window executed, with its total before then.
+type firstTouch struct {
+	pc   int32
+	base uint64
+}
+
+// window is an open interval's counter state.
+type window struct {
+	from    int          // 1 + the opening marker: a PC with last[pc] <= from is untouched
+	touched []firstTouch // sorted by PC at each snapshot and close
+	// The counter at the tentative end (see ivState), in buffers reused
+	// across snapshots.
 	snapIdx []int32
 	snapVal []float64
 }
 
-// ScratchPool recycles the accumulation buffers streamers use for
-// in-flight interval counters, plus the per-interval state arrays that do
-// not outlive a streamer. One pool may serve many concurrent streamers
-// (campaign fan-out). The zero value is ready to use; a nil *ScratchPool
-// disables pooling (buffers are still reused within a streamer, just not
-// across streamers).
-type ScratchPool struct {
-	p  sync.Pool // *scratch
-	st sync.Pool // *[]ivState
+// buffers is a streamer's recyclable storage; between uses last is all-zero
+// over its capacity and st is empty. Only differences of total are read.
+type buffers struct {
+	total []uint64 // running per-PC count
+	last  []int    // 1 + the index of the marker that last added to the PC; 0 = never
+	st    []ivState
+	free  []*window // released windows
 }
 
-func (sp *ScratchPool) getStates() []ivState {
-	if sp != nil {
-		if p, _ := sp.st.Get().(*[]ivState); p != nil {
-			return (*p)[:0]
-		}
-	}
-	return nil
-}
-
-func (sp *ScratchPool) putStates(st []ivState) {
-	if sp == nil || cap(st) == 0 {
-		return
-	}
-	st = st[:0]
-	sp.st.Put(&st)
-}
-
-func (sp *ScratchPool) get(dim int) *scratch {
-	if sp != nil {
-		if s, _ := sp.p.Get().(*scratch); s != nil && cap(s.counts) >= dim {
-			s.counts = s.counts[:dim]
-			return s
-		}
-	}
-	return &scratch{counts: make([]float64, dim)}
-}
-
-// put returns s, whose counts the caller has re-zeroed, to the pool.
-func (sp *ScratchPool) put(s *scratch) {
-	if sp == nil || s == nil {
-		return
-	}
-	s.touched = s.touched[:0]
-	s.snapIdx = s.snapIdx[:0]
-	s.snapVal = s.snapVal[:0]
-	sp.p.Put(s)
-}
+// bufPool recycles streamer buffers: campaigns and core.Mine create a
+// streamer per node per run.
+var bufPool = sync.Pool{New: func() any { return new(buffers) }}
 
 // ivState is the streaming state of one not-yet-finalized interval.
 type ivState struct {
@@ -100,20 +80,14 @@ type ivState struct {
 	// before any task of the instance ran).
 	lastRunItem int
 
-	// buf accumulates the interval's instruction counter: dense float64
-	// scratch added to in marker order (the exact accumulation order of
-	// Extractor.Counter), plus the touched PCs. Its snapIdx/snapVal
-	// buffers hold the tentative-end counter copy; they are reused
-	// across snapshot cycles so the common snapshot-then-discard path
-	// (every post's reti precedes its runTask) allocates nothing in
-	// steady state.
-	buf *scratch
+	// win is the interval's counter state; nil for filtered intervals.
+	win *window
 
 	// Tentative end: where the interval would end if the run truncated
 	// now — the materialized algorithm's reti end (no owned task ran) or
 	// taskEnd end (posts still pending) with Complete=false. A later
 	// owned runTask discards it. The counter at the tentative end lives
-	// in buf.snapIdx/buf.snapVal.
+	// in win.snapIdx/win.snapVal.
 	snapOK             bool
 	snapItem, snapMark int
 	snapCycle          uint64
@@ -124,9 +98,10 @@ type ivState struct {
 // OnMark (typically by installing it as the node recorder's
 // trace.StreamSink), then call Finalize once the run ends.
 type Streamer struct {
+	*buffers // nil once Finalize returned them to bufPool
+
 	nodeID int
-	dim    int // program length; learned from the first marker's counts
-	pool   *ScratchPool
+	dim    int // program length, -1 until learned from the first marker
 
 	items     int // paper-visible items consumed
 	markers   int // markers consumed
@@ -159,7 +134,6 @@ type Streamer struct {
 
 	ivs []Interval
 	cnt []stats.Sparse
-	st  []ivState
 
 	err error
 }
@@ -168,16 +142,16 @@ type Streamer struct {
 var _ trace.StreamSink = (*Streamer)(nil)
 
 // NewStreamer creates an online anatomizer for the node's marker stream.
-// pool may be nil.
-func NewStreamer(nodeID int, pool *ScratchPool) *Streamer {
+// Its buffers come from a pool and go back in Finalize.
+func NewStreamer(nodeID int) *Streamer {
 	return &Streamer{
+		buffers:   bufPool.Get().(*buffers),
 		nodeID:    nodeID,
-		pool:      pool,
+		dim:       -1,
 		postOwner: make(map[int]int),
 		curTask:   -1,
 		watchEnd:  -1,
 		seq:       make(map[int]int),
-		st:        pool.getStates(),
 	}
 }
 
@@ -203,28 +177,43 @@ func (s *Streamer) OnMark(kind trace.Kind, arg int, cycle uint64, instance int, 
 	if s.err != nil {
 		return
 	}
-	if s.dim == 0 {
-		s.dim = len(counts)
+	if s.dim < 0 {
+		s.grow(len(counts))
 	}
+	for _, pc := range touched {
+		s.add(pc, counts[pc])
+	}
+	s.step(kind, arg, cycle, instance)
+}
+
+func (s *Streamer) grow(dim int) {
+	s.dim = dim
+	s.total = slices.Grow(s.total[:0], dim)[:dim]
+	s.last = slices.Grow(s.last[:0], dim)[:dim]
+}
+
+// add counts c executions of pc in the current marker. A window is
+// (StartMarker, EndMarker] and add runs before step, so an interval closed
+// at this marker includes it and one opened at it does not.
+func (s *Streamer) add(pc uint16, c uint32) {
+	if c == 0 {
+		return
+	}
+	last := s.last[pc]
+	for _, slot := range s.openSlots {
+		if w := s.st[slot].win; last <= w.from {
+			w.touched = append(w.touched, firstTouch{pc: int32(pc), base: s.total[pc]})
+		}
+	}
+	s.total[pc] += uint64(c)
+	s.last[pc] = s.markers + 1
+}
+
+// step advances the automaton by one marker, after add saw its deltas.
+func (s *Streamer) step(kind trace.Kind, arg int, cycle uint64, instance int) {
 	m := s.markers
 	s.markers++
 	s.lastCycle = cycle
-
-	// The counter window of an interval is (StartMarker, EndMarker]:
-	// route this marker's delta into every open interval first, so an
-	// interval finalized *at* this marker includes it and one opened at
-	// this marker does not.
-	if len(touched) > 0 {
-		for _, slot := range s.openSlots {
-			buf := s.st[slot].buf
-			for _, pc := range touched {
-				if buf.counts[pc] == 0 {
-					buf.touched = append(buf.touched, int32(pc))
-				}
-				buf.counts[pc] += float64(counts[pc])
-			}
-		}
-	}
 
 	switch kind {
 	case trace.Int:
@@ -254,7 +243,7 @@ func (s *Streamer) OnMark(kind trace.Kind, arg int, cycle uint64, instance int, 
 				Truth:       instance,
 			})
 			s.cnt = append(s.cnt, stats.Sparse{})
-			st.buf = s.pool.get(s.dim)
+			st.win = s.openWindow(m + 1)
 			s.openSlots = append(s.openSlots, slot)
 		}
 		s.st = append(s.st, st)
@@ -339,52 +328,61 @@ func (s *Streamer) OnMark(kind trace.Kind, arg int, cycle uint64, instance int, 
 	}
 }
 
-// sparsify emits the interval's accumulated counter as a sorted sparse
-// vector — the exact output of Extractor.CounterSparse: per-PC sums
-// accumulated in marker order, indices ascending.
+func (s *Streamer) openWindow(from int) *window {
+	var w *window
+	if n := len(s.free); n > 0 {
+		w, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		w = new(window)
+	}
+	w.from = from
+	return w
+}
+
+func sortTouched(w *window) {
+	slices.SortFunc(w.touched, func(a, b firstTouch) int { return cmp.Compare(a.pc, b.pc) })
+}
+
+// sparsify emits the interval's counter as a sorted sparse vector — the
+// exact output of Extractor.CounterSparse.
 func (s *Streamer) sparsify(st *ivState) stats.Sparse {
-	if st.buf == nil {
+	w := st.win
+	if w == nil {
 		return stats.Sparse{}
 	}
-	t := st.buf.touched
-	slices.Sort(t)
+	sortTouched(w)
 	out := stats.Sparse{
-		Idx: make([]int32, len(t)),
-		Val: make([]float64, len(t)),
+		Idx: make([]int32, len(w.touched)),
+		Val: make([]float64, len(w.touched)),
 		Dim: s.dim,
 	}
-	for i, pc := range t {
-		out.Idx[i] = pc
-		out.Val[i] = st.buf.counts[pc]
+	for i, t := range w.touched {
+		out.Idx[i] = t.pc
+		out.Val[i] = float64(s.total[t.pc] - t.base)
 	}
 	return out
 }
 
-// releaseScratch zeroes and recycles the interval's accumulation buffers.
-func (s *Streamer) releaseScratch(st *ivState) {
-	buf := st.buf
-	if buf == nil {
-		return
+func (s *Streamer) releaseWindow(st *ivState) {
+	if w := st.win; w != nil {
+		w.touched = w.touched[:0]
+		s.free = append(s.free, w)
+		st.win = nil
 	}
-	for _, pc := range buf.touched {
-		buf.counts[pc] = 0
-	}
-	s.pool.put(buf)
-	st.buf = nil
 }
 
 // snapshot records the tentative end and copies the current counter into
-// the scratch's reusable snapshot buffers. The copy — not an allocation —
+// the window's reusable snapshot buffers. The copy — not an allocation —
 // is the cost of the common snapshot-then-discard cycle: every interval
 // whose posts are still queued at its reti passes through here.
 func (s *Streamer) snapshot(slot, endItem, endMarker int, cycle uint64, endsWithTask bool) {
 	st := &s.st[slot]
-	if buf := st.buf; buf != nil {
-		slices.Sort(buf.touched)
-		buf.snapIdx = append(buf.snapIdx[:0], buf.touched...)
-		buf.snapVal = buf.snapVal[:0]
-		for _, pc := range buf.touched {
-			buf.snapVal = append(buf.snapVal, buf.counts[pc])
+	if w := st.win; w != nil {
+		sortTouched(w)
+		w.snapIdx, w.snapVal = w.snapIdx[:0], w.snapVal[:0]
+		for _, t := range w.touched {
+			w.snapIdx = append(w.snapIdx, t.pc)
+			w.snapVal = append(w.snapVal, float64(s.total[t.pc]-t.base))
 		}
 	}
 	st.snapOK = true
@@ -396,12 +394,12 @@ func (s *Streamer) snapshot(slot, endItem, endMarker int, cycle uint64, endsWith
 
 // snapSparse materializes the snapshot buffers as the interval's counter.
 func (s *Streamer) snapSparse(st *ivState) stats.Sparse {
-	if st.buf == nil {
+	if st.win == nil {
 		return stats.Sparse{}
 	}
 	return stats.Sparse{
-		Idx: append([]int32{}, st.buf.snapIdx...),
-		Val: append([]float64{}, st.buf.snapVal...),
+		Idx: append([]int32{}, st.win.snapIdx...),
+		Val: append([]float64{}, st.win.snapVal...),
 		Dim: s.dim,
 	}
 }
@@ -421,7 +419,7 @@ func (s *Streamer) finalize(slot, endItem, endMarker int, cycle uint64, endsWith
 		iv.Complete = complete
 		s.cnt[st.out] = s.sparsify(st)
 	}
-	s.releaseScratch(st)
+	s.releaseWindow(st)
 	s.dropSnapshot(st)
 	st.open = false
 	for i, o := range s.openSlots {
@@ -441,6 +439,7 @@ func (s *Streamer) finalize(slot, endItem, endMarker int, cycle uint64, endsWith
 // Call once, after the run's last marker.
 func (s *Streamer) Finalize() ([]Interval, []stats.Sparse, error) {
 	if s.err != nil {
+		s.release()
 		return nil, nil, s.err
 	}
 	for slot := range s.st {
@@ -476,44 +475,51 @@ func (s *Streamer) Finalize() ([]Interval, []stats.Sparse, error) {
 				s.cnt[st.out] = s.sparsify(st)
 			}
 		}
-		s.releaseScratch(st)
+		s.releaseWindow(st)
 		s.dropSnapshot(st)
 		st.open = false
 	}
 	s.openSlots = s.openSlots[:0]
-	// The per-interval state array never escapes the streamer; recycle it.
-	s.pool.putStates(s.st)
-	s.st = nil
+	s.release()
 	return s.ivs, s.cnt, nil
 }
 
-// Replay feeds a materialized node trace through a Streamer — the bridge
-// that lets equivalence tests and `sentomist soak` cross-check the online
-// anatomizer against the two-pass reference on any recorded trace.
-func Replay(nt *trace.NodeTrace, pool *ScratchPool) ([]Interval, []stats.Sparse, error) {
-	st := NewStreamer(nt.NodeID, pool)
-	st.dim = nt.ProgramLen
-	counts := make([]uint32, nt.ProgramLen)
-	touched := make([]uint16, 0, 64)
+func (s *Streamer) release() {
+	b := s.buffers
+	if b == nil {
+		return
+	}
+	s.buffers = nil
+	clear(b.last)
+	b.st = b.st[:0]
+	bufPool.Put(b)
+}
+
+// Replay feeds a recorded node trace to a fresh streamer, in place of
+// OnMark, and finalizes it: how core.Mine anatomizes recorded runs.
+func (s *Streamer) Replay(nt *trace.NodeTrace) ([]Interval, []stats.Sparse, error) {
+	s.grow(nt.ProgramLen)
 	for i, m := range nt.Markers {
-		touched = touched[:0]
 		for _, d := range m.Deltas {
-			if d.Count == 0 {
-				continue
+			if int(d.PC) >= s.dim {
+				s.err = fmt.Errorf("lifecycle: marker %d: pc %d outside program of %d", i, d.PC, s.dim)
+				return s.Finalize()
 			}
-			if counts[d.PC] == 0 {
-				touched = append(touched, d.PC)
-			}
-			counts[d.PC] += d.Count
+			s.add(d.PC, d.Count)
 		}
 		inst := -1
 		if nt.TruthInstance != nil {
 			inst = nt.TruthInstance[i]
 		}
-		st.OnMark(m.Kind, m.Arg, m.Cycle, inst, touched, counts)
-		for _, pc := range touched {
-			counts[pc] = 0
+		s.step(m.Kind, m.Arg, m.Cycle, inst)
+		if s.err != nil {
+			break
 		}
 	}
-	return st.Finalize()
+	return s.Finalize()
+}
+
+// Replay anatomizes one node trace through a fresh streamer.
+func Replay(nt *trace.NodeTrace) ([]Interval, []stats.Sparse, error) {
+	return NewStreamer(nt.NodeID).Replay(nt)
 }

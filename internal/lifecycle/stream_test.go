@@ -35,7 +35,7 @@ func handBuilt(kinds []trace.Kind, args []int) *trace.NodeTrace {
 func checkStreamEquivalence(t *testing.T, label string, nt *trace.NodeTrace) {
 	t.Helper()
 	wantIvs, wantErr := lifecycle.NewSequence(nt).Extract()
-	gotIvs, gotCnt, gotErr := lifecycle.Replay(nt, nil)
+	gotIvs, gotCnt, gotErr := lifecycle.Replay(nt)
 	if wantErr != nil || gotErr != nil {
 		if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 			t.Fatalf("%s: error mismatch:\n  materialized: %v\n  streaming:    %v", label, wantErr, gotErr)
@@ -104,7 +104,7 @@ func TestStreamerLiveMatchesReplay(t *testing.T) {
 	)
 	// "Live" = drive OnMark directly with recorder-style scratch reuse:
 	// one dense array and touched list recycled across markers.
-	live := lifecycle.NewStreamer(nt.NodeID, nil)
+	live := lifecycle.NewStreamer(nt.NodeID)
 	counts := make([]uint32, nt.ProgramLen)
 	var touched []uint16
 	for _, m := range nt.Markers {
@@ -124,7 +124,7 @@ func TestStreamerLiveMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repIvs, repCnt, err := lifecycle.Replay(nt, &lifecycle.ScratchPool{})
+	repIvs, repCnt, err := lifecycle.Replay(nt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,28 +133,47 @@ func TestStreamerLiveMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestScratchPoolRecycles pins the pool invariant: buffers come back
-// all-zero and are reused across streamers without cross-talk.
-func TestScratchPoolRecycles(t *testing.T) {
-	pool := &lifecycle.ScratchPool{}
+// replayAllocs is what a steady-state Replay of the two-interval trace in
+// TestReplayReusesBuffers allocates: the Streamer and its maps, the grown
+// interval and counter slices, and each counter's index and value arrays.
+// The per-PC totals, the interval states and the windows come back from
+// the pool; with the pool disabled the same Replay measures 38 allocations.
+const replayAllocs = 15
+
+// TestReplayReusesBuffers pins buffer recycling: repeated Replays of one
+// trace return identical results (no state leaks between streamers through
+// the pool), and the second and later Replays allocate only their outputs
+// and per-streamer bookkeeping.
+func TestReplayReusesBuffers(t *testing.T) {
+	P, R, I, T, E := trace.PostTask, trace.RunTask, trace.Int, trace.Reti, trace.TaskEnd
 	nt := handBuilt(
-		[]trace.Kind{trace.Int, trace.PostTask, trace.Reti, trace.RunTask, trace.TaskEnd},
-		[]int{3, 0, 0, 0, 0},
+		[]trace.Kind{I, P, T, I, P, T, R, E, R, E},
+		[]int{3, 0, 0, 4, 1, 0, 0, 0, 1, 1},
 	)
-	var first []lifecycle.Interval
-	var firstCnt interface{}
-	for round := 0; round < 4; round++ {
-		ivs, cnt, err := lifecycle.Replay(nt, pool)
+	first, firstCnt, err := lifecycle.Replay(nt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round < 4; round++ {
+		ivs, cnt, err := lifecycle.Replay(nt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if round == 0 {
-			first, firstCnt = ivs, cnt
-			continue
-		}
 		if !reflect.DeepEqual(ivs, first) || !reflect.DeepEqual(cnt, firstCnt) {
-			t.Fatalf("round %d diverges after pool reuse", round)
+			t.Fatalf("round %d diverges after buffer reuse", round)
 		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := lifecycle.Replay(nt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("steady-state Replay: %.0f allocs", allocs)
+	if allocs > replayAllocs {
+		t.Errorf("steady-state Replay allocates %.0f times, want at most %d: buffers are not reused", allocs, replayAllocs)
 	}
 }
 
@@ -177,7 +196,7 @@ func TestStreamerKeepFiltersOutput(t *testing.T) {
 	}
 	for _, tc := range cases {
 		nt := handBuilt(tc.kinds, tc.args)
-		allIvs, allCnt, err := lifecycle.Replay(nt, nil)
+		allIvs, allCnt, err := lifecycle.Replay(nt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -189,7 +208,7 @@ func TestStreamerKeepFiltersOutput(t *testing.T) {
 				wantCnt = append(wantCnt, allCnt[i])
 			}
 		}
-		kept := lifecycle.NewStreamer(nt.NodeID, &lifecycle.ScratchPool{}).Keep(3)
+		kept := lifecycle.NewStreamer(nt.NodeID).Keep(3)
 		counts := make([]uint32, nt.ProgramLen)
 		var touched []uint16
 		for _, m := range nt.Markers {

@@ -136,8 +136,10 @@ func (t *Trace) Node(id int) *NodeTrace {
 const maxProgramLen = 0xffff
 
 // Validate performs structural checks: program lengths within the code
-// space, non-decreasing cycles, known kinds, PCs within the program, and
-// ground-truth length agreement.
+// space, non-decreasing cycles, known kinds, PCs within the program and
+// once per marker, ground-truth length agreement, and the runtime's task
+// order: a runTask needs a pending post and no running task, and a
+// postTask outside handlers comes from boot code or a running task.
 func (t *Trace) Validate() error {
 	for _, n := range t.Nodes {
 		if n == nil {
@@ -151,8 +153,28 @@ func (t *Trace) Validate() error {
 				n.NodeID, len(n.TruthInstance), len(n.Markers))
 		}
 		var prev uint64
+		seen := make([]int, n.ProgramLen) // 1 + the last marker naming the PC
+		depth, posted, ran, running := 0, 0, 0, false
 		for i, m := range n.Markers {
-			if m.Kind < PostTask || m.Kind > TaskEnd {
+			switch m.Kind {
+			case Int:
+				depth++
+			case Reti:
+				depth = max(depth-1, 0)
+			case PostTask:
+				if depth == 0 && ran > 0 && !running {
+					return fmt.Errorf("trace: node %d marker %d: postTask outside every handler and task", n.NodeID, i)
+				}
+				posted++
+			case RunTask:
+				if ran == posted || running {
+					return fmt.Errorf("trace: node %d marker %d: runTask with no post pending or while a task runs", n.NodeID, i)
+				}
+				ran++
+				running = true
+			case TaskEnd:
+				running = false
+			default:
 				return fmt.Errorf("trace: node %d marker %d: bad kind %d", n.NodeID, i, m.Kind)
 			}
 			if m.Cycle < prev {
@@ -168,6 +190,10 @@ func (t *Trace) Validate() error {
 				if d.Count == 0 {
 					return fmt.Errorf("trace: node %d marker %d: zero-count delta", n.NodeID, i)
 				}
+				if seen[d.PC] == i+1 {
+					return fmt.Errorf("trace: node %d marker %d: pc %d named twice", n.NodeID, i, d.PC)
+				}
+				seen[d.PC] = i + 1
 			}
 		}
 	}

@@ -46,6 +46,25 @@ func TestValidateRejections(t *testing.T) {
 		{"cycle regression", func(tr *Trace) { tr.Nodes[0].Markers[3].Cycle = 50 }, "before"},
 		{"pc outside", func(tr *Trace) { tr.Nodes[0].Markers[0].Deltas[0].PC = 200 }, "outside program"},
 		{"zero-count delta", func(tr *Trace) { tr.Nodes[0].Markers[0].Deltas[0].Count = 0 }, "zero-count"},
+		{"repeated pc", func(tr *Trace) {
+			// Summed in a uint32, these two deltas would wrap to 1.
+			tr.Nodes[0].Markers[1].Deltas = []Delta{{PC: 0, Count: 0xffffffff}, {PC: 0, Count: 2}}
+		}, "pc 0 named twice"},
+		// The task-order rules. Without the first, the 8-marker sequence
+		// runTask int postTask reti int runTask reti postTask sent the
+		// two-pass lifecycle analysis into an endless loop.
+		{"runTask before its post", func(tr *Trace) {
+			tr.Nodes[0].Markers[1].Kind = RunTask
+			tr.Nodes[0].Markers[3].Kind = PostTask
+		}, "no post pending"},
+		{"runTask while a task runs", func(tr *Trace) {
+			tr.Nodes[0].Markers[2].Kind = PostTask
+			tr.Nodes[0].Markers[4].Kind = RunTask
+		}, "while a task runs"},
+		{"post after a task ended", func(tr *Trace) {
+			tr.Nodes[0].Markers = append(tr.Nodes[0].Markers, Marker{Kind: PostTask, Cycle: 400})
+			tr.Nodes[0].TruthInstance = append(tr.Nodes[0].TruthInstance, 1)
+		}, "outside every handler and task"},
 		{"truth length", func(tr *Trace) { tr.Nodes[0].TruthInstance = []int{1} }, "truth entries"},
 	}
 	for _, tt := range tests {

@@ -113,8 +113,8 @@ type (
 	// feature a node without materializing its marker trace.
 	StreamSink = trace.StreamSink
 	// Streamer is the online anatomizer: it advances the interval
-	// pushdown automaton on every marker and accumulates each
-	// interval's instruction counter in place.
+	// pushdown automaton on every marker and reads each interval's
+	// instruction counter off running per-PC totals.
 	Streamer = lifecycle.Streamer
 	// CampaignConfig selects what a streamed campaign mines and how
 	// wide it fans out.
@@ -128,10 +128,10 @@ type (
 	MineBatch = core.Batch
 )
 
-// NewStreamer creates an online anatomizer for nodeID; a nil pool
-// allocates counter scratch unpooled.
-func NewStreamer(nodeID int, pool *lifecycle.ScratchPool) *Streamer {
-	return lifecycle.NewStreamer(nodeID, pool)
+// NewStreamer creates an online anatomizer for nodeID; Finalize recycles
+// its counter storage internally.
+func NewStreamer(nodeID int) *Streamer {
+	return lifecycle.NewStreamer(nodeID)
 }
 
 // MineCampaign fans the runs over a bounded worker pool, featuring each

@@ -29,12 +29,11 @@ type streamedCase struct {
 
 func streamedFixtures(t *testing.T) map[string]*streamedCase {
 	t.Helper()
-	pool := &lifecycle.ScratchPool{}
 	attach := func(nodes []int) (map[int]trace.StreamSink, []*lifecycle.Streamer) {
 		sinks := make(map[int]trace.StreamSink, len(nodes))
 		streamers := make([]*lifecycle.Streamer, len(nodes))
 		for i, id := range nodes {
-			streamers[i] = lifecycle.NewStreamer(id, pool)
+			streamers[i] = lifecycle.NewStreamer(id)
 			sinks[id] = streamers[i]
 		}
 		return sinks, streamers
@@ -217,7 +216,7 @@ func TestDiscardedTraceIsEmpty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulation")
 	}
-	s := sentomist.NewStreamer(apps.OscSensorID, nil)
+	s := sentomist.NewStreamer(apps.OscSensorID)
 	run, err := sentomist.RunCaseI(sentomist.CaseIConfig{
 		PeriodMS: 20, Seconds: 2, Seed: 1,
 		Stream:         map[int]trace.StreamSink{apps.OscSensorID: s},
