@@ -1,6 +1,7 @@
 package sentomist_test
 
 import (
+	"runtime"
 	"testing"
 
 	"sentomist"
@@ -348,12 +349,12 @@ func TestCachedTrainingAllocBudget(t *testing.T) {
 const maxOpenIntervalsBytes = 2_000_000
 
 // openIntervalsTrace is a crafted trace that passes trace.Validate and
-// keeps every interval open to the end: 200 handlers, each posting a task
+// keeps every interval open to the end: n handlers, each posting a task
 // that never runs, in the largest program the format allows. Every marker
-// executes one PC once.
-func openIntervalsTrace() *trace.NodeTrace {
+// executes a PC of its own once.
+func openIntervalsTrace(n int) *trace.NodeTrace {
 	nt := &trace.NodeTrace{NodeID: 1, ProgramLen: 0xffff}
-	for k := 0; k < 200; k++ {
+	for k := 0; k < n; k++ {
 		for _, kind := range []trace.Kind{trace.Int, trace.PostTask, trace.Reti} {
 			arg := 0
 			if kind == trace.Int {
@@ -369,18 +370,10 @@ func openIntervalsTrace() *trace.NodeTrace {
 	return nt
 }
 
-// TestReplayOpenIntervalsAllocBudget guards the streamer's memory bound:
-// an open interval holds state for the PCs its window touched, not a
-// buffer the size of the program, so open intervals that never close cost
-// what they touch.
-func TestReplayOpenIntervalsAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation guard skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
-	}
-	nt := openIntervalsTrace()
+// replayOpenIntervals reports Replay's allocations per op on
+// openIntervalsTrace(n).
+func replayOpenIntervals(t *testing.T, n int) testing.BenchmarkResult {
+	nt := openIntervalsTrace(n)
 	if err := (&trace.Trace{Nodes: []*trace.NodeTrace{nt}}).Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -391,15 +384,81 @@ func TestReplayOpenIntervalsAllocBudget(t *testing.T) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(ivs) != 200 || ivs[0].Complete {
-				b.Fatalf("%d intervals, first complete=%v; want 200 open ones", len(ivs), ivs[0].Complete)
+			if len(ivs) != n || ivs[0].Complete {
+				b.Fatalf("%d intervals, first complete=%v; want %d open ones", len(ivs), ivs[0].Complete, n)
 			}
 		}
 	})
-	bytes := res.AllocedBytesPerOp()
-	t.Logf("Replay over 200 open intervals at ProgramLen 0xffff: %d allocs/op, %d B/op over %d op(s)",
-		res.AllocsPerOp(), bytes, res.N)
+	t.Logf("Replay over %d open intervals (%d markers) at ProgramLen 0xffff: %d allocs/op, %d B/op over %d op(s)",
+		n, 3*n, res.AllocsPerOp(), res.AllocedBytesPerOp(), res.N)
+	return res
+}
+
+// TestReplayOpenIntervalsAllocBudget guards the streamer's memory bound:
+// open intervals share one log of the PCs their windows touched instead of
+// each holding a buffer the size of the program, so open intervals that
+// never close cost what they touch.
+func TestReplayOpenIntervalsAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
+	}
+	bytes := replayOpenIntervals(t, 200).AllocedBytesPerOp()
 	if bytes > maxOpenIntervalsBytes {
 		t.Errorf("B/op regressed: %d > %d (threshold)", bytes, maxOpenIntervalsBytes)
+	}
+}
+
+// Linear ceiling for a first Replay on openIntervalsTrace: the per-PC
+// totals plus a fixed budget per marker. Each marker adds one shared log
+// entry and a third of an interval, its streaming state and its three-PC
+// counter; with the slices' growth that came to about 550 B per marker at
+// 12,000 markers. State per open interval for every PC its window touched
+// grows with the square of the markers: it measured 84.8 MB at 3,000
+// markers and 1.24 GB at 12,000. A steady-state B/op cannot show that,
+// since the pool hands the grown state back to the next call.
+const (
+	openIntervalsBaseBytes      = 1_500_000
+	openIntervalsBytesPerMarker = 1000
+)
+
+// TestReplayOpenIntervalsAllocLinear guards the streamer's memory bound at
+// scale: a first Replay of a 12,000-marker trace that holds 4,000
+// intervals open to its end allocates memory linear in the markers, not in
+// markers times open intervals.
+func TestReplayOpenIntervalsAllocLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
+	}
+	const n = 4000
+	nt := openIntervalsTrace(n)
+	if err := (&trace.Trace{Nodes: []*trace.NodeTrace{nt}}).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// A sync.Pool's contents survive one collection, not two: the call
+	// below starts from an empty streamer pool.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ivs, _, err := lifecycle.Replay(nt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ivs) != n {
+		t.Fatalf("%d intervals, want %d", len(ivs), n)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(openIntervalsBaseBytes + openIntervalsBytesPerMarker*3*n)
+	t.Logf("first Replay over %d open intervals (%d markers) at ProgramLen 0xffff: %d B", n, 3*n, bytes)
+	if bytes > limit {
+		t.Errorf("first Replay allocated %d B > %d (threshold: %d B + %d B per marker)",
+			bytes, limit, openIntervalsBaseBytes, openIntervalsBytesPerMarker)
 	}
 }

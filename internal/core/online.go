@@ -769,9 +769,10 @@ func ExtractBatches(runs []RunInput, cfg Config) ([]Batch, error) {
 // of any listed type are featured into the shared batch stream, which is
 // what multi-IRQ online mining ingests. Each node is anatomized by a
 // lifecycle.Streamer kept to those types, whose counters are the default
-// feature; ablation kinds run feature.Extractor on the same intervals.
-// Incomplete intervals get an empty counter, and the first failing
-// (run, node) job names the error.
+// feature; ablation kinds run feature.Extractor on the same intervals and
+// feed the streamer the markers without their deltas, since they read no
+// counter. Incomplete intervals get an empty counter, and the first
+// failing (run, node) job names the error.
 func ExtractBatchesFor(runs []RunInput, cfg Config, irqs ...int) ([]Batch, error) {
 	allowed := map[int]bool{}
 	for _, id := range cfg.Nodes {
@@ -796,6 +797,7 @@ func ExtractBatchesFor(runs []RunInput, cfg Config, irqs ...int) ([]Batch, error
 		}
 	}
 
+	counters := cfg.Feature == 0 || cfg.Feature == FeatureCounter
 	out := make([]Batch, len(jobs))
 	errs := make([]error, len(jobs))
 	workers := cfg.Parallelism
@@ -809,12 +811,12 @@ func ExtractBatchesFor(runs []RunInput, cfg Config, irqs ...int) ([]Batch, error
 		wg.Add(1)
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			ivs, cnt, err := lifecycle.NewStreamer(jb.nt.NodeID).Keep(irqs...).Replay(jb.nt)
+			ivs, cnt, err := anatomize(jb.nt, counters, irqs)
 			for k := 0; err == nil && k < len(ivs); k++ {
 				switch {
 				case !ivs[k].Complete:
 					cnt[k] = stats.Sparse{}
-				case cfg.Feature != 0 && cfg.Feature != FeatureCounter:
+				case !counters:
 					cnt[k], err = extractFeature(jb.ext, runs[jb.run], cfg.Feature, ivs[k])
 				}
 			}
@@ -832,4 +834,23 @@ func ExtractBatchesFor(runs []RunInput, cfg Config, irqs ...int) ([]Batch, error
 		}
 	}
 	return out, nil
+}
+
+// anatomize finds a node's intervals of the given IRQs, with their
+// instruction counters when counters is set. Without, the markers reach
+// the streamer without deltas: the intervals are the same, the counters
+// empty, and the replay skips the per-PC work.
+func anatomize(nt *trace.NodeTrace, counters bool, irqs []int) ([]lifecycle.Interval, []stats.Sparse, error) {
+	s := lifecycle.NewStreamer(nt.NodeID).Keep(irqs...)
+	if counters {
+		return s.Replay(nt)
+	}
+	for i, m := range nt.Markers {
+		inst := -1
+		if nt.TruthInstance != nil {
+			inst = nt.TruthInstance[i]
+		}
+		s.OnMark(m.Kind, m.Arg, m.Cycle, inst, nil, nil)
+	}
+	return s.Finalize()
 }

@@ -204,13 +204,20 @@ func TestStreamingEquivalenceUnderRandomInterrupts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: replay: %v", seed, err)
 		}
+		restore := lifecycle.SetMinCompact(1)
+		cmpIvs, cmpCnt, err := lifecycle.Replay(nt)
+		restore()
+		if err != nil {
+			t.Fatalf("seed %d: compacting replay: %v", seed, err)
+		}
 
 		for label, got := range map[string]struct {
 			ivs []lifecycle.Interval
 			cnt []stats.Sparse
 		}{
-			"live":   {liveIvs, liveCnt},
-			"replay": {repIvs, repCnt},
+			"live":       {liveIvs, liveCnt},
+			"replay":     {repIvs, repCnt},
+			"compacting": {cmpIvs, cmpCnt},
 		} {
 			if len(got.ivs) != len(wantIvs) {
 				t.Fatalf("seed %d: %s: %d intervals, want %d", seed, label, len(got.ivs), len(wantIvs))

@@ -96,6 +96,11 @@ type Sequence struct {
 	postByOrdinal []int // item index of the k-th postTask
 	runByOrdinal  []int // item index of the k-th runTask
 	postOrdinal   map[int]int
+
+	// noPost is the first runTask item with no post pending, -1 when
+	// none: the runtime cannot emit one, and matching it would pair a run
+	// with a later post.
+	noPost int
 }
 
 // NewSequence builds the analyzable sequence from a recorded node trace,
@@ -106,6 +111,7 @@ func NewSequence(nt *trace.NodeTrace) *Sequence {
 		markers:     nt.Markers,
 		truth:       nt.TruthInstance,
 		postOrdinal: make(map[int]int),
+		noPost:      -1,
 	}
 	for mi, m := range nt.Markers {
 		switch m.Kind {
@@ -117,6 +123,9 @@ func NewSequence(nt *trace.NodeTrace) *Sequence {
 				s.postOrdinal[idx] = len(s.postByOrdinal)
 				s.postByOrdinal = append(s.postByOrdinal, idx)
 			case trace.RunTask:
+				if s.noPost < 0 && len(s.runByOrdinal) == len(s.postByOrdinal) {
+					s.noPost = idx
+				}
 				s.runByOrdinal = append(s.runByOrdinal, idx)
 			}
 		}
@@ -239,6 +248,9 @@ func (s *Sequence) instanceAt(start int) (Interval, error) {
 				complete = false
 				continue
 			}
+			if r < p {
+				return Interval{}, s.noPostErr()
+			}
 			if r > lastRun {
 				lastRun = r
 			}
@@ -306,6 +318,9 @@ func (s *Sequence) Extract() ([]Interval, error) {
 		if it.Kind != trace.Int {
 			continue
 		}
+		if s.noPost >= 0 && i > s.noPost {
+			break
+		}
 		iv, err := s.instanceAt(i)
 		if err != nil {
 			return nil, err
@@ -314,7 +329,14 @@ func (s *Sequence) Extract() ([]Interval, error) {
 		iv.Seq = seq[iv.IRQ]
 		out = append(out, iv)
 	}
+	if s.noPost >= 0 {
+		return nil, s.noPostErr()
+	}
 	return out, nil
+}
+
+func (s *Sequence) noPostErr() error {
+	return fmt.Errorf("%w: runTask at item %d with no post pending", ErrMalformed, s.noPost)
 }
 
 // ExtractTrace runs interval identification over every node of a trace.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sentomist/internal/randx"
 	"sentomist/internal/trace"
@@ -142,6 +143,37 @@ func TestMalformedRunTaskInsideHandler(t *testing.T) {
 	_, err := NewSequence(nt).Extract()
 	if !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
+	}
+}
+
+// TestMalformedRunTaskWithoutPost pins the termination of Extract on a
+// runTask with no post pending, which the runtime cannot emit: FIFO
+// matching pairs it with a later post, and this sequence once sent the
+// Figure-4 expansion round the same post forever. Both anatomizers must
+// reject it without trace.Validate's help.
+func TestMalformedRunTaskWithoutPost(t *testing.T) {
+	kinds := []trace.Kind{trace.RunTask, trace.Int, trace.PostTask, trace.Reti,
+		trace.Int, trace.RunTask, trace.Reti, trace.PostTask}
+	nt := &trace.NodeTrace{NodeID: 1, ProgramLen: len(kinds)}
+	for i, k := range kinds {
+		nt.Markers = append(nt.Markers, trace.Marker{Kind: k, Cycle: uint64(10 * (i + 1)),
+			Deltas: []trace.Delta{{PC: uint16(i), Count: 1}}})
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewSequence(nt).Extract()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("Extract: err = %v, want ErrMalformed", err)
+		}
+		if _, _, serr := Replay(nt); serr == nil || serr.Error() != err.Error() {
+			t.Fatalf("Replay: err = %v, want %v", serr, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Extract did not return within 5 s")
 	}
 }
 

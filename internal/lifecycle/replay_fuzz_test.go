@@ -2,6 +2,7 @@ package lifecycle_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -51,7 +52,8 @@ func decodeFuzzMarkers(progLen int, data []byte) []trace.Marker {
 // (kept to one IRQ when keep is nonzero) and the two-pass reference,
 // NewSequence(nt).Extract() plus Extractor.CounterSparse, must find the
 // same intervals with bit-identical counters, or both fail with the same
-// ErrMalformed error.
+// ErrMalformed error; the streamer must also agree with itself when it
+// compacts its log at every doubling.
 func FuzzReplayMatchesExtract(f *testing.F) {
 	f.Fuzz(func(t *testing.T, progLen uint16, keep byte, data []byte) {
 		nt := &trace.NodeTrace{NodeID: 1, ProgramLen: int(progLen), Markers: decodeFuzzMarkers(int(progLen), data)}
@@ -64,6 +66,17 @@ func FuzzReplayMatchesExtract(f *testing.F) {
 			s.Keep(int(keep))
 		}
 		got, cnt, gotErr := s.Replay(nt)
+		// The same streamer compacting its log at every doubling.
+		restore := lifecycle.SetMinCompact(1)
+		c := lifecycle.NewStreamer(nt.NodeID)
+		if keep != 0 {
+			c.Keep(int(keep))
+		}
+		cGot, cCnt, cErr := c.Replay(nt)
+		restore()
+		if !reflect.DeepEqual(cGot, got) || !reflect.DeepEqual(cCnt, cnt) || fmt.Sprint(cErr) != fmt.Sprint(gotErr) {
+			t.Fatalf("compacting replay diverges:\n got: %+v %+v %v\nwant: %+v %+v %v", cGot, cCnt, cErr, got, cnt, gotErr)
+		}
 		if wantErr != nil || gotErr != nil {
 			if !errors.Is(wantErr, lifecycle.ErrMalformed) || !errors.Is(gotErr, lifecycle.ErrMalformed) ||
 				wantErr.Error() != gotErr.Error() {

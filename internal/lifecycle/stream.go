@@ -25,37 +25,58 @@ import (
 	"sentomist/internal/trace"
 )
 
-// Counters. The streamer keeps one running total per PC. At an interval's
-// first touch of a PC in its window it records the total, which still
-// equals the total at window start; at close or snapshot it subtracts. An
-// open interval thus holds what its window touched, a streamer O(ProgramLen)
-// however many intervals are open. The totals are uint64 integer sums, so
-// each difference is the exact window sum; Extractor.CounterSparse adds the
-// same deltas in float64, exact below 2^53, so the counters are bit-identical.
+// Counters. The streamer keeps one running total per PC and the marker that
+// last added to it. An open interval has one or two boundaries: its window
+// start and, while posts are pending, its tentative end (see ivState). The
+// first addition to a PC after the latest boundary appends an entry to a
+// log all intervals share: the PC, its total before the addition — still
+// its total at every boundary since its previous addition — and that
+// previous addition's marker. An interval's counter over (start, end] is
+// the entries logged between its two boundaries whose PC was last added at
+// or before the start, each subtracted from the PC's total at the end (the
+// current total, or the total rewound to a tentative end in Finalize).
+// Each addition logs at most one entry however many intervals are open,
+// and compaction drops entries no live boundary needs, leaving at most one
+// per PC per live boundary: the state is bounded by both the deltas since
+// the oldest open interval began and ProgramLen times the open intervals.
+// The totals are uint64 integer sums, so each difference is the exact
+// window sum; Extractor.CounterSparse adds the same deltas in float64,
+// exact below 2^53, so the counters are bit-identical.
 
-// firstTouch is a PC an open window executed, with its total before then.
-type firstTouch struct {
+// logEntry is a PC's first addition after a boundary. A boundary is 1 + the
+// index of its marker; the entry covers the boundaries in [prev, at), where
+// the PC's total was base.
+type logEntry struct {
 	pc   int32
-	base uint64
+	prev int    // 1 + the marker of the PC's previous addition; 0 = none
+	at   int    // 1 + the marker of this addition
+	base uint64 // the PC's total before this addition
 }
 
-// window is an open interval's counter state.
-type window struct {
-	from    int          // 1 + the opening marker: a PC with last[pc] <= from is untouched
-	touched []firstTouch // sorted by PC at each snapshot and close
-	// The counter at the tentative end (see ivState), in buffers reused
-	// across snapshots.
-	snapIdx []int32
-	snapVal []float64
-}
+// minCompact is the log length below which compaction is not worth a pass
+// (a variable so tests can compact small logs).
+var minCompact = 4096
 
 // buffers is a streamer's recyclable storage; between uses last is all-zero
 // over its capacity and st is empty. Only differences of total are read.
 type buffers struct {
 	total []uint64 // running per-PC count
 	last  []int    // 1 + the index of the marker that last added to the PC; 0 = never
+	log   []logEntry
 	st    []ivState
-	free  []*window // released windows
+	bnd   []bound   // compaction scratch
+	pcs   []pcCount // counter scratch
+}
+
+// bound is a live boundary and the log position to rebase on compaction.
+type bound struct {
+	at  int
+	pos *int
+}
+
+type pcCount struct {
+	pc int32
+	n  uint64
 }
 
 // bufPool recycles streamer buffers: campaigns and core.Mine create a
@@ -80,18 +101,19 @@ type ivState struct {
 	// before any task of the instance ran).
 	lastRunItem int
 
-	// win is the interval's counter state; nil for filtered intervals.
-	win *window
+	// from is the window-start boundary, 1 + the opening marker, and
+	// fromPos the log length then (counted intervals only).
+	from, fromPos int
 
 	// Tentative end: where the interval would end if the run truncated
 	// now — the materialized algorithm's reti end (no owned task ran) or
 	// taskEnd end (posts still pending) with Complete=false. A later
-	// owned runTask discards it. The counter at the tentative end lives
-	// in win.snapIdx/win.snapVal.
-	snapOK             bool
-	snapItem, snapMark int
-	snapCycle          uint64
-	snapTask           bool
+	// owned runTask discards it. Its boundary is snapMark+1, at log
+	// position snapPos; Finalize reads the counter there.
+	snapOK                      bool
+	snapItem, snapMark, snapPos int
+	snapCycle                   uint64
+	snapTask                    bool
 }
 
 // Streamer is the online anatomizer for one node. Feed it markers via
@@ -110,8 +132,11 @@ type Streamer struct {
 	// handlers is the pushdown automaton's stack of open int-reti
 	// strings, bottom = earliest; values are interval slots.
 	handlers []int
-	// openSlots lists the slots still accumulating deltas.
+	// openSlots lists the counted slots still open, in opening order.
 	openSlots []int
+	// latest is the most recent boundary, 0 when no interval is open;
+	// compactAt is the log length that triggers compaction.
+	latest, compactAt int
 
 	postOrd, runOrd int
 	// postOwner maps a pending Criterion-1 post ordinal to the slot of
@@ -173,8 +198,9 @@ func (s *Streamer) Keep(irqs ...int) *Streamer {
 }
 
 // OnMark implements trace.StreamSink: consume one marker and its delta.
+// It does nothing after Finalize.
 func (s *Streamer) OnMark(kind trace.Kind, arg int, cycle uint64, instance int, touched []uint16, counts []uint32) {
-	if s.err != nil {
+	if s.err != nil || s.buffers == nil {
 		return
 	}
 	if s.dim < 0 {
@@ -188,6 +214,7 @@ func (s *Streamer) OnMark(kind trace.Kind, arg int, cycle uint64, instance int, 
 
 func (s *Streamer) grow(dim int) {
 	s.dim = dim
+	s.compactAt = minCompact
 	s.total = slices.Grow(s.total[:0], dim)[:dim]
 	s.last = slices.Grow(s.last[:0], dim)[:dim]
 }
@@ -199,10 +226,10 @@ func (s *Streamer) add(pc uint16, c uint32) {
 	if c == 0 {
 		return
 	}
-	last := s.last[pc]
-	for _, slot := range s.openSlots {
-		if w := s.st[slot].win; last <= w.from {
-			w.touched = append(w.touched, firstTouch{pc: int32(pc), base: s.total[pc]})
+	if prev := s.last[pc]; s.latest > 0 && prev <= s.latest {
+		s.log = append(s.log, logEntry{pc: int32(pc), prev: prev, at: s.markers + 1, base: s.total[pc]})
+		if len(s.log) >= s.compactAt {
+			s.compact()
 		}
 	}
 	s.total[pc] += uint64(c)
@@ -243,7 +270,8 @@ func (s *Streamer) step(kind trace.Kind, arg int, cycle uint64, instance int) {
 				Truth:       instance,
 			})
 			s.cnt = append(s.cnt, stats.Sparse{})
-			st.win = s.openWindow(m + 1)
+			st.from, st.fromPos = m+1, len(s.log)
+			s.latest = m + 1
 			s.openSlots = append(s.openSlots, slot)
 		}
 		s.st = append(s.st, st)
@@ -276,6 +304,10 @@ func (s *Streamer) step(kind trace.Kind, arg int, cycle uint64, instance int) {
 				ErrMalformed, i, s.st[s.handlers[0]].startItem)
 			return
 		}
+		if s.runOrd == s.postOrd {
+			s.err = fmt.Errorf("%w: runTask at item %d with no post pending", ErrMalformed, i)
+			return
+		}
 		k := s.runOrd
 		s.runOrd++
 		owner := -1
@@ -289,7 +321,7 @@ func (s *Streamer) step(kind trace.Kind, arg int, cycle uint64, instance int) {
 			st := &s.st[owner]
 			st.openPosts--
 			st.lastRunItem = i
-			s.dropSnapshot(st)
+			st.snapOK = false
 		}
 
 	case trace.Reti:
@@ -328,84 +360,77 @@ func (s *Streamer) step(kind trace.Kind, arg int, cycle uint64, instance int) {
 	}
 }
 
-func (s *Streamer) openWindow(from int) *window {
-	var w *window
-	if n := len(s.free); n > 0 {
-		w, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		w = new(window)
+// compact drops the log entries that cover no live boundary and rebases
+// the live boundaries' log positions.
+func (s *Streamer) compact() {
+	b := s.bnd[:0]
+	for _, slot := range s.openSlots {
+		st := &s.st[slot]
+		b = append(b, bound{at: st.from, pos: &st.fromPos})
+		if st.snapOK {
+			b = append(b, bound{at: st.snapMark + 1, pos: &st.snapPos})
+		}
 	}
-	w.from = from
-	return w
+	// Boundaries were logged in marker order, so positions rise with at.
+	slices.SortFunc(b, func(x, y bound) int { return cmp.Compare(x.at, y.at) })
+	n, j := 0, 0
+	for i, e := range s.log {
+		for ; j < len(b) && *b[j].pos <= i; j++ {
+			*b[j].pos = n
+		}
+		k, _ := slices.BinarySearchFunc(b, e.prev, func(x bound, t int) int { return cmp.Compare(x.at, t) })
+		if k < len(b) && b[k].at < e.at {
+			s.log[n] = e
+			n++
+		}
+	}
+	for ; j < len(b); j++ {
+		*b[j].pos = n
+	}
+	s.log = s.log[:n]
+	clear(b)
+	s.bnd = b[:0]
+	s.compactAt = max(2*n, minCompact)
 }
 
-func sortTouched(w *window) {
-	slices.SortFunc(w.touched, func(a, b firstTouch) int { return cmp.Compare(a.pc, b.pc) })
-}
-
-// sparsify emits the interval's counter as a sorted sparse vector — the
-// exact output of Extractor.CounterSparse.
-func (s *Streamer) sparsify(st *ivState) stats.Sparse {
-	w := st.win
-	if w == nil {
-		return stats.Sparse{}
+// counter reads an interval's counter off the log up to position end, its
+// end boundary, against the totals there: the current totals for the
+// present, rewound ones for a tentative end. The result is sorted by PC —
+// the exact output of Extractor.CounterSparse.
+func (s *Streamer) counter(st *ivState, end int) stats.Sparse {
+	pcs := s.pcs[:0]
+	for _, e := range s.log[st.fromPos:end] {
+		if e.prev <= st.from {
+			pcs = append(pcs, pcCount{pc: e.pc, n: s.total[e.pc] - e.base})
+		}
 	}
-	sortTouched(w)
+	slices.SortFunc(pcs, func(a, b pcCount) int { return cmp.Compare(a.pc, b.pc) })
 	out := stats.Sparse{
-		Idx: make([]int32, len(w.touched)),
-		Val: make([]float64, len(w.touched)),
+		Idx: make([]int32, len(pcs)),
+		Val: make([]float64, len(pcs)),
 		Dim: s.dim,
 	}
-	for i, t := range w.touched {
-		out.Idx[i] = t.pc
-		out.Val[i] = float64(s.total[t.pc] - t.base)
+	for i, p := range pcs {
+		out.Idx[i] = p.pc
+		out.Val[i] = float64(p.n)
 	}
+	s.pcs = pcs[:0]
 	return out
 }
 
-func (s *Streamer) releaseWindow(st *ivState) {
-	if w := st.win; w != nil {
-		w.touched = w.touched[:0]
-		s.free = append(s.free, w)
-		st.win = nil
-	}
-}
-
-// snapshot records the tentative end and copies the current counter into
-// the window's reusable snapshot buffers. The copy — not an allocation —
-// is the cost of the common snapshot-then-discard cycle: every interval
-// whose posts are still queued at its reti passes through here.
+// snapshot records the tentative end; Finalize reads its counter if it
+// still stands then.
 func (s *Streamer) snapshot(slot, endItem, endMarker int, cycle uint64, endsWithTask bool) {
 	st := &s.st[slot]
-	if w := st.win; w != nil {
-		sortTouched(w)
-		w.snapIdx, w.snapVal = w.snapIdx[:0], w.snapVal[:0]
-		for _, t := range w.touched {
-			w.snapIdx = append(w.snapIdx, t.pc)
-			w.snapVal = append(w.snapVal, float64(s.total[t.pc]-t.base))
-		}
+	if st.out >= 0 {
+		st.snapPos = len(s.log)
+		s.latest = endMarker + 1
 	}
 	st.snapOK = true
 	st.snapItem = endItem
 	st.snapMark = endMarker
 	st.snapCycle = cycle
 	st.snapTask = endsWithTask
-}
-
-// snapSparse materializes the snapshot buffers as the interval's counter.
-func (s *Streamer) snapSparse(st *ivState) stats.Sparse {
-	if st.win == nil {
-		return stats.Sparse{}
-	}
-	return stats.Sparse{
-		Idx: append([]int32{}, st.win.snapIdx...),
-		Val: append([]float64{}, st.win.snapVal...),
-		Dim: s.dim,
-	}
-}
-
-func (s *Streamer) dropSnapshot(st *ivState) {
-	st.snapOK = false
 }
 
 func (s *Streamer) finalize(slot, endItem, endMarker int, cycle uint64, endsWithTask, complete bool) {
@@ -417,17 +442,15 @@ func (s *Streamer) finalize(slot, endItem, endMarker int, cycle uint64, endsWith
 		iv.EndCycle = cycle
 		iv.EndsWithTask = endsWithTask
 		iv.Complete = complete
-		s.cnt[st.out] = s.sparsify(st)
-	}
-	s.releaseWindow(st)
-	s.dropSnapshot(st)
-	st.open = false
-	for i, o := range s.openSlots {
-		if o == slot {
-			s.openSlots = append(s.openSlots[:i], s.openSlots[i+1:]...)
-			break
+		s.cnt[st.out] = s.counter(st, len(s.log))
+		s.openSlots = slices.DeleteFunc(s.openSlots, func(o int) bool { return o == slot })
+		if len(s.openSlots) == 0 {
+			s.log = s.log[:0]
+			s.latest = 0
 		}
 	}
+	st.snapOK = false
+	st.open = false
 }
 
 // Finalize closes the stream: intervals still in flight are marked
@@ -436,50 +459,62 @@ func (s *Streamer) finalize(slot, endItem, endMarker int, cycle uint64, endsWith
 // order of its opening int(n) item, the matching sparse counters, and the
 // first malformed-sequence error if one occurred.
 //
-// Call once, after the run's last marker.
+// Call it after the run's last marker; later calls return the same result.
 func (s *Streamer) Finalize() ([]Interval, []stats.Sparse, error) {
 	if s.err != nil {
 		s.release()
 		return nil, nil, s.err
 	}
+	if s.buffers == nil {
+		return s.ivs, s.cnt, nil
+	}
+	snaps := s.openSlots[:0] // reused: slots whose tentative end stands
 	for slot := range s.st {
 		st := &s.st[slot]
 		if !st.open {
 			continue
 		}
-		if st.out >= 0 {
-			iv := &s.ivs[st.out]
-			iv.Complete = false
-			switch {
-			case st.handlerOpen:
-				// Handler still running at trace end.
-				iv.EndItem = s.items - 1
-				iv.EndMarker = s.markers - 1
-				iv.EndCycle = s.lastCycle
-				s.cnt[st.out] = s.sparsify(st)
-			case st.snapOK:
-				// The tentative end stands: pending posts never ran past
-				// it.
-				iv.EndItem = st.snapItem
-				iv.EndMarker = st.snapMark
-				iv.EndCycle = st.snapCycle
-				iv.EndsWithTask = st.snapTask
-				s.cnt[st.out] = s.snapSparse(st)
-			default:
-				// An owned task ran but its TaskEnd never arrived (run
-				// ended mid-task): the window extends to the trace end.
-				iv.EndItem = st.lastRunItem
-				iv.EndMarker = s.markers - 1
-				iv.EndCycle = s.lastCycle
-				iv.EndsWithTask = true
-				s.cnt[st.out] = s.sparsify(st)
-			}
-		}
-		s.releaseWindow(st)
-		s.dropSnapshot(st)
 		st.open = false
+		if st.out < 0 {
+			continue
+		}
+		iv := &s.ivs[st.out]
+		iv.Complete = false
+		switch {
+		case st.handlerOpen:
+			// Handler still running at trace end.
+			iv.EndItem = s.items - 1
+		case st.snapOK:
+			// The tentative end stands: pending posts never ran past
+			// it.
+			iv.EndItem = st.snapItem
+			iv.EndMarker = st.snapMark
+			iv.EndCycle = st.snapCycle
+			iv.EndsWithTask = st.snapTask
+			snaps = append(snaps, slot)
+			continue
+		default:
+			// An owned task ran but its TaskEnd never arrived (run
+			// ended mid-task): the window extends to the trace end.
+			iv.EndItem = st.lastRunItem
+			iv.EndsWithTask = true
+		}
+		iv.EndMarker = s.markers - 1
+		iv.EndCycle = s.lastCycle
+		s.cnt[st.out] = s.counter(st, len(s.log))
 	}
-	s.openSlots = s.openSlots[:0]
+	// Tentative ends, latest first, rewinding the totals on the way: a PC's
+	// first entry after a live boundary holds its total there.
+	slices.SortFunc(snaps, func(a, b int) int { return cmp.Compare(s.st[b].snapPos, s.st[a].snapPos) })
+	i := len(s.log)
+	for _, slot := range snaps {
+		st := &s.st[slot]
+		for ; i > st.snapPos; i-- {
+			s.total[s.log[i-1].pc] = s.log[i-1].base
+		}
+		s.cnt[st.out] = s.counter(st, st.snapPos)
+	}
+	s.openSlots = snaps[:0]
 	s.release()
 	return s.ivs, s.cnt, nil
 }
@@ -491,6 +526,7 @@ func (s *Streamer) release() {
 	}
 	s.buffers = nil
 	clear(b.last)
+	b.log = b.log[:0]
 	b.st = b.st[:0]
 	bufPool.Put(b)
 }
@@ -498,6 +534,9 @@ func (s *Streamer) release() {
 // Replay feeds a recorded node trace to a fresh streamer, in place of
 // OnMark, and finalizes it: how core.Mine anatomizes recorded runs.
 func (s *Streamer) Replay(nt *trace.NodeTrace) ([]Interval, []stats.Sparse, error) {
+	if s.buffers == nil {
+		return s.Finalize()
+	}
 	s.grow(nt.ProgramLen)
 	for i, m := range nt.Markers {
 		for _, d := range m.Deltas {

@@ -31,8 +31,17 @@ func handBuilt(kinds []trace.Kind, args []int) *trace.NodeTrace {
 }
 
 // checkStreamEquivalence asserts the online anatomizer produces the same
-// intervals and bit-identical counters as the two-pass reference on nt.
+// intervals and bit-identical counters as the two-pass reference on nt,
+// with the default log compaction and with compaction at every doubling.
 func checkStreamEquivalence(t *testing.T, label string, nt *trace.NodeTrace) {
+	t.Helper()
+	checkStreamEquivalenceOnce(t, label, nt)
+	restore := lifecycle.SetMinCompact(1)
+	defer restore()
+	checkStreamEquivalenceOnce(t, label+" (compacting)", nt)
+}
+
+func checkStreamEquivalenceOnce(t *testing.T, label string, nt *trace.NodeTrace) {
 	t.Helper()
 	wantIvs, wantErr := lifecycle.NewSequence(nt).Extract()
 	gotIvs, gotCnt, gotErr := lifecycle.Replay(nt)
@@ -88,6 +97,8 @@ func TestStreamerMatchesExtractHandBuilt(t *testing.T) {
 		{"trunc_nested_open", []trace.Kind{I, I}, []int{3, 4}},
 		{"malformed_run_in_handler", []trace.Kind{I, R}, []int{3, 0}},
 		{"malformed_nested", []trace.Kind{I, T, I, I, R}, []int{3, 0, 4, 5, 0}},
+		{"malformed_run_without_post", []trace.Kind{R, I, P, T, I, R, T, P}, []int{0, 3, 0, 0, 3, 0, 0, 0}},
+		{"malformed_run_after_posts_ran", []trace.Kind{I, P, T, R, E, R}, []int{3, 0, 0, 0, 0, 0}},
 	}
 	for _, tc := range cases {
 		checkStreamEquivalence(t, tc.name, handBuilt(tc.kinds, tc.args))
@@ -174,6 +185,35 @@ func TestReplayReusesBuffers(t *testing.T) {
 	t.Logf("steady-state Replay: %.0f allocs", allocs)
 	if allocs > replayAllocs {
 		t.Errorf("steady-state Replay allocates %.0f times, want at most %d: buffers are not reused", allocs, replayAllocs)
+	}
+}
+
+// TestStreamerFinalizeTwice pins Finalize's result as final: a second
+// Finalize returns it again, and markers after the first are ignored,
+// though the first call returned the streamer's buffers to the pool.
+func TestStreamerFinalizeTwice(t *testing.T) {
+	P, R, I, T, E := trace.PostTask, trace.RunTask, trace.Int, trace.Reti, trace.TaskEnd
+	nt := handBuilt([]trace.Kind{I, P, T, R, E, I}, []int{3, 0, 0, 0, 0, 4})
+	s := lifecycle.NewStreamer(nt.NodeID)
+	ivs, cnt, err := s.Replay(nt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.OnMark(trace.Reti, 0, 1000, -1, nil, make([]uint32, nt.ProgramLen))
+	ivs2, cnt2, err2 := s.Finalize()
+	if err2 != nil || !reflect.DeepEqual(ivs2, ivs) || !reflect.DeepEqual(cnt2, cnt) {
+		t.Fatalf("second Finalize: %+v %+v %v, want %+v %+v", ivs2, cnt2, err2, ivs, cnt)
+	}
+
+	bad := lifecycle.NewStreamer(1)
+	bad.OnMark(I, 3, 10, -1, nil, make([]uint32, 4))
+	bad.OnMark(R, 0, 20, -1, nil, make([]uint32, 4))
+	_, _, err = bad.Finalize()
+	if !errors.Is(err, lifecycle.ErrMalformed) {
+		t.Fatalf("err = %v, want ErrMalformed", err)
+	}
+	if _, _, err2 := bad.Finalize(); err2 == nil || err2.Error() != err.Error() {
+		t.Fatalf("second Finalize: err = %v, want %v", err2, err)
 	}
 }
 
