@@ -37,8 +37,8 @@ bench-svm:
 bench-online:
 	$(GO) test -run xxx -bench 'BenchmarkOnlineMine|BenchmarkOnlineIngest' -benchmem -timeout 60m ./internal/core/
 
-# The record-phase benchmark of the multihop chain: sequential vs
-# conservative parallel sections across worker counts.
+# The record-phase benchmark of the multihop chain: the lockstep oracle
+# vs the production engine with conservative-lookahead sections.
 bench-record:
 	$(GO) test -run xxx -bench 'BenchmarkRecordParallelNodes' -benchmem -timeout 30m ./internal/synth/
 

@@ -124,10 +124,11 @@ func TestUsageErrors(t *testing.T) {
 		{"rank", "-irq", "4", "-nodes", "1", "-online-irqs", "1", tracePath},
 		{"rank", "-irq", "4", "-nodes", "1", "-online-topk", "3", tracePath},
 		{"case", "-case", "IV"},
-		// Node parallelism is a soak flag only.
+		// No command selects the scheduler.
 		{"record", "-case", "II", "-out", tracePath, "-node-workers", "2"},
 		{"bench", "-node-workers", "2"},
 		{"experiments", "-node-workers", "2"},
+		{"soak", "-node-workers", "2"},
 	} {
 		code, stdout, stderr := runCLI(args...)
 		if code != 2 || !strings.Contains(stderr, "usage: sentomist") {

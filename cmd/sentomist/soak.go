@@ -28,7 +28,6 @@ type soakOptions struct {
 	mineIRQ     int
 	svmCacheMB  int
 	onlineCheck bool
-	nodeWorkers int
 	parCheck    bool
 }
 
@@ -48,8 +47,7 @@ func soakCmd(fs *flag.FlagSet) runFunc {
 	fs.IntVar(&o.mineIRQ, "mine-irq", 0, "also mine every run's intervals of this event type and cross-check the SVM ranking at the -svm-cache-mb kernel column budget against the default budget, which keeps every column resident, bitwise (0 = off)")
 	fs.IntVar(&o.svmCacheMB, "svm-cache-mb", 1, "kernel column cache budget (MiB) for the small-budget side of the -mine-irq cross-check; columns are evicted once the distinct counters outgrow it")
 	fs.BoolVar(&o.onlineCheck, "online-check", false, "additionally run every -mine-irq problem through the online miner (an exact refit after every batch, delta refits, a second event type; spilled and in-memory passes) and require every finalized ranking to be bit-identical to one-shot MineBatches")
-	fs.BoolVar(&o.parCheck, "par-check", false, "record every scenario twice — on lockstep rounds and with conservative-lookahead sections — and require the serialized traces to be byte-identical")
-	fs.IntVar(&o.nodeWorkers, "node-workers", 0, "turn on the emulator's conservative-lookahead sections for every recording (sim.Config.Sections): 0 or 1 keeps them off, any other value turns them on; sections run on the scheduler goroutine, and traces and all results are byte-identical at any setting")
+	fs.BoolVar(&o.parCheck, "par-check", false, "re-record every scenario on the lockstep oracle (the emulator with conservative-lookahead sections off) and require its serialized trace to be byte-identical to the production recording")
 	return func(_ []string, stdout, _ io.Writer) error { return soak(stdout, o) }
 }
 
@@ -63,16 +61,10 @@ func soak(w io.Writer, o soakOptions) error {
 	for i := 0; i < o.runs; i++ {
 		s := o.seed + uint64(i)
 		cfg := synth.Config{
-			Seed:        s,
-			MaxNodes:    6,
-			ExactNodes:  o.nodes,
-			Seconds:     o.seconds,
-			NodeWorkers: o.nodeWorkers,
-		}
-		if o.parCheck {
-			// The primary recording is the sequential reference; the
-			// parallel re-recording below must match it byte for byte.
-			cfg.NodeWorkers = 0
+			Seed:       s,
+			MaxNodes:   6,
+			ExactNodes: o.nodes,
+			Seconds:    o.seconds,
 		}
 		r, err := synth.Generate(cfg)
 		if err != nil {
@@ -83,11 +75,9 @@ func soak(w io.Writer, o soakOptions) error {
 		}
 		addStats(&stats, r.Stats)
 		if o.parCheck {
-			parStats, err := verifyParallel(cfg, r)
-			if err != nil {
+			if err := verifyLockstep(cfg, r); err != nil {
 				return fmt.Errorf("seed %d: %w", s, err)
 			}
-			addStats(&stats, parStats)
 		}
 		for _, nt := range r.Trace.Nodes {
 			totalMarkers += len(nt.Markers)
@@ -138,9 +128,9 @@ func soak(w io.Writer, o soakOptions) error {
 			totalOnline, totalRefits)
 	}
 	if o.parCheck {
-		fmt.Fprintln(w, "parallel cross-check: every serialized trace byte-identical with sections on")
+		fmt.Fprintln(w, "lockstep cross-check: every serialized trace byte-identical to the lockstep oracle")
 	}
-	if (o.nodeWorkers != 0 && o.nodeWorkers != 1) || o.parCheck {
+	if stats.ParallelSections > 0 {
 		printSchedStats(w, "scheduler", stats)
 	}
 	return nil
@@ -157,29 +147,28 @@ func addStats(total *sim.Stats, s sim.Stats) {
 	total.StagedEvents += s.StagedEvents
 }
 
-// verifyParallel re-records the scenario with sections on and
-// requires the serialized trace to be byte-identical to the sequential
-// reference already recorded (the trace-equivalence gate of the scheduler,
-// on live random topologies). It returns the re-recording's scheduler
-// counters.
-func verifyParallel(cfg synth.Config, ref *apps.Run) (sim.Stats, error) {
-	cfg.NodeWorkers = 2 // any value but 0 and 1 turns sections on
-	par, err := synth.Generate(cfg)
+// verifyLockstep re-records the scenario on the lockstep oracle and
+// requires its serialized trace to be byte-identical to the production
+// recording r (the trace-equivalence gate of the section scheduler, on live
+// random topologies).
+func verifyLockstep(cfg synth.Config, r *apps.Run) error {
+	cfg.Lockstep = true
+	ref, err := synth.Generate(cfg)
 	if err != nil {
-		return sim.Stats{}, fmt.Errorf("sections on: %w", err)
+		return fmt.Errorf("lockstep oracle: %w", err)
 	}
 	var a, b bytes.Buffer
 	if err := ref.Trace.WriteBinary(&a); err != nil {
-		return sim.Stats{}, err
+		return err
 	}
-	if err := par.Trace.WriteBinary(&b); err != nil {
-		return sim.Stats{}, err
+	if err := r.Trace.WriteBinary(&b); err != nil {
+		return err
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		return sim.Stats{}, fmt.Errorf("sections on: trace diverges from lockstep (%d vs %d bytes)",
+		return fmt.Errorf("trace diverges from the lockstep oracle (%d vs %d bytes)",
 			b.Len(), a.Len())
 	}
-	return par.Stats, nil
+	return nil
 }
 
 // verifyMine ranks one run's intervals with the SVM at the default kernel

@@ -125,19 +125,19 @@ type builder struct {
 	net   *medium.Network
 	nodes []*node.Node
 	run   *Run
-	// reference runs the scenario on the single-step reference engine
-	// (sim.NewReference) instead of the batched event-horizon engine; used
-	// by differential tests.
-	reference bool
-	// sections turns on the scheduler's conservative-lookahead sections
-	// (sim.Config.Sections).
-	sections bool
+	eng   engine
 }
 
-// sectionsFor maps a node-worker count, the knob's historical form, to the
-// sections switch: 0 and 1 keep sections off, any other value turns them
-// on. Sections run on the scheduler goroutine whatever the count.
-func sectionsFor(workers int) bool { return workers != 0 && workers != 1 }
+// engine selects the scheduler a builder runs on. The zero value is the
+// production engine; the others are oracles for differential tests, which
+// must serialize byte-identical traces.
+type engine uint8
+
+const (
+	production      engine = iota // sim.New: event horizon with sections
+	lockstepOracle                // sim.NewLockstep: sections off
+	referenceOracle               // sim.NewReference: single-step, fixed quantum
+)
 
 // RNG-split keys of the builder's derived streams. The network's stream is
 // split first (in newBuilder), each node's sensor stream on ADC attach;
@@ -148,14 +148,13 @@ const (
 	sensorSplitKey = 0x5e45
 )
 
-func newBuilder(seed uint64, sections, reference bool) *builder {
+func newBuilder(seed uint64, eng engine) *builder {
 	rng := randx.New(seed)
 	return &builder{
-		seed:      seed,
-		rng:       rng,
-		net:       medium.NewNetwork(rng.Split(netSplitKey)),
-		sections:  sections,
-		reference: reference,
+		seed: seed,
+		rng:  rng,
+		net:  medium.NewNetwork(rng.Split(netSplitKey)),
+		eng:  eng,
 		run: &Run{
 			Programs: make(map[int]*isa.Program),
 			Vars:     make(map[int]map[string]uint16),
@@ -231,12 +230,14 @@ func (b *builder) addNode(id int, prog *asm.Result, o nodeOpts) (*node.Node, err
 // execute runs the scenario for the given number of seconds and collects
 // the trace.
 func (b *builder) execute(seconds float64) (*Run, error) {
-	var s *sim.Sim
-	if b.reference {
-		s = sim.NewReference(b.seed, b.nodes, b.net)
-	} else {
-		s = sim.New(sim.Config{Seed: b.seed, Sections: b.sections}, b.nodes, b.net)
+	newSim := sim.New
+	switch b.eng {
+	case lockstepOracle:
+		newSim = sim.NewLockstep
+	case referenceOracle:
+		newSim = sim.NewReference
 	}
+	s := newSim(b.seed, b.nodes, b.net)
 	cycles := uint64(seconds * CyclesPerSecond)
 	if err := s.Run(cycles); err != nil {
 		return nil, err

@@ -12,13 +12,13 @@ import (
 	"sentomist/internal/trace"
 )
 
-func benchOscilloscope(b *testing.B, reference bool) {
+func benchOscilloscope(b *testing.B, eng engine) {
 	b.Helper()
 	const seconds = 10
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunOscilloscope(OscConfig{
-			PeriodMS: 20, Seconds: seconds, Seed: 100, reference: reference,
+			PeriodMS: 20, Seconds: seconds, Seed: 100, engine: eng,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -29,8 +29,8 @@ func benchOscilloscope(b *testing.B, reference bool) {
 // BenchmarkOscilloscopeRun: one full 10-second oscilloscope simulation per
 // iteration.
 func BenchmarkOscilloscopeRun(b *testing.B) {
-	b.Run("batched", func(b *testing.B) { benchOscilloscope(b, false) })
-	b.Run("reference", func(b *testing.B) { benchOscilloscope(b, true) })
+	b.Run("batched", func(b *testing.B) { benchOscilloscope(b, production) })
+	b.Run("reference", func(b *testing.B) { benchOscilloscope(b, referenceOracle) })
 }
 
 // BenchmarkSimulateCaseI measures the record phase alone: the five pooled
@@ -42,7 +42,7 @@ func BenchmarkOscilloscopeRun(b *testing.B) {
 // both produce byte-identical traces (TestEngineDifferential).
 func BenchmarkSimulateCaseI(b *testing.B) {
 	periods := []int{20, 40, 60, 80, 100}
-	simulate := func(b *testing.B, reference bool) {
+	simulate := func(b *testing.B, eng engine) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			errs := make([]error, len(periods))
@@ -52,7 +52,7 @@ func BenchmarkSimulateCaseI(b *testing.B) {
 				go func(j, d int) {
 					defer wg.Done()
 					_, errs[j] = RunOscilloscope(OscConfig{
-						PeriodMS: d, Seconds: 10, Seed: 100 + uint64(j), reference: reference,
+						PeriodMS: d, Seconds: 10, Seed: 100 + uint64(j), engine: eng,
 					})
 				}(j, d)
 			}
@@ -66,8 +66,8 @@ func BenchmarkSimulateCaseI(b *testing.B) {
 		simSeconds := 10.0 * float64(len(periods))
 		b.ReportMetric(simSeconds*float64(b.N)/b.Elapsed().Seconds(), "sim_s/host_s")
 	}
-	b.Run("batched", func(b *testing.B) { simulate(b, false) })
-	b.Run("reference", func(b *testing.B) { simulate(b, true) })
+	b.Run("batched", func(b *testing.B) { simulate(b, production) })
+	b.Run("reference", func(b *testing.B) { simulate(b, referenceOracle) })
 }
 
 // nopSink consumes streamed markers and keeps nothing.

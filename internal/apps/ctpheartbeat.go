@@ -378,13 +378,9 @@ type CTPConfig struct {
 	Seed uint64
 	// Fixed selects the FAIL-handling variant.
 	Fixed bool
-	// reference runs the whole scenario on the single-step reference
-	// engine, for differential testing against the batched engine.
-	reference bool
-	// nodeWorkers turns on conservative-lookahead sections unless it is
-	// 0 or 1 (see sectionsFor), for differential testing against the
-	// lockstep rounds.
-	nodeWorkers int
+	// engine selects a differential-testing oracle; the zero value is
+	// the production engine.
+	engine engine
 	// Stream installs per-node streaming sinks; DiscardMarkers drops
 	// markers from the materialized trace (see OscConfig).
 	Stream         map[int]trace.StreamSink
@@ -411,7 +407,7 @@ func runCTPHeartbeat(cfg CTPConfig, loss float64) (*Run, error) {
 		isSource[id] = true
 	}
 
-	b := newBuilder(cfg.Seed, sectionsFor(cfg.nodeWorkers), cfg.reference)
+	b := newBuilder(cfg.Seed, cfg.engine)
 	if _, err := b.addNode(CTPRootID, rootProg, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[CTPRootID], discard: cfg.DiscardMarkers,

@@ -1,9 +1,9 @@
 package apps
 
 // Differential testing of the emulation engines: every application scenario
-// is executed twice — once on the batched event-horizon engine (the
-// default) and once on the single-step fixed-quantum reference engine
-// (reference: true) — and the two traces must be byte-identical after
+// is executed twice — once on the production engine (batched, event
+// horizon, sections on) and once on the single-step fixed-quantum reference
+// engine (referenceOracle) — and the two traces must be byte-identical after
 // serialization. This is the hard equivalence bar of the fast front-end:
 // predecoded dispatch, basic-block batching, loop folding, and event-horizon
 // scheduling are all pure optimizations with no observable effect.
@@ -19,7 +19,7 @@ import (
 // diffScenario is one app configuration run under both engines.
 type diffScenario struct {
 	name string
-	run  func(reference bool) (*Run, error)
+	run  func(eng engine) (*Run, error)
 }
 
 // diffScenarios covers every program in this package: the three case
@@ -40,46 +40,46 @@ func diffScenarios(short bool) []diffScenario {
 		seed := uint64(100 + i)
 		scs = append(scs, diffScenario{
 			name: fmt.Sprintf("oscilloscope/D=%dms", d),
-			run: func(ref bool) (*Run, error) {
+			run: func(eng engine) (*Run, error) {
 				return RunOscilloscope(OscConfig{
-					PeriodMS: d, Seconds: oscSeconds, Seed: seed, reference: ref,
+					PeriodMS: d, Seconds: oscSeconds, Seed: seed, engine: eng,
 				})
 			},
 		})
 	}
 	scs = append(scs,
-		diffScenario{"oscilloscope/fixed", func(ref bool) (*Run, error) {
+		diffScenario{"oscilloscope/fixed", func(eng engine) (*Run, error) {
 			return RunOscilloscope(OscConfig{
-				PeriodMS: 20, Seconds: oscSeconds, Seed: 100, Fixed: true, reference: ref,
+				PeriodMS: 20, Seconds: oscSeconds, Seed: 100, Fixed: true, engine: eng,
 			})
 		}},
-		diffScenario{"oscilloscope/sequential", func(ref bool) (*Run, error) {
+		diffScenario{"oscilloscope/sequential", func(eng engine) (*Run, error) {
 			return RunOscilloscope(OscConfig{
-				PeriodMS: 20, Seconds: oscSeconds, Seed: 1, Sequential: true, reference: ref,
+				PeriodMS: 20, Seconds: oscSeconds, Seed: 1, Sequential: true, engine: eng,
 			})
 		}},
-		diffScenario{"forwarder", func(ref bool) (*Run, error) {
-			return RunForwarder(ForwarderConfig{Seconds: fwdSeconds, Seed: 7, reference: ref})
+		diffScenario{"forwarder", func(eng engine) (*Run, error) {
+			return RunForwarder(ForwarderConfig{Seconds: fwdSeconds, Seed: 7, engine: eng})
 		}},
-		diffScenario{"forwarder/fixed", func(ref bool) (*Run, error) {
-			return RunForwarder(ForwarderConfig{Seconds: fwdSeconds, Seed: 7, Fixed: true, reference: ref})
+		diffScenario{"forwarder/fixed", func(eng engine) (*Run, error) {
+			return RunForwarder(ForwarderConfig{Seconds: fwdSeconds, Seed: 7, Fixed: true, engine: eng})
 		}},
-		diffScenario{"ctpheartbeat", func(ref bool) (*Run, error) {
-			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, reference: ref})
+		diffScenario{"ctpheartbeat", func(eng engine) (*Run, error) {
+			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, engine: eng})
 		}},
-		diffScenario{"ctpheartbeat/fixed", func(ref bool) (*Run, error) {
-			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, Fixed: true, reference: ref})
+		diffScenario{"ctpheartbeat/fixed", func(eng engine) (*Run, error) {
+			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, Fixed: true, engine: eng})
 		}},
 		// Every link at 60% loss: handshakes exhaust MaxRetries (TX-done
 		// with no ACK) and the congested channel makes CSMA give up.
-		diffScenario{"ctpheartbeat/lossy", func(ref bool) (*Run, error) {
-			return runCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, reference: ref}, 0.6)
+		diffScenario{"ctpheartbeat/lossy", func(eng engine) (*Run, error) {
+			return runCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: 20, engine: eng}, 0.6)
 		}},
 	)
 	for _, seed := range []uint64{21, 22, 23} {
 		seed := seed
-		scs = append(scs, diffScenario{fmt.Sprintf("ctpheartbeat/seed=%d", seed), func(ref bool) (*Run, error) {
-			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: seed, reference: ref})
+		scs = append(scs, diffScenario{fmt.Sprintf("ctpheartbeat/seed=%d", seed), func(eng engine) (*Run, error) {
+			return RunCTPHeartbeat(CTPConfig{Seconds: ctpSeconds, Seed: seed, engine: eng})
 		}})
 	}
 	return scs
@@ -91,11 +91,11 @@ func TestEngineDifferential(t *testing.T) {
 	for _, sc := range diffScenarios(testing.Short()) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			fast, err := sc.run(false)
+			fast, err := sc.run(production)
 			if err != nil {
 				t.Fatalf("batched engine: %v", err)
 			}
-			ref, err := sc.run(true)
+			ref, err := sc.run(referenceOracle)
 			if err != nil {
 				t.Fatalf("reference engine: %v", err)
 			}

@@ -300,13 +300,9 @@ type ForwarderConfig struct {
 	// (lfsr & BurstMask) == 0. Zero selects the default of 0x1f
 	// (roughly 1 burst per 32 packets).
 	BurstMask uint8
-	// reference runs the whole scenario on the single-step reference
-	// engine, for differential testing against the batched engine.
-	reference bool
-	// nodeWorkers turns on conservative-lookahead sections unless it is
-	// 0 or 1 (see sectionsFor), for differential testing against the
-	// lockstep rounds.
-	nodeWorkers int
+	// engine selects a differential-testing oracle; the zero value is
+	// the production engine.
+	engine engine
 	// Stream installs per-node streaming sinks; DiscardMarkers drops
 	// markers from the materialized trace (see OscConfig).
 	Stream         map[int]trace.StreamSink
@@ -332,7 +328,7 @@ func RunForwarder(cfg ForwarderConfig) (*Run, error) {
 		return nil, fmt.Errorf("apps: forwarder sink: %w", err)
 	}
 
-	b := newBuilder(cfg.Seed, sectionsFor(cfg.nodeWorkers), cfg.reference)
+	b := newBuilder(cfg.Seed, cfg.engine)
 	if _, err := b.addNode(FwdSinkID, sinkProg, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[FwdSinkID], discard: cfg.DiscardMarkers,

@@ -219,13 +219,9 @@ type OscConfig struct {
 	// semantics (no preemption): the paper's Section VI-E argues such a
 	// simulator cannot capture the interleavings that trigger this bug.
 	Sequential bool
-	// reference runs the whole scenario on the single-step reference
-	// engine, for differential testing against the batched engine.
-	reference bool
-	// nodeWorkers turns on conservative-lookahead sections unless it is
-	// 0 or 1 (see sectionsFor), for differential testing against the
-	// lockstep rounds.
-	nodeWorkers int
+	// engine selects a differential-testing oracle; the zero value is
+	// the production engine.
+	engine engine
 	// Stream installs per-node streaming sinks: markers (with their
 	// instruction-count deltas) are delivered online as each node
 	// records them — the hook for the streaming featuring pipeline.
@@ -251,7 +247,7 @@ func RunOscilloscope(cfg OscConfig) (*Run, error) {
 		return nil, fmt.Errorf("apps: sink: %w", err)
 	}
 
-	b := newBuilder(cfg.Seed, sectionsFor(cfg.nodeWorkers), cfg.reference)
+	b := newBuilder(cfg.Seed, cfg.engine)
 	if _, err := b.addNode(OscSinkID, sinkSrc, nodeOpts{
 		radio: true,
 		sink:  cfg.Stream[OscSinkID], discard: cfg.DiscardMarkers,

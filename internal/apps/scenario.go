@@ -49,7 +49,14 @@ type NodeSpec struct {
 
 // NewScenario creates an empty scenario whose randomness derives from seed.
 func NewScenario(seed uint64) *Scenario {
-	return &Scenario{b: newBuilder(seed, false, false)}
+	return &Scenario{b: newBuilder(seed, production)}
+}
+
+// NewLockstepScenario is NewScenario on the lockstep oracle (sim.NewLockstep):
+// the production engine with sections off. Differential checks record a
+// scenario on both and require byte-identical traces.
+func NewLockstepScenario(seed uint64) *Scenario {
+	return &Scenario{b: newBuilder(seed, lockstepOracle)}
 }
 
 // AddNode assembles the node's source and attaches the requested devices.
@@ -120,13 +127,6 @@ func (s *Scenario) AddNode(spec NodeSpec) error {
 func (s *Scenario) Link(a, b int, lossProb float64) {
 	s.b.net.AddSymmetricLink(a, b, lossProb)
 }
-
-// SetParallelism turns the scheduler's conservative-lookahead sections on
-// or off (sim.Config.Sections). w == 0 or 1 (the default is 0) keeps them
-// off; any other value, negative ones included, turns them on. The count
-// itself selects nothing more: sections run on the scheduler goroutine.
-// Serialized traces are byte-identical at any setting.
-func (s *Scenario) SetParallelism(w int) { s.b.sections = sectionsFor(w) }
 
 // Run executes the scenario for the given wall-clock seconds of simulated
 // time and returns the collected run. A scenario runs once.

@@ -97,7 +97,7 @@ func TestExtractionMatchesTruthUnderRandomInterrupts(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Attach(dev.NewFuzzer(n, randx.New(seed), []int{1, 2, 3}, 40, 2500))
-		s := sim.New(sim.Config{Seed: seed}, []*node.Node{n}, nil)
+		s := sim.New(seed, []*node.Node{n}, nil)
 		if err := s.Run(500_000); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -128,7 +128,7 @@ func fuzzTrace(t *testing.T, seed uint64, reference bool) []byte {
 		t.Fatal(err)
 	}
 	n.Attach(dev.NewFuzzer(n, randx.New(seed), []int{1, 2, 3}, 40, 2500))
-	s := sim.New(sim.Config{Seed: seed}, []*node.Node{n}, nil)
+	s := sim.New(seed, []*node.Node{n}, nil)
 	if reference {
 		s = sim.NewReference(seed, []*node.Node{n}, nil)
 	}
@@ -178,7 +178,7 @@ func TestStreamingEquivalenceUnderRandomInterrupts(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Attach(dev.NewFuzzer(n, randx.New(seed), []int{1, 2, 3}, 40, 2500))
-		s := sim.New(sim.Config{Seed: seed}, []*node.Node{n}, nil)
+		s := sim.New(seed, []*node.Node{n}, nil)
 		if err := s.Run(500_000); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -210,7 +210,7 @@ func TestExtractionMatchesTruthChaos(t *testing.T) {
 		}
 		n.Attach(dev.NewTimer(dev.IRQTimer0, n, dev.PortT0Ctrl, dev.PortT0PeriodLo, dev.PortT0PeriodHi, dev.PortT0Prescale))
 		n.Attach(dev.NewTimer(dev.IRQTimer1, n, dev.PortT1Ctrl, dev.PortT1PeriodLo, dev.PortT1PeriodHi, dev.PortT1Prescale))
-		s := sim.New(sim.Config{Seed: uint64(seed)}, []*node.Node{n}, nil)
+		s := sim.New(uint64(seed), []*node.Node{n}, nil)
 		if err := s.Run(400_000); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -451,16 +451,16 @@ func (n *Network) CommitStaged(ids []int, anchor, quantum uint64) int {
 		buf = append(buf, m.staged...)
 		m.staged = m.staged[:0]
 	}
-	if len(buf) > 1 {
-		round := func(at uint64) uint64 {
-			if at <= anchor {
-				return anchor
-			}
-			return anchor + quantum*((at-anchor+quantum-1)/quantum)
+	// Stable insertion sort by submit round: sections stage a handful of
+	// events, and unlike sort.SliceStable it allocates nothing.
+	for i := 1; i < len(buf); i++ {
+		e := buf[i]
+		r := submitRound(e.submitAt, anchor, quantum)
+		j := i
+		for ; j > 0 && submitRound(buf[j-1].submitAt, anchor, quantum) > r; j-- {
+			buf[j] = buf[j-1]
 		}
-		sort.SliceStable(buf, func(i, j int) bool {
-			return round(buf[i].submitAt) < round(buf[j].submitAt)
-		})
+		buf[j] = e
 	}
 	for i := range buf {
 		e := n.newEvent(buf[i].at)
@@ -470,6 +470,14 @@ func (n *Network) CommitStaged(ids []int, anchor, quantum uint64) int {
 	}
 	n.stagedScratch = buf[:0]
 	return len(buf)
+}
+
+// submitRound is the lockstep boundary (grid anchor + k·quantum) ending the round of cycle at.
+func submitRound(at, anchor, quantum uint64) uint64 {
+	if at <= anchor {
+		return anchor
+	}
+	return anchor + quantum*((at-anchor+quantum-1)/quantum)
 }
 
 // carrierBusyAt reports whether m hears any transmission at cycle t.

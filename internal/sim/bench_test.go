@@ -65,7 +65,7 @@ func benchSim(b *testing.B, reference bool, cycles uint64) {
 			b.Fatal(err)
 		}
 		n.Attach(dev.NewFuzzer(n, randx.New(42), []int{1, 2}, 40, 2500))
-		s := sim.New(sim.Config{Seed: 42}, []*node.Node{n}, nil)
+		s := sim.New(42, []*node.Node{n}, nil)
 		if reference {
 			s = sim.NewReference(42, []*node.Node{n}, nil)
 		}

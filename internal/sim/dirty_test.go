@@ -140,10 +140,13 @@ func checkCaches(s *Sim) error {
 // Run slices and checks after every slice that the scheduler caches, which
 // advanceNet does not refresh wholesale, are exact for every node.
 func TestCachesMatchLiveStateAcrossMediumEvents(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, eng := range []struct {
+		name string
+		new  func(uint64, []*node.Node, *medium.Network) *Sim
+	}{{"lockstep-oracle", NewLockstep}, {"sections", New}} {
+		t.Run(eng.name, func(t *testing.T) {
 			nodes, net, radios, macs := chatterNet(t, 11)
-			s := New(Config{Seed: 11, Sections: workers > 1}, nodes, net)
+			s := eng.new(11, nodes, net)
 			for until := uint64(0); until < 3_000_000; {
 				until += 997
 				if err := s.Run(until); err != nil {

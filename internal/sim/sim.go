@@ -10,7 +10,10 @@
 //   - Exactly one node active: the node runs alone toward the next
 //     boundary anything else cares about (other wakes, network events),
 //     via node.AdvanceJump, covering thousands of quanta in one call.
-//   - Two or more nodes active: classic lockstep rounds, but dormant
+//   - Two or more nodes active: a conservative-lookahead section
+//     (parallel.go) carries every runnable node across the window no
+//     other node can affect, in one advance each. Where that window is
+//     under two quanta, classic lockstep rounds run instead, but dormant
 //     nodes are skipped — a node with no work and no due device event
 //     would only fast-forward its clock, which is unobservable.
 //
@@ -19,9 +22,10 @@
 // to the previous round boundary (reproducing the reference engine's
 // dispatch quantization) and then advanced with this round.
 //
-// The fixed-quantum reference engine is retained behind NewReference; the
-// event-horizon engine is required to produce byte-identical traces and is
-// differentially tested against it.
+// Two oracles are retained for differential testing, and New's engine is
+// required to produce byte-identical traces against both: the fixed-quantum
+// reference engine behind NewReference, and the event-horizon engine with
+// sections off behind NewLockstep.
 package sim
 
 import (
@@ -47,6 +51,7 @@ type Sim struct {
 	seed  uint64
 
 	reference bool
+	lockstep  bool // sections off: every multi-node stretch is lockstep rounds
 	inited    bool
 
 	// Per-node scheduler caches, refreshed after every advance.
@@ -57,9 +62,7 @@ type Sim struct {
 	mustAdvance []bool   // raised by the medium mid-round; advance this round
 	heap        *wakeHeap
 
-	// Section state (see parallel.go); sections off keeps every
-	// multi-node stretch on lockstep rounds.
-	sections bool
+	// Section state (see parallel.go).
 	members  []sectionTask // scratch: section pass tasks
 	sectIDs  []int         // scratch: advanced-node IDs for the staging barrier
 	sectStop []uint64      // scratch: per-node section stop boundary
@@ -68,22 +71,18 @@ type Sim struct {
 	stats Stats
 }
 
-// Config holds the scheduler knobs.
-type Config struct {
-	// Seed is recorded in the resulting trace for reproducibility.
-	Seed uint64
-	// Sections turns on conservative-lookahead sections: between medium
-	// events, every runnable node crosses the independence window in one
-	// advance instead of one lockstep round per quantum. Sections run on
-	// the calling goroutine and start none. Traces are byte-identical
-	// either way.
-	Sections bool
+// New creates a simulation over the given nodes and (optionally nil)
+// network on the event-horizon engine, which tries a section whenever two
+// or more nodes are runnable. The seed is recorded in the trace.
+func New(seed uint64, nodes []*node.Node, net *medium.Network) *Sim {
+	return &Sim{nodes: nodes, net: net, seed: seed}
 }
 
-// New creates a simulation over the given nodes and (optionally nil)
-// network on the event-horizon engine.
-func New(cfg Config, nodes []*node.Node, net *medium.Network) *Sim {
-	return &Sim{nodes: nodes, net: net, seed: cfg.Seed, sections: cfg.Sections}
+// NewLockstep is New with sections off, so two or more runnable nodes run
+// lockstep rounds: the differential-testing oracle for New's sections,
+// which must serialize a byte-identical trace.
+func NewLockstep(seed uint64, nodes []*node.Node, net *medium.Network) *Sim {
+	return &Sim{nodes: nodes, net: net, seed: seed, lockstep: true}
 }
 
 // NewReference creates a simulation on the fixed-quantum reference
@@ -119,7 +118,7 @@ func (s *Sim) Run(until uint64) error {
 				continue
 			}
 		}
-		if nRun >= 2 && s.sections {
+		if nRun >= 2 && !s.lockstep {
 			ran, err := s.trySection(until)
 			if err != nil {
 				return err
@@ -204,6 +203,8 @@ func (s *Sim) init() {
 	s.wake = make([]uint64, n)
 	s.lastTarget = make([]uint64, n)
 	s.mustAdvance = make([]bool, n)
+	s.members = make([]sectionTask, 0, n)
+	s.sectIDs = make([]int, 0, n)
 	s.sectStop = make([]uint64, n)
 	s.sectDead = make([]bool, n)
 	s.heap = newWakeHeap(n, s.wake)

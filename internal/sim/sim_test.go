@@ -45,7 +45,7 @@ tick:
 func TestMultiNodeLockstep(t *testing.T) {
 	a := tickerNode(t, 1, 1000)
 	b := tickerNode(t, 2, 1700)
-	s := New(Config{Seed: 1}, []*node.Node{a, b}, nil)
+	s := New(1, []*node.Node{a, b}, nil)
 	if err := s.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestIdleFastForwardIsCheap(t *testing.T) {
 	// within the test's default timeout by skipping idle gaps (this is
 	// 1e7 cycles; stepping each would take minutes).
 	n := tickerNode(t, 1, 50_000)
-	s := New(Config{Seed: 1}, []*node.Node{n}, nil)
+	s := New(1, []*node.Node{n}, nil)
 	if err := s.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ boot:
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Seed: 1}, []*node.Node{n}, nil)
+	s := New(1, []*node.Node{n}, nil)
 	if err := s.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ w:
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Seed: 1}, []*node.Node{n}, nil)
+	s := New(1, []*node.Node{n}, nil)
 	if err := s.Run(1000); err == nil {
 		t.Fatal("fault not propagated")
 	}
@@ -128,7 +128,7 @@ w:
 func TestTraceCollection(t *testing.T) {
 	a := tickerNode(t, 1, 1000)
 	b := tickerNode(t, 7, 1500)
-	s := New(Config{Seed: 99}, []*node.Node{a, b}, nil)
+	s := New(99, []*node.Node{a, b}, nil)
 	if err := s.Run(10_000); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ rxdone:
 	listener := build(2, rxAsm, false)
 	net.AddSymmetricLink(1, 2, 0)
 
-	s := New(Config{Seed: 5}, []*node.Node{sender, listener}, net)
+	s := New(5, []*node.Node{sender, listener}, net)
 	if err := s.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}

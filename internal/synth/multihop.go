@@ -19,8 +19,9 @@ type MultihopConfig struct {
 	Seconds float64
 	// Seed is recorded in the trace; the workload itself is deterministic.
 	Seed uint64
-	// NodeWorkers turns on the scheduler's conservative-lookahead
-	// sections unless it is 0 or 1 (apps.Scenario.SetParallelism).
+	// NodeWorkers == 1 records on the lockstep oracle
+	// (apps.NewLockstepScenario); any other value records on the
+	// production engine. Traces are byte-identical either way.
 	NodeWorkers int
 }
 
@@ -33,8 +34,11 @@ func BuildMultihop(cfg MultihopConfig) (*apps.Scenario, error) {
 	if n < 2 {
 		n = 2
 	}
-	s := apps.NewScenario(cfg.Seed)
-	s.SetParallelism(cfg.NodeWorkers)
+	newScenario := apps.NewScenario
+	if cfg.NodeWorkers == 1 {
+		newScenario = apps.NewLockstepScenario
+	}
+	s := newScenario(cfg.Seed)
 	for id := 0; id < n; id++ {
 		next := id + 1
 		if next >= n {

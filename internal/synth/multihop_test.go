@@ -9,15 +9,18 @@ import (
 	"sentomist/internal/sim"
 )
 
-// multihopTrace runs the benchmark scenario at the given worker count and
-// returns the serialized trace and the scheduler counters.
-func multihopTrace(t testing.TB, nodes, workers int, seconds float64) ([]byte, sim.Stats) {
+// multihopTrace runs the benchmark scenario on the production engine, or on
+// the lockstep oracle (NodeWorkers == 1), and returns the serialized trace
+// and the scheduler counters.
+func multihopTrace(t testing.TB, nodes int, lockstep bool, seconds float64) ([]byte, sim.Stats) {
 	t.Helper()
-	r, err := Multihop(MultihopConfig{
-		Nodes: nodes, Seconds: seconds, Seed: 1, NodeWorkers: workers,
-	})
+	cfg := MultihopConfig{Nodes: nodes, Seconds: seconds, Seed: 1}
+	if lockstep {
+		cfg.NodeWorkers = 1
+	}
+	r, err := Multihop(cfg)
 	if err != nil {
-		t.Fatalf("multihop(nodes=%d workers=%d): %v", nodes, workers, err)
+		t.Fatalf("multihop(nodes=%d lockstep=%v): %v", nodes, lockstep, err)
 	}
 	var b bytes.Buffer
 	if err := r.Trace.WriteBinary(&b); err != nil {
@@ -28,10 +31,10 @@ func multihopTrace(t testing.TB, nodes, workers int, seconds float64) ([]byte, s
 
 // TestMultihopDeliversAcrossHops: the benchmark scenario must actually
 // exercise multi-hop radio traffic — packets originated at the head of the
-// chain reach nodes several hops away — and must engage the parallel
-// scheduler when workers are enabled.
+// chain reach nodes several hops away — and must engage the section
+// scheduler.
 func TestMultihopDeliversAcrossHops(t *testing.T) {
-	r, err := Multihop(MultihopConfig{Nodes: 12, Seconds: 2, Seed: 1, NodeWorkers: 4})
+	r, err := Multihop(MultihopConfig{Nodes: 12, Seconds: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func TestMultihopDeliversAcrossHops(t *testing.T) {
 // of sims; any goroutine a section started would pile up across them.
 func TestSectionsStartNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
-	r, err := Multihop(MultihopConfig{Nodes: 12, Seconds: 2, Seed: 1, NodeWorkers: 2})
+	r, err := Multihop(MultihopConfig{Nodes: 12, Seconds: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +76,9 @@ func TestSectionsStartNoGoroutine(t *testing.T) {
 }
 
 // TestMultihopParallelDifferential: the benchmark scenario's trace must be
-// byte-identical between lockstep rounds and sections at every tested
-// worker count, across chain lengths. Every run with sections on must open
-// some, and every worker count must give the same scheduler counters.
+// byte-identical between the production engine and the lockstep oracle,
+// across chain lengths, and every production run must open sections.
 func TestMultihopParallelDifferential(t *testing.T) {
-	counts := []int{2, 4}
-	if p := runtime.GOMAXPROCS(0); p > 1 && p != 2 && p != 4 {
-		counts = append(counts, p) // at 1, the count keeps sections off
-	}
 	for _, nodes := range []int{8, 12, 16} {
 		nodes := nodes
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
@@ -88,117 +86,96 @@ func TestMultihopParallelDifferential(t *testing.T) {
 			if testing.Short() {
 				seconds = 0.3
 			}
-			seq, _ := multihopTrace(t, nodes, 1, seconds)
-			var first sim.Stats
-			for i, w := range counts {
-				par, st := multihopTrace(t, nodes, w, seconds)
-				if !bytes.Equal(seq, par) {
-					t.Errorf("workers=%d: trace differs from sequential (%d vs %d bytes)",
-						w, len(seq), len(par))
-				}
-				if st.ParallelSections == 0 {
-					t.Fatalf("workers=%d: no sections ran: %+v", w, st)
-				}
-				if st.ParallelAdvances < 2*st.ParallelSections {
-					t.Errorf("workers=%d: %d advances over %d sections: a section advances at least two nodes",
-						w, st.ParallelAdvances, st.ParallelSections)
-				}
-				if i == 0 {
-					first = st
-				} else if st != first {
-					t.Errorf("workers=%d: scheduler counters differ from the first run with sections on (workers=%d):\n%+v\n%+v",
-						w, counts[0], first, st)
-				}
+			ref, _ := multihopTrace(t, nodes, true, seconds)
+			prod, st := multihopTrace(t, nodes, false, seconds)
+			if !bytes.Equal(ref, prod) {
+				t.Errorf("trace differs from the lockstep oracle (%d vs %d bytes)", len(prod), len(ref))
+			}
+			if st.ParallelSections == 0 {
+				t.Fatalf("no sections ran: %+v", st)
+			}
+			if st.ParallelAdvances < 2*st.ParallelSections {
+				t.Errorf("%d advances over %d sections: a section advances at least two nodes",
+					st.ParallelAdvances, st.ParallelSections)
 			}
 		})
 	}
 }
 
+// generatedTrace records a generated scenario and returns its serialized
+// trace and scheduler counters.
+func generatedTrace(t *testing.T, cfg Config) ([]byte, sim.Stats) {
+	t.Helper()
+	r, err := Generate(cfg)
+	if err != nil {
+		t.Fatalf("seed %d lockstep=%v: %v", cfg.Seed, cfg.Lockstep, err)
+	}
+	var b bytes.Buffer
+	if err := r.Trace.WriteBinary(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes(), r.Stats
+}
+
 // TestParallelRandomTopologies is the deterministic many-node differential
 // sweep: random generated scenarios (random topologies, fuzzers, radio
-// beacons) must produce byte-identical traces sequential vs parallel at
-// every tested worker count. FuzzParallelTrace extends the same check to
+// beacons) must produce byte-identical traces on the production engine and
+// on the lockstep oracle. FuzzParallelTrace extends the same check to
 // fuzzed inputs.
 func TestParallelRandomTopologies(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
 		seeds = 4
 	}
+	var sections uint64
 	for seed := 0; seed < seeds; seed++ {
 		cfg := Config{Seed: uint64(seed), ExactNodes: 8, Seconds: 0.5}
-		seq, err := Generate(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		prod, st := generatedTrace(t, cfg)
+		cfg.Lockstep = true
+		ref, _ := generatedTrace(t, cfg)
+		if !bytes.Equal(ref, prod) {
+			t.Errorf("seed %d: trace differs from the lockstep oracle (%d vs %d bytes)",
+				seed, len(prod), len(ref))
 		}
-		var sb bytes.Buffer
-		if err := seq.Trace.WriteBinary(&sb); err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-			cfg.NodeWorkers = w
-			par, err := Generate(cfg)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, w, err)
-			}
-			var pb bytes.Buffer
-			if err := par.Trace.WriteBinary(&pb); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-				t.Errorf("seed %d workers %d: trace differs (%d vs %d bytes)",
-					seed, w, sb.Len(), pb.Len())
-			}
-		}
+		sections += st.ParallelSections
+	}
+	if sections == 0 {
+		t.Fatal("no sections ran on any seed; the sweep compares lockstep with itself")
 	}
 }
 
-// FuzzParallelTrace fuzzes the parallel scheduler's equivalence gate over
-// many-node topologies: for any generation seed, node count, and worker
-// count, the serialized trace must be byte-identical to the sequential run
-// of the same scenario.
+// FuzzParallelTrace fuzzes the section scheduler's equivalence gate over
+// many-node topologies: for any generation seed and node count, the
+// production engine's serialized trace must be byte-identical to the
+// lockstep oracle's run of the same scenario.
 func FuzzParallelTrace(f *testing.F) {
-	f.Add(uint64(1), uint8(8), uint8(4))
-	f.Add(uint64(7), uint8(12), uint8(2))
-	f.Add(uint64(42), uint8(3), uint8(3))
-	f.Add(uint64(1234), uint8(16), uint8(8))
-	f.Fuzz(func(t *testing.T, seed uint64, nodes, workers uint8) {
+	f.Add(uint64(1), uint8(8))
+	f.Add(uint64(7), uint8(12))
+	f.Add(uint64(42), uint8(3))
+	f.Add(uint64(1234), uint8(16))
+	f.Fuzz(func(t *testing.T, seed uint64, nodes uint8) {
 		n := int(nodes%16) + 2
-		w := int(workers%8) + 2
 		cfg := Config{Seed: seed, ExactNodes: n, Seconds: 0.3}
-		seq, err := Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb bytes.Buffer
-		if err := seq.Trace.WriteBinary(&sb); err != nil {
-			t.Fatal(err)
-		}
-		cfg.NodeWorkers = w
-		par, err := Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pb bytes.Buffer
-		if err := par.Trace.WriteBinary(&pb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-			t.Fatalf("seed %d nodes %d workers %d: parallel trace differs (%d vs %d bytes)",
-				seed, n, w, sb.Len(), pb.Len())
+		prod, _ := generatedTrace(t, cfg)
+		cfg.Lockstep = true
+		ref, _ := generatedTrace(t, cfg)
+		if !bytes.Equal(ref, prod) {
+			t.Fatalf("seed %d nodes %d: trace differs from the lockstep oracle (%d vs %d bytes)",
+				seed, n, len(prod), len(ref))
 		}
 	})
 }
 
 // BenchmarkRecordParallelNodes measures the record phase of the multi-hop
-// benchmark scenario with sections off and on (the worker counts the name
-// recalls all select the same run now). b.ReportMetric publishes the
-// simulated-cycles-per-second rate so runs on different hardware compare.
+// benchmark scenario on the lockstep oracle and on the production engine
+// with sections. b.ReportMetric publishes the simulated-cycles-per-second
+// rate so runs on different hardware compare.
 func BenchmarkRecordParallelNodes(b *testing.B) {
 	const seconds = 2.0
 	for _, bc := range []struct {
 		name    string
 		workers int
-	}{{"sections=off", 0}, {"sections=on", 2}} {
+	}{{"lockstep-oracle", 1}, {"sections", 0}} {
 		bc := bc
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -26,11 +26,10 @@ type Config struct {
 	ExactNodes int
 	// Seconds is the simulated run length (default 0.5).
 	Seconds float64
-	// NodeWorkers turns on the scheduler's conservative-lookahead
-	// sections: 0 (the default) and 1 keep them off, any other value
-	// turns them on (apps.Scenario.SetParallelism). Traces are
-	// byte-identical at any setting.
-	NodeWorkers int
+	// Lockstep records on the lockstep oracle (apps.NewLockstepScenario)
+	// instead of the production engine, for differential checks; traces
+	// must be byte-identical either way.
+	Lockstep bool
 }
 
 // Generate builds and executes a random scenario, returning the finished
@@ -51,8 +50,11 @@ func Generate(cfg Config) (*apps.Run, error) {
 		nNodes = cfg.ExactNodes
 	}
 
-	s := apps.NewScenario(cfg.Seed)
-	s.SetParallelism(cfg.NodeWorkers)
+	newScenario := apps.NewScenario
+	if cfg.Lockstep {
+		newScenario = apps.NewLockstepScenario
+	}
+	s := newScenario(cfg.Seed)
 	withRadio := nNodes > 1 && rng.Bool(0.7)
 	for id := 0; id < nNodes; id++ {
 		g := &progGen{rng: rng.Split(uint64(id) + 17), radio: withRadio, nodeID: id, nNodes: nNodes}

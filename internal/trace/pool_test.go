@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-func recordSample(nodeID int) *NodeTrace {
-	r := NewRecorder(nodeID, 16, true)
+func recordSample(nodeID int, truth bool) *NodeTrace {
+	r := NewRecorder(nodeID, 16, truth)
 	for m := 0; m < 300; m++ {
 		r.CountPC(uint16(m % 16))
 		r.CountPC(uint16((m + 3) % 16))
@@ -22,7 +22,7 @@ func recordSample(nodeID int) *NodeTrace {
 // after earlier ones were released are identical to a fresh recording, and
 // released buffers come back clean (no stale deltas, counts, or truth).
 func TestRecorderPoolRoundtrip(t *testing.T) {
-	want := recordSample(1)
+	want := recordSample(1, true)
 	// Deep-copy the reference before releasing its storage.
 	ref := &NodeTrace{NodeID: want.NodeID, ProgramLen: want.ProgramLen}
 	for _, m := range want.Markers {
@@ -35,7 +35,7 @@ func TestRecorderPoolRoundtrip(t *testing.T) {
 	want.Release() // idempotent
 
 	for round := 0; round < 3; round++ {
-		got := recordSample(1)
+		got := recordSample(1, true)
 		if len(got.Markers) != len(ref.Markers) {
 			t.Fatalf("round %d: %d markers, want %d", round, len(got.Markers), len(ref.Markers))
 		}
@@ -48,6 +48,22 @@ func TestRecorderPoolRoundtrip(t *testing.T) {
 			t.Fatalf("round %d: truth drifted", round)
 		}
 		got.Release()
+	}
+
+	// A recording made after a release draws its truth storage from the
+	// pool: it allocates exactly what the same recording without truth
+	// does, plus the one slice header the pool boxes on release.
+	if raceEnabled {
+		return
+	}
+	cycle := func(truth bool) func() {
+		return func() { recordSample(1, truth).Release() }
+	}
+	withTruth := testing.AllocsPerRun(20, cycle(true))
+	without := testing.AllocsPerRun(20, cycle(false))
+	if withTruth > without+1 {
+		t.Fatalf("recording with truth: %.1f allocs per run, without: %.1f; truth storage is not recycled",
+			withTruth, without)
 	}
 }
 

@@ -228,8 +228,8 @@ type StreamSink interface {
 	OnMark(kind Kind, arg int, cycle uint64, instance int, touched []uint16, counts []uint32)
 }
 
-// Storage pools. Recorders draw their dense counter scratch, marker
-// storage, and delta arenas from these, and Recorder.Release /
+// Storage pools. Recorders draw their dense counter scratch, marker and
+// truth storage, and delta arenas from these, and Recorder.Release /
 // NodeTrace.Release return them, so campaign-style workloads that run many
 // simulations recycle the big per-run allocations instead of re-growing
 // them. Pool invariant: a released dense buffer is all-zero over its full
@@ -491,6 +491,9 @@ func (r *Recorder) Mark(kind Kind, arg int, cycle uint64, instance int) {
 	})
 	r.minSP = 0xffff
 	if r.truth {
+		if r.nt.TruthInstance == nil { // a node without markers keeps nil
+			r.nt.TruthInstance = getTruthSlice()
+		}
 		r.nt.TruthInstance = append(r.nt.TruthInstance, instance)
 	}
 }
