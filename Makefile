@@ -53,9 +53,11 @@ bench-all:
 bench-quality:
 	$(GO) run ./cmd/sentomist bench -baseline BENCH_QUALITY.json
 
-# Regenerate-and-diff the pinned ranking tables.
+# Diff the pinned ranking tables and the ablation matrix (every bench entry
+# mined by every arm) against their golden files. Regenerate deliberately
+# with -update on the same command.
 golden:
-	$(GO) test -run Golden ./internal/apps/
+	$(GO) test -count=1 -run Golden ./internal/apps/ ./internal/bench/
 
 clean:
 	$(GO) clean

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sentomist"
+	"sentomist/internal/apps"
 	"sentomist/internal/experiments"
 	"sentomist/internal/lifecycle"
 	"sentomist/internal/stats"
@@ -263,7 +264,8 @@ func TestOnlineRefitAllocBudget(t *testing.T) {
 // record phase on the production engine. Section task lists, staged
 // medium events, and the barrier scratch are reused across sections, and
 // a section allocates nothing of its own, so the whole run measures
-// ~5,000 allocs/op and ~0.36 MB/op, with pooled truth slices.
+// ~750 allocs/op and ~0.25 MB/op, with pooled truth slices and the
+// ring-buffer task FIFO (~5,000 and ~0.36 MB with a reslicing FIFO).
 // The ceilings date from a section engine that allocated per pass; they
 // stay as an upper bound.
 const (
@@ -460,5 +462,118 @@ func TestReplayOpenIntervalsAllocLinear(t *testing.T) {
 	if bytes > limit {
 		t.Errorf("first Replay allocated %d B > %d (threshold: %d B + %d B per marker)",
 			bytes, limit, openIntervalsBaseBytes, openIntervalsBytesPerMarker)
+	}
+}
+
+// maxNestedPendingBytes bounds a first Replay of nestedPendingTrace(1000).
+// No interval of that trace completes, and an incomplete interval carries
+// no counter, so the streamer keeps only the log its open window starts
+// need: about 2.3 MB. Computing counters for the incomplete intervals,
+// each containing the ones nested inside it, allocated 21.4 MB.
+const maxNestedPendingBytes = 4_000_000
+
+// nestedPendingTrace is a crafted trace that passes trace.Validate: d
+// nested handlers that each post a task that never runs, then their d
+// retis, in the largest program the format allows. Every marker executes a
+// PC of its own once.
+func nestedPendingTrace(d int) *trace.NodeTrace {
+	nt := &trace.NodeTrace{NodeID: 1, ProgramLen: 0xffff}
+	mark := func(kind trace.Kind, arg int) {
+		i := len(nt.Markers)
+		nt.Markers = append(nt.Markers, trace.Marker{
+			Kind: kind, Arg: arg, Cycle: uint64(10 * (i + 1)),
+			Deltas: []trace.Delta{{PC: uint16(i), Count: 1}},
+		})
+	}
+	for k := 0; k < d; k++ {
+		mark(trace.Int, 1)
+		mark(trace.PostTask, 0)
+	}
+	for k := 0; k < d; k++ {
+		mark(trace.Reti, 0)
+	}
+	return nt
+}
+
+// TestReplayNestedPendingAllocBudget guards what incomplete intervals
+// cost: a first Replay of 1,000 nested handlers whose posts never run
+// computes no counter for them, since every miner excludes them.
+func TestReplayNestedPendingAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
+	}
+	const depth = 1000
+	nt := nestedPendingTrace(depth)
+	if err := (&trace.Trace{Nodes: []*trace.NodeTrace{nt}}).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// A sync.Pool's contents survive one collection, not two: the call
+	// below starts from an empty streamer pool.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ivs, _, err := lifecycle.Replay(nt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ivs) != depth || ivs[0].Complete {
+		t.Fatalf("%d intervals, first complete=%v; want %d incomplete ones", len(ivs), ivs[0].Complete, depth)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("first Replay over %d nested pending handlers (%d markers) at ProgramLen 0xffff: %d B", depth, 3*depth, bytes)
+	if bytes > maxNestedPendingBytes {
+		t.Errorf("first Replay allocated %d B > %d (threshold)", bytes, maxNestedPendingBytes)
+	}
+}
+
+// maxCaseIIIRunAllocs bounds one 15-second Case-III run recorded the way a
+// campaign records it: the four sources streamed to a sink, markers
+// discarded (apps.BenchmarkCTPRun's unit of work, at seed 1). It measures
+// about 1,150 allocs/op with the ring-buffer task FIFO. A FIFO popped by
+// reslicing reallocated its backing array whenever the popped front had
+// used up its capacity: 1,455 allocs/op.
+const maxCaseIIIRunAllocs = 1_300
+
+// discardSink drops every marker a streaming recorder hands it.
+type discardSink struct{}
+
+func (discardSink) OnMark(trace.Kind, int, uint64, int, []uint16, []uint32) {}
+
+// TestCaseIIIRunAllocBudget guards the campaign's unit of work: emulating a
+// run must keep recycling its per-node state, such as the task queue,
+// instead of allocating per event.
+func TestCaseIIIRunAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts; CI guards allocations in a non-race step")
+	}
+	stream := make(map[int]trace.StreamSink, len(apps.CTPSources))
+	for _, id := range apps.CTPSources {
+		stream[id] = discardSink{}
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run, err := apps.RunCTPHeartbeat(apps.CTPConfig{
+				Seconds: 15, Seed: 1, Stream: stream, DiscardMarkers: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			run.Release()
+		}
+	})
+	allocs := res.AllocsPerOp()
+	t.Logf("Case-III run (15 s, sources streamed, markers discarded): %d allocs/op, %d B/op over %d op(s)",
+		allocs, res.AllocedBytesPerOp(), res.N)
+	if allocs > maxCaseIIIRunAllocs {
+		t.Errorf("allocs/op regressed: %d > %d (threshold)", allocs, maxCaseIIIRunAllocs)
 	}
 }

@@ -122,49 +122,23 @@ func BenchmarkInspectionEffort(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorAblation — A1: the plug-in comparison the paper's
-// Section VI-E anticipates: one-class SVM vs PCA vs k-NN vs diagonal
-// Mahalanobis vs kernel PCA vs a random ranker, by the rank of the first
-// true symptom on Case II.
-func BenchmarkDetectorAblation(b *testing.B) {
+// BenchmarkAblationMatrix — A1–A3: every Sentomist-bench entry mined by
+// each arm of bench.Arms (the detector plug-ins the paper's Section VI-E
+// anticipates, the cruder features of Section V-B, and the linear kernel
+// of Section V-C2), reported as each arm's mean reciprocal rank over the
+// corpus. internal/bench/testdata/ablation_matrix.golden pins every cell.
+func BenchmarkAblationMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.DetectorAblation(experiments.CaseIISeed)
+		m, err := experiments.AblationMatrix()
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range rows {
-			b.ReportMetric(float64(r.FirstSymptomRank), "rank_"+metricName(r.Name))
-		}
-	}
-}
-
-// BenchmarkFeatureAblation — A2: Definition 4's instruction counter vs the
-// cruder function-call counts and duration-only features. Case II is the
-// discriminating workload: the busy-drop differs from a normal forward by
-// only a handful of instructions on a distinct path, so duration-level
-// features cannot see it.
-func BenchmarkFeatureAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.FeatureAblation(experiments.CaseIISeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(float64(r.FirstSymptomRank), "rank_"+metricName(r.Name))
-		}
-	}
-}
-
-// BenchmarkKernelAblation — A3: the paper argues the nonlinear boundary is
-// critical (Section V-C2); RBF vs linear on Case I run 1.
-func BenchmarkKernelAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.KernelAblation(experiments.CaseISeedBase)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(float64(r.FirstSymptomRank), "rank_"+metricName(r.Name))
+		for j, arm := range m.Arms {
+			var rr float64
+			for _, row := range m.Cells {
+				rr += 1 / float64(row[j].FirstRank)
+			}
+			b.ReportMetric(rr/float64(len(m.Cells)), "mrr_"+metricName(arm))
 		}
 	}
 }
@@ -436,10 +410,11 @@ func meanNNZ(samples []stats.Sparse) float64 {
 	return float64(total) / float64(len(samples))
 }
 
-// BenchmarkCounterSparse compares feature extraction over every complete
-// ADC interval of a Case-I run: the dense path materializes a
-// ProgramLen-dimensional vector per interval, the sparse path only its
-// executed (pc, count) pairs.
+// BenchmarkCounterSparse measures feature extraction over every complete
+// ADC interval of a Case-I run: the dense arm sums the deltas into a
+// ProgramLen-dimensional vector per interval (the reference the inspection
+// paths used before they read sparse counters), the sparse arm collects
+// only the executed (pc, count) pairs.
 func BenchmarkCounterSparse(b *testing.B) {
 	run, err := sentomist.RunCaseI(sentomist.CaseIConfig{PeriodMS: 20, Seconds: 10, Seed: 100})
 	if err != nil {
@@ -461,8 +436,11 @@ func BenchmarkCounterSparse(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, iv := range ivs {
-				if _, err := ext.Counter(iv); err != nil {
-					b.Fatal(err)
+				v := make([]float64, nt.ProgramLen)
+				for m := iv.StartMarker + 1; m <= iv.EndMarker; m++ {
+					for _, d := range nt.Markers[m].Deltas {
+						v[d.PC] += float64(d.Count)
+					}
 				}
 			}
 		}

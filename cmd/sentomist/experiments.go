@@ -60,38 +60,13 @@ func experimentsReport(w io.Writer) error {
 	fmt.Fprintf(w, "  chronological scan:    %d\n", eff.Chronological)
 	fmt.Fprintf(w, "  random scan (expected): %.1f\n\n", eff.RandomExp)
 
-	// A1: detector ablation.
-	fmt.Fprintln(w, "A1 — detector plug-ins (rank of first symptom, Case II)")
-	detRows, err := experiments.DetectorAblation(experiments.CaseIISeed)
+	// A1–A3: detectors, features and kernels over the corpus.
+	fmt.Fprintln(w, "A1–A3 — mining modes over the Sentomist-bench corpus (first symptom rank / symptoms in the top 5)")
+	matrix, err := experiments.AblationMatrix()
 	if err != nil {
 		return err
 	}
-	for _, r := range detRows {
-		fmt.Fprintf(w, "  %-20s rank %d\n", r.Name, r.FirstSymptomRank)
-	}
-	fmt.Fprintln(w)
-
-	// A2: feature ablation.
-	fmt.Fprintln(w, "A2 — features (rank of first symptom, Case II)")
-	featRows, err := experiments.FeatureAblation(experiments.CaseIISeed)
-	if err != nil {
-		return err
-	}
-	for _, r := range featRows {
-		fmt.Fprintf(w, "  %-20s rank %-4d (%.0f dims)\n", r.Name, r.FirstSymptomRank, r.Extra)
-	}
-	fmt.Fprintln(w)
-
-	// A3: kernel ablation.
-	fmt.Fprintln(w, "A3 — kernels (rank of first symptom, Case I run 1)")
-	kRows, err := experiments.KernelAblation(experiments.CaseISeedBase)
-	if err != nil {
-		return err
-	}
-	for _, r := range kRows {
-		fmt.Fprintf(w, "  %-20s rank %d\n", r.Name, r.FirstSymptomRank)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintln(w, indent(matrix.Format(), "  "))
 
 	// A4: Dustminer baseline.
 	fmt.Fprintln(w, "A4 — Dustminer-style discriminative mining (top pattern score)")

@@ -194,7 +194,7 @@ type rankFlags struct {
 }
 
 func (r *rankFlags) register(fs *flag.FlagSet, top int) {
-	fs.StringVar(&r.detector, "detector", "svm", "outlier detector: svm, pca, knn, mahalanobis, kernel-pca")
+	fs.StringVar(&r.detector, "detector", "svm", "outlier detector: svm (the paper's one-class SVM), pca, mahalanobis")
 	fs.Float64Var(&r.nu, "nu", 0.05, "one-class SVM nu parameter")
 	fs.IntVar(&r.top, "top", top, "ranking rows to print from the top")
 	fs.IntVar(&r.bottom, "bottom", 2, "ranking rows to print from the bottom")
@@ -209,14 +209,10 @@ func pickDetector(name string, nu float64, parallelism int, cacheBytes int64) (s
 		return sentomist.SVMDetector{Nu: nu, Parallelism: parallelism, CacheBytes: cacheBytes}, nil
 	case "pca":
 		return sentomist.PCADetector(0), nil
-	case "knn":
-		return sentomist.KNNDetector(0), nil
 	case "mahalanobis":
 		return sentomist.MahalanobisDetector(), nil
-	case "kernel-pca", "kernelpca":
-		return sentomist.KernelPCADetector(nil, 0), nil
 	}
-	return nil, fmt.Errorf("unknown detector %q", name)
+	return nil, usagef("unknown detector %q (want svm, pca or mahalanobis)", name)
 }
 
 // parseInts parses the comma-separated integer list of flag name; empty

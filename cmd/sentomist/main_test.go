@@ -124,6 +124,9 @@ func TestUsageErrors(t *testing.T) {
 		{"rank", "-irq", "4", "-nodes", "1", "-online-irqs", "1", tracePath},
 		{"rank", "-irq", "4", "-nodes", "1", "-online-topk", "3", tracePath},
 		{"case", "-case", "IV"},
+		// Detectors the ablation matrix showed earn no place are gone.
+		{"rank", "-irq", "4", "-nodes", "1", "-detector", "knn", tracePath},
+		{"rank", "-irq", "4", "-nodes", "1", "-detector", "kernel-pca", tracePath},
 		// No command selects the scheduler.
 		{"record", "-case", "II", "-out", tracePath, "-node-workers", "2"},
 		{"bench", "-node-workers", "2"},

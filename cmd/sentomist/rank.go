@@ -56,6 +56,10 @@ func rankCmd(fs *flag.FlagSet) runFunc {
 		if err != nil {
 			return err
 		}
+		det, err := pickDetector(o.detector, o.nu, o.parallelism, int64(o.svmCacheMB)<<20)
+		if err != nil {
+			return err
+		}
 		var (
 			inputs []sentomist.RunInput
 			stats  sentomist.SimStats
@@ -82,10 +86,7 @@ func rankCmd(fs *flag.FlagSet) runFunc {
 		if online {
 			return runOnline(stdout, o, inputs, cfg)
 		}
-		cfg.Detector, err = pickDetector(o.detector, o.nu, o.parallelism, int64(o.svmCacheMB)<<20)
-		if err != nil {
-			return err
-		}
+		cfg.Detector = det
 		ranking, err := sentomist.Mine(inputs, cfg)
 		if err != nil {
 			return err

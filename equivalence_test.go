@@ -150,8 +150,9 @@ func denseMine(tb testing.TB, inputs []sentomist.RunInput, cfg sentomist.MineCon
 }
 
 // denseFeature is the dense feature vector of one complete interval: the
-// ProgramLen-dimensional Definition-4 counter (feature.Extractor.Counter)
-// by default, or the per-function counter, duration or stack depth of
+// ProgramLen-dimensional Definition-4 counter (the densified
+// feature.Extractor.CounterSparse, which feature's tests pin against a
+// dense sum) by default, or the per-function counter, duration or stack depth of
 // the ablation kinds.
 func denseFeature(ext *feature.Extractor, in sentomist.RunInput, kind core.FeatureKind, iv lifecycle.Interval) ([]float64, error) {
 	switch kind {
@@ -162,7 +163,8 @@ func denseFeature(ext *feature.Extractor, in sentomist.RunInput, kind core.Featu
 	case sentomist.FeatureStackDepth:
 		return ext.StackDepth(iv)
 	default:
-		return ext.Counter(iv)
+		c, err := ext.CounterSparse(iv)
+		return c.Dense(), err
 	}
 }
 

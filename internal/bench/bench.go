@@ -3,7 +3,9 @@
 // ground-truth interval oracle, plus the ranking-quality harness that turns
 // "does the ranking still look right" into measured precision@k and MRR per
 // bug class. The checked-in BENCH_QUALITY.json baseline gates regressions
-// in CI (make bench-quality).
+// in CI (make bench-quality). The ablation matrix (EvaluateMatrix) scores
+// every mining mode of Arms on every entry through the same code, pinned
+// by testdata/ablation_matrix.golden (make golden).
 //
 // A catalog entry is a contract, not just a scenario:
 //

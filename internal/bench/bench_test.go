@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"flag"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -170,5 +172,76 @@ func TestBaselineMatches(t *testing.T) {
 	}
 	for _, d := range Compare(got, want) {
 		t.Error(d)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the ablation matrix golden file")
+
+// TestAblationMatrixGolden pins every cell of the ablation matrix: each
+// catalog entry mined by each arm. Everything underneath is deterministic,
+// so any difference is a real change in some mining mode's quality; after
+// a deliberate one, regenerate with
+//
+//	go test ./internal/bench -run TestAblationMatrixGolden -update
+func TestAblationMatrixGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full corpus evaluation in -short mode")
+	}
+	m, err := EvaluateMatrix(Catalog(), Arms())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.Format()
+	path := filepath.Join("testdata", "ablation_matrix.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file %s (run with -update to create): %v", path, err)
+	}
+	if string(want) != got {
+		t.Errorf("ablation matrix drifted from %s:\n--- want ---\n%s--- got ---\n%s", path, want, got)
+	}
+	checkDeletionRule(t, m, Arms())
+}
+
+// exemptDetectors keep their place whatever the matrix shows: the paper's
+// default, its named alternative (PCA, Section VI-E), the A3 linear kernel
+// and the null baseline.
+var exemptDetectors = map[string]bool{"svm": true, "svm-linear": true, "pca": true, "random": true}
+
+// checkDeletionRule applies the rule of docs/PERFORMANCE.md's "Decision
+// record: mining modes that earn their place": every other detector arm on
+// the paper's counter must be strictly best among those arms on some
+// entry, ranked by first rank and then by symptoms in the top 5.
+func checkDeletionRule(t *testing.T, m *Matrix, arms []Arm) {
+	t.Helper()
+	better := func(a, b Cell) bool {
+		return a.FirstRank < b.FirstRank || a.FirstRank == b.FirstRank && a.Top5 > b.Top5
+	}
+	for j, a := range arms {
+		if a.Feature != 0 || exemptDetectors[a.Name] {
+			continue
+		}
+		earned := false
+		for _, row := range m.Cells {
+			best := true
+			for k, b := range arms {
+				if k != j && b.Feature == 0 && !better(row[j], row[k]) {
+					best = false
+				}
+			}
+			earned = earned || best
+		}
+		if !earned {
+			t.Errorf("detector arm %s is strictly best on no entry: by the deletion rule it goes", a.Name)
+		}
 	}
 }

@@ -60,29 +60,84 @@ func round6(x float64) float64 {
 	return math.Round(x*1e6) / 1e6
 }
 
-// Evaluate runs one entry end to end: record the buggy runs, mine them,
-// judge every ranked sample with the oracle, score precision@k and the
-// reciprocal rank — then record the fixed runs and enforce the other half
-// of the contract (no symptomatic interval, or symptom label absent).
+// Evaluate runs one entry end to end with the paper's default mining mode:
+// record the buggy and fixed runs and enforce the fixed half of the
+// contract (no symptomatic interval, or symptom label absent), then mine
+// the buggy runs, judge every ranked sample with the oracle, and score
+// precision@k and the reciprocal rank.
 func Evaluate(e Entry) (*Result, error) {
+	rec, err := record(e)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := rec.score(Arm{})
+	return res, err
+}
+
+// recording is one entry's buggy runs, recorded once, whose fixed runs
+// have passed the fixed half of the contract. score mines the buggy runs
+// by any arm; the oracle's verdict on an interval is judged once and
+// shared by every arm.
+type recording struct {
+	e            Entry
+	runs         []*apps.Run
+	fixedChecked int
+	verdicts     map[runInterval]bool
+}
+
+// runInterval identifies a ranked sample: its 1-based run and interval.
+type runInterval struct {
+	run int
+	iv  lifecycle.Interval
+}
+
+// record records e's buggy and fixed runs and validates the fixed ones.
+func record(e Entry) (*recording, error) {
 	runs, err := e.Runs(false)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: buggy runs: %w", e.Name, err)
 	}
-	inputs := make([]core.RunInput, len(runs))
-	for i, run := range runs {
+	fixedRuns, err := e.Runs(true)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: fixed runs: %w", e.Name, err)
+	}
+	var checked int
+	if e.ValidateFixed != nil {
+		checked, err = e.ValidateFixed(fixedRuns)
+	} else {
+		checked, err = validateFixed(e, fixedRuns)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", e.Name, err)
+	}
+	return &recording{e: e, runs: runs, fixedChecked: checked, verdicts: map[runInterval]bool{}}, nil
+}
+
+// score mines the buggy runs by arm and judges the ranking. It returns the
+// result and the oracle's verdict on each rank, most suspicious first.
+func (r *recording) score(arm Arm) (*Result, []bool, error) {
+	e := r.e
+	inputs := make([]core.RunInput, len(r.runs))
+	for i, run := range r.runs {
 		inputs[i] = core.RunInput{Trace: run.Trace, Programs: run.Programs}
 	}
-	ranking, err := core.Mine(inputs, core.Config{IRQ: e.IRQ, Nodes: e.Nodes, Labels: e.Labels})
+	ranking, err := core.Mine(inputs, core.Config{
+		IRQ: e.IRQ, Nodes: e.Nodes, Labels: e.Labels,
+		Feature: arm.Feature, Detector: arm.Detector,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("bench: %s: mine: %w", e.Name, err)
+		return nil, nil, fmt.Errorf("bench: %s: mine: %w", e.Name, err)
 	}
 	verdicts := make([]bool, len(ranking.Samples))
-	res := &Result{Name: e.Name, Class: e.Class, Samples: len(ranking.Samples)}
+	res := &Result{Name: e.Name, Class: e.Class, Samples: len(ranking.Samples), FixedChecked: r.fixedChecked}
 	for i, s := range ranking.Samples {
-		sym, err := e.Oracle.Symptom(runs[s.Run-1], s.Interval)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s: oracle: %w", e.Name, err)
+		key := runInterval{s.Run, s.Interval}
+		sym, ok := r.verdicts[key]
+		if !ok {
+			if sym, err = e.Oracle.Symptom(r.runs[s.Run-1], s.Interval); err != nil {
+				return nil, nil, fmt.Errorf("bench: %s: oracle: %w", e.Name, err)
+			}
+			r.verdicts[key] = sym
 		}
 		verdicts[i] = sym
 		if sym {
@@ -93,25 +148,13 @@ func Evaluate(e Entry) (*Result, error) {
 		}
 	}
 	if res.Symptomatic == 0 {
-		return nil, fmt.Errorf("bench: %s: buggy run mined %d intervals but the oracle found no symptom — the seeded bug no longer manifests", e.Name, res.Samples)
+		return nil, nil, fmt.Errorf("bench: %s: buggy run mined %d intervals but the oracle found no symptom — the seeded bug no longer manifests", e.Name, res.Samples)
 	}
 	for _, k := range PrecisionKs {
 		res.PrecisionAt = append(res.PrecisionAt, round6(precisionAt(verdicts, k)))
 	}
 	res.ReciprocalRank = round6(1 / float64(res.FirstRank))
-
-	fixedRuns, err := e.Runs(true)
-	if err != nil {
-		return nil, fmt.Errorf("bench: %s: fixed runs: %w", e.Name, err)
-	}
-	validate := func() (int, error) { return validateFixed(e, fixedRuns) }
-	if e.ValidateFixed != nil {
-		validate = func() (int, error) { return e.ValidateFixed(fixedRuns) }
-	}
-	if res.FixedChecked, err = validate(); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", e.Name, err)
-	}
-	return res, nil
+	return res, verdicts, nil
 }
 
 // precisionAt is the symptomatic fraction of the top min(k, len(verdicts))

@@ -222,11 +222,11 @@ func TestMineFuncCountNeedsPrograms(t *testing.T) {
 
 func TestMineCustomDetector(t *testing.T) {
 	tr := syntheticTrace(1, 10)
-	ranking, err := Mine([]RunInput{{Trace: tr}}, Config{IRQ: 1, Detector: outlier.KNN{K: 3}})
+	ranking, err := Mine([]RunInput{{Trace: tr}}, Config{IRQ: 1, Detector: outlier.Mahalanobis{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ranking.Detector != "knn" {
+	if ranking.Detector != "mahalanobis-diag" {
 		t.Fatalf("detector %q", ranking.Detector)
 	}
 }

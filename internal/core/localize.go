@@ -121,22 +121,25 @@ func Localize(runs []RunInput, ranking *Ranking, prog *isa.Program, cfg Localize
 		if s.Run < 1 || s.Run > len(extractors) {
 			return nil, fmt.Errorf("core: sample references run %d of %d", s.Run, len(extractors))
 		}
-		v, err := extractors[s.Run-1].Counter(s.Interval)
+		v, err := extractors[s.Run-1].CounterSparse(s.Interval)
 		if err != nil {
 			return nil, err
 		}
-		if len(v) != dim {
-			return nil, fmt.Errorf("core: counter has %d dims, program has %d instructions", len(v), dim)
+		if v.Dim != dim {
+			return nil, fmt.Errorf("core: counter has %d dims, program has %d instructions", v.Dim, dim)
 		}
+		// Zero cells add nothing to a sum that starts at +0, so summing
+		// the nonzero cells alone gives the same totals bit for bit.
 		if rank < suspects {
 			suspN++
-			for d, c := range v {
-				suspSum[d] += c
+			for k, d := range v.Idx {
+				suspSum[d] += v.Val[k]
 			}
 			continue
 		}
 		n++
-		for d, c := range v {
+		for k, d := range v.Idx {
+			c := v.Val[k]
 			normSum[d] += c
 			normSq[d] += c * c
 		}

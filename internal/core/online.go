@@ -812,11 +812,8 @@ func ExtractBatchesFor(runs []RunInput, cfg Config, irqs ...int) ([]Batch, error
 		go func() {
 			defer func() { <-sem; wg.Done() }()
 			ivs, cnt, err := anatomize(jb.nt, counters, irqs)
-			for k := 0; err == nil && k < len(ivs); k++ {
-				switch {
-				case !ivs[k].Complete:
-					cnt[k] = stats.Sparse{}
-				case !counters:
+			for k := 0; err == nil && !counters && k < len(ivs); k++ {
+				if ivs[k].Complete {
 					cnt[k], err = extractFeature(jb.ext, runs[jb.run], cfg.Feature, ivs[k])
 				}
 			}

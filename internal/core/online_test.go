@@ -559,7 +559,7 @@ func TestOnlineMinerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRanking(t, "duration stream", want, got)
-	if _, err := NewOnlineMiner(OnlineConfig{Config: Config{IRQ: 1, Detector: outlier.KNN{}}}); err == nil {
+	if _, err := NewOnlineMiner(OnlineConfig{Config: Config{IRQ: 1, Detector: outlier.PCA{}}}); err == nil {
 		t.Fatal("explicit detector accepted")
 	}
 	// A missing spill dir is created; a path through a regular file cannot be.

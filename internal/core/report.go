@@ -23,16 +23,13 @@ type SymbolCount struct {
 // symbol, highest count first — the first thing a human inspects about a
 // top-ranked interval ("which code ran, and how much of it").
 func SymbolCounts(t *trace.Trace, prog *isa.Program, iv lifecycle.Interval) ([]SymbolCount, error) {
-	ext := feature.NewExtractor(t)
-	counter, err := ext.Counter(iv)
+	counter, err := feature.NewExtractor(t).CounterSparse(iv)
 	if err != nil {
 		return nil, err
 	}
 	totals := make(map[string]uint64)
-	for pc, c := range counter {
-		if c == 0 {
-			continue
-		}
+	for k, pc := range counter.Idx {
+		c := counter.Val[k]
 		sym := prog.SymbolAt(uint16(pc))
 		sym = strings.SplitN(sym, "+", 2)[0]
 		if sym == "" {
@@ -59,21 +56,18 @@ func SymbolCounts(t *trace.Trace, prog *isa.Program, iv lifecycle.Interval) ([]S
 // inspection" artifact the paper's rankings direct a developer to.
 // Instructions that never executed inside the window are elided.
 func AnnotatedListing(t *trace.Trace, prog *isa.Program, iv lifecycle.Interval) (string, error) {
-	ext := feature.NewExtractor(t)
-	counter, err := ext.Counter(iv)
+	counter, err := feature.NewExtractor(t).CounterSparse(iv)
 	if err != nil {
 		return "", err
 	}
-	if len(counter) != len(prog.Code) {
+	if counter.Dim != len(prog.Code) {
 		return "", fmt.Errorf("core: counter has %d dims, program has %d instructions",
-			len(counter), len(prog.Code))
+			counter.Dim, len(prog.Code))
 	}
 	var b strings.Builder
 	lastSym := ""
-	for pc, c := range counter {
-		if c == 0 {
-			continue
-		}
+	for k, pc := range counter.Idx {
+		c := counter.Val[k]
 		sym := strings.SplitN(prog.SymbolAt(uint16(pc)), "+", 2)[0]
 		if sym != lastSym {
 			fmt.Fprintf(&b, "%s:\n", sym)

@@ -18,7 +18,6 @@ import (
 	"sentomist/internal/dev"
 	"sentomist/internal/lifecycle"
 	"sentomist/internal/outlier"
-	"sentomist/internal/svm"
 )
 
 // Default seeds of the canonical runs (chosen once; every result in
@@ -261,120 +260,18 @@ func InspectionEffort(seed uint64) (*EffortResult, error) {
 	return res, nil
 }
 
-// AblationRow is one detector/feature/kernel variant's outcome.
+// AblationRow is one variant's outcome in A4 and the ν sweep.
 type AblationRow struct {
 	Name             string
 	FirstSymptomRank int
-	Extra            float64 // variant-specific metric (dims, pattern score)
+	Extra            float64 // variant-specific metric (pattern score, ν)
 }
 
-// DetectorAblation is A1 on Case II.
-func DetectorAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	dets := []struct {
-		name string
-		det  outlier.Detector
-	}{
-		{"one-class SVM", outlier.OneClassSVM{}},
-		{"PCA", outlier.PCA{}},
-		{"k-NN", outlier.KNN{}},
-		{"Mahalanobis (diag)", outlier.Mahalanobis{}},
-		{"kernel PCA", outlier.KernelPCA{}},
-		{"random", baseline.Random{Seed: 1}},
-	}
-	var rows []AblationRow
-	for _, d := range dets {
-		ranking, err := core.Mine(
-			[]core.RunInput{{Trace: run.Trace, Programs: run.Programs}},
-			core.Config{IRQ: dev.IRQRadioRX, Nodes: []int{apps.FwdRelayID}, Detector: d.det},
-		)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: detector %s: %w", d.name, err)
-		}
-		rank, err := rankOfOracle(ranking, func(s core.Sample) (bool, error) {
-			return apps.CaseIISymptom(run, s.Interval)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: detector %s: %w", d.name, err)
-		}
-		rows = append(rows, AblationRow{Name: d.name, FirstSymptomRank: rank})
-	}
-	return rows, nil
-}
-
-// FeatureAblation is A2 on Case II.
-func FeatureAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunForwarder(apps.ForwarderConfig{Seconds: 20, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	feats := []struct {
-		name string
-		kind core.FeatureKind
-	}{
-		{"instruction counter", core.FeatureCounter},
-		{"function counts", core.FeatureFuncCount},
-		{"duration only", core.FeatureDuration},
-		{"stack depth only", core.FeatureStackDepth},
-	}
-	var rows []AblationRow
-	for _, f := range feats {
-		ranking, err := core.Mine(
-			[]core.RunInput{{Trace: run.Trace, Programs: run.Programs}},
-			core.Config{IRQ: dev.IRQRadioRX, Nodes: []int{apps.FwdRelayID}, Feature: f.kind},
-		)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: feature %s: %w", f.name, err)
-		}
-		rank, err := rankOfOracle(ranking, func(s core.Sample) (bool, error) {
-			return apps.CaseIISymptom(run, s.Interval)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: feature %s: %w", f.name, err)
-		}
-		rows = append(rows, AblationRow{Name: f.name, FirstSymptomRank: rank, Extra: float64(ranking.Dim)})
-	}
-	return rows, nil
-}
-
-// KernelAblation is A3 on Case I run 1.
-func KernelAblation(seed uint64) ([]AblationRow, error) {
-	run, err := apps.RunOscilloscope(apps.OscConfig{PeriodMS: 20, Seconds: 10, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	kernels := []struct {
-		name   string
-		kernel svm.Kernel
-	}{
-		{"RBF", nil},
-		{"linear", svm.Linear{}},
-	}
-	var rows []AblationRow
-	for _, k := range kernels {
-		ranking, err := core.Mine(
-			[]core.RunInput{{Trace: run.Trace, Programs: run.Programs}},
-			core.Config{
-				IRQ:      dev.IRQADC,
-				Nodes:    []int{apps.OscSensorID},
-				Detector: outlier.OneClassSVM{Kernel: k.kernel},
-			},
-		)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: kernel %s: %w", k.name, err)
-		}
-		rank, err := rankOfOracle(ranking, func(s core.Sample) (bool, error) {
-			return apps.CaseISymptom(run, s.Interval)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: kernel %s: %w", k.name, err)
-		}
-		rows = append(rows, AblationRow{Name: k.name, FirstSymptomRank: rank})
-	}
-	return rows, nil
+// AblationMatrix is A1–A3: every Sentomist-bench entry mined by every arm
+// of bench.Arms — the detector plug-ins (A1), the feature kinds (A2) and
+// the linear kernel (A3).
+func AblationMatrix() (*bench.Matrix, error) {
+	return bench.EvaluateMatrix(bench.Catalog(), bench.Arms())
 }
 
 // DustminerBaseline is A4: top discriminative-pattern score per workload.

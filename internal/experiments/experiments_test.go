@@ -55,43 +55,6 @@ func TestCaseIIIShape(t *testing.T) {
 	}
 }
 
-func TestAblationShapes(t *testing.T) {
-	det, err := DetectorAblation(CaseIISeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]int{}
-	for _, r := range det {
-		byName[r.Name] = r.FirstSymptomRank
-	}
-	if byName["one-class SVM"] != 1 {
-		t.Errorf("SVM rank %d", byName["one-class SVM"])
-	}
-	if byName["random"] <= 5 {
-		t.Errorf("random ranker suspiciously good: rank %d", byName["random"])
-	}
-
-	feats, err := FeatureAblation(CaseIISeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var counterRank, durationRank int
-	for _, r := range feats {
-		switch r.Name {
-		case "instruction counter":
-			counterRank = r.FirstSymptomRank
-		case "duration only":
-			durationRank = r.FirstSymptomRank
-		}
-	}
-	if counterRank != 1 {
-		t.Errorf("instruction counter rank %d", counterRank)
-	}
-	if durationRank <= counterRank {
-		t.Errorf("duration-only (%d) should be worse than the counter (%d)", durationRank, counterRank)
-	}
-}
-
 func TestOnlineEquivalenceShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Case I both ways at several online configs")

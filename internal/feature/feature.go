@@ -51,30 +51,13 @@ func (e *Extractor) nodeWindow(iv lifecycle.Interval) (*trace.NodeTrace, error) 
 	return nt, nil
 }
 
-// Counter returns the instruction counter of iv: dimension i is the number
-// of executions of instruction i within the interval window.
-func (e *Extractor) Counter(iv lifecycle.Interval) ([]float64, error) {
-	nt, err := e.nodeWindow(iv)
-	if err != nil {
-		return nil, err
-	}
-	v := make([]float64, nt.ProgramLen)
-	// Marker m's delta covers instructions executed in (m-1, m]; the
-	// interval window is (StartMarker, EndMarker].
-	for m := iv.StartMarker + 1; m <= iv.EndMarker; m++ {
-		for _, d := range nt.Markers[m].Deltas {
-			v[d.PC] += float64(d.Count)
-		}
-	}
-	return v, nil
-}
-
-// CounterSparse is Counter without materializing the dense vector: the
-// marker deltas are accumulated straight into a sorted (pc, count) list.
-// An interval executes a tiny slice of the binary, so the result holds a
+// CounterSparse returns the instruction counter of iv: dimension i is the
+// number of executions of instruction i within the interval window. The
+// marker deltas are accumulated straight into a sorted (pc, count) list:
+// an interval executes a tiny slice of the binary, so the result holds a
 // handful of entries instead of ProgramLen dimensions. Per-PC counts are
-// accumulated in marker order, exactly as Counter does, so the densified
-// result is bit-identical to Counter's.
+// accumulated in marker order, so the densified result is bit-identical to
+// summing the deltas into a dense vector (the test-only Counter oracle).
 func (e *Extractor) CounterSparse(iv lifecycle.Interval) (stats.Sparse, error) {
 	nt, err := e.nodeWindow(iv)
 	if err != nil {
@@ -82,7 +65,7 @@ func (e *Extractor) CounterSparse(iv lifecycle.Interval) (stats.Sparse, error) {
 	}
 	// Collect the window's deltas, stable-sort by PC, then coalesce
 	// runs. The stable sort keeps each PC's deltas in marker order, so
-	// per-PC sums accumulate in exactly the order Counter adds them.
+	// per-PC sums accumulate in marker order.
 	total := 0
 	for m := iv.StartMarker + 1; m <= iv.EndMarker; m++ {
 		total += len(nt.Markers[m].Deltas)
@@ -122,7 +105,7 @@ func (e *Extractor) CounterSparse(iv lifecycle.Interval) (stats.Sparse, error) {
 // dimension per label in prog, counting executions of instructions between
 // that label and the next. It is the coarse feature of ablation A2.
 func (e *Extractor) FuncCounter(prog *isa.Program, iv lifecycle.Interval) ([]float64, error) {
-	raw, err := e.Counter(iv)
+	raw, err := e.CounterSparse(iv)
 	if err != nil {
 		return nil, err
 	}
@@ -131,11 +114,8 @@ func (e *Extractor) FuncCounter(prog *isa.Program, iv lifecycle.Interval) ([]flo
 		return nil, fmt.Errorf("feature: program has no symbols for function counting")
 	}
 	out := make([]float64, len(starts))
-	for pc, c := range raw {
-		if c == 0 {
-			continue
-		}
-		out[regionOf(starts, pc)] += c
+	for k, pc := range raw.Idx {
+		out[regionOf(starts, int(pc))] += raw.Val[k]
 	}
 	return out, nil
 }

@@ -8,11 +8,13 @@
 // interval's instruction counter (Definition 4) is read off running per-PC
 // totals, and the interval is finalized the moment its last item arrives.
 // No marker-delta trace is materialized and no second pass happens;
-// Finalize returns intervals and counters bit-identical to
-// NewSequence(nt).Extract() plus Extractor.CounterSparse over the
-// materialized trace of the same run (the equivalence the streaming tests
-// and FuzzReplayMatchesExtract pin). Replay runs the same streamer over a
-// materialized trace; it is the one production anatomizer for counters.
+// Finalize returns intervals bit-identical to NewSequence(nt).Extract()
+// over the materialized trace of the same run, and for every complete
+// interval a counter bit-identical to Extractor.CounterSparse (the
+// equivalence the streaming tests and FuzzReplayMatchesExtract pin).
+// Incomplete intervals, which no miner scores, carry an empty counter.
+// Replay runs the same streamer over a materialized trace; it is the one
+// production anatomizer for counters.
 package lifecycle
 
 import (
@@ -26,19 +28,18 @@ import (
 )
 
 // Counters. The streamer keeps one running total per PC and the marker that
-// last added to it. An open interval has one or two boundaries: its window
-// start and, while posts are pending, its tentative end (see ivState). The
+// last added to it. An open interval's boundary is its window start. The
 // first addition to a PC after the latest boundary appends an entry to a
 // log all intervals share: the PC, its total before the addition — still
 // its total at every boundary since its previous addition — and that
-// previous addition's marker. An interval's counter over (start, end] is
-// the entries logged between its two boundaries whose PC was last added at
-// or before the start, each subtracted from the PC's total at the end (the
-// current total, or the total rewound to a tentative end in Finalize).
-// Each addition logs at most one entry however many intervals are open,
-// and compaction drops entries no live boundary needs, leaving at most one
-// per PC per live boundary: the state is bounded by both the deltas since
-// the oldest open interval began and ProgramLen times the open intervals.
+// previous addition's marker. An interval finalized at the current marker
+// has as its counter over (start, end] the entries logged since its start
+// whose PC was last added at or before the start, each subtracted from the
+// PC's current total. Each addition logs at most one entry however many
+// intervals are open, and compaction drops entries no live boundary needs,
+// leaving at most one per PC per live boundary: the state is bounded by
+// both the deltas since the oldest open interval began and ProgramLen
+// times the open intervals.
 // The totals are uint64 integer sums, so each difference is the exact
 // window sum; Extractor.CounterSparse adds the same deltas in float64,
 // exact below 2^53, so the counters are bit-identical.
@@ -108,12 +109,11 @@ type ivState struct {
 	// Tentative end: where the interval would end if the run truncated
 	// now — the materialized algorithm's reti end (no owned task ran) or
 	// taskEnd end (posts still pending) with Complete=false. A later
-	// owned runTask discards it. Its boundary is snapMark+1, at log
-	// position snapPos; Finalize reads the counter there.
-	snapOK                      bool
-	snapItem, snapMark, snapPos int
-	snapCycle                   uint64
-	snapTask                    bool
+	// owned runTask discards it; Finalize reports it if it still stands.
+	snapOK             bool
+	snapItem, snapMark int
+	snapCycle          uint64
+	snapTask           bool
 }
 
 // Streamer is the online anatomizer for one node. Feed it markers via
@@ -134,7 +134,7 @@ type Streamer struct {
 	handlers []int
 	// openSlots lists the counted slots still open, in opening order.
 	openSlots []int
-	// latest is the most recent boundary, 0 when no interval is open;
+	// latest is the most recent window start, 0 when no interval is open;
 	// compactAt is the log length that triggers compaction.
 	latest, compactAt int
 
@@ -360,18 +360,15 @@ func (s *Streamer) step(kind trace.Kind, arg int, cycle uint64, instance int) {
 	}
 }
 
-// compact drops the log entries that cover no live boundary and rebases
-// the live boundaries' log positions.
+// compact drops the log entries that cover no open interval's window
+// start and rebases the starts' log positions.
 func (s *Streamer) compact() {
 	b := s.bnd[:0]
 	for _, slot := range s.openSlots {
 		st := &s.st[slot]
 		b = append(b, bound{at: st.from, pos: &st.fromPos})
-		if st.snapOK {
-			b = append(b, bound{at: st.snapMark + 1, pos: &st.snapPos})
-		}
 	}
-	// Boundaries were logged in marker order, so positions rise with at.
+	// Starts were logged in marker order, so positions rise with at.
 	slices.SortFunc(b, func(x, y bound) int { return cmp.Compare(x.at, y.at) })
 	n, j := 0, 0
 	for i, e := range s.log {
@@ -393,13 +390,12 @@ func (s *Streamer) compact() {
 	s.compactAt = max(2*n, minCompact)
 }
 
-// counter reads an interval's counter off the log up to position end, its
-// end boundary, against the totals there: the current totals for the
-// present, rewound ones for a tentative end. The result is sorted by PC —
+// counter reads the counter of an interval ending at the current marker
+// off the log, against the current totals. The result is sorted by PC —
 // the exact output of Extractor.CounterSparse.
-func (s *Streamer) counter(st *ivState, end int) stats.Sparse {
+func (s *Streamer) counter(st *ivState) stats.Sparse {
 	pcs := s.pcs[:0]
-	for _, e := range s.log[st.fromPos:end] {
+	for _, e := range s.log[st.fromPos:] {
 		if e.prev <= st.from {
 			pcs = append(pcs, pcCount{pc: e.pc, n: s.total[e.pc] - e.base})
 		}
@@ -418,14 +414,10 @@ func (s *Streamer) counter(st *ivState, end int) stats.Sparse {
 	return out
 }
 
-// snapshot records the tentative end; Finalize reads its counter if it
-// still stands then.
+// snapshot records the tentative end; Finalize reports it if it still
+// stands then.
 func (s *Streamer) snapshot(slot, endItem, endMarker int, cycle uint64, endsWithTask bool) {
 	st := &s.st[slot]
-	if st.out >= 0 {
-		st.snapPos = len(s.log)
-		s.latest = endMarker + 1
-	}
 	st.snapOK = true
 	st.snapItem = endItem
 	st.snapMark = endMarker
@@ -442,7 +434,7 @@ func (s *Streamer) finalize(slot, endItem, endMarker int, cycle uint64, endsWith
 		iv.EndCycle = cycle
 		iv.EndsWithTask = endsWithTask
 		iv.Complete = complete
-		s.cnt[st.out] = s.counter(st, len(s.log))
+		s.cnt[st.out] = s.counter(st)
 		s.openSlots = slices.DeleteFunc(s.openSlots, func(o int) bool { return o == slot })
 		if len(s.openSlots) == 0 {
 			s.log = s.log[:0]
@@ -456,8 +448,9 @@ func (s *Streamer) finalize(slot, endItem, endMarker int, cycle uint64, endsWith
 // Finalize closes the stream: intervals still in flight are marked
 // incomplete exactly the way the materialized algorithm marks them when
 // the trace ends mid-instance. It returns every interval in chronological
-// order of its opening int(n) item, the matching sparse counters, and the
-// first malformed-sequence error if one occurred.
+// order of its opening int(n) item, the matching sparse counters — empty
+// for incomplete intervals, which every miner excludes — and the first
+// malformed-sequence error if one occurred.
 //
 // Call it after the run's last marker; later calls return the same result.
 func (s *Streamer) Finalize() ([]Interval, []stats.Sparse, error) {
@@ -468,7 +461,6 @@ func (s *Streamer) Finalize() ([]Interval, []stats.Sparse, error) {
 	if s.buffers == nil {
 		return s.ivs, s.cnt, nil
 	}
-	snaps := s.openSlots[:0] // reused: slots whose tentative end stands
 	for slot := range s.st {
 		st := &s.st[slot]
 		if !st.open {
@@ -491,7 +483,6 @@ func (s *Streamer) Finalize() ([]Interval, []stats.Sparse, error) {
 			iv.EndMarker = st.snapMark
 			iv.EndCycle = st.snapCycle
 			iv.EndsWithTask = st.snapTask
-			snaps = append(snaps, slot)
 			continue
 		default:
 			// An owned task ran but its TaskEnd never arrived (run
@@ -501,20 +492,7 @@ func (s *Streamer) Finalize() ([]Interval, []stats.Sparse, error) {
 		}
 		iv.EndMarker = s.markers - 1
 		iv.EndCycle = s.lastCycle
-		s.cnt[st.out] = s.counter(st, len(s.log))
 	}
-	// Tentative ends, latest first, rewinding the totals on the way: a PC's
-	// first entry after a live boundary holds its total there.
-	slices.SortFunc(snaps, func(a, b int) int { return cmp.Compare(s.st[b].snapPos, s.st[a].snapPos) })
-	i := len(s.log)
-	for _, slot := range snaps {
-		st := &s.st[slot]
-		for ; i > st.snapPos; i-- {
-			s.total[s.log[i-1].pc] = s.log[i-1].base
-		}
-		s.cnt[st.out] = s.counter(st, st.snapPos)
-	}
-	s.openSlots = snaps[:0]
 	s.release()
 	return s.ivs, s.cnt, nil
 }

@@ -39,6 +39,32 @@ type taskEntry struct {
 	instance int
 }
 
+// taskQueue is the task FIFO: a ring buffer whose size is a power of two
+// and doubles when full, so a pop is O(1) however deep the queue and
+// pushes reuse one backing array once it has grown to the deepest queue.
+type taskQueue struct {
+	buf     []taskEntry
+	head, n int
+}
+
+func (q *taskQueue) push(e taskEntry) {
+	if q.n == len(q.buf) {
+		grown := make([]taskEntry, max(8, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	q.n++
+}
+
+func (q *taskQueue) pop() taskEntry {
+	e := q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return e
+}
+
 // Node is one simulated sensor node.
 type Node struct {
 	ID   int
@@ -53,7 +79,7 @@ type Node struct {
 	sleeping bool
 	ph       phase
 
-	queue      []taskEntry
+	queue      taskQueue
 	sequential bool
 	onRaise    func()
 
@@ -170,7 +196,7 @@ func (n *Node) Trace() *trace.NodeTrace { return n.rec.Finish() }
 func (n *Node) Release() { n.rec.Release() }
 
 // QueueLen returns the current task-queue depth.
-func (n *Node) QueueLen() int { return len(n.queue) }
+func (n *Node) QueueLen() int { return n.queue.n }
 
 // Runnable reports whether the node can make progress at the current clock
 // without waiting for a device or network event: the CPU has code to run or
@@ -189,7 +215,7 @@ func (n *Node) Runnable() bool {
 	case phaseBoot, phaseTask:
 		return true
 	case phaseIdle:
-		return n.cpu.IntDepth > 0 || (len(n.queue) > 0 && n.cpu.IntDepth == 0)
+		return n.cpu.IntDepth > 0 || (n.queue.n > 0 && n.cpu.IntDepth == 0)
 	}
 	return false
 }
@@ -317,8 +343,7 @@ func (n *Node) dispatchIRQ() bool {
 // startTask pops the task queue and enters the task body (Rule 3). It
 // returns false when the node failed.
 func (n *Node) startTask() bool {
-	te := n.queue[0]
-	n.queue = n.queue[1:]
+	te := n.queue.pop()
 	entry, ok := n.prog.Tasks[te.id]
 	if !ok {
 		n.fail(fmt.Errorf("posted task %d has no entry", te.id))
@@ -362,7 +387,7 @@ func (n *Node) AdvanceReference(target uint64) {
 			continue
 		}
 
-		if n.ph == phaseIdle && n.cpu.IntDepth == 0 && len(n.queue) > 0 {
+		if n.ph == phaseIdle && n.cpu.IntDepth == 0 && n.queue.n > 0 {
 			if !n.startTask() {
 				return
 			}
@@ -489,7 +514,7 @@ func (n *Node) advanceBatched(target, anchor, quantum uint64, netDirty func() bo
 			continue
 		}
 
-		if n.ph == phaseIdle && n.cpu.IntDepth == 0 && len(n.queue) > 0 {
+		if n.ph == phaseIdle && n.cpu.IntDepth == 0 && n.queue.n > 0 {
 			if !n.startTask() {
 				return deadAt(n.clock), JumpDead
 			}
@@ -600,7 +625,7 @@ func (n *Node) applyEvent(ev mcu.Event) bool {
 			return false
 		}
 		inst := n.currentInstance()
-		n.queue = append(n.queue, taskEntry{id: id, instance: inst})
+		n.queue.push(taskEntry{id: id, instance: inst})
 		n.rec.Mark(trace.PostTask, id, n.clock, inst)
 	case mcu.EvOSRun:
 		if n.ph != phaseBoot {

@@ -587,3 +587,33 @@ fasttask:
 		}
 	}
 }
+
+// TestTaskQueueFIFO: the ring buffer pops in push order across wraparound
+// and growth, against a slice FIFO.
+func TestTaskQueueFIFO(t *testing.T) {
+	var q taskQueue
+	var want []taskEntry
+	next := 0
+	for step := 0; step < 2000; step++ {
+		// Push runs of growing length, pop a little less, so the queue
+		// wraps at every size and grows through several doublings.
+		if step%7 < 4 || len(want) == 0 {
+			e := taskEntry{id: next % 5, instance: next}
+			next++
+			q.push(e)
+			want = append(want, e)
+		} else {
+			got := q.pop()
+			if got != want[0] {
+				t.Fatalf("step %d: popped %+v, want %+v", step, got, want[0])
+			}
+			want = want[1:]
+		}
+		if q.n != len(want) {
+			t.Fatalf("step %d: length %d, want %d", step, q.n, len(want))
+		}
+	}
+	if len(q.buf) < 256 {
+		t.Fatalf("queue grew to %d slots only; the test does not reach several doublings", len(q.buf))
+	}
+}

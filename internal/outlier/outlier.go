@@ -1,8 +1,9 @@
 // Package outlier defines Sentomist's plug-in outlier detection interface
-// (the paper's Figure 3 "anomaly detection" stage) and four detectors:
-// the one-class SVM the paper uses, plus PCA reconstruction, k-NN distance,
-// and diagonal-Mahalanobis alternatives for the plug-in comparison the
-// paper's Section VI-E anticipates.
+// (the paper's Figure 3 "anomaly detection" stage) and three detectors:
+// the one-class SVM the paper uses, plus the PCA reconstruction and
+// diagonal-Mahalanobis alternatives for the plug-in comparison the paper's
+// Section VI-E anticipates (the ablation matrix of internal/bench scores
+// them on every Sentomist-bench entry).
 //
 // All detectors follow the paper's scoring convention: every sample gets a
 // real-valued score, LOWER meaning MORE suspicious, and scores are
@@ -204,48 +205,6 @@ func (d PCA) Score(samples [][]float64) ([]float64, error) {
 			res = 0
 		}
 		scores[i] = -math.Sqrt(res)
-	}
-	return Normalize(shiftToPaperConvention(scores)), nil
-}
-
-// KNN scores samples by the negated distance to their K-th nearest
-// neighbour within the batch.
-type KNN struct {
-	// K defaults to 5 (clamped to len(samples)-1).
-	K int
-}
-
-// Name implements Detector.
-func (d KNN) Name() string { return "knn" }
-
-// Score implements Detector.
-func (d KNN) Score(samples [][]float64) ([]float64, error) {
-	n := len(samples)
-	if n == 0 {
-		return nil, ErrNoSamples
-	}
-	k := d.K
-	if k <= 0 {
-		k = 5
-	}
-	if k > n-1 {
-		k = n - 1
-	}
-	scores := make([]float64, n)
-	if k == 0 {
-		return scores, nil
-	}
-	dists := make([]float64, 0, n-1)
-	for i := range samples {
-		dists = dists[:0]
-		for j := range samples {
-			if i == j {
-				continue
-			}
-			dists = append(dists, stats.SqDist(samples[i], samples[j]))
-		}
-		sort.Float64s(dists)
-		scores[i] = -math.Sqrt(dists[k-1])
 	}
 	return Normalize(shiftToPaperConvention(scores)), nil
 }

@@ -23,7 +23,6 @@ func detectors() []Detector {
 	return []Detector{
 		OneClassSVM{},
 		PCA{},
-		KNN{},
 		Mahalanobis{},
 	}
 }
@@ -42,9 +41,9 @@ func lineBatch(seed uint64, n int) [][]float64 {
 }
 
 // TestEveryDetectorFindsPlantedOutlier plants, per detector, an anomaly of
-// the shape that detector models: a far point for the SVM and k-NN, an
+// the shape that detector models: a far point for the SVM, an
 // off-subspace point for PCA, a large per-dimension z-score for diagonal
-// Mahalanobis. (No single anomaly shape is visible to all four — which is
+// Mahalanobis. (No single anomaly shape is visible to all three — which is
 // precisely the paper's argument for the SVM's nonlinear boundary.)
 func TestEveryDetectorFindsPlantedOutlier(t *testing.T) {
 	tests := []struct {
@@ -53,7 +52,6 @@ func TestEveryDetectorFindsPlantedOutlier(t *testing.T) {
 		planted int
 	}{
 		{OneClassSVM{}, plantedBatch(1, 80, 8), 80},
-		{KNN{}, plantedBatch(1, 80, 8), 80},
 		{PCA{}, lineBatch(2, 80), 80},
 		{Mahalanobis{}, plantedBatch(3, 80, 8), 80},
 	}
@@ -203,22 +201,6 @@ func TestPCAVarianceFractionControlsSubspace(t *testing.T) {
 	}
 	if Rank(scores)[0] != 50 {
 		t.Fatal("off-subspace point not ranked first")
-	}
-}
-
-func TestKNNKClamping(t *testing.T) {
-	samples := [][]float64{{0}, {1}}
-	scores, err := (KNN{K: 10}).Score(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 2 {
-		t.Fatal("bad score count")
-	}
-	// Single sample: k clamps to zero neighbours, all scores zero.
-	one, err := (KNN{}).Score([][]float64{{5}})
-	if err != nil || len(one) != 1 {
-		t.Fatalf("single-sample KNN: %v %v", one, err)
 	}
 }
 

@@ -32,7 +32,7 @@ func cacheCorpus() []cacheProblem {
 	add("tight-nu", sparseCluster(rng, 120, 48), Config{Nu: 0.01})
 	add("loose-nu", sparseCluster(rng, 90, 32), Config{Nu: 0.6})
 	add("linear", sparseCluster(rng, 80, 40), Config{Nu: 0.1, Kernel: Linear{}})
-	add("poly", sparseCluster(rng, 70, 36), Config{Nu: 0.15, Kernel: Poly{Gamma: 0.3, Coef0: 1, Degree: 2}})
+	add("poly", sparseCluster(rng, 70, 36), Config{Nu: 0.15, Kernel: polyKernel{Gamma: 0.3, Coef0: 1, Degree: 2}})
 	add("rbf-wide-gamma", sparseCluster(rng, 150, 80), Config{Nu: 0.08, Kernel: RBF{Gamma: 2.5}})
 
 	// Heavy duplication: the dedup + shared-column regime.

@@ -87,7 +87,7 @@ const cellSteps = 16
 const minParallelWork = 1 << 15
 
 // mergeEval says how a built-in kernel evaluates through a merge plan:
-// over the squared distance (RBF) or the dot (Linear, Poly), mapped to the
+// over the squared distance (RBF) or the dot (Linear), mapped to the
 // kernel value by the very function EvalSparse applies, so a planned cell
 // equals EvalSparse bit for bit. of is nil for any other kernel.
 func mergeEval(k SparseKernel) (sqDist bool, of func(float64) float64) {
@@ -96,8 +96,6 @@ func mergeEval(k SparseKernel) (sqDist bool, of func(float64) float64) {
 		return true, k.ofSqDist
 	case Linear:
 		return false, func(d float64) float64 { return d }
-	case Poly:
-		return false, k.ofDot
 	}
 	return false, nil
 }
@@ -190,7 +188,7 @@ func (s *sparseColSource) fill(g int, dst []float64) { s.evalFrom(g, 0, dst) }
 // of its own merge, so it equals evalCell bit for bit (the merges are
 // symmetric bit for bit, so the plan needs no orientation rule). A shape
 // with fewer than four pending members, the members left over from the
-// fours, and every cell of a kernel outside RBF/Linear/Poly are evaluated
+// fours, and every cell of a kernel outside RBF/Linear are evaluated
 // per cell, by one merge each: a plan costs about one merge to build, so
 // it pays only when walked for four members at once. The work is shared
 // across the worker pool by estimated cost; each cell is written by

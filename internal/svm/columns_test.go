@@ -76,7 +76,6 @@ func TestPlannedFillMatchesEvalCell(t *testing.T) {
 	for _, kernel := range []SparseKernel{
 		RBF{Gamma: 1.0 / 400},
 		Linear{},
-		Poly{Gamma: 0.01, Coef0: 1, Degree: 3},
 	} {
 		for _, workers := range []int{1, 2} {
 			src := newSparseColSource(samples, kernel, workers)
@@ -98,7 +97,7 @@ func TestPlannedFillMatchesEvalCell(t *testing.T) {
 }
 
 // TestPlannedFillSingletonAndUserKernel: a shape with a single pending
-// member and every cell of a kernel outside RBF/Linear/Poly take the
+// member and every cell of a kernel outside RBF/Linear take the
 // per-cell merge, and fills stay exact.
 func TestPlannedFillSingletonAndUserKernel(t *testing.T) {
 	rng := randx.New(72)

@@ -15,8 +15,9 @@ var groupPalette = [...]float64{0, math.Copysign(0, -1), 0.5, 1, 1.5, 2, -1, 3}
 
 // groupProblem decodes a duplicate-heavy sparse training set from fuzz
 // bytes. data[0] sets the dimension (1–4), data[1] the number of distinct
-// prototypes (1–6), data[2] the kernel (low two bits: RBF, Linear, Poly)
-// and the cache budget (next bits: two columns, half the groups, all).
+// prototypes (1–6), data[2] the kernel (low two bits: RBF, Linear, a
+// polynomial user kernel, a wider RBF) and the cache budget (next bits:
+// two columns, half the groups, all).
 // Then come dim bytes per prototype — low two bits zero leaves the index
 // out, otherwise the next three bits pick the value — and finally one byte
 // per sample naming its prototype (at most 96 samples, at least one).
@@ -32,7 +33,7 @@ func groupProblem(data []byte) (samples []stats.Sparse, kernel SparseKernel, bud
 	dim := 1 + int(next()%4)
 	protos := make([]stats.Sparse, 1+int(next()%6))
 	sel := next()
-	kernel = [...]SparseKernel{RBF{Gamma: 0.5}, Linear{}, Poly{Gamma: 0.5, Coef0: 1, Degree: 2}, RBF{Gamma: 3}}[sel%4]
+	kernel = [...]SparseKernel{RBF{Gamma: 0.5}, Linear{}, polyKernel{Gamma: 0.5, Coef0: 1, Degree: 2}, RBF{Gamma: 3}}[sel%4]
 	budget = int(sel>>2) % 3
 	for p := range protos {
 		s := stats.Sparse{Dim: dim}

@@ -62,26 +62,3 @@ func (Linear) Eval(a, b []float64) float64 { return stats.Dot(a, b) }
 func (Linear) EvalSparse(a, b stats.Sparse) float64 { return stats.SparseDot(a, b) }
 
 func (Linear) String() string { return "linear" }
-
-// Poly is the polynomial kernel (gamma·aᵀb + coef0)^degree.
-type Poly struct {
-	Gamma  float64
-	Coef0  float64
-	Degree int
-}
-
-// Eval implements Kernel.
-func (k Poly) Eval(a, b []float64) float64 { return k.ofDot(stats.Dot(a, b)) }
-
-// EvalSparse implements SparseKernel.
-func (k Poly) EvalSparse(a, b stats.Sparse) float64 { return k.ofDot(stats.SparseDot(a, b)) }
-
-// ofDot maps an inner product to the kernel value, shared by every
-// evaluation path like RBF.ofSqDist.
-func (k Poly) ofDot(d float64) float64 {
-	return math.Pow(k.Gamma*d+k.Coef0, float64(k.Degree))
-}
-
-func (k Poly) String() string {
-	return fmt.Sprintf("poly(gamma=%g, coef0=%g, degree=%d)", k.Gamma, k.Coef0, k.Degree)
-}

@@ -73,7 +73,7 @@ func TestTrainSparseMatchesTrain(t *testing.T) {
 		{sparse, nil, probes},
 		{sparse, RBF{Gamma: 0.3}, probes},
 		{sparse, Linear{}, probes},
-		{sparse, Poly{Gamma: 0.5, Coef0: 1, Degree: 2}, probes},
+		{sparse, polyKernel{Gamma: 0.5, Coef0: 1, Degree: 2}, probes},
 		{fakeSamples, fake, [][]float64{{0}, {5}, {11}}},
 	}
 	for _, p := range problems {
@@ -159,7 +159,6 @@ func TestSparseKernelMatchesDense(t *testing.T) {
 	kernels := []SparseKernel{
 		RBF{Gamma: 0.4},
 		Linear{},
-		Poly{Gamma: 0.2, Coef0: 1, Degree: 3},
 	}
 	for _, k := range kernels {
 		for i := range pts {

@@ -1,10 +1,12 @@
 package svm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"sentomist/internal/randx"
+	"sentomist/internal/stats"
 )
 
 // cluster generates n points around center with the given spread.
@@ -33,10 +35,31 @@ func TestKernels(t *testing.T) {
 	if got := (Linear{}).Eval([]float64{2, 3}, []float64{4, 5}); got != 23 {
 		t.Errorf("Linear = %v", got)
 	}
-	poly := Poly{Gamma: 1, Coef0: 1, Degree: 2}
+	poly := polyKernel{Gamma: 1, Coef0: 1, Degree: 2}
 	if got := poly.Eval([]float64{1, 1}, []float64{1, 1}); got != 9 {
-		t.Errorf("Poly = %v, want 9", got)
+		t.Errorf("poly = %v, want 9", got)
 	}
+}
+
+// polyKernel is the polynomial kernel (gamma·aᵀb + coef0)^degree. It is
+// not built in, so the column source evaluates it cell by cell through
+// EvalSparse: the path every user-supplied kernel takes.
+type polyKernel struct {
+	Gamma  float64
+	Coef0  float64
+	Degree int
+}
+
+func (k polyKernel) Eval(a, b []float64) float64 { return k.ofDot(stats.Dot(a, b)) }
+
+func (k polyKernel) EvalSparse(a, b stats.Sparse) float64 { return k.ofDot(stats.SparseDot(a, b)) }
+
+func (k polyKernel) ofDot(d float64) float64 {
+	return math.Pow(k.Gamma*d+k.Coef0, float64(k.Degree))
+}
+
+func (k polyKernel) String() string {
+	return fmt.Sprintf("poly(gamma=%g, coef0=%g, degree=%d)", k.Gamma, k.Coef0, k.Degree)
 }
 
 func TestKernelSymmetryAndBound(t *testing.T) {

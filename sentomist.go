@@ -129,7 +129,8 @@ type (
 )
 
 // NewStreamer creates an online anatomizer for nodeID; Finalize recycles
-// its counter storage internally.
+// its counter storage internally. Intervals the run cut short come back
+// with an empty counter: every miner excludes them.
 func NewStreamer(nodeID int) *Streamer {
 	return lifecycle.NewStreamer(nodeID)
 }
@@ -217,22 +218,10 @@ func PCADetector(varFraction float64) Detector {
 	return outlier.PCA{VarFraction: varFraction}
 }
 
-// KNNDetector scores by distance to the k-th nearest neighbour (0 selects
-// k = 5).
-func KNNDetector(k int) Detector {
-	return outlier.KNN{K: k}
-}
-
 // MahalanobisDetector scores by diagonal Mahalanobis distance from the
 // batch mean.
 func MahalanobisDetector() Detector {
 	return outlier.Mahalanobis{}
-}
-
-// KernelPCADetector scores by reconstruction error in kernel feature space
-// (nil kernel selects RBF with gamma = 1/dim; components 0 selects 4).
-func KernelPCADetector(kernel Kernel, components int) Detector {
-	return outlier.KernelPCA{Kernel: kernel, Components: components}
 }
 
 // RBFKernel returns the Gaussian kernel exp(-gamma ‖a-b‖²).

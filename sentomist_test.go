@@ -183,12 +183,12 @@ rxdone:
 	}
 	ranking, err := sentomist.Mine(
 		[]sentomist.RunInput{{Trace: run.Trace, Programs: run.Programs}},
-		sentomist.MineConfig{IRQ: sentomist.IRQADC, Nodes: []int{1}, Detector: sentomist.KNNDetector(0)},
+		sentomist.MineConfig{IRQ: sentomist.IRQADC, Nodes: []int{1}, Detector: sentomist.MahalanobisDetector()},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ranking.Detector != "knn" {
+	if ranking.Detector != "mahalanobis-diag" {
 		t.Fatalf("detector %s", ranking.Detector)
 	}
 }
@@ -259,7 +259,7 @@ func TestDetectorConstructors(t *testing.T) {
 		sentomist.OneClassSVM(0.1, sentomist.RBFKernel(0.5)),
 		sentomist.OneClassSVM(0.1, sentomist.LinearKernel()),
 		sentomist.PCADetector(0),
-		sentomist.KNNDetector(3),
+		sentomist.PCADetector(0.9),
 		sentomist.MahalanobisDetector(),
 	}
 	samples := [][]float64{{0, 0}, {0.1, 0}, {0, 0.1}, {0.1, 0.1}, {5, 5}}
